@@ -1,12 +1,11 @@
 // Engine-level micro benchmarks: comparison harnesses (always run;
 // `--json out.json` records machine-readable
 // {bench, config, rows_per_sec, wall_ms} rows — see BENCH_engine.json) for
-//   * the scalar vs vectorized executor pipelines,
-//   * repeated PredicateMechanism::Answer — uncached fresh-build execution
-//     vs the PlanCache cold (compile+run) and warm (bitmap-only) paths,
+//   * repeated PredicateMechanism::Answer — the PlanCache cold (compile+run)
+//     vs warm (bitmap-only) paths,
 //   * a 16-query shared-predicate SSB workload — one shared-scan AnswerBatch
 //     vs sequential warm Answer calls,
-//   * DataCube build (legacy hash-probing vs fused-LUT morsel scan) and the
+//   * DataCube build (fused-LUT morsel scan at 1/2/4 threads) and the
 //     box-sweep Evaluate,
 //   * ingest plan maintenance — ScanPlan::Compile on a grown fact table vs
 //     ScanPlan::ExtendFrom over just the appended tail,
@@ -27,7 +26,6 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <thread>
 
 #include "baselines/r2t.h"
 #include "bench_common.h"
@@ -169,31 +167,6 @@ void BM_KStarIndexBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_KStarIndexBuild)->Arg(10000)->Arg(100000);
 
-// ---------------------------------------------------------------------------
-// Scalar vs vectorized executor comparison (the PR-2 acceptance measurement):
-// runs one grouped and one scalar SSB query through the legacy row-at-a-time
-// pipeline and the vectorized pipeline at 1/2/4 scan threads, reporting
-// rows/sec and the speedup over the legacy pipeline.
-// ---------------------------------------------------------------------------
-
-struct ExecConfig {
-  std::string name;
-  exec::ExecutorOptions options;
-};
-
-std::vector<ExecConfig> ComparisonConfigs() {
-  std::vector<ExecConfig> configs;
-  exec::ExecutorOptions scalar;
-  scalar.force_scalar = true;
-  configs.push_back({"scalar", scalar});
-  for (int threads : {1, 2, 4}) {
-    exec::ExecutorOptions vec;
-    vec.exec_threads = threads;
-    configs.push_back({"vectorized t=" + std::to_string(threads), vec});
-  }
-  return configs;
-}
-
 double SharedMinSec() {
   return bench_util::EnvDouble("DPSTARJ_MICRO_MIN_SEC", 0.3);
 }
@@ -209,94 +182,11 @@ const storage::Catalog& ComparisonCatalog() {
   return *catalog;
 }
 
-void RunEngineComparison(bench::JsonBenchWriter* json) {
-  const double sf = bench_util::EnvDouble("DPSTARJ_MICRO_SF", 0.05);
-  const double min_sec = SharedMinSec();
-
-  const storage::Catalog& catalog = ComparisonCatalog();
-  query::Binder binder(&catalog);
-
-  // QgScan: the archetypal SSB drill-down — SUM(revenue) by year × brand over
-  // the full fact table (no filter), so every row exercises the grouping
-  // path; this is the acceptance-criterion query. Qg2: the paper's filtered
-  // GROUP BY. Qc3: scalar COUNT with two selective predicates.
-  std::vector<std::pair<std::string, query::StarJoinQuery>> queries;
-  {
-    query::StarJoinQuery scan;
-    scan.name = "QgScan";
-    scan.fact_table = "Lineorder";
-    scan.joined_tables = {"Date", "Part"};
-    scan.aggregate = query::AggregateKind::kSum;
-    scan.measure_terms = {{"revenue", 1.0}};
-    scan.group_by = {{"Date", "year"}, {"Part", "brand"}};
-    queries.emplace_back("QgScan", std::move(scan));
-  }
-  for (const char* qname : {"Qg2", "Qc3"}) {
-    auto q = ssb::GetQuery(qname);
-    DPSTARJ_CHECK(q.ok(), "query");
-    queries.emplace_back(qname, std::move(*q));
-  }
-
-  for (const auto& [qname_str, query] : queries) {
-    const char* qname = qname_str.c_str();
-    auto bound = binder.Bind(query);
-    DPSTARJ_CHECK(bound.ok(), "bind");
-    const double fact_rows = static_cast<double>(bound->fact->num_rows());
-
-    std::printf("== executor comparison: %s (sf=%.3g, %.0f fact rows) ==\n",
-                qname, sf, fact_rows);
-    bench_util::TablePrinter table(
-        {"pipeline", "iters", "ms/exec", "rows/sec", "speedup"});
-    double scalar_rows_per_sec = 0.0;
-    double reference_total = 0.0;
-    bool have_reference = false;
-    for (const ExecConfig& config : ComparisonConfigs()) {
-      exec::StarJoinExecutor executor(config.options);
-      // Warm-up + self-check: every pipeline must agree on the total (up to
-      // summation-order rounding on the double-valued SSB measures).
-      auto warm = executor.Execute(*bound);
-      DPSTARJ_CHECK(warm.ok(), "execute");
-      if (!have_reference) {
-        reference_total = warm->Total();
-        have_reference = true;
-      } else {
-        double drift = std::abs(warm->Total() - reference_total) /
-                       std::max(1.0, std::abs(reference_total));
-        DPSTARJ_CHECK(drift < 1e-9, "pipelines disagree on the query answer");
-      }
-      Timer timer;
-      std::optional<bench::CounterSpan> span;
-      if (json != nullptr) span.emplace(*json);
-      int iters = 0;
-      do {
-        auto r = executor.Execute(*bound);
-        DPSTARJ_CHECK(r.ok(), "execute");
-        ++iters;
-      } while (timer.ElapsedSeconds() < min_sec || iters < 3);
-      const double wall_ms = timer.ElapsedMillis() / iters;
-      const double rows_per_sec = fact_rows / (wall_ms / 1e3);
-      if (scalar_rows_per_sec == 0.0) scalar_rows_per_sec = rows_per_sec;
-      table.AddRow({config.name, Format("%d", iters), Format("%.2f", wall_ms),
-                    Format("%.3g", rows_per_sec),
-                    Format("%.2fx", rows_per_sec / scalar_rows_per_sec)});
-      if (json != nullptr) {
-        const double rows = fact_rows * iters;
-        json->Add(std::string("micro_engine/") + qname, config.name,
-                  rows_per_sec, wall_ms, span->CyclesPerRow(rows),
-                  span->InstructionsPerRow(rows));
-      }
-    }
-    table.Print();
-    std::printf("\n");
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Repeated-answer comparison (the PR-3 acceptance measurement): the Predicate
-// Mechanism re-executes the same bound query with perturbed predicates every
-// noisy run. "uncached" rebuilds the verdict tables from scratch per run (the
-// pre-plan-cache behavior); "plan cold" pays ScanPlan::Compile every run;
-// "plan warm" is the steady state — predicate bitmaps only.
+// Repeated-answer comparison: the Predicate Mechanism re-executes the same
+// bound query with perturbed predicates every noisy run. "plan cold" pays
+// ScanPlan::Compile every run (what a one-shot Execute costs); "plan warm" is
+// the steady state — predicate bitmaps only.
 // ---------------------------------------------------------------------------
 
 void RunPlanCacheComparison(bench::JsonBenchWriter* json) {
@@ -342,19 +232,12 @@ void RunPlanCacheComparison(bench::JsonBenchWriter* json) {
 
     Rng rng(11);
     core::PredicateMechanism pm;
-    exec::StarJoinExecutor fresh_executor;
 
     struct PathConfig {
       std::string name;
       std::function<void()> run;
     };
     std::vector<PathConfig> paths;
-    paths.push_back({"uncached (fresh build)", [&]() {
-                       auto overrides = pm.PerturbPredicates(*bound, epsilon, &rng);
-                       DPSTARJ_CHECK(overrides.ok(), "perturb");
-                       auto r = fresh_executor.Execute(*bound, *overrides);
-                       DPSTARJ_CHECK(r.ok(), "execute");
-                     }});
     paths.push_back({"plan cold (compile+run)", [&]() {
                        pm.plan_cache()->Clear();
                        auto r = pm.Answer(*bound, epsilon, &rng);
@@ -376,7 +259,7 @@ void RunPlanCacheComparison(bench::JsonBenchWriter* json) {
                                      "traced answer recorded no stages");
                      }});
 
-    double uncached_rows_per_sec = 0.0;
+    double cold_rows_per_sec = 0.0;
     for (const PathConfig& path : paths) {
       path.run();  // warm-up (compiles the plan for the warm path)
       Timer timer;
@@ -389,10 +272,10 @@ void RunPlanCacheComparison(bench::JsonBenchWriter* json) {
       } while (timer.ElapsedSeconds() < min_sec || iters < 3);
       const double wall_ms = timer.ElapsedMillis() / iters;
       const double rows_per_sec = fact_rows / (wall_ms / 1e3);
-      if (uncached_rows_per_sec == 0.0) uncached_rows_per_sec = rows_per_sec;
+      if (cold_rows_per_sec == 0.0) cold_rows_per_sec = rows_per_sec;
       table.AddRow({path.name, Format("%d", iters), Format("%.3f", wall_ms),
                     Format("%.3g", rows_per_sec),
-                    Format("%.2fx", rows_per_sec / uncached_rows_per_sec)});
+                    Format("%.2fx", rows_per_sec / cold_rows_per_sec)});
       if (json != nullptr) {
         const double rows = fact_rows * iters;
         json->Add(std::string("micro_engine/pm_repeat/") + qname, path.name,
@@ -512,9 +395,9 @@ void RunWorkloadComparison(bench::JsonBenchWriter* json) {
 }
 
 // ---------------------------------------------------------------------------
-// DataCube comparison: the other full fact scan. Build: legacy hash-probing
-// row loop vs the fused dense-LUT morsel scan at 1/2/4 threads. Evaluate:
-// the box sweep over the predicate hyper-rectangle.
+// DataCube comparison: the other full fact scan. Build: the fused dense-LUT
+// morsel scan at 1/2/4 threads. Evaluate: the box sweep over the predicate
+// hyper-rectangle.
 // ---------------------------------------------------------------------------
 
 void RunCubeComparison(bench::JsonBenchWriter* json) {
@@ -537,22 +420,15 @@ void RunCubeComparison(bench::JsonBenchWriter* json) {
   struct CubeConfig {
     std::string name;
     exec::CubeOptions options;
-    int threads = 1;
   };
   std::vector<CubeConfig> configs;
-  {
-    exec::CubeOptions legacy;
-    legacy.force_legacy = true;
-    configs.push_back({"legacy (hash probes)", legacy, 1});
-  }
   for (int threads : {1, 2, 4}) {
     exec::CubeOptions options;
     options.threads = threads;
-    configs.push_back(
-        {"vectorized t=" + std::to_string(threads), options, threads});
+    configs.push_back({"vectorized t=" + std::to_string(threads), options});
   }
 
-  double legacy_rows_per_sec = 0.0;
+  double first_rows_per_sec = 0.0;
   double reference_total = 0.0;
   bool have_reference = false;
   for (const CubeConfig& config : configs) {
@@ -577,10 +453,10 @@ void RunCubeComparison(bench::JsonBenchWriter* json) {
     } while (timer.ElapsedSeconds() < min_sec || iters < 3);
     const double wall_ms = timer.ElapsedMillis() / iters;
     const double rows_per_sec = fact_rows / (wall_ms / 1e3);
-    if (legacy_rows_per_sec == 0.0) legacy_rows_per_sec = rows_per_sec;
+    if (first_rows_per_sec == 0.0) first_rows_per_sec = rows_per_sec;
     table.AddRow({config.name, Format("%d", iters), Format("%.3f", wall_ms),
                   Format("%.3g", rows_per_sec),
-                  Format("%.2fx", rows_per_sec / legacy_rows_per_sec)});
+                  Format("%.2fx", rows_per_sec / first_rows_per_sec)});
     if (json != nullptr) {
       const double rows = fact_rows * iters;
       json->Add("micro_engine/cube_build/Qc3", config.name, rows_per_sec,
@@ -631,8 +507,8 @@ void RunIngestComparison(bench::JsonBenchWriter* json) {
   const storage::Catalog& catalog = ComparisonCatalog();
   query::Binder binder(&catalog);
 
-  // The same grouped drill-down as the executor comparison: SUM(revenue) by
-  // year × brand, full fact scan — the scaffold shape ingest must maintain.
+  // The full-scan grouped SSB drill-down: SUM(revenue) by year × brand —
+  // the scaffold shape ingest must maintain.
   query::StarJoinQuery scan;
   scan.name = "QgScan";
   scan.fact_table = "Lineorder";
@@ -741,7 +617,6 @@ int main(int argc, char** argv) {
   argc = out;
 
   bench::JsonBenchWriter json(json_path);
-  RunEngineComparison(&json);
   RunPlanCacheComparison(&json);
   RunWorkloadComparison(&json);
   RunCubeComparison(&json);

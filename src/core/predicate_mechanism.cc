@@ -40,18 +40,12 @@ Result<exec::QueryResult> PredicateMechanism::Answer(const query::BoundQuery& q,
     return PerturbPredicates(q, epsilon, rng);
   }();
   if (!overrides.ok()) return overrides.status();
-  // A disabled cache (capacity 0) means "no plan reuse": take the fresh-build
-  // pipeline directly instead of compiling a scaffold that would be thrown
-  // away — compile costs more than one fresh execution.
-  if (plan_cache_->capacity() == 0) {
-    obs::ScopedStage scan_span(trace, obs::Stage::kScan);
-    return executor_.Execute(q, *overrides);
-  }
   // Execute against the cached scaffold: the first Answer on a query compiles
   // its ScanPlan, every later one (and every other tenant/engine sharing the
   // cache) only rebuilds predicate bitmaps. Plan reuse is pure execution
   // strategy — the noise was drawn above, so results are distributed exactly
-  // as a fresh-build execution (and are bit-identical given the same draw).
+  // as a one-off execution (and are bit-identical given the same draw). A
+  // capacity-0 cache compiles a throwaway plan per call.
   DPSTARJ_ASSIGN_OR_RETURN(std::shared_ptr<const exec::ScanPlan> plan,
                            plan_cache_->GetOrCompile(q, trace));
   return executor_.Execute(q, *overrides, *plan, trace);
@@ -84,64 +78,55 @@ std::vector<Result<exec::QueryResult>> PredicateMechanism::AnswerBatch(
     }
   }
 
-  // ---- 2. execution strategy. Without a plan cache (or under strict
-  // integrity, which needs the single-query path's exact row reporting)
-  // every query takes a fresh single-query execution.
-  if (plan_cache_->capacity() == 0 || executor_.options().strict_integrity) {
-    obs::ScopedStage scan_span(trace, obs::Stage::kScan);
-    for (size_t k = 0; k < batch.size(); ++k) {
-      if (slots[k].has_value()) continue;
-      slots[k] = executor_.Execute(*batch[k].query, overrides[k]);
+  // ---- 2. execution strategy: each query's cached scaffold, then one
+  // WorkloadPlan over the batch. Strict integrity needs the single-query
+  // path's exact row reporting, so strict queries run one at a time.
+  const bool strict = executor_.options().strict_integrity;
+  std::vector<exec::WorkloadItem> items;
+  std::vector<size_t> item_query;  // items[i] answers batch[item_query[i]]
+  items.reserve(batch.size());
+  item_query.reserve(batch.size());
+  for (size_t k = 0; k < batch.size(); ++k) {
+    if (slots[k].has_value()) continue;
+    Result<std::shared_ptr<const exec::ScanPlan>> plan =
+        plan_cache_->GetOrCompile(*batch[k].query, trace);
+    if (!plan.ok()) {
+      slots[k] = plan.status();
+      continue;
     }
-  } else {
-    // Warm path: collect each query's cached scaffold, peel off the ones the
-    // shared scan cannot take, and batch the rest into one WorkloadPlan.
-    std::vector<exec::WorkloadItem> items;
-    std::vector<size_t> item_query;  // items[i] answers batch[item_query[i]]
-    items.reserve(batch.size());
-    item_query.reserve(batch.size());
-    for (size_t k = 0; k < batch.size(); ++k) {
-      if (slots[k].has_value()) continue;
-      Result<std::shared_ptr<const exec::ScanPlan>> plan =
-          plan_cache_->GetOrCompile(*batch[k].query, trace);
-      if (!plan.ok()) {
-        slots[k] = plan.status();
-        continue;
-      }
-      if ((*plan)->requires_scalar()) {
-        slots[k] =
-            executor_.Execute(*batch[k].query, overrides[k], **plan, trace);
-        continue;
-      }
-      exec::WorkloadItem item;
-      item.query = batch[k].query;
-      item.overrides = &overrides[k];
-      item.plan = std::move(*plan);
-      items.push_back(std::move(item));
-      item_query.push_back(k);
+    if (strict) {
+      slots[k] =
+          executor_.Execute(*batch[k].query, overrides[k], **plan, trace);
+      continue;
     }
-    if (!items.empty()) {
-      Result<exec::WorkloadPlan> wplan =
-          exec::WorkloadPlan::Compile(std::move(items));
-      if (!wplan.ok()) {
-        for (size_t k : item_query) slots[k] = wplan.status();
+    exec::WorkloadItem item;
+    item.query = batch[k].query;
+    item.overrides = &overrides[k];
+    item.plan = std::move(*plan);
+    items.push_back(std::move(item));
+    item_query.push_back(k);
+  }
+  if (!items.empty()) {
+    Result<exec::WorkloadPlan> wplan =
+        exec::WorkloadPlan::Compile(std::move(items));
+    if (!wplan.ok()) {
+      for (size_t k : item_query) slots[k] = wplan.status();
+    } else {
+      if (stats != nullptr) {
+        const exec::WorkloadExecStats& s = wplan->stats();
+        stats->queries += s.queries;
+        stats->scans += s.scans;
+        stats->predicate_refs += s.predicate_refs;
+        stats->predicate_nodes += s.predicate_nodes;
+        stats->shared_dim_slots += s.shared_dim_slots;
+      }
+      Result<std::vector<exec::QueryResult>> results =
+          wplan->Execute(executor_.options(), trace);
+      if (!results.ok()) {
+        for (size_t k : item_query) slots[k] = results.status();
       } else {
-        if (stats != nullptr) {
-          const exec::WorkloadExecStats& s = wplan->stats();
-          stats->queries += s.queries;
-          stats->scans += s.scans;
-          stats->predicate_refs += s.predicate_refs;
-          stats->predicate_nodes += s.predicate_nodes;
-          stats->shared_dim_slots += s.shared_dim_slots;
-        }
-        Result<std::vector<exec::QueryResult>> results =
-            wplan->Execute(executor_.options(), trace);
-        if (!results.ok()) {
-          for (size_t k : item_query) slots[k] = results.status();
-        } else {
-          for (size_t i = 0; i < item_query.size(); ++i) {
-            slots[item_query[i]] = std::move((*results)[i]);
-          }
+        for (size_t i = 0; i < item_query.size(); ++i) {
+          slots[item_query[i]] = std::move((*results)[i]);
         }
       }
     }

@@ -48,7 +48,8 @@ class PredicateMechanism {
   /// calls on the same bound query nearly free (only predicate bitmaps are
   /// rebuilt per noisy run). Pass a shared cache to pool plans across
   /// mechanisms/engines (the service layer does); nullptr gives the
-  /// mechanism its own.
+  /// mechanism its own. Every execution goes through a plan: a capacity-0
+  /// cache just compiles a throwaway one per query.
   explicit PredicateMechanism(PmaOptions pma = {},
                               exec::ExecutorOptions exec_options = {},
                               std::shared_ptr<exec::PlanCache> plan_cache = nullptr)
@@ -82,11 +83,10 @@ class PredicateMechanism {
   /// swept once, accumulating every query simultaneously.
   ///
   /// Returns one Result per query, in batch order: a query that fails to
-  /// perturb or plan gets its own error without failing the batch. Queries
-  /// the batch path cannot take (scalar-pipeline plans, a disabled plan
-  /// cache, strict integrity) fall back to single-query execution, still in
-  /// batch order. `stats` (optional) accumulates the CSE receipts of the
-  /// shared-scan portion.
+  /// perturb or plan gets its own error without failing the batch. Under
+  /// strict integrity every query runs through the single-query path
+  /// instead, still in batch order. `stats` (optional) accumulates the CSE
+  /// receipts of the shared-scan portion.
   std::vector<Result<exec::QueryResult>> AnswerBatch(
       const std::vector<BatchQueryRef>& batch, Rng* rng,
       obs::Trace* trace = nullptr,

@@ -140,88 +140,9 @@ Result<DataCube> DataCube::Build(
   }
   cube.values_.assign(static_cast<size_t>(cells), 0.0);
 
-  if (options.force_legacy) {
-    // ------------------------------------------------------------------
-    // Legacy row-at-a-time build: one hash probe per axis per fact row.
-    // Kept as the benchmark baseline for the fused dense-LUT scan below.
-    // ------------------------------------------------------------------
-    std::vector<std::unordered_map<int64_t, int64_t>> key_to_ordinal(
-        attributes.size());
-    for (size_t a = 0; a < attributes.size(); ++a) {
-      const auto& keys =
-          axis_owner[a]->dim->column(axis_owner[a]->dim_pk_col).int64_data();
-      auto& map = key_to_ordinal[a];
-      map.reserve(keys.size() * 2);
-      for (size_t r = 0; r < keys.size(); ++r) {
-        map.emplace(keys[r], axis_ordinals[a][r]);
-      }
-    }
-    // Joined dimensions that are NOT cube axes: rows whose FK misses such a
-    // dimension do not join and must be dropped.
-    std::vector<std::unordered_map<int64_t, bool>> other_dims;
-    std::vector<int> other_fk_col;
-    for (const auto& d : q.dims) {
-      bool is_axis = false;
-      for (const auto& attr : attributes) {
-        if (attr.table == d.table) {
-          is_axis = true;
-          break;
-        }
-      }
-      if (is_axis) continue;
-      std::unordered_map<int64_t, bool> keys;
-      const auto& pk = d.dim->column(d.dim_pk_col).int64_data();
-      keys.reserve(pk.size() * 2);
-      for (int64_t k : pk) keys.emplace(k, true);
-      other_dims.push_back(std::move(keys));
-      other_fk_col.push_back(d.fact_fk_col);
-    }
-
-    for (int64_t row = 0; row < q.fact->num_rows(); ++row) {
-      int64_t offset = 0;
-      bool ok = true;
-      for (size_t a = 0; a < attributes.size(); ++a) {
-        int64_t key =
-            q.fact->column(axis_fk_col[a]).int64_data()[static_cast<size_t>(row)];
-        auto it = key_to_ordinal[a].find(key);
-        if (it == key_to_ordinal[a].end() || it->second < 0) {
-          ok = false;
-          break;
-        }
-        offset += it->second * cube.strides_[a];
-      }
-      if (ok) {
-        for (size_t i = 0; i < other_dims.size(); ++i) {
-          int64_t key = q.fact->column(other_fk_col[i])
-                            .int64_data()[static_cast<size_t>(row)];
-          if (other_dims[i].find(key) == other_dims[i].end()) {
-            ok = false;
-            break;
-          }
-        }
-      }
-      if (!ok) {
-        ++cube.dropped_rows_;
-        continue;
-      }
-      double w = 1.0;
-      if (!q.measure_cols.empty()) {
-        w = 0.0;
-        for (const auto& [col, coeff] : q.measure_cols) {
-          w += coeff * q.fact->column(col).GetNumeric(row);
-        }
-      }
-      cube.values_[static_cast<size_t>(offset)] += w;
-      cube.total_ += w;
-    }
-    return cube;
-  }
-
-  // --------------------------------------------------------------------
-  // Vectorized build: per-dimension fused FK→ordinal LUTs (one load per
-  // probe on dense key spaces), morsel-parallel fact scan with worker
-  // partials merged deterministically in worker order.
-  // --------------------------------------------------------------------
+  // Per-dimension fused FK→ordinal LUTs (one load per probe on dense key
+  // spaces), morsel-parallel fact scan with worker partials merged
+  // deterministically in worker order.
   std::vector<CubeProbe> probes;
   probes.reserve(q.dims.size());
   for (size_t a = 0; a < attributes.size(); ++a) {

@@ -40,9 +40,6 @@ struct CubeOptions {
   /// Rows per scan morsel (parallel granularity). The default is sized to
   /// the detected per-core L2 (exec/parallel.h, DefaultMorselSize).
   int64_t morsel_size = DefaultMorselSize();
-  /// Forces the legacy row-at-a-time, hash-probing build (kept as the
-  /// benchmark baseline for the fused dense-LUT scan).
-  bool force_legacy = false;
 };
 
 /// \brief Dense cube over the joint domain of dimension attributes.

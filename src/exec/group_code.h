@@ -6,9 +6,9 @@
 //                   is reasonably dense (range ≤ ~4× the row count) the probe
 //                   is a single array index into an offset table; sparse key
 //                   spaces fall back to a hash map. The payload is caller-
-//                   defined (the executor stores a pass/fail verdict fused
-//                   with a group ordinal; the contribution index stores the
-//                   dimension row).
+//                   defined (ScanPlan stores the dimension row; the
+//                   contribution index stores it only for rows passing the
+//                   query's predicates).
 //
 //   GroupCodeLayout bit-packing of per-dimension group ordinals into one
 //                   uint64 group code per fact row, so GROUP BY aggregation

@@ -63,7 +63,7 @@ class PlanCache {
     /// invalidated_identity.
     uint64_t invalidations = 0;
     /// The fact table grew but the tail could not be spliced (packed group
-    /// field overflow, or the plan was scalar-fallback).
+    /// field overflow, or the plan numbers its group-key tuples).
     uint64_t invalidated_append = 0;
     /// A table object was replaced or a dimension changed size — nothing of
     /// the scaffold is salvageable.

@@ -13,9 +13,9 @@ namespace dpstarj::exec {
 
 namespace {
 
-// Raw value of a dimension group-by cell as an exact int64 (doubles keyed by
-// bit pattern, strings by dictionary code) — mirrors the fresh pipeline so
-// distinct combos get distinct ordinals and identical labels merge on render.
+// Raw value of a group-by cell as an exact int64 (doubles keyed by bit
+// pattern, strings by dictionary code), so distinct values get distinct
+// ordinals or codes; values that render identically merge on render.
 int64_t CellKey(const storage::Column& col, int64_t row) {
   switch (col.type()) {
     case storage::ValueType::kInt64:
@@ -31,6 +31,131 @@ int64_t CellKey(const storage::Column& col, int64_t row) {
     }
   }
   return 0;
+}
+
+// Group ordinal of a resolved dimension row; the absent-FK sentinel takes
+// ordinal 0 (such rows never pass, so their code only has to be valid).
+uint64_t GroupOrdinalOf(const PlanDim& pd, int32_t dim_row) {
+  if (dim_row == pd.num_rows) return 0;
+  return static_cast<uint64_t>(pd.group_ordinal[static_cast<size_t>(dim_row)]);
+}
+
+// The per-fact-row scaffold passes below cover rows [begin, fact_rows()):
+// Compile runs them from row 0 and ExtendFrom over the appended tail only,
+// so an extended plan's rows are a fresh compile's by construction.
+
+// Resolves dimension i's FK of each row to its dimension row, absent keys to
+// the sentinel row pd.num_rows.
+Status ResolveFactRows(ScanPlan& plan, const query::BoundQuery& q, size_t i,
+                       int64_t begin) {
+  const query::DimBinding& d = q.dims[i];
+  PlanDim& pd = plan.dims[i];
+  const auto& keys = d.dim->column(d.dim_pk_col).int64_data();
+  std::vector<int32_t> row_payload(keys.size());
+  for (size_t r = 0; r < keys.size(); ++r) {
+    row_payload[r] = static_cast<int32_t>(r);
+  }
+  auto built = KeyIndex::Build(keys, row_payload);
+  if (!built.ok()) {
+    return Status::InvalidArgument(
+        Format("duplicate primary key in dimension '%s': %s", d.table.c_str(),
+               built.status().message().c_str()));
+  }
+  const KeyIndex index = std::move(*built);
+  const int64_t end = plan.fact_rows();
+  const int64_t* fk = q.fact->column(d.fact_fk_col).int64_data().data();
+  std::vector<int32_t>& rows = plan.fact_dim_row[i];
+  rows.resize(static_cast<size_t>(end));
+  const int32_t sentinel = pd.num_rows;
+  for (int64_t r = begin; r < end; ++r) {
+    int32_t dr = index.Lookup(fk[r]);
+    if (dr == KeyIndex::kAbsent) {
+      dr = sentinel;
+      pd.has_absent_fk = true;
+    }
+    rows[static_cast<size_t>(r)] = dr;
+  }
+  return Status::OK();
+}
+
+// Packs each row's group code: dimension ordinal fields (via the resolved
+// row, 0 for absent FKs — such rows never pass) plus fact-side key fields.
+void PackGroupCodes(ScanPlan& plan, const query::BoundQuery& q, int64_t begin) {
+  const int64_t end = plan.fact_rows();
+  plan.codes.resize(static_cast<size_t>(end), 0);
+  for (size_t i = 0; i < plan.dims.size(); ++i) {
+    const PlanDim& pd = plan.dims[i];
+    if (pd.field < 0) continue;
+    const int32_t* rows = plan.fact_dim_row[i].data();
+    const int32_t* ordinals = pd.group_ordinal.data();
+    const int32_t sentinel = pd.num_rows;
+    for (int64_t r = begin; r < end; ++r) {
+      int32_t dr = rows[r];
+      if (dr == sentinel) continue;
+      plan.codes[static_cast<size_t>(r)] |=
+          plan.layout.Pack(pd.field, static_cast<uint64_t>(ordinals[dr]));
+    }
+  }
+  for (const auto& part : plan.parts) {
+    if (part.dim_idx >= 0) continue;
+    const storage::Column& c = q.fact->column(part.col);
+    if (part.is_string) {
+      const int32_t* code = c.code_data().data();
+      for (int64_t r = begin; r < end; ++r) {
+        plan.codes[static_cast<size_t>(r)] |=
+            plan.layout.Pack(part.field, static_cast<uint64_t>(code[r]));
+      }
+    } else {
+      const int64_t* i64 = c.int64_data().data();
+      for (int64_t r = begin; r < end; ++r) {
+        plan.codes[static_cast<size_t>(r)] |= plan.layout.Pack(
+            part.field, static_cast<uint64_t>(i64[r] - part.base));
+      }
+    }
+  }
+}
+
+// Per-row aggregate weights (empty for COUNT). Measure columns outer, rows
+// inner, so every row's sum associates the same way in either pass.
+void AddWeights(ScanPlan& plan, const query::BoundQuery& q, int64_t begin) {
+  if (q.measure_cols.empty()) return;
+  const int64_t end = plan.fact_rows();
+  plan.weights.resize(static_cast<size_t>(end), 0.0);
+  for (const auto& [col, coeff] : q.measure_cols) {
+    storage::Column::NumericView view = q.fact->column(col).numeric_view();
+    const double c = coeff;
+    for (int64_t r = begin; r < end; ++r) {
+      plan.weights[static_cast<size_t>(r)] += c * view[r];
+    }
+  }
+}
+
+// Numbers each distinct group-key tuple among the fact rows in first-
+// occurrence order and uses that number as the row's group code: the code
+// layout for key sets whose ordinals cannot pack into 64 bits. Dimension
+// parts key by group ordinal, fact parts by exact cell value.
+void NumberKeyTuples(ScanPlan& plan, const query::BoundQuery& q) {
+  plan.numbered_codes = true;
+  const int64_t rows = plan.fact_rows();
+  plan.codes.resize(static_cast<size_t>(rows));
+  std::map<std::vector<int64_t>, uint64_t> code_of;
+  std::vector<int64_t> tuple(plan.parts.size());
+  for (int64_t r = 0; r < rows; ++r) {
+    for (size_t p = 0; p < plan.parts.size(); ++p) {
+      const PlanLabelPart& part = plan.parts[p];
+      if (part.dim_idx >= 0) {
+        const size_t i = static_cast<size_t>(part.dim_idx);
+        tuple[p] = static_cast<int64_t>(GroupOrdinalOf(
+            plan.dims[i], plan.fact_dim_row[i][static_cast<size_t>(r)]));
+      } else {
+        tuple[p] = CellKey(q.fact->column(part.col), r);
+      }
+    }
+    auto [it, inserted] = code_of.try_emplace(tuple, plan.code_rows.size());
+    if (inserted) plan.code_rows.push_back(r);
+    plan.codes[static_cast<size_t>(r)] = it->second;
+  }
+  plan.code_space = plan.code_rows.size();
 }
 
 // (Re)renders the label of every code whose run is non-empty, merging codes
@@ -58,24 +183,7 @@ void RenderRunLabels(ScanPlan& plan, const query::BoundQuery& q) {
         plan.run_offsets[static_cast<size_t>(code) + 1]) {
       continue;
     }
-    label.clear();
-    for (const auto& part : plan.parts) {
-      if (!label.empty()) label += kGroupKeyDelimiter;
-      uint64_t ordinal =
-          plan.layout.Extract(static_cast<uint64_t>(code), part.field);
-      if (part.dim_idx >= 0) {
-        const PlanDim& pd = plan.dims[static_cast<size_t>(part.dim_idx)];
-        const query::DimBinding& d = q.dims[static_cast<size_t>(part.dim_idx)];
-        label += d.dim->column(part.col)
-                     .GetValue(pd.rep_rows[ordinal])
-                     .ToString();
-      } else if (part.is_string) {
-        label += q.fact->column(part.col).dictionary()->At(
-            static_cast<int32_t>(ordinal));
-      } else {
-        label += std::to_string(part.base + static_cast<int64_t>(ordinal));
-      }
-    }
+    plan.RenderLabel(q, static_cast<uint64_t>(code), &label);
     codes_of_label[label].push_back(code);
   }
   plan.group_labels.reserve(codes_of_label.size());
@@ -102,8 +210,10 @@ Result<ScanPlan> ScanPlan::Compile(const query::BoundQuery& q) {
   }
   plan.grouped = !q.group_key_layout.empty();
 
-  // ---- group-code layout, fact-side parts first (fresh-pipeline order).
+  // ---- group-code layout: one field per fact-side key in declared order,
+  // then one per group-bearing dimension (covering all its key columns).
   std::vector<std::vector<int>> dim_group_cols(q.dims.size());
+  bool numbered = false;  // some fact key has no bounded ordinal space
   if (plan.grouped) {
     plan.parts.reserve(q.group_key_layout.size());
     for (const auto& [dim_idx, col] : q.group_key_layout) {
@@ -115,16 +225,11 @@ Result<ScanPlan> ScanPlan::Compile(const query::BoundQuery& q) {
       } else {
         const storage::Column& c = q.fact->column(col);
         uint64_t cardinality = 1;
-        if (c.type() == storage::ValueType::kDouble) {
-          // Unbounded ordinal space; execution takes the scalar pipeline.
-          plan.requires_scalar_ = true;
-          return plan;
-        }
         if (c.type() == storage::ValueType::kString) {
           part.is_string = true;
           cardinality = static_cast<uint64_t>(
               std::max<int32_t>(c.dictionary()->size(), 1));
-        } else {
+        } else if (c.type() == storage::ValueType::kInt64) {
           const auto& data = c.int64_data();
           if (!data.empty()) {
             auto [lo, hi] = std::minmax_element(data.begin(), data.end());
@@ -132,11 +237,13 @@ Result<ScanPlan> ScanPlan::Compile(const query::BoundQuery& q) {
             uint64_t range =
                 static_cast<uint64_t>(*hi) - static_cast<uint64_t>(*lo);
             if (range >= (uint64_t{1} << 62)) {
-              plan.requires_scalar_ = true;
-              return plan;
+              numbered = true;
+            } else {
+              cardinality = range + 1;
             }
-            cardinality = range + 1;
           }
+        } else {
+          numbered = true;  // double: no bounded ordinal space
         }
         part.field = plan.layout.AddField(cardinality);
       }
@@ -197,29 +304,7 @@ Result<ScanPlan> ScanPlan::Compile(const query::BoundQuery& q) {
     }
 
     // FK→row resolution for every fact row (the expensive probe, paid once).
-    std::vector<int32_t> row_payload(keys.size());
-    for (size_t r = 0; r < keys.size(); ++r) {
-      row_payload[r] = static_cast<int32_t>(r);
-    }
-    auto built = KeyIndex::Build(keys, row_payload);
-    if (!built.ok()) {
-      return Status::InvalidArgument(
-          Format("duplicate primary key in dimension '%s': %s", d.table.c_str(),
-                 built.status().message().c_str()));
-    }
-    const KeyIndex index = std::move(*built);
-    const int64_t* fk = q.fact->column(d.fact_fk_col).int64_data().data();
-    std::vector<int32_t>& rows = plan.fact_dim_row[i];
-    rows.resize(static_cast<size_t>(plan.fact_rows_));
-    const int32_t sentinel = pd.num_rows;
-    for (int64_t r = 0; r < plan.fact_rows_; ++r) {
-      int32_t dr = index.Lookup(fk[r]);
-      if (dr == KeyIndex::kAbsent) {
-        dr = sentinel;
-        pd.has_absent_fk = true;
-      }
-      rows[static_cast<size_t>(r)] = dr;
-    }
+    DPSTARJ_RETURN_NOT_OK(ResolveFactRows(plan, q, i, 0));
   }
 
   if (plan.grouped) {
@@ -228,66 +313,14 @@ Result<ScanPlan> ScanPlan::Compile(const query::BoundQuery& q) {
         part.field = plan.dims[static_cast<size_t>(part.dim_idx)].field;
       }
     }
-    if (!plan.layout.Fits()) {
-      // Scalar execution re-derives everything from the query; drop the
-      // scaffolds already built so the cached plan is just identity fields.
-      plan.requires_scalar_ = true;
-      plan.dims.clear();
-      plan.dims.shrink_to_fit();
-      plan.fact_dim_row.clear();
-      plan.fact_dim_row.shrink_to_fit();
-      plan.parts.clear();
-      return plan;
-    }
-    plan.code_space = plan.layout.CodeSpace();
-
-    // Pre-pack the complete group code of every fact row: dimension ordinal
-    // fields (via the resolved row, 0 for absent FKs — such rows never pass)
-    // plus fact-side key fields.
-    plan.codes.assign(static_cast<size_t>(plan.fact_rows_), 0);
-    for (size_t i = 0; i < plan.dims.size(); ++i) {
-      const PlanDim& pd = plan.dims[i];
-      if (pd.field < 0) continue;
-      const int32_t* rows = plan.fact_dim_row[i].data();
-      const int32_t* ordinals = pd.group_ordinal.data();
-      const int32_t sentinel = pd.num_rows;
-      for (int64_t r = 0; r < plan.fact_rows_; ++r) {
-        int32_t dr = rows[r];
-        if (dr == sentinel) continue;
-        plan.codes[static_cast<size_t>(r)] |= plan.layout.Pack(
-            pd.field, static_cast<uint64_t>(ordinals[dr]));
-      }
-    }
-    for (const auto& part : plan.parts) {
-      if (part.dim_idx >= 0) continue;
-      const storage::Column& c = q.fact->column(part.col);
-      if (part.is_string) {
-        const int32_t* code = c.code_data().data();
-        for (int64_t r = 0; r < plan.fact_rows_; ++r) {
-          plan.codes[static_cast<size_t>(r)] |=
-              plan.layout.Pack(part.field, static_cast<uint64_t>(code[r]));
-        }
-      } else {
-        const int64_t* i64 = c.int64_data().data();
-        for (int64_t r = 0; r < plan.fact_rows_; ++r) {
-          plan.codes[static_cast<size_t>(r)] |= plan.layout.Pack(
-              part.field, static_cast<uint64_t>(i64[r] - part.base));
-        }
-      }
+    if (numbered || !plan.layout.Fits()) {
+      NumberKeyTuples(plan, q);
+    } else {
+      plan.code_space = plan.layout.CodeSpace();
+      PackGroupCodes(plan, q, 0);
     }
   }
-
-  // Per-row aggregate weights (fact measures are predicate-independent).
-  if (!q.measure_cols.empty()) {
-    plan.weights.assign(static_cast<size_t>(plan.fact_rows_), 0.0);
-    for (const auto& [col, coeff] : q.measure_cols) {
-      storage::Column::NumericView view = q.fact->column(col).numeric_view();
-      const double c = coeff;
-      for (int64_t r = 0; r < plan.fact_rows_; ++r) {
-        plan.weights[static_cast<size_t>(r)] += c * view[r];
-      }
-    }
-  }
+  AddWeights(plan, q, 0);
 
   // Run-sorted layout for dense code spaces: stable counting sort of fact
   // rows by group code, so warm executions aggregate each group in one
@@ -352,9 +385,9 @@ Result<ScanPlan> ScanPlan::ExtendFrom(const ScanPlan& old,
     return Status::NotSupported(
         "plan extension requires the compiled tables with only fact growth");
   }
-  if (old.requires_scalar_) {
+  if (old.numbered_codes) {
     return Status::NotSupported(
-        "scalar-fallback plans carry no scaffold to extend");
+        "plans with numbered group codes are recompiled, not extended");
   }
   const int64_t old_rows = old.fact_rows_;
   const int64_t new_rows = q.fact->num_rows();
@@ -381,7 +414,11 @@ Result<ScanPlan> ScanPlan::ExtendFrom(const ScanPlan& old,
       const int64_t* i64 = c.int64_data().data();
       for (int64_t r = old_rows; r < new_rows; ++r) {
         const int64_t v = i64[static_cast<size_t>(r)];
-        if (v < part.base || static_cast<uint64_t>(v - part.base) > mask) {
+        // v - base may exceed int64 (e.g. base -4e18, v 6e18): subtract in
+        // uint64, as Compile does for the range.
+        if (v < part.base ||
+            static_cast<uint64_t>(v) - static_cast<uint64_t>(part.base) >
+                mask) {
           return Status::NotSupported(
               "fact group-by value outgrew the compiled field");
         }
@@ -401,7 +438,6 @@ Result<ScanPlan> ScanPlan::ExtendFrom(const ScanPlan& old,
   plan.dim_rows_ = old.dim_rows_;
   plan.measure_cols_ = old.measure_cols_;
   plan.group_key_layout_ = old.group_key_layout_;
-  plan.requires_scalar_ = old.requires_scalar_;
   plan.grouped = old.grouped;
   plan.layout = old.layout;
   plan.parts = old.parts;
@@ -412,81 +448,15 @@ Result<ScanPlan> ScanPlan::ExtendFrom(const ScanPlan& old,
   plan.weights = old.weights;
   plan.has_sorted_runs = old.has_sorted_runs;
 
-  // FK→row resolution for the tail only. The dimensions are unchanged, so
-  // the rebuilt per-dimension index answers exactly as it did at compile
-  // time (dimension indexes are small; the saved work is the fact scan).
+  // FK resolution, group codes (validated above) and weights for the tail
+  // only. The dimensions are unchanged, so the rebuilt per-dimension index
+  // answers exactly as it did at compile time (dimension indexes are small;
+  // the saved work is the fact scan).
   for (size_t i = 0; i < q.dims.size(); ++i) {
-    const query::DimBinding& d = q.dims[i];
-    PlanDim& pd = plan.dims[i];
-    const auto& keys = d.dim->column(d.dim_pk_col).int64_data();
-    std::vector<int32_t> row_payload(keys.size());
-    for (size_t r = 0; r < keys.size(); ++r) {
-      row_payload[r] = static_cast<int32_t>(r);
-    }
-    auto built = KeyIndex::Build(keys, row_payload);
-    if (!built.ok()) return built.status();
-    const KeyIndex index = std::move(*built);
-    const int64_t* fk = q.fact->column(d.fact_fk_col).int64_data().data();
-    std::vector<int32_t>& rows = plan.fact_dim_row[i];
-    rows.resize(static_cast<size_t>(new_rows));
-    const int32_t sentinel = pd.num_rows;
-    for (int64_t r = old_rows; r < new_rows; ++r) {
-      int32_t dr = index.Lookup(fk[r]);
-      if (dr == KeyIndex::kAbsent) {
-        dr = sentinel;
-        pd.has_absent_fk = true;
-      }
-      rows[static_cast<size_t>(r)] = dr;
-    }
+    DPSTARJ_RETURN_NOT_OK(ResolveFactRows(plan, q, i, old_rows));
   }
-
-  // Tail group codes, packed with the compiled layout (validated above).
-  if (plan.grouped) {
-    plan.codes.resize(static_cast<size_t>(new_rows), 0);
-    for (size_t i = 0; i < plan.dims.size(); ++i) {
-      const PlanDim& pd = plan.dims[i];
-      if (pd.field < 0) continue;
-      const int32_t* rows = plan.fact_dim_row[i].data();
-      const int32_t* ordinals = pd.group_ordinal.data();
-      const int32_t sentinel = pd.num_rows;
-      for (int64_t r = old_rows; r < new_rows; ++r) {
-        int32_t dr = rows[r];
-        if (dr == sentinel) continue;
-        plan.codes[static_cast<size_t>(r)] |= plan.layout.Pack(
-            pd.field, static_cast<uint64_t>(ordinals[dr]));
-      }
-    }
-    for (const auto& part : plan.parts) {
-      if (part.dim_idx >= 0) continue;
-      const storage::Column& c = q.fact->column(part.col);
-      if (part.is_string) {
-        const int32_t* code = c.code_data().data();
-        for (int64_t r = old_rows; r < new_rows; ++r) {
-          plan.codes[static_cast<size_t>(r)] |=
-              plan.layout.Pack(part.field, static_cast<uint64_t>(code[r]));
-        }
-      } else {
-        const int64_t* i64 = c.int64_data().data();
-        for (int64_t r = old_rows; r < new_rows; ++r) {
-          plan.codes[static_cast<size_t>(r)] |= plan.layout.Pack(
-              part.field, static_cast<uint64_t>(i64[r] - part.base));
-        }
-      }
-    }
-  }
-
-  // Tail weights. Accumulation order per row matches Compile (measure
-  // columns outer, rows inner), so the per-row sums associate identically.
-  if (!q.measure_cols.empty()) {
-    plan.weights.resize(static_cast<size_t>(new_rows), 0.0);
-    for (const auto& [col, coeff] : q.measure_cols) {
-      storage::Column::NumericView view = q.fact->column(col).numeric_view();
-      const double c = coeff;
-      for (int64_t r = old_rows; r < new_rows; ++r) {
-        plan.weights[static_cast<size_t>(r)] += c * view[r];
-      }
-    }
-  }
+  if (plan.grouped) PackGroupCodes(plan, q, old_rows);
+  AddWeights(plan, q, old_rows);
 
   // Splice the tail into the counting-sort runs: each code's new run is its
   // old run (rows already in scan order) followed by its tail rows in scan
@@ -587,6 +557,7 @@ size_t ScanPlan::ApproxBytes() const {
   bytes += sorted_weights.capacity() * sizeof(double);
   bytes += run_offsets.capacity() * sizeof(int64_t);
   bytes += label_of_code.capacity() * sizeof(int32_t);
+  bytes += code_rows.capacity() * sizeof(int64_t);
   for (const auto& s : group_labels) bytes += sizeof(s) + s.capacity();
   for (const auto& d : dims) {
     bytes += d.group_ordinal.capacity() * sizeof(int32_t);
@@ -596,6 +567,35 @@ size_t ScanPlan::ApproxBytes() const {
     }
   }
   return bytes;
+}
+
+void ScanPlan::RenderLabel(const query::BoundQuery& q, uint64_t code,
+                           std::string* label) const {
+  label->clear();
+  const size_t rep =
+      numbered_codes ? static_cast<size_t>(code_rows[code]) : size_t{0};
+  for (const auto& part : parts) {
+    if (!label->empty()) *label += kGroupKeyDelimiter;
+    if (part.dim_idx >= 0) {
+      const size_t i = static_cast<size_t>(part.dim_idx);
+      const uint64_t ordinal = numbered_codes
+                                   ? GroupOrdinalOf(dims[i], fact_dim_row[i][rep])
+                                   : layout.Extract(code, part.field);
+      *label += q.dims[i].dim->column(part.col)
+                    .GetValue(dims[i].rep_rows[ordinal])
+                    .ToString();
+    } else if (numbered_codes) {
+      *label += q.fact->column(part.col)
+                    .GetValue(static_cast<int64_t>(rep))
+                    .ToString();
+    } else if (part.is_string) {
+      *label += q.fact->column(part.col).dictionary()->At(
+          static_cast<int32_t>(layout.Extract(code, part.field)));
+    } else {
+      *label += std::to_string(
+          part.base + static_cast<int64_t>(layout.Extract(code, part.field)));
+    }
+  }
 }
 
 bool ScanPlan::Matches(const query::BoundQuery& q) const {
@@ -659,7 +659,7 @@ Result<std::vector<uint64_t>> BuildPassBitmap(
       ordinals = &fresh;
     }
     // lo clamped to 0 so out-of-domain cells (ordinal -1) always fail,
-    // matching the fresh pipeline's `ordinal >= 0 && Matches(ordinal)`.
+    // i.e. `ordinal >= 0 && Matches(ordinal)`.
     const int64_t lo = std::max<int64_t>(pred.lo_index, 0);
     const int64_t hi = pred.hi_index;
     kern.range_bitmap_and(ordinals->data(), rows, lo, hi, first, words.data());

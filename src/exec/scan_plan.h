@@ -7,11 +7,13 @@
 //
 //   * FK→dimension-row resolution: one int32 per (fact row, dimension),
 //     with referential misses mapped to a per-dimension sentinel row whose
-//     predicate bit is permanently 0 — the hash/offset-table probe of the
-//     fresh pipeline disappears entirely from the per-execution scan;
+//     predicate bit is permanently 0 — no hash/offset-table probe is left
+//     in the per-execution scan;
 //   * the GROUP BY code layout, the per-dimension group ordinals (assigned
 //     over *all* dimension rows, so they never shift when predicates move),
-//     and the fully pre-packed uint64 group code of every fact row;
+//     and the uint64 group code of every fact row: the key ordinals packed
+//     into bit fields, or — when they cannot pack into 64 bits — the
+//     first-occurrence number of the row's key tuple;
 //   * the per-row aggregate weight (measure terms are fact columns);
 //   * memoized domain-ordinal tables for the query's predicate columns, the
 //     inputs of per-execution predicate evaluation.
@@ -22,14 +24,17 @@
 // and packed into uint64 words, then a fact scan that is just gathers into
 // those bitmaps plus the pre-packed code/weight arrays.
 //
-// Plans are immutable after Compile and safe to share across threads; see
-// exec/plan_cache.h for the canonical-keyed cache with invalidation.
+// Compiling and running a ScanPlan is the executor's only way to answer a
+// query: one-shot callers pay the compile, repeated callers share it through
+// exec/plan_cache.h. Plans are immutable after Compile and safe to share
+// across threads.
 
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -84,8 +89,9 @@ struct PlanLabelPart {
 /// \brief Compiled scaffold of one bound star-join query.
 class ScanPlan {
  public:
-  /// \brief Compiles `q`. Costs about one fresh execution (one fact pass plus
-  /// the per-dimension index builds) and is amortized by every later run.
+  /// \brief Compiles `q`: one fact pass plus the per-dimension index builds
+  /// and, for grouped queries, the counting-sort partition. Amortized by
+  /// every later run.
   static Result<ScanPlan> Compile(const query::BoundQuery& q);
 
   /// \brief True when the plan was compiled against exactly the tables (by
@@ -106,15 +112,16 @@ class ScanPlan {
   /// row index exceeds every compiled row index, the result is bit-identical
   /// to a fresh Compile on the grown table (tests/ingest_test.cc asserts
   /// this over randomized append schedules). Returns NotSupported when the
-  /// tail cannot be spliced — the plan was scalar-fallback, or a fact-side
+  /// tail cannot be spliced — the plan numbers its key tuples, or a fact-side
   /// group key outgrew its packed bit field — in which case the caller falls
   /// back to a full Compile.
   static Result<ScanPlan> ExtendFrom(const ScanPlan& old,
                                      const query::BoundQuery& q);
 
-  /// The GROUP BY key set could not be packed into a 64-bit code; execution
-  /// must take the scalar pipeline (no scaffold is built in this case).
-  bool requires_scalar() const { return requires_scalar_; }
+  /// \brief Renders the GROUP BY label of group `code` into `label`
+  /// (overwritten): declared key order, kGroupKeyDelimiter-joined.
+  void RenderLabel(const query::BoundQuery& q, uint64_t code,
+                   std::string* label) const;
 
   /// Approximate heap footprint of the scaffold arrays (for the cache's
   /// byte budget; labels and small per-dimension tables included).
@@ -126,6 +133,15 @@ class ScanPlan {
   std::vector<PlanLabelPart> parts;
   std::optional<uint64_t> code_space;
   std::vector<PlanDim> dims;
+
+  /// The group key set cannot pack into 64 bits (a double fact key, an int64
+  /// fact key spanning ≥ 2^62, or fields wider than 64 bits in total), so
+  /// `codes` number the distinct key tuples among the fact rows in first-
+  /// occurrence order instead (code_space = tuple count), and each code's
+  /// label renders from the fact row in `code_rows`. `layout` is unused.
+  bool numbered_codes = false;
+  /// numbered_codes only: code → first fact row carrying its key tuple.
+  std::vector<int64_t> code_rows;
 
   /// Per dimension: fact row → dimension row, absent FKs → dims[i].num_rows.
   std::vector<std::vector<int32_t>> fact_dim_row;
@@ -139,8 +155,8 @@ class ScanPlan {
   /// sort, so rows stay in scan order within a run). The warm scan then
   /// sweeps each code's run once and emits one aggregate per group —
   /// sequential accumulator writes instead of a random read-modify-write per
-  /// fact row, and per-group sums that associate in row order (the
-  /// single-thread fresh-build order) at *any* worker count.
+  /// fact row, and per-group sums that associate in row order at *any*
+  /// worker count.
   bool has_sorted_runs = false;
   /// code → begin of its run in the sorted arrays (size code_space + 1).
   std::vector<int64_t> run_offsets;
@@ -154,16 +170,14 @@ class ScanPlan {
   /// non-empty, and code → label slot (-1 for empty runs). Warm executions
   /// never touch a string — they aggregate per label slot and emit the
   /// result map in pre-sorted order. Distinct codes may share a label (two
-  /// doubles rendering identically); they merge into one slot, matching the
-  /// fresh pipeline's merge-by-label semantics.
+  /// doubles rendering identically); they merge into one slot — results
+  /// group by rendered label, as exec/naive_executor.h does.
   std::vector<std::string> group_labels;
   std::vector<int32_t> label_of_code;
 
   int64_t fact_rows() const { return fact_rows_; }
 
  private:
-  bool requires_scalar_ = false;
-
   // Identity for Matches(): the exact tables and aggregate shape compiled.
   std::shared_ptr<storage::Table> fact_;
   int64_t fact_rows_ = 0;

@@ -1,14 +1,11 @@
 #include "exec/star_join_executor.h"
 
 #include <algorithm>
-#include <cstring>
 #include <map>
 #include <memory>
-#include <thread>
-#include <unordered_map>
+#include <string>
 
 #include "common/string_util.h"
-#include "exec/domain_index.h"
 #include "exec/group_code.h"
 #include "exec/kernels/kernels.h"
 #include "exec/parallel.h"
@@ -17,260 +14,11 @@ namespace dpstarj::exec {
 
 namespace {
 
-// Renders one group-key part from a column cell.
-std::string RenderCell(const storage::Column& col, int64_t row) {
-  return col.GetValue(row).ToString();
-}
-
 // Resolves the effective predicate list of dimension i under overrides.
 const std::vector<query::BoundPredicate>* EffectivePreds(
     const query::BoundQuery& q, const PredicateOverrides& overrides, size_t i) {
   if (!overrides.empty() && overrides[i].has_value()) return &*overrides[i];
   return &q.dims[i].predicates;
-}
-
-// ------------------------------------------------------------------------
-// Legacy row-at-a-time pipeline. Kept verbatim as (a) the fallback when a
-// GROUP BY key set cannot be packed into a 64-bit group code and (b) the
-// baseline the benches compare the vectorized pipeline against.
-// ------------------------------------------------------------------------
-
-/// Per-dimension hash table entry: predicate verdict and the dimension row
-/// (needed only when the dimension contributes GROUP BY keys).
-struct DimEntry {
-  bool pass = true;
-  int64_t row = -1;
-};
-
-struct DimState {
-  std::unordered_map<int64_t, DimEntry> by_key;
-};
-
-Result<QueryResult> ExecuteScalar(const query::BoundQuery& q,
-                                  const PredicateOverrides& overrides,
-                                  const ExecutorOptions& options) {
-  // Build one hash table per dimension.
-  std::vector<DimState> states(q.dims.size());
-  for (size_t i = 0; i < q.dims.size(); ++i) {
-    const query::DimBinding& d = q.dims[i];
-    DimState& st = states[i];
-    const std::vector<query::BoundPredicate>* preds =
-        EffectivePreds(q, overrides, i);
-
-    // Per-predicate domain ordinals of the filtered column.
-    std::vector<std::vector<int64_t>> ordinals(preds->size());
-    for (size_t p = 0; p < preds->size(); ++p) {
-      const query::BoundPredicate& pred = (*preds)[p];
-      if (pred.column_index < 0 ||
-          pred.column_index >= d.dim->schema().num_fields()) {
-        return Status::InvalidArgument("predicate has bad column index");
-      }
-      DPSTARJ_ASSIGN_OR_RETURN(
-          ordinals[p],
-          ComputeDomainIndexes(d.dim->column(pred.column_index), pred.domain));
-    }
-
-    const auto& keys = d.dim->column(d.dim_pk_col).int64_data();
-    st.by_key.reserve(keys.size() * 2);
-    for (size_t r = 0; r < keys.size(); ++r) {
-      DimEntry e;
-      e.row = static_cast<int64_t>(r);
-      for (size_t p = 0; p < preds->size() && e.pass; ++p) {
-        int64_t ord = ordinals[p][r];
-        e.pass = (ord >= 0) && (*preds)[p].Matches(ord);
-      }
-      auto [it, inserted] = st.by_key.emplace(keys[r], e);
-      if (!inserted) {
-        return Status::InvalidArgument(
-            Format("duplicate primary key %lld in dimension '%s'",
-                   static_cast<long long>(keys[r]), d.table.c_str()));
-      }
-    }
-  }
-
-  QueryResult result;
-  result.grouped = !q.group_key_layout.empty();
-  const bool is_avg = q.query.aggregate == query::AggregateKind::kAvg;
-  double avg_rows = 0.0;
-  std::map<std::string, double> group_rows;
-
-  const int64_t fact_rows = q.fact->num_rows();
-  // Resolve fk column data pointers once.
-  std::vector<const std::vector<int64_t>*> fk_data(q.dims.size());
-  for (size_t i = 0; i < q.dims.size(); ++i) {
-    fk_data[i] = &q.fact->column(q.dims[i].fact_fk_col).int64_data();
-  }
-
-  std::vector<const DimEntry*> matched(q.dims.size());
-  std::string label;
-  for (int64_t row = 0; row < fact_rows; ++row) {
-    bool pass = true;
-    for (size_t i = 0; i < q.dims.size(); ++i) {
-      int64_t key = (*fk_data[i])[static_cast<size_t>(row)];
-      auto it = states[i].by_key.find(key);
-      if (it == states[i].by_key.end()) {
-        if (options.strict_integrity) {
-          return Status::InvalidArgument(
-              Format("fact row %lld: foreign key %lld misses dimension '%s'",
-                     static_cast<long long>(row), static_cast<long long>(key),
-                     q.dims[i].table.c_str()));
-        }
-        pass = false;
-        break;
-      }
-      if (!it->second.pass) {
-        pass = false;
-        break;
-      }
-      matched[i] = &it->second;
-    }
-    if (!pass) continue;
-
-    double w = 1.0;
-    if (!q.measure_cols.empty()) {
-      w = 0.0;
-      for (const auto& [col, coeff] : q.measure_cols) {
-        w += coeff * q.fact->column(col).GetNumeric(row);
-      }
-    }
-
-    if (!result.grouped) {
-      result.scalar += w;
-      avg_rows += 1.0;
-      continue;
-    }
-    // Assemble the group label in declared key order.
-    label.clear();
-    for (const auto& [dim_idx, col] : q.group_key_layout) {
-      if (!label.empty()) label += kGroupKeyDelimiter;
-      if (dim_idx < 0) {
-        label += RenderCell(q.fact->column(col), row);
-      } else {
-        const query::DimBinding& d = q.dims[static_cast<size_t>(dim_idx)];
-        label += RenderCell(d.dim->column(col),
-                            matched[static_cast<size_t>(dim_idx)]->row);
-      }
-    }
-    result.groups[label] += w;
-    if (is_avg) group_rows[label] += 1.0;
-  }
-
-  if (is_avg) {
-    if (!result.grouped) {
-      result.scalar = avg_rows > 0.0 ? result.scalar / avg_rows : 0.0;
-    } else {
-      for (auto& [label_key, sum] : result.groups) {
-        sum /= group_rows[label_key];  // every group has ≥ 1 row
-      }
-    }
-  }
-  return result;
-}
-
-// ------------------------------------------------------------------------
-// Vectorized, morsel-parallel pipeline.
-// ------------------------------------------------------------------------
-
-// Verdict payload stored in each dimension's KeyIndex: values >= 0 mean the
-// dimension row passes its predicates and carries that group ordinal (0 when
-// the dimension has no GROUP BY columns); kFailVerdict means present-but-
-// filtered; KeyIndex::kAbsent (from the probe) means referential miss.
-constexpr int32_t kFailVerdict = -1;
-
-struct VecDim {
-  KeyIndex index;
-  /// ordinal → representative dimension row (for label rendering).
-  std::vector<int64_t> rep_rows;
-  /// GroupCodeLayout field of this dimension, -1 when it has no group cols.
-  int field = -1;
-  const int64_t* fk = nullptr;  // fact-side foreign key data
-};
-
-// One group-key part in declared order.
-struct GroupPart {
-  int dim_idx = -1;  // -1 = fact column
-  int col = -1;
-  int field = -1;          // layout field (fact parts get their own field)
-  bool is_string = false;  // fact parts: dictionary-coded column
-  int64_t base = 0;        // fact int64 parts: ordinal = value - base
-  const int64_t* i64 = nullptr;  // fact int64 parts: column data
-  const int32_t* code = nullptr;  // fact string parts: dictionary codes
-};
-
-// Raw value of a dimension group-by cell as an exact int64 (doubles keyed by
-// bit pattern — distinct bit patterns get distinct ordinals, which renders at
-// least as finely as the legacy per-row labels; identical labels merge when
-// rendered).
-int64_t CellKey(const storage::Column& col, int64_t row) {
-  switch (col.type()) {
-    case storage::ValueType::kInt64:
-      return col.GetInt64(row);
-    case storage::ValueType::kString:
-      return col.GetStringCode(row);
-    case storage::ValueType::kDouble: {
-      double d = col.GetDouble(row);
-      int64_t bits;
-      static_assert(sizeof(bits) == sizeof(d), "double must be 64-bit");
-      std::memcpy(&bits, &d, sizeof(bits));
-      return bits;
-    }
-  }
-  return 0;
-}
-
-// Builds one dimension's verdict index: per-row predicate pass and, when the
-// dimension contributes group keys, a dense ordinal per distinct group-column
-// value combination (first-occurrence order, so ordinals are deterministic).
-Result<VecDim> BuildVecDim(const query::DimBinding& d,
-                           const std::vector<query::BoundPredicate>& preds,
-                           const std::vector<int>& group_cols) {
-  std::vector<std::vector<int64_t>> ordinals(preds.size());
-  for (size_t p = 0; p < preds.size(); ++p) {
-    if (preds[p].column_index < 0 ||
-        preds[p].column_index >= d.dim->schema().num_fields()) {
-      return Status::InvalidArgument("predicate has bad column index");
-    }
-    DPSTARJ_ASSIGN_OR_RETURN(
-        ordinals[p],
-        ComputeDomainIndexes(d.dim->column(preds[p].column_index),
-                             preds[p].domain));
-  }
-
-  const auto& keys = d.dim->column(d.dim_pk_col).int64_data();
-  VecDim vd;
-  std::vector<int32_t> verdicts(keys.size());
-  std::map<std::vector<int64_t>, int32_t> ordinal_of;  // group combo → ordinal
-  std::vector<int64_t> combo(group_cols.size());
-  for (size_t r = 0; r < keys.size(); ++r) {
-    bool pass = true;
-    for (size_t p = 0; p < preds.size() && pass; ++p) {
-      pass = ordinals[p][r] >= 0 && preds[p].Matches(ordinals[p][r]);
-    }
-    if (!pass) {
-      verdicts[r] = kFailVerdict;
-      continue;
-    }
-    int32_t ordinal = 0;
-    if (!group_cols.empty()) {
-      for (size_t c = 0; c < group_cols.size(); ++c) {
-        combo[c] = CellKey(d.dim->column(group_cols[c]),
-                           static_cast<int64_t>(r));
-      }
-      auto [it, inserted] = ordinal_of.emplace(
-          combo, static_cast<int32_t>(vd.rep_rows.size()));
-      if (inserted) vd.rep_rows.push_back(static_cast<int64_t>(r));
-      ordinal = it->second;
-    }
-    verdicts[r] = ordinal;
-  }
-  auto built = KeyIndex::Build(keys, verdicts);
-  if (!built.ok()) {
-    return Status::InvalidArgument(
-        Format("duplicate primary key in dimension '%s': %s", d.table.c_str(),
-               built.status().message().c_str()));
-  }
-  vd.index = std::move(*built);
-  return vd;
 }
 
 struct ScanPartial {
@@ -340,48 +88,6 @@ QueryResult FinalizeScalar(const ScanPartials& partials, bool is_avg) {
   return result;
 }
 
-// Renders labels once per group and merges by label (distinct codes can
-// render identically, e.g. two doubles formatting the same) — exactly the
-// legacy per-row semantics. `rep_rows[dim]` maps a dimension's group ordinal
-// to a representative dimension row.
-QueryResult RenderGroupedResult(
-    const query::BoundQuery& q, const GroupCodeLayout& layout,
-    const std::vector<PlanLabelPart>& parts,
-    const std::vector<const std::vector<int64_t>*>& rep_rows,
-    const GroupAccumulator& merged, bool is_avg) {
-  QueryResult result;
-  result.grouped = true;
-  std::map<std::string, GroupAgg> by_label;
-  std::string label;
-  merged.ForEach([&](uint64_t code, const GroupAgg& agg) {
-    label.clear();
-    for (const auto& part : parts) {
-      if (!label.empty()) label += kGroupKeyDelimiter;
-      if (part.dim_idx >= 0) {
-        uint64_t ordinal = layout.Extract(code, part.field);
-        const query::DimBinding& d = q.dims[static_cast<size_t>(part.dim_idx)];
-        label += RenderCell(
-            d.dim->column(part.col),
-            (*rep_rows[static_cast<size_t>(part.dim_idx)])[ordinal]);
-      } else if (part.is_string) {
-        label += q.fact->column(part.col).dictionary()->At(
-            static_cast<int32_t>(layout.Extract(code, part.field)));
-      } else {
-        label += std::to_string(
-            part.base + static_cast<int64_t>(layout.Extract(code, part.field)));
-      }
-    }
-    GroupAgg& slot = by_label[label];
-    slot.sum += agg.sum;
-    slot.rows += agg.rows;
-  });
-  for (const auto& [label_key, agg] : by_label) {
-    result.groups[label_key] =
-        is_avg ? agg.sum / static_cast<double>(agg.rows) : agg.sum;
-  }
-  return result;
-}
-
 // Resolves the worker count for a fact scan of `fact_rows` rows.
 int ResolveWorkers(const ExecutorOptions& options, int64_t fact_rows) {
   return MorselPool::ResolveWorkers(options.exec_threads, options.morsel_size,
@@ -392,12 +98,21 @@ int ResolveWorkers(const ExecutorOptions& options, int64_t fact_rows) {
 
 QueryResult RenderPlanGroups(const query::BoundQuery& q, const ScanPlan& plan,
                              const GroupAccumulator& merged, bool is_avg) {
-  std::vector<const std::vector<int64_t>*> rep_rows(q.dims.size());
-  for (size_t i = 0; i < q.dims.size(); ++i) {
-    rep_rows[i] = &plan.dims[i].rep_rows;
+  std::map<std::string, GroupAgg> by_label;
+  std::string label;
+  merged.ForEach([&](uint64_t code, const GroupAgg& agg) {
+    plan.RenderLabel(q, code, &label);
+    GroupAgg& slot = by_label[label];
+    slot.sum += agg.sum;
+    slot.rows += agg.rows;
+  });
+  QueryResult result;
+  result.grouped = true;
+  for (const auto& [label_key, agg] : by_label) {
+    result.groups[label_key] =
+        is_avg ? agg.sum / static_cast<double>(agg.rows) : agg.sum;
   }
-  return RenderGroupedResult(q, plan.layout, plan.parts, rep_rows, merged,
-                             is_avg);
+  return result;
 }
 
 Result<QueryResult> StarJoinExecutor::Execute(const query::BoundQuery& q) const {
@@ -406,186 +121,8 @@ Result<QueryResult> StarJoinExecutor::Execute(const query::BoundQuery& q) const 
 
 Result<QueryResult> StarJoinExecutor::Execute(
     const query::BoundQuery& q, const PredicateOverrides& overrides) const {
-  if (!overrides.empty() && overrides.size() != q.dims.size()) {
-    return Status::InvalidArgument(
-        Format("override arity %zu != dimension count %zu", overrides.size(),
-               q.dims.size()));
-  }
-  if (options_.force_scalar) return ExecuteScalar(q, overrides, options_);
-
-  const bool grouped = !q.group_key_layout.empty();
-
-  // ---- group-code layout: one field per group-bearing dimension (covering
-  // all of its key columns jointly) plus one field per fact-side key column.
-  GroupCodeLayout layout;
-  std::vector<GroupPart> parts;
-  std::vector<std::vector<int>> dim_group_cols(q.dims.size());
-  std::vector<int> dim_fields(q.dims.size(), -1);
-  if (grouped) {
-    parts.reserve(q.group_key_layout.size());
-    for (const auto& [dim_idx, col] : q.group_key_layout) {
-      GroupPart part;
-      part.dim_idx = dim_idx;
-      part.col = col;
-      if (dim_idx >= 0) {
-        dim_group_cols[static_cast<size_t>(dim_idx)].push_back(col);
-      } else {
-        const storage::Column& c = q.fact->column(col);
-        if (c.type() == storage::ValueType::kDouble) {
-          // Unbounded ordinal space; take the label-per-row pipeline.
-          return ExecuteScalar(q, overrides, options_);
-        }
-        uint64_t cardinality = 1;
-        if (c.type() == storage::ValueType::kString) {
-          part.is_string = true;
-          part.code = c.code_data().data();
-          cardinality = static_cast<uint64_t>(
-              std::max<int32_t>(c.dictionary()->size(), 1));
-        } else {
-          const auto& data = c.int64_data();
-          part.i64 = data.data();
-          if (!data.empty()) {
-            auto [lo, hi] = std::minmax_element(data.begin(), data.end());
-            part.base = *lo;
-            uint64_t range =
-                static_cast<uint64_t>(*hi) - static_cast<uint64_t>(*lo);
-            if (range >= (uint64_t{1} << 62)) {
-              return ExecuteScalar(q, overrides, options_);
-            }
-            cardinality = range + 1;
-          }
-        }
-        part.field = layout.AddField(cardinality);
-      }
-      parts.push_back(part);
-    }
-  }
-
-  // ---- per-dimension verdict tables (predicates + group ordinals).
-  std::vector<VecDim> dims(q.dims.size());
-  for (size_t i = 0; i < q.dims.size(); ++i) {
-    DPSTARJ_ASSIGN_OR_RETURN(
-        dims[i], BuildVecDim(q.dims[i], *EffectivePreds(q, overrides, i),
-                             dim_group_cols[i]));
-    dims[i].fk = q.fact->column(q.dims[i].fact_fk_col).int64_data().data();
-    if (!dim_group_cols[i].empty()) {
-      dim_fields[i] = layout.AddField(
-          std::max<uint64_t>(dims[i].rep_rows.size(), 1));
-      dims[i].field = dim_fields[i];
-    }
-  }
-  if (grouped) {
-    for (auto& part : parts) {
-      if (part.dim_idx >= 0) {
-        part.field = dim_fields[static_cast<size_t>(part.dim_idx)];
-      }
-    }
-    if (!layout.Fits()) {
-      // Code space exceeds 64 bits; take the label-per-row pipeline.
-      return ExecuteScalar(q, overrides, options_);
-    }
-  }
-  const std::optional<uint64_t> code_space = layout.CodeSpace();
-
-  // ---- measure spans, hoisted out of the scan.
-  std::vector<std::pair<storage::Column::NumericView, double>> measures;
-  measures.reserve(q.measure_cols.size());
-  for (const auto& [col, coeff] : q.measure_cols) {
-    measures.emplace_back(q.fact->column(col).numeric_view(), coeff);
-  }
-
-  // ---- the morsel-parallel fact scan.
-  const int64_t fact_rows = q.fact->num_rows();
-  const int num_workers = ResolveWorkers(options_, fact_rows);
-  const size_t num_dims = q.dims.size();
-  const bool strict = options_.strict_integrity;
-  ScanPartials partials(static_cast<size_t>(num_workers));
-  if (grouped) {
-    // Bound each worker's dense table by the rows it will actually scan: a
-    // flat vector much larger than the touched code count is pure memset.
-    const uint64_t dense_limit =
-        static_cast<uint64_t>(fact_rows / num_workers) * 4 + 1024;
-    for (auto& p : partials) {
-      p.value.groups = std::make_unique<GroupAccumulator>(code_space, dense_limit);
-    }
-  }
-
-  auto scan = [&](int worker, int64_t begin, int64_t end) {
-    ScanPartial& p = partials[static_cast<size_t>(worker)].value;
-    if (p.error_row >= 0) return;  // this worker already hit a strict error
-    for (int64_t row = begin; row < end; ++row) {
-      uint64_t code = 0;
-      bool pass = true;
-      for (size_t i = 0; i < num_dims; ++i) {
-        const VecDim& vd = dims[i];
-        int32_t verdict = vd.index.Lookup(vd.fk[row]);
-        if (verdict >= 0) {
-          if (vd.field >= 0) {
-            code |= layout.Pack(vd.field, static_cast<uint64_t>(verdict));
-          }
-          continue;
-        }
-        if (verdict == KeyIndex::kAbsent && strict) {
-          p.error_row = row;
-          p.error_dim = static_cast<int>(i);
-          return;
-        }
-        pass = false;
-        break;
-      }
-      if (!pass) continue;
-
-      double w = 1.0;
-      if (!measures.empty()) {
-        w = 0.0;
-        for (const auto& [view, coeff] : measures) w += coeff * view[row];
-      }
-      if (!grouped) {
-        p.scalar += w;
-        p.rows += 1;
-        continue;
-      }
-      for (const auto& part : parts) {
-        if (part.dim_idx >= 0) continue;  // dim ordinals packed above
-        uint64_t ordinal =
-            part.is_string
-                ? static_cast<uint64_t>(part.code[row])
-                : static_cast<uint64_t>(part.i64[row] - part.base);
-        code |= layout.Pack(part.field, ordinal);
-      }
-      p.groups->Add(code, w);
-    }
-  };
-  MorselPool::Shared().Run(num_workers, fact_rows, options_.morsel_size, scan);
-
-  // ---- deterministic merge, in worker order.
-  if (strict) {
-    auto [error_row, error_dim] = FirstStrictError(partials);
-    if (error_row >= 0) return StrictErrorStatus(q, error_row, error_dim);
-  }
-
-  const bool is_avg = q.query.aggregate == query::AggregateKind::kAvg;
-  if (!grouped) return FinalizeScalar(partials, is_avg);
-
-  GroupAccumulator& merged = *partials[0].value.groups;
-  for (size_t i = 1; i < partials.size(); ++i) {
-    merged.MergeFrom(*partials[i].value.groups);
-  }
-
-  std::vector<PlanLabelPart> render_parts;
-  render_parts.reserve(parts.size());
-  for (const auto& part : parts) {
-    PlanLabelPart rp;
-    rp.dim_idx = part.dim_idx;
-    rp.col = part.col;
-    rp.field = part.field;
-    rp.is_string = part.is_string;
-    rp.base = part.base;
-    render_parts.push_back(rp);
-  }
-  std::vector<const std::vector<int64_t>*> rep_rows(num_dims);
-  for (size_t i = 0; i < num_dims; ++i) rep_rows[i] = &dims[i].rep_rows;
-  return RenderGroupedResult(q, layout, render_parts, rep_rows, merged, is_avg);
+  DPSTARJ_ASSIGN_OR_RETURN(ScanPlan plan, ScanPlan::Compile(q));
+  return Execute(q, overrides, plan);
 }
 
 Result<QueryResult> StarJoinExecutor::Execute(const query::BoundQuery& q,
@@ -596,12 +133,6 @@ Result<QueryResult> StarJoinExecutor::Execute(const query::BoundQuery& q,
     return Status::InvalidArgument(
         Format("override arity %zu != dimension count %zu", overrides.size(),
                q.dims.size()));
-  }
-  // Plans carry no scaffold when grouping cannot pack into 64 bits; the
-  // scalar pipeline re-derives everything from the query each run.
-  if (options_.force_scalar || plan.requires_scalar()) {
-    obs::ScopedStage scan_span(trace, obs::Stage::kScan);
-    return ExecuteScalar(q, overrides, options_);
   }
   if (!plan.Matches(q)) {
     return Status::InvalidArgument(
@@ -764,8 +295,8 @@ Result<QueryResult> StarJoinExecutor::Execute(const query::BoundQuery& q,
   // The scan is pure gathers: resolved dimension rows index into the pass
   // bitmaps (an absent FK hits the sentinel bit, which is always 0), and the
   // group code and weight are pre-packed per row. Strict mode takes a
-  // separate branchy loop because it must distinguish "absent" from
-  // "filtered" at the exact (row, dimension) the fresh pipeline would.
+  // separate branchy loop because it must report the first absent FK in
+  // scan order, at its exact (row, dimension), rather than drop the row.
   auto scan = [&](int worker, int64_t begin, int64_t end) {
     ScanPartial& p = partials[static_cast<size_t>(worker)].value;
     if (p.error_row >= 0) return;

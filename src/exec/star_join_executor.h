@@ -1,18 +1,21 @@
 // Copyright (c) dpstarj authors. Licensed under the MIT license.
 //
-// The star-join executor: evaluates a bound star-join query with hash
-// semi-joins. For each dimension it compiles the predicate verdicts into a
-// dense FK-indexed table (pass bit fused with a small-int group ordinal), then
-// streams the fact table in morsels — optionally in parallel — combining
-// verdicts with one array probe per dimension, accumulating COUNT/SUM per
-// packed uint64 group code and rendering string group labels once per group
-// at the end (see exec/group_code.h, exec/parallel.h).
+// The star-join executor. Every query runs through one path: compile the
+// query's predicate-independent ScanPlan (exec/scan_plan.h: FK→row
+// resolution, pre-packed group codes and weights, the run-sorted layout),
+// rebuild one predicate bitmap per dimension, and sweep the fact table in
+// morsels — optionally in parallel — with gathers into those bitmaps,
+// accumulating COUNT/SUM per group code and rendering string group labels
+// once per group (see exec/group_code.h, exec/parallel.h). Repeated callers
+// share compiled plans through exec/plan_cache.h; batches of queries share
+// one fact sweep through exec/workload_plan.h. exec/naive_executor.h is the
+// independent test oracle.
 //
 // The executor accepts *predicate overrides* so that DP mechanisms can run
 // the same plan under perturbed predicates (the heart of DP-starJ's input
 // perturbation) without re-binding. The DP layer is post-processing-safe, so
-// executor strategy (scalar vs vectorized, thread count) never changes noise
-// semantics — only throughput.
+// execution strategy (plan reuse, batching, thread count) never changes
+// noise semantics — only throughput.
 
 #pragma once
 
@@ -55,22 +58,19 @@ struct ExecutorOptions {
   /// Rows per scan morsel (parallel granularity). The default is sized to
   /// the detected per-core L2 (exec/parallel.h, DefaultMorselSize).
   int64_t morsel_size = DefaultMorselSize();
-
-  /// Forces the legacy row-at-a-time pipeline (kept for benchmarking and as
-  /// the automatic fallback when a GROUP BY key set cannot be packed into a
-  /// 64-bit group code, e.g. grouping on an unbounded double fact column).
-  bool force_scalar = false;
 };
 
-/// \brief Hash-join star-join evaluation.
+/// \brief Star-join evaluation over compiled ScanPlans.
 class StarJoinExecutor {
  public:
   explicit StarJoinExecutor(ExecutorOptions options = {}) : options_(options) {}
 
-  /// Evaluates the query as bound.
+  /// Evaluates the query as bound: compiles a one-off ScanPlan and runs it.
   Result<QueryResult> Execute(const query::BoundQuery& q) const;
 
-  /// Evaluates with per-dimension predicate overrides (for DP mechanisms).
+  /// Evaluates with per-dimension predicate overrides (for DP mechanisms):
+  /// compiles a one-off ScanPlan and runs it. Callers answering the same
+  /// query repeatedly should keep the plan (exec/plan_cache.h) instead.
   Result<QueryResult> Execute(const query::BoundQuery& q,
                               const PredicateOverrides& overrides) const;
 
@@ -81,14 +81,14 @@ class StarJoinExecutor {
   /// must have been compiled for `q`'s tables (checked; a stale plan is
   /// refused rather than silently mis-answered).
   ///
-  /// Equivalence with the fresh-build Execute: exact aggregates (COUNT,
-  /// integer-valued SUM) are bit-identical at every thread count; inexact
-  /// grouped SUMs follow the plan's run-sorted sweep, which associates each
-  /// group's additions in a fixed chunked order (≤64-row chunks in row
-  /// order; all-pass chunks accumulate in the kernel layer's pinned
-  /// four-lane split — see exec/kernels/kernels.h) that is identical at
-  /// every worker count and on every ISA. Strict-integrity violations are
-  /// reported with the exact row/dimension/message of the fresh pipeline.
+  /// Exact aggregates (COUNT, integer-valued SUM) are bit-identical to
+  /// exec/naive_executor.h at every thread count; inexact grouped SUMs
+  /// follow the plan's run-sorted sweep, which associates each group's
+  /// additions in a fixed chunked order (≤64-row chunks in row order;
+  /// all-pass chunks accumulate in the kernel layer's pinned four-lane
+  /// split — see exec/kernels/kernels.h) that is identical at every worker
+  /// count and on every ISA. Under strict integrity the first absent FK in
+  /// scan order is reported with its row, key and dimension.
   ///
   /// A non-null `trace` records the bitmap-rebuild and fact-sweep spans
   /// (obs::Stage::kBitmapRebuild / kScan); execution is unchanged otherwise.
@@ -104,10 +104,10 @@ class StarJoinExecutor {
 };
 
 /// \brief Renders a merged plan-path group accumulator into a QueryResult:
-/// labels are rendered once per group from the plan's layout and label parts
-/// and merged by rendered label (distinct codes can format identically),
-/// exactly the legacy per-row semantics. Shared by the executor's probing
-/// plan path and the shared-scan batch path (exec/workload_plan.h).
+/// labels are rendered once per group (ScanPlan::RenderLabel) and merged by
+/// rendered label, since distinct codes can format identically. Shared by
+/// the executor's probing sweep and the shared-scan batch path
+/// (exec/workload_plan.h).
 QueryResult RenderPlanGroups(const query::BoundQuery& q, const ScanPlan& plan,
                              const GroupAccumulator& merged, bool is_avg);
 

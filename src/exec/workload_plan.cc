@@ -76,12 +76,6 @@ Result<WorkloadPlan> WorkloadPlan::Compile(std::vector<WorkloadItem> items) {
       return Status::InvalidArgument(
           Format("workload item %zu is missing its query or plan", k));
     }
-    if (it.plan->requires_scalar()) {
-      return Status::InvalidArgument(
-          Format("workload item %zu requires the scalar pipeline; "
-                 "execute it through the single-query path",
-                 k));
-    }
     if (!it.plan->Matches(*it.query)) {
       return Status::InvalidArgument(
           Format("scan plan is stale for workload item %zu (a table changed "

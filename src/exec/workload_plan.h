@@ -62,7 +62,7 @@ struct WorkloadItem {
   /// at Compile, but callers conventionally keep them alive anyway).
   const PredicateOverrides* overrides = nullptr;
   /// Scaffold from ScanPlan::Compile / PlanCache::GetOrCompile. Must match
-  /// the query's tables and must not require the scalar pipeline.
+  /// the query's tables.
   std::shared_ptr<const ScanPlan> plan;
 };
 
@@ -82,9 +82,7 @@ struct WorkloadExecStats {
 class WorkloadPlan {
  public:
   /// \brief Compiles a batch. Items may span multiple fact tables (each fact
-  /// table gets its own shared sweep); every item needs a matching,
-  /// non-scalar ScanPlan — callers route scalar-pipeline queries through the
-  /// single-query path instead.
+  /// table gets its own shared sweep); every item needs a matching ScanPlan.
   static Result<WorkloadPlan> Compile(std::vector<WorkloadItem> items);
 
   /// \brief Builds each predicate node's bitmap once (obs::Stage::

@@ -1,11 +1,12 @@
 // Tests for the contribution index (baseline sensitivities) and the data
-// cube, cross-checked against the executor.
+// cube, cross-checked against the executor and the naive oracle.
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
 #include "exec/contribution_index.h"
 #include "exec/data_cube.h"
+#include "exec/naive_executor.h"
 #include "exec/star_join_executor.h"
 #include "query/binder.h"
 #include "test_catalog.h"
@@ -230,27 +231,40 @@ TEST_P(CubeEquivalence, MatchesExecutor) {
 
 INSTANTIATE_TEST_SUITE_P(RandomRanges, CubeEquivalence, ::testing::Range(0, 20));
 
-// Every cell of two cubes, plus totals and dropped-row accounting.
-void ExpectCubesBitIdentical(const DataCube& expected, const DataCube& got) {
-  ASSERT_EQ(expected.axes().size(), got.axes().size());
-  EXPECT_EQ(expected.num_cells(), got.num_cells());
-  EXPECT_EQ(expected.dropped_rows(), got.dropped_rows());
-  EXPECT_EQ(expected.total(), got.total());
+// Every cell of `cube` against the oracle: one point query per cell, each
+// axis predicate pinned to the cell's ordinal through overrides
+// (BuildFromQueryPredicates lays one axis per predicate, in dims-then-
+// predicate order), and the total as the sum of the cells.
+void ExpectCubeMatchesNaive(const DataCube& cube, const query::BoundQuery& q) {
   std::vector<int64_t> sizes;
-  for (int a = 0; a < static_cast<int>(expected.axes().size()); ++a) {
-    sizes.push_back(expected.axes()[static_cast<size_t>(a)].domain.size());
-  }
+  for (const auto& axis : cube.axes()) sizes.push_back(axis.domain.size());
   std::vector<int64_t> idx(sizes.size(), 0);
-  for (int64_t cell = 0; cell < expected.num_cells(); ++cell) {
-    EXPECT_EQ(expected.CellAt(idx), got.CellAt(idx));
+  double cell_sum = 0.0;
+  for (int64_t cell = 0; cell < cube.num_cells(); ++cell) {
+    PredicateOverrides overrides(q.dims.size());
+    size_t axis = 0;
+    for (size_t i = 0; i < q.dims.size(); ++i) {
+      if (q.dims[i].predicates.empty()) continue;
+      std::vector<query::BoundPredicate> point = q.dims[i].predicates;
+      for (auto& p : point) {
+        p.kind = query::PredicateKind::kPoint;
+        p.lo_index = p.hi_index = idx[axis++];
+      }
+      overrides[i] = std::move(point);
+    }
+    auto naive = ExecuteNaive(q, overrides);
+    ASSERT_TRUE(naive.ok()) << naive.status().ToString();
+    EXPECT_EQ(naive->scalar, cube.CellAt(idx)) << "cell " << cell;
+    cell_sum += cube.CellAt(idx);
     for (int a = static_cast<int>(sizes.size()) - 1; a >= 0; --a) {
       if (++idx[static_cast<size_t>(a)] < sizes[static_cast<size_t>(a)]) break;
       idx[static_cast<size_t>(a)] = 0;
     }
   }
+  EXPECT_EQ(cube.total(), cell_sum);
 }
 
-TEST_F(CubeTest, VectorizedBuildMatchesLegacyBitForBit) {
+TEST_F(CubeTest, BuildMatchesNaivePointQueriesAtEveryThreadCount) {
   for (bool as_sum : {false, true}) {
     StarJoinQuery q = ToyCountQuery();
     if (as_sum) {
@@ -260,25 +274,23 @@ TEST_F(CubeTest, VectorizedBuildMatchesLegacyBitForBit) {
     auto bound = binder_.Bind(q);
     ASSERT_TRUE(bound.ok());
 
-    CubeOptions legacy;
-    legacy.force_legacy = true;
-    auto reference = DataCube::BuildFromQueryPredicates(*bound, legacy);
-    ASSERT_TRUE(reference.ok());
-
     for (int threads : {1, 2, 4}) {
       CubeOptions options;
       options.threads = threads;
       options.morsel_size = 5;  // force several morsels on the 12-row fact
       auto got = DataCube::BuildFromQueryPredicates(*bound, options);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
-      ExpectCubesBitIdentical(*reference, *got);
+      ExpectCubeMatchesNaive(*got, *bound);
+      // Every fixture row joins with in-domain values: 12 orders, Σqty = 27.
+      EXPECT_EQ(got->dropped_rows(), 0);
+      EXPECT_EQ(got->total(), as_sum ? 27.0 : 12.0);
     }
   }
 }
 
-TEST_F(CubeTest, DroppedRowAccountingMatchesAcrossBuilds) {
+TEST_F(CubeTest, DroppedRowAccountingMatchesHandCounts) {
   // D(k pk, v ∈ [0,2]) with one out-of-domain value; F references a missing
-  // key too — both kinds of rows must be dropped identically by every build.
+  // key too — both kinds of rows must be dropped at every thread count.
   storage::Catalog catalog;
   storage::Schema dim_schema(
       {storage::Field("k", storage::ValueType::kInt64),
@@ -307,20 +319,15 @@ TEST_F(CubeTest, DroppedRowAccountingMatchesAcrossBuilds) {
   auto bound = binder.Bind(q);
   ASSERT_TRUE(bound.ok()) << bound.status().ToString();
 
-  CubeOptions legacy;
-  legacy.force_legacy = true;
-  auto reference = DataCube::BuildFromQueryPredicates(*bound, legacy);
-  ASSERT_TRUE(reference.ok());
-  EXPECT_EQ(reference->dropped_rows(), 2);  // fk=2 (bad value) and fk=99
-  EXPECT_DOUBLE_EQ(reference->total(), 2.0);
-
-  for (int threads : {1, 4}) {
+  for (int threads : {1, 2, 4}) {
     CubeOptions options;
     options.threads = threads;
     options.morsel_size = 2;
     auto got = DataCube::BuildFromQueryPredicates(*bound, options);
     ASSERT_TRUE(got.ok());
-    ExpectCubesBitIdentical(*reference, *got);
+    EXPECT_EQ(got->dropped_rows(), 2);  // fk=2 (bad value) and fk=99
+    EXPECT_EQ(got->total(), 2.0);
+    ExpectCubeMatchesNaive(*got, *bound);
   }
 }
 

@@ -1,25 +1,34 @@
-// Randomized equivalence of the vectorized, morsel-parallel StarJoinExecutor
-// against the naive nested-loop reference and the legacy scalar pipeline,
-// across generated star schemas × {COUNT, SUM, AVG} × {scalar, GROUP BY} ×
-// {dense, sparse key spaces} × {1, 4, 8} exec threads — and of the
-// cached-ScanPlan execution path against the fresh-build path, with and
-// without predicate overrides (the Predicate Mechanism's repeated-noisy-run
-// shape), including strict-integrity error reporting.
+// Randomized equivalence of StarJoinExecutor against the naive nested-loop
+// oracle (exec/naive_executor.h), across generated star schemas × {COUNT,
+// SUM, AVG} × {scalar, GROUP BY} × {dense, sparse key spaces} × {1, 4, 8}
+// exec threads: one-shot Execute, repeated execution of one compiled
+// ScanPlan, and that plan under random predicate overrides (the Predicate
+// Mechanism's repeated-noisy-run shape), including strict-integrity error
+// reporting.
+//
+// The generator also produces the three GROUP BY key sets whose ordinals
+// cannot pack into a 64-bit code — a double fact key, an int64 fact key
+// spanning ≥ 2^62, and fields wider than 64 bits in total — whose plans
+// number the distinct key tuples instead (ScanPlan::numbered_codes); the
+// tests assert that each of them actually occurred.
 //
 // Every generated measure is an integer-valued double, so aggregate sums are
 // exact regardless of association order — results must match *bit-for-bit*
-// across pipelines and thread counts (a tiny morsel size forces real
-// multi-morsel merging even on small fact tables).
+// across thread counts (a tiny morsel size forces real multi-morsel merging
+// even on small fact tables).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "common/string_util.h"
 #include "exec/naive_executor.h"
-#include "exec/plan_cache.h"
+#include "exec/scan_plan.h"
 #include "exec/star_join_executor.h"
 #include "query/binder.h"
 #include "storage/catalog.h"
@@ -37,6 +46,18 @@ using storage::ValueType;
 
 constexpr const char* kCats[] = {"a", "b", "c", "d", "e"};
 
+// Value spread of the fact group column h. kNarrow packs into a dense code
+// space; kWide (~2^42) packs but overflows the dense accumulator; kHuge
+// (clusters at both int64 extremes, so any two clusters span ≥ 2^62) and
+// kWideLayout (clusters 2^60 apart — a 61-bit field, grouped together with
+// every dimension key) cannot pack into 64 bits.
+enum class HSpan { kNarrow, kWide, kHuge, kWideLayout };
+
+// The key sets that cannot pack into a 64-bit group code.
+enum Shape { kDoubleKey, kHugeRange, kWideLayout, kNumShapes };
+constexpr const char* kShapeNames[] = {"double fact key", "int64 range >= 2^62",
+                                       "layout over 64 bits"};
+
 struct DimSpec {
   std::string name;
   int cats = 2;        // values of column "s" drawn from kCats[0..cats)
@@ -48,14 +69,49 @@ struct DimSpec {
 struct Instance {
   storage::Catalog catalog;
   std::vector<DimSpec> dims;
+  HSpan h_span = HSpan::kNarrow;
 };
 
 int64_t RandInt(std::mt19937& rng, int64_t lo, int64_t hi) {
   return std::uniform_int_distribution<int64_t>(lo, hi)(rng);
 }
 
-Instance MakeRandomInstance(std::mt19937& rng, bool with_bad_fk) {
+HSpan RandomHSpan(std::mt19937& rng) {
+  switch (RandInt(rng, 0, 7)) {
+    case 0:
+      return HSpan::kWide;
+    case 1:
+      return HSpan::kHuge;
+    case 2:
+      return HSpan::kWideLayout;
+    default:
+      return HSpan::kNarrow;
+  }
+}
+
+int64_t RandomH(std::mt19937& rng, HSpan span) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const bool low = RandInt(rng, 0, 1) == 0;
+  switch (span) {
+    case HSpan::kNarrow:
+      return RandInt(rng, 0, 5);
+    case HSpan::kWide:
+      return RandInt(rng, -2000000000000, 2000000000000);
+    case HSpan::kHuge:
+      return low ? kMin + RandInt(rng, 0, 3) : kMax - RandInt(rng, 0, 3);
+    case HSpan::kWideLayout:
+      return low ? RandInt(rng, 0, 3) : (int64_t{1} << 60) + RandInt(rng, 4, 7);
+  }
+  return 0;
+}
+
+// A random star schema. `empty_fact` forces a fact table without rows; in
+// `with_bad_fk` instances a late fact row references a key no dimension has.
+Instance MakeRandomInstance(std::mt19937& rng, bool with_bad_fk, HSpan h_span,
+                            bool empty_fact = false) {
   Instance inst;
+  inst.h_span = h_span;
   int num_dims = static_cast<int>(RandInt(rng, 1, 3));
 
   std::vector<std::shared_ptr<storage::Table>> dim_tables;
@@ -98,9 +154,9 @@ Instance MakeRandomInstance(std::mt19937& rng, bool with_bad_fk) {
     inst.dims.push_back(std::move(spec));
   }
 
-  // Fact: one fk per dimension, integer-valued measures qty / price, group
-  // columns g (string) and h (int64; occasionally huge-range values so the
-  // packed code space overflows the dense accumulator).
+  // Fact: one fk per dimension, integer-valued measures qty / price (price
+  // doubles as the double GROUP BY key), group columns g (string) and h
+  // (int64, spread per h_span).
   std::vector<Field> fact_fields;
   for (int j = 0; j < num_dims; ++j) {
     fact_fields.emplace_back("fk" + std::to_string(j), ValueType::kInt64);
@@ -111,8 +167,7 @@ Instance MakeRandomInstance(std::mt19937& rng, bool with_bad_fk) {
   fact_fields.emplace_back("h", ValueType::kInt64);
   auto fact = *storage::Table::Create("F", storage::Schema(fact_fields));
 
-  bool huge_h = RandInt(rng, 0, 4) == 0;
-  int64_t fact_rows = RandInt(rng, 0, 300);
+  int64_t fact_rows = empty_fact ? 0 : RandInt(rng, 0, 300);
   if (with_bad_fk && fact_rows == 0) fact_rows = 1;
   for (int64_t r = 0; r < fact_rows; ++r) {
     std::vector<Value> row;
@@ -120,15 +175,13 @@ Instance MakeRandomInstance(std::mt19937& rng, bool with_bad_fk) {
       const auto& keys = inst.dims[static_cast<size_t>(j)].keys;
       int64_t fk = keys[static_cast<size_t>(
           RandInt(rng, 0, static_cast<int64_t>(keys.size()) - 1))];
-      // In bad-fk instances a late row references a key no dimension has.
       if (with_bad_fk && r == fact_rows / 2 && j == 0) fk = 2000000001;
       row.emplace_back(fk);
     }
     row.emplace_back(RandInt(rng, 0, 9));
     row.emplace_back(static_cast<double>(RandInt(rng, 0, 99)));
     row.emplace_back(kCats[RandInt(rng, 0, 2)]);
-    row.emplace_back(huge_h ? RandInt(rng, -2000000000000, 2000000000000)
-                            : RandInt(rng, 0, 5));
+    row.emplace_back(RandomH(rng, h_span));
     DPSTARJ_CHECK(fact->AppendRow(row).ok(), "fact append");
   }
 
@@ -147,8 +200,9 @@ Instance MakeRandomInstance(std::mt19937& rng, bool with_bad_fk) {
   return inst;
 }
 
-query::StarJoinQuery MakeRandomQuery(std::mt19937& rng,
-                                     const std::vector<DimSpec>& dims) {
+// Random aggregate and predicates over the instance, no GROUP BY yet.
+query::StarJoinQuery MakeUngroupedQuery(std::mt19937& rng,
+                                        const std::vector<DimSpec>& dims) {
   query::StarJoinQuery q;
   q.name = "equiv";
   q.fact_table = "F";
@@ -189,16 +243,59 @@ query::StarJoinQuery MakeRandomQuery(std::mt19937& rng,
       }
     }
   }
+  return q;
+}
 
+query::StarJoinQuery MakeRandomQuery(std::mt19937& rng, const Instance& inst) {
+  query::StarJoinQuery q = MakeUngroupedQuery(rng, inst.dims);
   if (RandInt(rng, 0, 2) > 0) {  // grouped two thirds of the time
-    for (const auto& d : dims) {
-      if (RandInt(rng, 0, 2) == 0) q.group_by.push_back({d.name, "s"});
-      if (RandInt(rng, 0, 3) == 0) q.group_by.push_back({d.name, "t"});
+    // Wide-layout instances group h together with every dimension key, so
+    // the packed fields (61 bits for h alone) overflow 64 bits.
+    const bool wide = inst.h_span == HSpan::kWideLayout;
+    for (const auto& d : inst.dims) {
+      if (wide || RandInt(rng, 0, 2) == 0) q.group_by.push_back({d.name, "s"});
+      if (wide || RandInt(rng, 0, 3) == 0) q.group_by.push_back({d.name, "t"});
     }
     if (RandInt(rng, 0, 2) == 0) q.group_by.push_back({"F", "g"});
-    if (RandInt(rng, 0, 2) == 0) q.group_by.push_back({"F", "h"});
+    if (wide || RandInt(rng, 0, 2) == 0) q.group_by.push_back({"F", "h"});
+    if (RandInt(rng, 0, 3) == 0) q.group_by.push_back({"F", "price"});
   }
   return q;
+}
+
+// A query of one given unpackable shape: random aggregate and predicates,
+// the shape's fact key inserted at a random position among dimension keys.
+query::StarJoinQuery MakeShapedQuery(std::mt19937& rng, const Instance& inst,
+                                     Shape shape) {
+  query::StarJoinQuery q = MakeUngroupedQuery(rng, inst.dims);
+  for (const auto& d : inst.dims) {
+    if (shape == kWideLayout || RandInt(rng, 0, 1) == 0) {
+      q.group_by.push_back({d.name, "s"});
+    }
+    if (shape == kWideLayout || RandInt(rng, 0, 2) == 0) {
+      q.group_by.push_back({d.name, "t"});
+    }
+  }
+  if (shape == kWideLayout) q.group_by.push_back({"F", "g"});
+  const query::ColumnRef key{"F", shape == kDoubleKey ? "price" : "h"};
+  q.group_by.insert(
+      q.group_by.begin() +
+          RandInt(rng, 0, static_cast<int64_t>(q.group_by.size())),
+      key);
+  return q;
+}
+
+// The unpackable shape a compiled plan has, or kNumShapes when it packs.
+Shape ShapeOf(const exec::ScanPlan& plan, const query::StarJoinQuery& q,
+              HSpan h_span) {
+  if (!plan.numbered_codes) return kNumShapes;
+  auto groups_by = [&](const char* column) {
+    return std::find(q.group_by.begin(), q.group_by.end(),
+                     query::ColumnRef{"F", column}) != q.group_by.end();
+  };
+  if (groups_by("price")) return kDoubleKey;
+  if (groups_by("h") && h_span == HSpan::kHuge) return kHugeRange;
+  return kWideLayout;
 }
 
 void ExpectBitIdentical(const QueryResult& expected, const QueryResult& got,
@@ -214,21 +311,18 @@ void ExpectBitIdentical(const QueryResult& expected, const QueryResult& got,
   }
 }
 
-// The pipelines under test: the legacy scalar path and the vectorized path at
-// 1, 4 and 8 scan workers. morsel_size 17 forces dozens of morsels per scan,
-// so multi-worker runs really exercise partial merging.
-std::vector<std::pair<std::string, ExecutorOptions>> Pipelines(bool strict) {
+// Executor configurations under test: 1, 4 and 8 scan workers. morsel_size
+// 17 forces dozens of morsels per scan, so multi-worker runs really exercise
+// partial merging.
+std::vector<std::pair<std::string, ExecutorOptions>> ThreadConfigs(
+    bool strict) {
   std::vector<std::pair<std::string, ExecutorOptions>> out;
-  ExecutorOptions scalar;
-  scalar.force_scalar = true;
-  scalar.strict_integrity = strict;
-  out.emplace_back("scalar", scalar);
   for (int threads : {1, 4, 8}) {
-    ExecutorOptions vec;
-    vec.exec_threads = threads;
-    vec.morsel_size = 17;
-    vec.strict_integrity = strict;
-    out.emplace_back("vectorized/" + std::to_string(threads), vec);
+    ExecutorOptions options;
+    options.exec_threads = threads;
+    options.morsel_size = 17;
+    options.strict_integrity = strict;
+    out.emplace_back("threads/" + std::to_string(threads), options);
   }
   return out;
 }
@@ -254,82 +348,122 @@ exec::PredicateOverrides MakeRandomOverrides(std::mt19937& rng,
   return overrides;
 }
 
-TEST(ExecutorEquivalence, RandomizedMatrixMatchesNaiveBitForBit) {
-  for (uint32_t seed = 1; seed <= 40; ++seed) {
-    std::mt19937 rng(seed);
-    Instance inst = MakeRandomInstance(rng, /*with_bad_fk=*/false);
-    query::Binder binder(&inst.catalog);
-    for (int qi = 0; qi < 3; ++qi) {
-      query::StarJoinQuery q = MakeRandomQuery(rng, inst.dims);
-      auto bound = binder.Bind(q);
-      ASSERT_TRUE(bound.ok()) << bound.status().ToString();
-      auto naive = exec::ExecuteNaive(*bound);
-      ASSERT_TRUE(naive.ok()) << naive.status().ToString();
-      for (const auto& [name, options] : Pipelines(/*strict=*/false)) {
-        StarJoinExecutor executor(options);
-        auto got = executor.Execute(*bound);
-        ASSERT_TRUE(got.ok()) << name << ": " << got.status().ToString();
-        ExpectBitIdentical(*naive, *got,
-                           "seed " + std::to_string(seed) + " query " +
-                               std::to_string(qi) + " pipeline " + name);
-      }
-
-      // Cached-plan path: compile once, execute repeatedly at every thread
-      // count; plans are stateless, so results match the naive reference
-      // bit-for-bit on every repetition.
-      auto plan = exec::ScanPlan::Compile(*bound);
-      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-      const exec::PredicateOverrides none(bound->dims.size());
-      for (const auto& [name, options] : Pipelines(/*strict=*/false)) {
-        StarJoinExecutor executor(options);
-        for (int rep = 0; rep < 2; ++rep) {
-          auto got = executor.Execute(*bound, none, *plan);
-          ASSERT_TRUE(got.ok()) << name << ": " << got.status().ToString();
-          ExpectBitIdentical(*naive, *got,
-                             "seed " + std::to_string(seed) + " query " +
-                                 std::to_string(qi) + " plan pipeline " + name);
-        }
-      }
-
-      // Overridden-predicate equivalence: the plan path must agree with the
-      // fresh-build path on the same override set (the PM repeated-run case).
-      for (int oi = 0; oi < 3; ++oi) {
-        exec::PredicateOverrides overrides = MakeRandomOverrides(rng, *bound);
-        StarJoinExecutor fresh_executor;
-        auto fresh = fresh_executor.Execute(*bound, overrides);
-        ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
-        for (const auto& [name, options] : Pipelines(/*strict=*/false)) {
-          StarJoinExecutor executor(options);
-          if (options.force_scalar) continue;  // fresh vectorized reference
-          auto got = executor.Execute(*bound, overrides, *plan);
-          ASSERT_TRUE(got.ok()) << name << ": " << got.status().ToString();
-          ExpectBitIdentical(*fresh, *got,
-                             "seed " + std::to_string(seed) + " query " +
-                                 std::to_string(qi) + " override " +
-                                 std::to_string(oi) + " pipeline " + name);
-        }
+// Checks one bound query against the oracle at every thread count: one-shot
+// Execute, two runs of one compiled plan, and three random override sets
+// through the same plan. Returns the compiled plan for shape accounting.
+exec::ScanPlan CheckAgainstNaive(std::mt19937& rng,
+                                 const query::BoundQuery& bound,
+                                 const std::string& where) {
+  auto naive = exec::ExecuteNaive(bound);
+  EXPECT_TRUE(naive.ok()) << naive.status().ToString();
+  auto plan = exec::ScanPlan::Compile(bound);
+  EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+  if (!naive.ok() || !plan.ok()) return exec::ScanPlan();
+  const exec::PredicateOverrides none(bound.dims.size());
+  for (const auto& [name, options] : ThreadConfigs(/*strict=*/false)) {
+    StarJoinExecutor executor(options);
+    auto one_shot = executor.Execute(bound);
+    EXPECT_TRUE(one_shot.ok()) << name << ": " << one_shot.status().ToString();
+    if (one_shot.ok()) {
+      ExpectBitIdentical(*naive, *one_shot, where + " " + name);
+    }
+    // Plans are stateless, so every repetition matches the oracle.
+    for (int rep = 0; rep < 2; ++rep) {
+      auto got = executor.Execute(bound, none, *plan);
+      EXPECT_TRUE(got.ok()) << name << ": " << got.status().ToString();
+      if (got.ok()) ExpectBitIdentical(*naive, *got, where + " plan " + name);
+    }
+  }
+  for (int oi = 0; oi < 3; ++oi) {
+    exec::PredicateOverrides overrides = MakeRandomOverrides(rng, bound);
+    auto expected = exec::ExecuteNaive(bound, overrides);
+    EXPECT_TRUE(expected.ok()) << expected.status().ToString();
+    if (!expected.ok()) continue;
+    for (const auto& [name, options] : ThreadConfigs(/*strict=*/false)) {
+      StarJoinExecutor executor(options);
+      auto got = executor.Execute(bound, overrides, *plan);
+      EXPECT_TRUE(got.ok()) << name << ": " << got.status().ToString();
+      if (got.ok()) {
+        ExpectBitIdentical(
+            *expected, *got,
+            where + " override " + std::to_string(oi) + " " + name);
       }
     }
   }
+  return std::move(*plan);
 }
 
-TEST(ExecutorEquivalence, StrictIntegrityMissesAgreeAcrossPipelines) {
+TEST(ExecutorEquivalence, RandomizedMatrixMatchesNaiveBitForBit) {
+  std::array<int, kNumShapes + 1> shape_count{};
+  for (uint32_t seed = 1; seed <= 40; ++seed) {
+    std::mt19937 rng(seed);
+    Instance inst =
+        MakeRandomInstance(rng, /*with_bad_fk=*/false, RandomHSpan(rng));
+    query::Binder binder(&inst.catalog);
+    for (int qi = 0; qi < 3; ++qi) {
+      query::StarJoinQuery q = MakeRandomQuery(rng, inst);
+      auto bound = binder.Bind(q);
+      ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+      exec::ScanPlan plan = CheckAgainstNaive(
+          rng, *bound,
+          "seed " + std::to_string(seed) + " query " + std::to_string(qi));
+      ++shape_count[ShapeOf(plan, q, inst.h_span)];
+    }
+  }
+  for (int s = 0; s < kNumShapes; ++s) {
+    EXPECT_GT(shape_count[static_cast<size_t>(s)], 0)
+        << "the generator never produced a " << kShapeNames[s] << " query";
+  }
+}
+
+// Each unpackable shape on purpose, on plain instances, on instances with a
+// dangling FK, and on an empty fact table.
+TEST(ExecutorEquivalence, UnpackableGroupKeysMatchNaiveBitForBit) {
+  std::array<int, kNumShapes + 1> shape_count{};
+  for (uint32_t seed = 1; seed <= 12; ++seed) {
+    for (int shape = 0; shape < kNumShapes; ++shape) {
+      for (int kind = 0; kind < 3; ++kind) {  // plain, dangling FK, empty fact
+        std::mt19937 rng(seed * 31 + static_cast<uint32_t>(shape * 3 + kind));
+        const HSpan span = shape == kWideLayout ? HSpan::kWideLayout
+                                                : HSpan::kHuge;
+        Instance inst = MakeRandomInstance(rng, /*with_bad_fk=*/kind == 1, span,
+                                           /*empty_fact=*/kind == 2);
+        query::Binder binder(&inst.catalog);
+        query::StarJoinQuery q =
+            MakeShapedQuery(rng, inst, static_cast<Shape>(shape));
+        auto bound = binder.Bind(q);
+        ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+        exec::ScanPlan plan = CheckAgainstNaive(
+            rng, *bound,
+            Format("seed %u shape %s kind %d", seed, kShapeNames[shape], kind));
+        ++shape_count[ShapeOf(plan, q, inst.h_span)];
+        if (shape == kDoubleKey) EXPECT_TRUE(plan.numbered_codes);
+      }
+    }
+  }
+  for (int s = 0; s < kNumShapes; ++s) {
+    EXPECT_GT(shape_count[static_cast<size_t>(s)], 0) << kShapeNames[s];
+  }
+}
+
+TEST(ExecutorEquivalence, StrictIntegrityMissesAgreeAcrossThreadCounts) {
   for (uint32_t seed = 100; seed < 110; ++seed) {
     std::mt19937 rng(seed);
-    Instance inst = MakeRandomInstance(rng, /*with_bad_fk=*/true);
+    Instance inst =
+        MakeRandomInstance(rng, /*with_bad_fk=*/true, RandomHSpan(rng));
     query::Binder binder(&inst.catalog);
-    query::StarJoinQuery q = MakeRandomQuery(rng, inst.dims);
+    query::StarJoinQuery q = MakeRandomQuery(rng, inst);
     auto bound = binder.Bind(q);
     ASSERT_TRUE(bound.ok()) << bound.status().ToString();
 
-    // All pipelines must fail, and the parallel ones must report the same
-    // (first) violating row as the sequential scan — the cached-plan path
-    // included (dropped-row accounting is part of the equivalence contract).
+    // Every thread count must fail and report the same (first) violating
+    // row as the sequential scan, through a one-shot Execute and through a
+    // compiled plan alike.
     auto plan = exec::ScanPlan::Compile(*bound);
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
     const exec::PredicateOverrides none(bound->dims.size());
     std::string expected_message;
-    for (const auto& [name, options] : Pipelines(/*strict=*/true)) {
+    for (const auto& [name, options] : ThreadConfigs(/*strict=*/true)) {
       StarJoinExecutor executor(options);
       for (bool use_plan : {false, true}) {
         auto got = use_plan ? executor.Execute(*bound, none, *plan)
@@ -349,7 +483,7 @@ TEST(ExecutorEquivalence, StrictIntegrityMissesAgreeAcrossPipelines) {
     // Non-strict executions silently drop the row, matching the reference.
     auto naive = exec::ExecuteNaive(*bound);
     ASSERT_TRUE(naive.ok());
-    for (const auto& [name, options] : Pipelines(/*strict=*/false)) {
+    for (const auto& [name, options] : ThreadConfigs(/*strict=*/false)) {
       StarJoinExecutor executor(options);
       auto got = executor.Execute(*bound);
       ASSERT_TRUE(got.ok()) << name;
@@ -364,28 +498,19 @@ TEST(ExecutorEquivalence, StrictIntegrityMissesAgreeAcrossPipelines) {
 
 TEST(ExecutorEquivalence, ThreadCountsAgreeOnEmptyFact) {
   std::mt19937 rng(7);
-  Instance inst;
-  // Regenerate until the fact table is empty (cheap; rows ∈ [0, 300]).
-  for (int attempt = 0; attempt < 1000; ++attempt) {
-    std::mt19937 gen(static_cast<uint32_t>(attempt));
-    Instance candidate = MakeRandomInstance(gen, false);
-    if (candidate.catalog.GetTable("F").ok() &&
-        (*candidate.catalog.GetTable("F"))->num_rows() == 0) {
-      inst = std::move(candidate);
-      break;
-    }
-  }
+  Instance inst = MakeRandomInstance(rng, /*with_bad_fk=*/false,
+                                     RandomHSpan(rng), /*empty_fact=*/true);
   auto fact = inst.catalog.GetTable("F");
   ASSERT_TRUE(fact.ok());
   ASSERT_EQ((*fact)->num_rows(), 0);
 
   query::Binder binder(&inst.catalog);
-  query::StarJoinQuery q = MakeRandomQuery(rng, inst.dims);
+  query::StarJoinQuery q = MakeRandomQuery(rng, inst);
   auto bound = binder.Bind(q);
   ASSERT_TRUE(bound.ok()) << bound.status().ToString();
   auto naive = exec::ExecuteNaive(*bound);
   ASSERT_TRUE(naive.ok());
-  for (const auto& [name, options] : Pipelines(false)) {
+  for (const auto& [name, options] : ThreadConfigs(false)) {
     StarJoinExecutor executor(options);
     auto got = executor.Execute(*bound);
     ASSERT_TRUE(got.ok()) << name;

@@ -5,7 +5,9 @@
 //   * ScanPlan::ExtendFrom vs a fresh Compile over randomized append
 //     schedules × query shapes: every scaffold array (FK resolution, packed
 //     codes, weights, counting-sort runs, rendered labels) bit-identical,
-//     and cold/warm execution of both plans bit-identical.
+//     and execution of both plans bit-identical to the naive oracle. Tails
+//     that cannot splice (a key outgrowing its packed field, a plan with
+//     numbered group codes) are declined, and the cache recompiles.
 //   * DataCube::AppendRows vs a fresh sequential Build: totals, marginals
 //     and weighted evaluations exactly equal.
 //   * QueryService::Ingest: one epoch bump per accepted batch, all-or-nothing
@@ -32,6 +34,7 @@
 #include "common/random.h"
 #include "common/string_util.h"
 #include "exec/data_cube.h"
+#include "exec/naive_executor.h"
 #include "exec/plan_cache.h"
 #include "exec/scan_plan.h"
 #include "exec/star_join_executor.h"
@@ -110,7 +113,7 @@ void ExpectBitIdentical(const QueryResult& expected, const QueryResult& got) {
 void ExpectSamePlan(const ScanPlan& fresh, const ScanPlan& ext,
                     const std::string& where) {
   SCOPED_TRACE(where);
-  ASSERT_EQ(fresh.requires_scalar(), ext.requires_scalar());
+  ASSERT_EQ(fresh.numbered_codes, ext.numbered_codes);
   EXPECT_EQ(fresh.fact_rows(), ext.fact_rows());
   EXPECT_EQ(fresh.grouped, ext.grouped);
   EXPECT_EQ(fresh.code_space, ext.code_space);
@@ -173,8 +176,8 @@ TEST(IngestEquivalenceTest, ExtendMatchesFreshCompileOnRandomSchedules) {
                               static_cast<unsigned long long>(seed), batch,
                               static_cast<long long>(grown->fact->num_rows())));
 
-        // Execution through both scaffolds agrees with the planless pipeline.
-        auto baseline = executor.Execute(*grown);
+        // Execution through both scaffolds agrees with the naive oracle.
+        auto baseline = exec::ExecuteNaive(*grown);
         ASSERT_TRUE(baseline.ok());
         auto via_ext = executor.Execute(
             *grown, PredicateOverrides(grown->dims.size()), *ext);
@@ -232,6 +235,79 @@ TEST(IngestEquivalenceTest, ExtendDeclinedWhenFactGroupFieldOverflows) {
   auto ext2 = ScanPlan::ExtendFrom(*plan2, *grown2);
   ASSERT_FALSE(ext2.ok());
   EXPECT_EQ(ext2.status().code(), StatusCode::kNotSupported);
+
+  // A negative compiled base and a huge tail value: the tail ordinal
+  // 6e18 - (-4e18) exceeds int64, so the range check must not compute it in
+  // signed arithmetic (UBSan reports the overflow otherwise).
+  storage::Catalog catalog3 = MakeToyCatalog();
+  query::Binder binder3(&catalog3);
+  auto orders3 = catalog3.GetTable("Orders");
+  ASSERT_TRUE(orders3.ok());
+  ASSERT_TRUE((*orders3)
+                  ->AppendRow({Value(int64_t{1}), Value(int64_t{1}),
+                               Value(int64_t{-4000000000000000000}), Value(0.0)})
+                  .ok());
+  auto bound3 = binder3.Bind(ToyFactGroupedQuery());
+  ASSERT_TRUE(bound3.ok());
+  auto plan3 = ScanPlan::Compile(*bound3);
+  ASSERT_TRUE(plan3.ok());
+  ASSERT_FALSE(plan3->numbered_codes);  // range 4e18 + 5 < 2^62: packed
+  ASSERT_TRUE((*orders3)
+                  ->AppendRow({Value(int64_t{1}), Value(int64_t{1}),
+                               Value(int64_t{6000000000000000000}), Value(0.0)})
+                  .ok());
+  auto grown3 = binder3.Bind(ToyFactGroupedQuery());
+  ASSERT_TRUE(grown3.ok());
+  auto ext3 = ScanPlan::ExtendFrom(*plan3, *grown3);
+  ASSERT_FALSE(ext3.ok());
+  EXPECT_EQ(ext3.status().code(), StatusCode::kNotSupported);
+}
+
+TEST(IngestEquivalenceTest, NumberedCodePlansRecompileOnAppend) {
+  // Grouping by the double fact column price numbers the key tuples, which
+  // ExtendFrom declines: the cache recompiles and still answers like the
+  // oracle on the grown table.
+  storage::Catalog catalog = MakeToyCatalog();
+  query::Binder binder(&catalog);
+  query::StarJoinQuery q = ToyCountQuery();
+  q.aggregate = query::AggregateKind::kSum;
+  q.measure_terms = {{"qty", 1.0}};
+  q.group_by = {{"Cust", "region"}, {"Orders", "price"}};
+  q.predicates.clear();
+  q.predicates.push_back(query::Predicate::Range(
+      "Cust", "tier", Value(int64_t{1}), Value(int64_t{3})));
+  exec::PlanCache cache(4);
+  auto bound = binder.Bind(q);
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  auto plan = cache.GetOrCompile(*bound);
+  ASSERT_TRUE(plan.ok());
+  ASSERT_TRUE((*plan)->numbered_codes);
+
+  auto orders = catalog.GetTable("Orders");
+  ASSERT_TRUE(orders.ok());
+  ASSERT_TRUE((*orders)
+                  ->AppendRow({Value(int64_t{2}), Value(int64_t{3}),
+                               Value(int64_t{7}), Value(12.5)})
+                  .ok());
+  auto grown = binder.Bind(q);
+  ASSERT_TRUE(grown.ok());
+  auto ext = ScanPlan::ExtendFrom(**plan, *grown);
+  ASSERT_FALSE(ext.ok());
+  EXPECT_EQ(ext.status().code(), StatusCode::kNotSupported);
+
+  auto recompiled = cache.GetOrCompile(*grown);
+  ASSERT_TRUE(recompiled.ok());
+  EXPECT_NE(recompiled->get(), plan->get());
+  EXPECT_EQ(cache.GetStats().invalidated_append, 1u);
+  EXPECT_EQ(cache.GetStats().extends, 0u);
+  auto naive = exec::ExecuteNaive(*grown);
+  ASSERT_TRUE(naive.ok());
+  StarJoinExecutor executor;
+  auto got = executor.Execute(*grown, PredicateOverrides(grown->dims.size()),
+                              **recompiled);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ExpectBitIdentical(*naive, *got);
+  EXPECT_EQ(got->groups.count("N|12.5"), 1u);
 }
 
 TEST(IngestEquivalenceTest, ExtendRefusedWhenADimensionGrew) {

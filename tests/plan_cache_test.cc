@@ -1,8 +1,9 @@
-// PlanCache + ScanPlan behavior: cached-plan execution equals fresh-build
-// execution bit-for-bit, invalidation fires when a table grows, equivalent
-// query spellings share one plan, the cache is safe under concurrent use
-// (run under TSan via the build-tsan / CI TSan configuration), and the plan
-// path never changes Predicate Mechanism noise semantics.
+// PlanCache + ScanPlan behavior: cached-plan execution equals the naive
+// oracle (exec/naive_executor.h) bit-for-bit, invalidation fires when a
+// table grows, equivalent query spellings share one plan, the cache is safe
+// under concurrent use (run under TSan via the build-tsan / CI TSan
+// configuration), and the plan path never changes Predicate Mechanism noise
+// semantics.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "core/predicate_mechanism.h"
+#include "exec/naive_executor.h"
 #include "exec/plan_cache.h"
 #include "exec/star_join_executor.h"
 #include "query/binder.h"
@@ -50,7 +52,7 @@ query::StarJoinQuery ToyGroupedQuery() {
   return q;
 }
 
-TEST(PlanCacheTest, CachedPlanMatchesFreshExecutionAndCountsHits) {
+TEST(PlanCacheTest, CachedPlanMatchesNaiveAndCountsHits) {
   storage::Catalog catalog = MakeToyCatalog();
   query::Binder binder(&catalog);
   PlanCache cache(8);
@@ -59,8 +61,8 @@ TEST(PlanCacheTest, CachedPlanMatchesFreshExecutionAndCountsHits) {
   for (const auto& q : {ToyCountQuery(), ToyGroupedQuery()}) {
     auto bound = binder.Bind(q);
     ASSERT_TRUE(bound.ok()) << bound.status().ToString();
-    auto fresh = executor.Execute(*bound);
-    ASSERT_TRUE(fresh.ok());
+    auto naive = exec::ExecuteNaive(*bound);
+    ASSERT_TRUE(naive.ok());
 
     auto plan = cache.GetOrCompile(*bound);
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
@@ -68,7 +70,7 @@ TEST(PlanCacheTest, CachedPlanMatchesFreshExecutionAndCountsHits) {
       auto got = executor.Execute(*bound, PredicateOverrides(bound->dims.size()),
                                   **plan);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
-      ExpectBitIdentical(*fresh, *got);
+      ExpectBitIdentical(*naive, *got);
     }
     auto again = cache.GetOrCompile(*bound);
     ASSERT_TRUE(again.ok());
@@ -126,13 +128,13 @@ TEST(PlanCacheTest, InvalidatesWhenATableGrows) {
   EXPECT_EQ(cache.GetStats().invalidated_append, 0u);
   EXPECT_EQ(cache.GetStats().extends, 0u);
 
-  auto fresh = executor.Execute(*bound);
-  ASSERT_TRUE(fresh.ok());
-  EXPECT_EQ(fresh->scalar, 3.0);  // the appended row matches region N × cat a
+  auto naive = exec::ExecuteNaive(*bound);
+  ASSERT_TRUE(naive.ok());
+  EXPECT_EQ(naive->scalar, 3.0);  // the appended row matches region N × cat a
   auto got = executor.Execute(*bound, PredicateOverrides(bound->dims.size()),
                               **recompiled);
   ASSERT_TRUE(got.ok());
-  ExpectBitIdentical(*fresh, *got);
+  ExpectBitIdentical(*naive, *got);
 }
 
 TEST(PlanCacheTest, ExtendsInsteadOfInvalidatingWhenOnlyFactGrows) {
@@ -169,15 +171,15 @@ TEST(PlanCacheTest, ExtendsInsteadOfInvalidatingWhenOnlyFactGrows) {
   EXPECT_EQ(stats.invalidated_append, 0u);
   EXPECT_EQ(stats.invalidated_identity, 0u);
 
-  // The extended plan answers exactly like the fresh pipeline on the grown
-  // table, and a re-lookup at the same row count is a plain hit on it.
-  auto fresh = executor.Execute(*grown);
-  ASSERT_TRUE(fresh.ok());
-  EXPECT_EQ(fresh->scalar, 3.0);  // appended row: ck=1 (region N) × pk=1 (cat a)
+  // The extended plan answers exactly like the oracle on the grown table,
+  // and a re-lookup at the same row count is a plain hit on it.
+  auto naive = exec::ExecuteNaive(*grown);
+  ASSERT_TRUE(naive.ok());
+  EXPECT_EQ(naive->scalar, 3.0);  // appended row: ck=1 (region N) × pk=1 (cat a)
   auto got = executor.Execute(*grown, PredicateOverrides(grown->dims.size()),
                               **extended);
   ASSERT_TRUE(got.ok());
-  ExpectBitIdentical(*fresh, *got);
+  ExpectBitIdentical(*naive, *got);
   auto again = cache.GetOrCompile(*grown);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->get(), extended->get());
@@ -253,12 +255,12 @@ TEST(PlanCacheTest, EquivalentSpellingsShareOnePlan) {
   EXPECT_EQ(p1->get(), p2->get());
   EXPECT_EQ(cache.GetStats().hits, 1u);
 
-  auto fresh = executor.Execute(*b2);
-  ASSERT_TRUE(fresh.ok());
+  auto naive = exec::ExecuteNaive(*b2);
+  ASSERT_TRUE(naive.ok());
   auto got =
       executor.Execute(*b2, PredicateOverrides(b2->dims.size()), **p2);
   ASSERT_TRUE(got.ok());
-  ExpectBitIdentical(*fresh, *got);
+  ExpectBitIdentical(*naive, *got);
 }
 
 TEST(PlanCacheTest, BoundIndependentKeySharesPlanAcrossFilterConstants) {
@@ -287,11 +289,11 @@ TEST(PlanCacheTest, BoundIndependentKeySharesPlanAcrossFilterConstants) {
     } else {
       EXPECT_EQ(first.get(), plan->get()) << "hi=" << hi;
     }
-    auto fresh = executor.Execute(*bound);
+    auto naive = exec::ExecuteNaive(*bound);
     auto got =
         executor.Execute(*bound, PredicateOverrides(bound->dims.size()), **plan);
-    ASSERT_TRUE(fresh.ok() && got.ok());
-    ExpectBitIdentical(*fresh, *got);
+    ASSERT_TRUE(naive.ok() && got.ok());
+    ExpectBitIdentical(*naive, *got);
   }
   EXPECT_EQ(cache.GetStats().misses, 1u);
   EXPECT_EQ(cache.GetStats().hits, 3u);
@@ -300,7 +302,7 @@ TEST(PlanCacheTest, BoundIndependentKeySharesPlanAcrossFilterConstants) {
 TEST(PlanCacheTest, EmptyGroupByDimensionCompilesAndAnswersEmpty) {
   // A grouped query joining a dimension with zero rows: every fact row
   // resolves to the absent sentinel, so the answer is empty — the plan path
-  // must agree with the fresh pipeline instead of touching empty rep_rows.
+  // must agree with the oracle instead of touching empty rep_rows.
   storage::Catalog catalog;
   storage::Schema dim_schema(
       {storage::Field("k", storage::ValueType::kInt64),
@@ -327,18 +329,18 @@ TEST(PlanCacheTest, EmptyGroupByDimensionCompilesAndAnswersEmpty) {
   auto bound = binder.Bind(q);
   ASSERT_TRUE(bound.ok()) << bound.status().ToString();
 
-  StarJoinExecutor executor;
-  auto fresh = executor.Execute(*bound);
-  ASSERT_TRUE(fresh.ok());
-  EXPECT_TRUE(fresh->groups.empty());
+  auto naive = exec::ExecuteNaive(*bound);
+  ASSERT_TRUE(naive.ok());
+  EXPECT_TRUE(naive->groups.empty());
 
+  StarJoinExecutor executor;
   PlanCache cache(4);
   auto plan = cache.GetOrCompile(*bound);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   auto got =
       executor.Execute(*bound, PredicateOverrides(bound->dims.size()), **plan);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
-  ExpectBitIdentical(*fresh, *got);
+  ExpectBitIdentical(*naive, *got);
 }
 
 TEST(PlanCacheTest, ConcurrentSharedCacheIsSafe) {
@@ -349,9 +351,8 @@ TEST(PlanCacheTest, ConcurrentSharedCacheIsSafe) {
   auto bound_count = binder.Bind(ToyCountQuery());
   auto bound_group = binder.Bind(ToyGroupedQuery());
   ASSERT_TRUE(bound_count.ok() && bound_group.ok());
-  StarJoinExecutor executor;
-  auto expect_count = executor.Execute(*bound_count);
-  auto expect_group = executor.Execute(*bound_group);
+  auto expect_count = exec::ExecuteNaive(*bound_count);
+  auto expect_group = exec::ExecuteNaive(*bound_group);
   ASSERT_TRUE(expect_count.ok() && expect_group.ok());
 
   std::atomic<int> failures{0};
@@ -390,8 +391,8 @@ TEST(PlanCacheTest, PlanPathDoesNotChangePmNoiseSemantics) {
     ASSERT_TRUE(bound.ok());
 
     // The mechanism's (cached-plan) answer must be bit-identical to manually
-    // drawing the same noise and executing fresh: plan reuse is pure
-    // post-processing of an identical noisy query.
+    // drawing the same noise and evaluating the noisy query with the oracle:
+    // plan reuse is pure post-processing of an identical noisy query.
     core::PredicateMechanism pm;
     for (uint64_t seed = 1; seed <= 5; ++seed) {
       Rng mech_rng(seed);
@@ -401,29 +402,40 @@ TEST(PlanCacheTest, PlanPathDoesNotChangePmNoiseSemantics) {
       Rng manual_rng(seed);
       auto overrides = pm.PerturbPredicates(*bound, 0.7, &manual_rng);
       ASSERT_TRUE(overrides.ok());
-      StarJoinExecutor fresh_executor;
-      auto via_fresh = fresh_executor.Execute(*bound, *overrides);
-      ASSERT_TRUE(via_fresh.ok());
-      ExpectBitIdentical(*via_fresh, *via_pm);
+      auto via_naive = exec::ExecuteNaive(*bound, *overrides);
+      ASSERT_TRUE(via_naive.ok());
+      ExpectBitIdentical(*via_naive, *via_pm);
     }
   }
 }
 
-TEST(PlanCacheTest, DisabledCacheBypassesPlanCompilation) {
+TEST(PlanCacheTest, DisabledCacheAnswersWithoutCaching) {
   storage::Catalog catalog = MakeToyCatalog();
   query::Binder binder(&catalog);
-  auto bound = binder.Bind(ToyCountQuery());
-  ASSERT_TRUE(bound.ok());
 
-  // Capacity 0 = "no plan reuse": Answer must take the fresh-build pipeline
-  // instead of compiling throwaway scaffolds (the cache sees no traffic).
+  // Capacity 0 = "no plan reuse": every Answer compiles a throwaway plan,
+  // answers exactly like the oracle on the same noise draw, and the cache
+  // never holds an entry.
   auto disabled = std::make_shared<PlanCache>(0);
   core::PredicateMechanism pm({}, {}, disabled);
-  Rng rng(3);
-  auto r = pm.Answer(*bound, 0.5, &rng);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(disabled->GetStats().misses, 0u);
+  for (const auto& q : {ToyCountQuery(), ToyGroupedQuery()}) {
+    auto bound = binder.Bind(q);
+    ASSERT_TRUE(bound.ok());
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      Rng rng(seed);
+      auto r = pm.Answer(*bound, 0.5, &rng);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      Rng manual_rng(seed);
+      auto overrides = pm.PerturbPredicates(*bound, 0.5, &manual_rng);
+      ASSERT_TRUE(overrides.ok());
+      auto naive = exec::ExecuteNaive(*bound, *overrides);
+      ASSERT_TRUE(naive.ok());
+      ExpectBitIdentical(*naive, *r);
+      EXPECT_EQ(disabled->size(), 0u);
+    }
+  }
   EXPECT_EQ(disabled->GetStats().hits, 0u);
+  EXPECT_EQ(disabled->bytes(), 0u);
 }
 
 TEST(PlanCacheTest, ServiceSharesOnePlanCacheAcrossEngines) {

@@ -1,8 +1,9 @@
 // Tests for the workload-level shared-scan compiler (exec/workload_plan.h)
 // and the layers above it: batched execution is bit-identical to one-at-a-time
 // warm execution on the paper's SSB counting queries under randomized
-// predicate overrides, the predicate CSE actually dedupes bitmap builds (the
-// stats receipts prove it), multithreaded batch execution is deterministic
+// predicate overrides and to the naive oracle on GROUP BY key sets that
+// cannot pack into 64 bits, the predicate CSE actually dedupes bitmap builds
+// (the stats receipts prove it), multithreaded batch execution is deterministic
 // across thread counts and repetitions, PredicateMechanism::AnswerBatch
 // consumes the RNG exactly like sequential Answer calls, and the service's
 // SubmitWorkload handles cache skips, partial failure and budget refunds.
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <random>
 #include <string>
@@ -17,6 +19,7 @@
 
 #include "common/random.h"
 #include "core/predicate_mechanism.h"
+#include "exec/naive_executor.h"
 #include "exec/plan_cache.h"
 #include "exec/scan_plan.h"
 #include "exec/star_join_executor.h"
@@ -117,7 +120,6 @@ TEST(WorkloadPlanTest, SsbBatchMatchesSequentialWarmExecutionBitForBit) {
     ASSERT_TRUE(b.ok()) << name << ": " << b.status().ToString();
     auto plan = exec::ScanPlan::Compile(*b);
     ASSERT_TRUE(plan.ok()) << name << ": " << plan.status().ToString();
-    ASSERT_FALSE(plan->requires_scalar()) << name;
     bound.push_back(std::move(*b));
     plans.push_back(std::make_shared<exec::ScanPlan>(std::move(*plan)));
   }
@@ -218,6 +220,101 @@ TEST(WorkloadPlanTest, CseDedupesIdenticalPredicateNodes) {
   EXPECT_EQ((*results)[0].scalar, 2.0);
   EXPECT_EQ((*results)[1].scalar, 2.0);
   EXPECT_EQ((*results)[2].scalar, 4.0);
+}
+
+// ------------------------------------------------- unpackable group keys ----
+
+// Group key sets that cannot pack into a 64-bit code (a double fact key, an
+// int64 fact key spanning ≥ 2^62, fields wider than 64 bits in total) number
+// their key tuples instead; batched next to packed queries, over two fact
+// tables, they still match the oracle bit-for-bit under random overrides.
+TEST(WorkloadPlanTest, UnpackableGroupKeysMatchNaiveThroughBatch) {
+  // Catalog A: qty spans the whole int64 range. Catalog B: qty spans 2^61,
+  // a 62-bit field next to the region and category fields.
+  auto huge = testing_fixture::MakeToyCatalog();
+  auto wide = testing_fixture::MakeToyCatalog();
+  for (int64_t qty : {std::numeric_limits<int64_t>::min(),
+                      std::numeric_limits<int64_t>::max()}) {
+    ASSERT_TRUE((*huge.GetTable("Orders"))
+                    ->AppendRow({storage::Value(int64_t{3}),
+                                 storage::Value(int64_t{1}),
+                                 storage::Value(qty), storage::Value(7.0)})
+                    .ok());
+  }
+  ASSERT_TRUE((*wide.GetTable("Orders"))
+                  ->AppendRow({storage::Value(int64_t{5}),
+                               storage::Value(int64_t{2}),
+                               storage::Value(int64_t{1} << 61),
+                               storage::Value(3.0)})
+                  .ok());
+
+  query::StarJoinQuery by_price = testing_fixture::ToyCountQuery();
+  by_price.aggregate = query::AggregateKind::kSum;
+  by_price.measure_terms = {{"price", 1.0}};
+  by_price.predicates.pop_back();  // keep region='N' only
+  by_price.group_by = {{"Orders", "price"}, {"Prod", "cat"}};
+  query::StarJoinQuery by_qty = testing_fixture::ToyCountQuery();
+  by_qty.group_by = {{"Cust", "region"}, {"Orders", "qty"}, {"Prod", "cat"}};
+  query::StarJoinQuery avg_by_qty = by_qty;
+  avg_by_qty.aggregate = query::AggregateKind::kAvg;
+  avg_by_qty.measure_terms = {{"price", 1.0}};
+  const query::StarJoinQuery packed = testing_fixture::ToyCountQuery();
+
+  query::Binder huge_binder(&huge);
+  query::Binder wide_binder(&wide);
+  std::vector<query::BoundQuery> bound;
+  for (const auto& q : {by_price, by_qty, packed}) {
+    auto b = huge_binder.Bind(q);
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    bound.push_back(std::move(*b));
+  }
+  for (const auto& q : {by_qty, avg_by_qty}) {
+    auto b = wide_binder.Bind(q);
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    bound.push_back(std::move(*b));
+  }
+  std::vector<std::shared_ptr<const exec::ScanPlan>> plans;
+  for (const auto& b : bound) {
+    auto plan = exec::ScanPlan::Compile(b);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    plans.push_back(std::make_shared<exec::ScanPlan>(std::move(*plan)));
+  }
+  const bool expect_numbered[] = {true, true, false, true, true};
+  for (size_t i = 0; i < plans.size(); ++i) {
+    EXPECT_EQ(plans[i]->numbered_codes, expect_numbered[i]) << "query " << i;
+  }
+
+  for (uint32_t seed = 1; seed <= 4; ++seed) {
+    std::mt19937 rng(seed);
+    std::vector<exec::PredicateOverrides> overrides;
+    for (const auto& b : bound) overrides.push_back(MakeRandomOverrides(rng, b));
+    std::vector<WorkloadItem> items;
+    for (size_t i = 0; i < bound.size(); ++i) {
+      WorkloadItem item;
+      item.query = &bound[i];
+      item.overrides = &overrides[i];
+      item.plan = plans[i];
+      items.push_back(std::move(item));
+    }
+    auto wplan = WorkloadPlan::Compile(std::move(items));
+    ASSERT_TRUE(wplan.ok()) << wplan.status().ToString();
+    EXPECT_EQ(wplan->stats().scans, 2);  // one sweep per fact table
+    for (int threads : {1, 4}) {
+      ExecutorOptions options;
+      options.exec_threads = threads;
+      options.morsel_size = 5;
+      auto batched = wplan->Execute(options);
+      ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+      for (size_t i = 0; i < bound.size(); ++i) {
+        auto naive = exec::ExecuteNaive(bound[i], overrides[i]);
+        ASSERT_TRUE(naive.ok()) << naive.status().ToString();
+        ExpectBitIdentical(*naive, (*batched)[i],
+                           "seed " + std::to_string(seed) + " query " +
+                               std::to_string(i) + " threads " +
+                               std::to_string(threads));
+      }
+    }
+  }
 }
 
 // ------------------------------------------------ determinism / threads ----
