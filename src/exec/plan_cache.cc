@@ -93,7 +93,7 @@ Result<std::shared_ptr<const ScanPlan>> PlanCache::GetOrCompile(
   bool extended = false;
   if (append_base != nullptr) {
     obs::ScopedStage extend_span(trace, obs::Stage::kPlanExtend);
-    auto ext = ScanPlan::ExtendFrom(*append_base, q);
+    auto ext = ScanPlan::ExtendFrom(*append_base, q, columns_);
     if (ext.ok()) {
       plan = std::make_shared<const ScanPlan>(std::move(*ext));
       extended = true;
@@ -103,7 +103,8 @@ Result<std::shared_ptr<const ScanPlan>> PlanCache::GetOrCompile(
   }
   if (!extended) {
     obs::ScopedStage compile_span(trace, obs::Stage::kPlanCompile);
-    DPSTARJ_ASSIGN_OR_RETURN(ScanPlan compiled, ScanPlan::Compile(q));
+    DPSTARJ_ASSIGN_OR_RETURN(ScanPlan compiled,
+                             ScanPlan::Compile(q, columns_));
     plan = std::make_shared<const ScanPlan>(std::move(compiled));
   }
 
@@ -173,8 +174,15 @@ size_t PlanCache::bytes() const {
 }
 
 PlanCache::Stats PlanCache::GetStats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  Stats stats;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stats = stats_;
+  }
+  const PlanColumnStore::Stats columns = columns_.GetStats();
+  stats.column_builds = columns.builds;
+  stats.column_reuses = columns.reuses;
+  return stats;
 }
 
 }  // namespace dpstarj::exec

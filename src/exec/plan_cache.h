@@ -21,6 +21,12 @@
 // entry and recompiles; the two classes are counted separately. The service
 // layer shares one PlanCache across all pool engines (see
 // service/query_service.h).
+//
+// The cache also owns the PlanColumnStore its plans compile against, so
+// every cached plan over one FK edge points at one join column and every
+// plan over one measure at one weight column: a compile for a new signature
+// resolves no fact row whose column another plan still holds, and after an
+// ingest the first extension of an edge resolves its tail for all of them.
 
 #pragma once
 
@@ -44,9 +50,11 @@ class PlanCache {
  public:
   /// Default entry capacity. Plans hold per-fact-row scaffolds — up to
   /// ≈ 24 + 8·dims bytes per fact row for grouped SUM queries with run-
-  /// sorted layouts — so eviction is governed by a byte budget as well as
-  /// this entry cap; popular queries dominate hits long before either
-  /// matters.
+  /// sorted layouts, of which 8 + 4·dims are the join and weight columns
+  /// shared with other plans — so eviction is governed by a byte budget as
+  /// well as this entry cap; popular queries dominate hits long before
+  /// either matters. The budget counts shared columns in full in every plan
+  /// that references them, so it bounds the bytes from above.
   static constexpr size_t kDefaultCapacity = 32;
   /// Default scaffold-byte budget across all cached plans (LRU entries are
   /// evicted past it; the most recent plan is always kept).
@@ -69,6 +77,11 @@ class PlanCache {
     /// the scaffold is salvageable.
     uint64_t invalidated_identity = 0;
     uint64_t evictions = 0;
+    /// Join and weight columns built (from scratch, or over an old column
+    /// when a plan extends) vs requests served by a live column that another
+    /// plan holds. Reuses over builds is the column store's hit ratio.
+    uint64_t column_builds = 0;
+    uint64_t column_reuses = 0;
 
     /// hits / (hits + misses), 0 when empty.
     double HitRate() const {
@@ -85,8 +98,9 @@ class PlanCache {
   /// validated hit when fresh, an incremental extension when only the fact
   /// table grew, and a full compile otherwise. Extension and compilation
   /// both run outside the cache lock; two threads racing on the same cold
-  /// key may both compile, and the later insert wins — wasted work, never
-  /// wrong results.
+  /// key may both compile, and the first insert wins: the later caller
+  /// drops its plan and returns the cached one — wasted work, never wrong
+  /// results. Their columns race the same way and end up shared.
   ///
   /// A non-null `trace` gets `plan_cache_hit` set on a validated hit or a
   /// successful extension, the extend span (obs::Stage::kPlanExtend)
@@ -95,7 +109,8 @@ class PlanCache {
   Result<std::shared_ptr<const ScanPlan>> GetOrCompile(
       const query::BoundQuery& q, obs::Trace* trace = nullptr);
 
-  /// Drops every entry (stats are preserved).
+  /// Drops every entry (stats are preserved). A column dies with the last
+  /// plan referencing it, cached or held by a caller.
   void Clear();
 
   /// Current entry count.
@@ -117,7 +132,8 @@ class PlanCache {
   size_t bytes_ = 0;  ///< Σ ApproxBytes() over cached plans
   std::list<Entry> lru_;  ///< front = most recently used
   std::unordered_map<std::string, std::list<Entry>::iterator> index_;
-  Stats stats_;
+  Stats stats_;  ///< column counters live in columns_
+  PlanColumnStore columns_;
 };
 
 }  // namespace dpstarj::exec

@@ -40,16 +40,16 @@ uint64_t GroupOrdinalOf(const PlanDim& pd, int32_t dim_row) {
   return static_cast<uint64_t>(pd.group_ordinal[static_cast<size_t>(dim_row)]);
 }
 
-// The per-fact-row scaffold passes below cover rows [begin, fact_rows()):
-// Compile runs them from row 0 and ExtendFrom over the appended tail only,
-// so an extended plan's rows are a fresh compile's by construction.
+// The per-fact-row passes below cover rows [begin, end): a column or plan
+// built from scratch runs them from row 0, an extension over the appended
+// tail only, so an extended column or plan is a fresh build's by
+// construction.
 
-// Resolves dimension i's FK of each row to its dimension row, absent keys to
-// the sentinel row pd.num_rows.
-Status ResolveFactRows(ScanPlan& plan, const query::BoundQuery& q, size_t i,
-                       int64_t begin) {
+// Resolves dimension i's FK of rows [begin, end) into column.rows, absent
+// keys to the sentinel row column.dim_rows.
+Status ResolveFactRows(const query::BoundQuery& q, size_t i, int64_t begin,
+                       int64_t end, JoinColumn& column) {
   const query::DimBinding& d = q.dims[i];
-  PlanDim& pd = plan.dims[i];
   const auto& keys = d.dim->column(d.dim_pk_col).int64_data();
   std::vector<int32_t> row_payload(keys.size());
   for (size_t r = 0; r < keys.size(); ++r) {
@@ -62,16 +62,15 @@ Status ResolveFactRows(ScanPlan& plan, const query::BoundQuery& q, size_t i,
                built.status().message().c_str()));
   }
   const KeyIndex index = std::move(*built);
-  const int64_t end = plan.fact_rows();
   const int64_t* fk = q.fact->column(d.fact_fk_col).int64_data().data();
-  std::vector<int32_t>& rows = plan.fact_dim_row[i];
+  std::vector<int32_t>& rows = column.rows;
   rows.resize(static_cast<size_t>(end));
-  const int32_t sentinel = pd.num_rows;
+  const int32_t sentinel = column.dim_rows;
   for (int64_t r = begin; r < end; ++r) {
     int32_t dr = index.Lookup(fk[r]);
     if (dr == KeyIndex::kAbsent) {
       dr = sentinel;
-      pd.has_absent_fk = true;
+      column.has_absent_fk = true;
     }
     rows[static_cast<size_t>(r)] = dr;
   }
@@ -86,7 +85,7 @@ void PackGroupCodes(ScanPlan& plan, const query::BoundQuery& q, int64_t begin) {
   for (size_t i = 0; i < plan.dims.size(); ++i) {
     const PlanDim& pd = plan.dims[i];
     if (pd.field < 0) continue;
-    const int32_t* rows = plan.fact_dim_row[i].data();
+    const int32_t* rows = plan.fact_dim_row[i]->rows.data();
     const int32_t* ordinals = pd.group_ordinal.data();
     const int32_t sentinel = pd.num_rows;
     for (int64_t r = begin; r < end; ++r) {
@@ -115,17 +114,17 @@ void PackGroupCodes(ScanPlan& plan, const query::BoundQuery& q, int64_t begin) {
   }
 }
 
-// Per-row aggregate weights (empty for COUNT). Measure columns outer, rows
-// inner, so every row's sum associates the same way in either pass.
-void AddWeights(ScanPlan& plan, const query::BoundQuery& q, int64_t begin) {
-  if (q.measure_cols.empty()) return;
-  const int64_t end = plan.fact_rows();
-  plan.weights.resize(static_cast<size_t>(end), 0.0);
+// Adds rows [begin, end) of the measure terms' weighted sum into `values`.
+// Measure columns outer, rows inner, so every row's sum associates the same
+// way whether its column was built from scratch or over a prefix.
+void AddWeights(const query::BoundQuery& q, int64_t begin, int64_t end,
+                std::vector<double>& values) {
+  values.resize(static_cast<size_t>(end), 0.0);
   for (const auto& [col, coeff] : q.measure_cols) {
     storage::Column::NumericView view = q.fact->column(col).numeric_view();
     const double c = coeff;
     for (int64_t r = begin; r < end; ++r) {
-      plan.weights[static_cast<size_t>(r)] += c * view[r];
+      values[static_cast<size_t>(r)] += c * view[r];
     }
   }
 }
@@ -146,7 +145,7 @@ void NumberKeyTuples(ScanPlan& plan, const query::BoundQuery& q) {
       if (part.dim_idx >= 0) {
         const size_t i = static_cast<size_t>(part.dim_idx);
         tuple[p] = static_cast<int64_t>(GroupOrdinalOf(
-            plan.dims[i], plan.fact_dim_row[i][static_cast<size_t>(r)]));
+            plan.dims[i], plan.fact_dim_row[i]->rows[static_cast<size_t>(r)]));
       } else {
         tuple[p] = CellKey(q.fact->column(part.col), r);
       }
@@ -198,7 +197,107 @@ void RenderRunLabels(ScanPlan& plan, const query::BoundQuery& q) {
 
 }  // namespace
 
-Result<ScanPlan> ScanPlan::Compile(const query::BoundQuery& q) {
+template <typename Column, typename Build>
+Result<std::shared_ptr<const Column>> PlanColumnStore::Share(
+    Index<Column>& index, const std::string& key, const Build& build) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = index.find(key);
+    if (it != index.end()) {
+      if (std::shared_ptr<const Column> live = it->second.lock()) {
+        ++stats_.reuses;
+        return live;
+      }
+    }
+  }
+  // Build outside the lock: it scans fact data, and concurrent compiles over
+  // other edges must not queue behind it.
+  DPSTARJ_ASSIGN_OR_RETURN(std::shared_ptr<const Column> built, build());
+  std::lock_guard<std::mutex> lock(mu_);
+  std::weak_ptr<const Column>& slot = index[key];
+  if (std::shared_ptr<const Column> live = slot.lock()) {
+    ++stats_.reuses;
+    return live;
+  }
+  slot = built;
+  ++stats_.builds;
+  // Builds are rare and each scans the fact table, so dropping the entries
+  // of dead columns here keeps the index at the live columns for free.
+  for (auto it = index.begin(); it != index.end();) {
+    it = it->second.expired() ? index.erase(it) : std::next(it);
+  }
+  return built;
+}
+
+Result<std::shared_ptr<const JoinColumn>> PlanColumnStore::GetJoinColumn(
+    const query::BoundQuery& q, size_t i, int64_t fact_rows,
+    const JoinColumn* prefix) {
+  const query::DimBinding& d = q.dims[i];
+  const int32_t dim_rows = static_cast<int32_t>(
+      d.dim->column(d.dim_pk_col).int64_data().size());
+  // Table addresses are safe in the key: every column pins its tables.
+  const std::string key =
+      Format("%p@%d:%p@%d#%lld/%d", static_cast<const void*>(q.fact.get()),
+             d.fact_fk_col, static_cast<const void*>(d.dim.get()),
+             d.dim_pk_col, static_cast<long long>(fact_rows), dim_rows);
+  using Shared = std::shared_ptr<const JoinColumn>;
+  return Share(joins_, key, [&]() -> Result<Shared> {
+    auto column = std::make_shared<JoinColumn>();
+    column->fact = q.fact;
+    column->dim = d.dim;
+    column->fact_fk_col = d.fact_fk_col;
+    column->dim_pk_col = d.dim_pk_col;
+    column->fact_rows = fact_rows;
+    column->dim_rows = dim_rows;
+    int64_t begin = 0;
+    if (prefix != nullptr && prefix->fact == q.fact && prefix->dim == d.dim &&
+        prefix->fact_fk_col == d.fact_fk_col &&
+        prefix->dim_pk_col == d.dim_pk_col && prefix->dim_rows == dim_rows &&
+        prefix->fact_rows <= fact_rows) {
+      column->rows = prefix->rows;
+      column->has_absent_fk = prefix->has_absent_fk;
+      begin = prefix->fact_rows;
+    }
+    DPSTARJ_RETURN_NOT_OK(ResolveFactRows(q, i, begin, fact_rows, *column));
+    return Shared(std::move(column));
+  });
+}
+
+std::shared_ptr<const WeightColumn> PlanColumnStore::GetWeightColumn(
+    const query::BoundQuery& q, int64_t fact_rows, const WeightColumn* prefix) {
+  std::string key = Format("%p#%lld", static_cast<const void*>(q.fact.get()),
+                           static_cast<long long>(fact_rows));
+  for (const auto& [col, coeff] : q.measure_cols) {
+    uint64_t bits;  // the exact coefficient: %g could merge two of them
+    std::memcpy(&bits, &coeff, sizeof(bits));
+    key += Format("|%d*%016llx", col, static_cast<unsigned long long>(bits));
+  }
+  using Shared = std::shared_ptr<const WeightColumn>;
+  auto shared = Share(weights_, key, [&]() -> Result<Shared> {
+    auto column = std::make_shared<WeightColumn>();
+    column->fact = q.fact;
+    column->measure_cols = q.measure_cols;
+    column->fact_rows = fact_rows;
+    int64_t begin = 0;
+    if (prefix != nullptr && prefix->fact == q.fact &&
+        prefix->measure_cols == q.measure_cols &&
+        prefix->fact_rows <= fact_rows) {
+      column->values = prefix->values;
+      begin = prefix->fact_rows;
+    }
+    AddWeights(q, begin, fact_rows, column->values);
+    return Shared(std::move(column));
+  });
+  return std::move(shared).ValueOrDie();  // building weights cannot fail
+}
+
+PlanColumnStore::Stats PlanColumnStore::GetStats() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return stats_;
+}
+
+Result<ScanPlan> ScanPlan::Compile(const query::BoundQuery& q,
+                                   PlanColumnStore& columns) {
   ScanPlan plan;
   plan.fact_ = q.fact;
   plan.fact_rows_ = q.fact->num_rows();
@@ -303,8 +402,10 @@ Result<ScanPlan> ScanPlan::Compile(const query::BoundQuery& q) {
           plan.layout.AddField(std::max<uint64_t>(pd.rep_rows.size(), 1));
     }
 
-    // FK→row resolution for every fact row (the expensive probe, paid once).
-    DPSTARJ_RETURN_NOT_OK(ResolveFactRows(plan, q, i, 0));
+    // FK→row resolution for every fact row: the expensive probe, paid once
+    // per edge by whichever plan first needs it while no other holds it.
+    DPSTARJ_ASSIGN_OR_RETURN(plan.fact_dim_row[i],
+                             columns.GetJoinColumn(q, i, plan.fact_rows_));
   }
 
   if (plan.grouped) {
@@ -320,7 +421,9 @@ Result<ScanPlan> ScanPlan::Compile(const query::BoundQuery& q) {
       PackGroupCodes(plan, q, 0);
     }
   }
-  AddWeights(plan, q, 0);
+  if (!q.measure_cols.empty()) {
+    plan.weights = columns.GetWeightColumn(q, plan.fact_rows_);
+  }
 
   // Run-sorted layout for dense code spaces: stable counting sort of fact
   // rows by group code, so warm executions aggregate each group in one
@@ -342,18 +445,18 @@ Result<ScanPlan> ScanPlan::Compile(const query::BoundQuery& q) {
     for (auto& v : plan.sorted_dim_row) {
       v.resize(static_cast<size_t>(plan.fact_rows_));
     }
-    if (!plan.weights.empty()) {
+    if (plan.weights != nullptr) {
       plan.sorted_weights.resize(static_cast<size_t>(plan.fact_rows_));
     }
     for (int64_t r = 0; r < plan.fact_rows_; ++r) {
       const int64_t pos = cursor[static_cast<size_t>(plan.codes[static_cast<size_t>(r)])]++;
       for (size_t i = 0; i < plan.dims.size(); ++i) {
         plan.sorted_dim_row[i][static_cast<size_t>(pos)] =
-            plan.fact_dim_row[i][static_cast<size_t>(r)];
+            plan.fact_dim_row[i]->rows[static_cast<size_t>(r)];
       }
-      if (!plan.weights.empty()) {
+      if (plan.weights != nullptr) {
         plan.sorted_weights[static_cast<size_t>(pos)] =
-            plan.weights[static_cast<size_t>(r)];
+            plan.weights->values[static_cast<size_t>(r)];
       }
     }
 
@@ -380,7 +483,8 @@ bool ScanPlan::IsAppendExtension(const ScanPlan& old,
 }
 
 Result<ScanPlan> ScanPlan::ExtendFrom(const ScanPlan& old,
-                                      const query::BoundQuery& q) {
+                                      const query::BoundQuery& q,
+                                      PlanColumnStore& columns) {
   if (!IsAppendExtension(old, q)) {
     return Status::NotSupported(
         "plan extension requires the compiled tables with only fact growth");
@@ -426,9 +530,9 @@ Result<ScanPlan> ScanPlan::ExtendFrom(const ScanPlan& old,
     }
   }
 
-  // Copy only what the extension keeps: the identity fields and the unsorted
-  // scaffold it extends in place. The run-sorted arrays and the label table
-  // are rebuilt below (or stay empty when `old` carries none) — copying them
+  // Copy only what the extension keeps: the identity fields and the group
+  // codes it extends in place. The run-sorted arrays and the label table are
+  // rebuilt below (or stay empty when `old` carries none) — copying them
   // from `old` just to overwrite them roughly doubles the cost of the very
   // recompile this function exists to avoid.
   ScanPlan plan;
@@ -443,20 +547,25 @@ Result<ScanPlan> ScanPlan::ExtendFrom(const ScanPlan& old,
   plan.parts = old.parts;
   plan.code_space = old.code_space;
   plan.dims = old.dims;
-  plan.fact_dim_row = old.fact_dim_row;
   plan.codes = old.codes;
-  plan.weights = old.weights;
   plan.has_sorted_runs = old.has_sorted_runs;
 
-  // FK resolution, group codes (validated above) and weights for the tail
-  // only. The dimensions are unchanged, so the rebuilt per-dimension index
-  // answers exactly as it did at compile time (dimension indexes are small;
-  // the saved work is the fact scan).
+  // FK resolution and weights for the tail only, through the store: the
+  // first plan to extend a column resolves the tail over the old column, and
+  // every other plan on the same edge reuses the result. The dimensions are
+  // unchanged, so the rebuilt per-dimension index answers exactly as it did
+  // at compile time (dimension indexes are small; the saved work is the fact
+  // scan). Then the group codes (validated above) for the tail.
+  plan.fact_dim_row.resize(q.dims.size());
   for (size_t i = 0; i < q.dims.size(); ++i) {
-    DPSTARJ_RETURN_NOT_OK(ResolveFactRows(plan, q, i, old_rows));
+    DPSTARJ_ASSIGN_OR_RETURN(
+        plan.fact_dim_row[i],
+        columns.GetJoinColumn(q, i, new_rows, old.fact_dim_row[i].get()));
+  }
+  if (old.weights != nullptr) {
+    plan.weights = columns.GetWeightColumn(q, new_rows, old.weights.get());
   }
   if (plan.grouped) PackGroupCodes(plan, q, old_rows);
-  AddWeights(plan, q, old_rows);
 
   // Splice the tail into the counting-sort runs: each code's new run is its
   // old run (rows already in scan order) followed by its tail rows in scan
@@ -504,7 +613,7 @@ Result<ScanPlan> ScanPlan::ExtendFrom(const ScanPlan& old,
     }
     std::vector<std::vector<int32_t>> sorted_dim_row(plan.dims.size());
     for (auto& v : sorted_dim_row) v.reserve(static_cast<size_t>(new_rows));
-    const bool weighted = !plan.weights.empty();
+    const bool weighted = plan.weights != nullptr;
     std::vector<double> sorted_weights;
     if (weighted) sorted_weights.reserve(static_cast<size_t>(new_rows));
     for (int64_t c = 0; c < space; ++c) {
@@ -524,9 +633,9 @@ Result<ScanPlan> ScanPlan::ExtendFrom(const ScanPlan& old,
       for (int64_t t = tail_begin[cs]; t < tail_begin[cs + 1]; ++t) {
         const size_t r = static_cast<size_t>(tail_sorted[static_cast<size_t>(t)]);
         for (size_t i = 0; i < plan.dims.size(); ++i) {
-          sorted_dim_row[i].push_back(plan.fact_dim_row[i][r]);
+          sorted_dim_row[i].push_back(plan.fact_dim_row[i]->rows[r]);
         }
-        if (weighted) sorted_weights.push_back(plan.weights[r]);
+        if (weighted) sorted_weights.push_back(plan.weights->values[r]);
       }
     }
     plan.run_offsets = std::move(offsets);
@@ -550,10 +659,14 @@ Result<ScanPlan> ScanPlan::ExtendFrom(const ScanPlan& old,
 
 size_t ScanPlan::ApproxBytes() const {
   size_t bytes = sizeof(ScanPlan);
-  for (const auto& v : fact_dim_row) bytes += v.capacity() * sizeof(int32_t);
+  for (const auto& c : fact_dim_row) {
+    bytes += c->rows.capacity() * sizeof(int32_t);
+  }
   for (const auto& v : sorted_dim_row) bytes += v.capacity() * sizeof(int32_t);
   bytes += codes.capacity() * sizeof(uint64_t);
-  bytes += weights.capacity() * sizeof(double);
+  if (weights != nullptr) {
+    bytes += weights->values.capacity() * sizeof(double);
+  }
   bytes += sorted_weights.capacity() * sizeof(double);
   bytes += run_offsets.capacity() * sizeof(int64_t);
   bytes += label_of_code.capacity() * sizeof(int32_t);
@@ -578,9 +691,9 @@ void ScanPlan::RenderLabel(const query::BoundQuery& q, uint64_t code,
     if (!label->empty()) *label += kGroupKeyDelimiter;
     if (part.dim_idx >= 0) {
       const size_t i = static_cast<size_t>(part.dim_idx);
-      const uint64_t ordinal = numbered_codes
-                                   ? GroupOrdinalOf(dims[i], fact_dim_row[i][rep])
-                                   : layout.Extract(code, part.field);
+      const uint64_t ordinal =
+          numbered_codes ? GroupOrdinalOf(dims[i], fact_dim_row[i]->rows[rep])
+                         : layout.Extract(code, part.field);
       *label += q.dims[i].dim->column(part.col)
                     .GetValue(dims[i].rep_rows[ordinal])
                     .ToString();

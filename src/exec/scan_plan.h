@@ -8,13 +8,17 @@
 //   * FK→dimension-row resolution: one int32 per (fact row, dimension),
 //     with referential misses mapped to a per-dimension sentinel row whose
 //     predicate bit is permanently 0 — no hash/offset-table probe is left
-//     in the per-execution scan;
+//     in the per-execution scan. These *join columns* depend on the tables
+//     alone, so plans share them through a PlanColumnStore (below);
 //   * the GROUP BY code layout, the per-dimension group ordinals (assigned
 //     over *all* dimension rows, so they never shift when predicates move),
 //     and the uint64 group code of every fact row: the key ordinals packed
 //     into bit fields, or — when they cannot pack into 64 bits — the
 //     first-occurrence number of the row's key tuple;
-//   * the per-row aggregate weight (measure terms are fact columns);
+//   * the per-row aggregate weight (measure terms are fact columns), a
+//     *weight column* shared the same way;
+//   * for grouped queries with a dense code space, the run-sorted copies of
+//     the join and weight columns and the pre-rendered group labels;
 //   * memoized domain-ordinal tables for the query's predicate columns, the
 //     inputs of per-execution predicate evaluation.
 //
@@ -33,8 +37,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -48,13 +54,6 @@ struct PlanDim {
   /// Dimension row count. Row id `num_rows` is the absent-FK sentinel: it has
   /// no ordinal and its bit in every predicate bitmap is 0.
   int32_t num_rows = 0;
-
-  /// True when at least one fact row's FK missed this dimension (so some
-  /// entry of fact_dim_row is the sentinel). When false AND an execution's
-  /// rebuilt bitmap passes every real row — a fully-open predicate, common
-  /// under PM perturbation of wide ranges — the dimension cannot reject any
-  /// fact row and the sweep drops it entirely (see the executor's plan path).
-  bool has_absent_fk = false;
 
   /// row → dense group ordinal over the dimension's GROUP BY columns (empty
   /// when the dimension contributes no group keys). Ordinals are assigned in
@@ -86,13 +85,97 @@ struct PlanLabelPart {
   int64_t base = 0;        ///< fact int64 parts: ordinal = value - base
 };
 
+/// \brief Fact row → dimension row over one FK edge (fact table, FK column,
+/// dimension table, PK column), for fact rows [0, fact_rows). It depends on
+/// the tables alone, so every plan over the edge shares one.
+struct JoinColumn {
+  /// The tables, held so that their addresses, which key the store, cannot
+  /// be reused by other tables while the column lives.
+  std::shared_ptr<storage::Table> fact;
+  std::shared_ptr<storage::Table> dim;
+  int fact_fk_col = -1;
+  int dim_pk_col = -1;
+  int64_t fact_rows = 0;
+  /// Dimension row count, and the sentinel row id of absent FKs.
+  int32_t dim_rows = 0;
+  /// True when at least one fact row's FK missed the dimension (so some entry
+  /// of `rows` is the sentinel). When false AND an execution's rebuilt bitmap
+  /// passes every real row — a fully-open predicate, common under PM
+  /// perturbation of wide ranges — the dimension cannot reject any fact row
+  /// and the sweep drops it entirely (see the executor's plan path).
+  bool has_absent_fk = false;
+  std::vector<int32_t> rows;  ///< fact row → dimension row or dim_rows
+};
+
+/// \brief Per-fact-row aggregate weight Σ coeff·column over one fact table's
+/// measure terms (in order), for fact rows [0, fact_rows).
+struct WeightColumn {
+  std::shared_ptr<storage::Table> fact;  ///< held like JoinColumn's tables
+  std::vector<std::pair<int, double>> measure_cols;  ///< (column, coeff)
+  int64_t fact_rows = 0;
+  std::vector<double> values;
+};
+
+/// \brief Hands plans the join and weight columns they need, sharing each
+/// live one. The store holds only weak references: a column lives exactly as
+/// long as some plan references it, so the store needs no capacity or
+/// eviction of its own. A column is found again only at exactly the table
+/// sizes it covers; a plan extended over an appended fact tail passes its
+/// old column as the prefix, so the first extension of an edge resolves only
+/// the tail and every later one reuses that column. Two threads building the
+/// same column race harmlessly: the first insert wins and the other adopts
+/// it. Thread-safe.
+class PlanColumnStore {
+ public:
+  struct Stats {
+    uint64_t builds = 0;  ///< columns built (from scratch or over a prefix)
+    uint64_t reuses = 0;  ///< requests served by a live column
+  };
+
+  /// \brief The join column of `q.dims[i]` covering fact rows
+  /// [0, fact_rows). When a build is needed and `prefix` is a column of the
+  /// same edge and dimension size over no more fact rows, the build copies
+  /// it and resolves only the tail; any other prefix is ignored. Fails on a
+  /// duplicate dimension primary key.
+  Result<std::shared_ptr<const JoinColumn>> GetJoinColumn(
+      const query::BoundQuery& q, size_t i, int64_t fact_rows,
+      const JoinColumn* prefix = nullptr);
+
+  /// \brief The weight column of `q`'s measure terms (which must be
+  /// non-empty) covering fact rows [0, fact_rows); `prefix` as above.
+  std::shared_ptr<const WeightColumn> GetWeightColumn(
+      const query::BoundQuery& q, int64_t fact_rows,
+      const WeightColumn* prefix = nullptr);
+
+  Stats GetStats() const;
+
+ private:
+  template <typename Column>
+  using Index = std::unordered_map<std::string, std::weak_ptr<const Column>>;
+
+  /// The live column under `key`, else `build()`'s, inserted unless a racing
+  /// build of the same key landed first — then that one is adopted.
+  template <typename Column, typename Build>
+  Result<std::shared_ptr<const Column>> Share(Index<Column>& index,
+                                              const std::string& key,
+                                              const Build& build);
+
+  mutable std::mutex mu_;
+  Index<JoinColumn> joins_;
+  Index<WeightColumn> weights_;
+  Stats stats_;
+};
+
 /// \brief Compiled scaffold of one bound star-join query.
 class ScanPlan {
  public:
-  /// \brief Compiles `q`: one fact pass plus the per-dimension index builds
-  /// and, for grouped queries, the counting-sort partition. Amortized by
-  /// every later run.
-  static Result<ScanPlan> Compile(const query::BoundQuery& q);
+  /// \brief Compiles `q`: the per-dimension tables, the join and weight
+  /// columns (taken from `columns` when live there, else built and shared
+  /// through it), and for grouped queries the group codes and counting-sort
+  /// partition. Amortized by every later run. A one-shot caller passes a
+  /// store of its own.
+  static Result<ScanPlan> Compile(const query::BoundQuery& q,
+                                  PlanColumnStore& columns);
 
   /// \brief True when the plan was compiled against exactly the tables (by
   /// identity *and* row count — tables are append-only) and the aggregate
@@ -108,15 +191,19 @@ class ScanPlan {
   /// \brief Compiles a plan for `q` by extending `old` over the fact table's
   /// appended tail only: FK resolution, group-code packing, and weights run
   /// over rows [old.fact_rows(), q.fact->num_rows()), and the tail is spliced
-  /// into the counting-sort runs. Because the sort is stable and every tail
-  /// row index exceeds every compiled row index, the result is bit-identical
-  /// to a fresh Compile on the grown table (tests/ingest_test.cc asserts
-  /// this over randomized append schedules). Returns NotSupported when the
-  /// tail cannot be spliced — the plan numbers its key tuples, or a fact-side
-  /// group key outgrew its packed bit field — in which case the caller falls
-  /// back to a full Compile.
+  /// into the counting-sort runs. The join and weight columns come from
+  /// `columns` with `old`'s as their prefix, so when another plan has
+  /// already extended an edge to this size, its column is reused. Because
+  /// the sort is stable and every tail row index exceeds every compiled row
+  /// index, the result is bit-identical to a fresh Compile on the grown
+  /// table (tests/ingest_test.cc asserts this over randomized append
+  /// schedules). Returns NotSupported when the tail cannot be spliced — the
+  /// plan numbers its key tuples, or a fact-side group key outgrew its
+  /// packed bit field — in which case the caller falls back to a full
+  /// Compile.
   static Result<ScanPlan> ExtendFrom(const ScanPlan& old,
-                                     const query::BoundQuery& q);
+                                     const query::BoundQuery& q,
+                                     PlanColumnStore& columns);
 
   /// \brief Renders the GROUP BY label of group `code` into `label`
   /// (overwritten): declared key order, kGroupKeyDelimiter-joined.
@@ -124,7 +211,9 @@ class ScanPlan {
                    std::string* label) const;
 
   /// Approximate heap footprint of the scaffold arrays (for the cache's
-  /// byte budget; labels and small per-dimension tables included).
+  /// byte budget; labels and small per-dimension tables included). Shared
+  /// join and weight columns count in full, so across plans this is an
+  /// upper bound.
   size_t ApproxBytes() const;
 
   // --- scaffold data, read by the executor's plan path -------------------
@@ -143,12 +232,13 @@ class ScanPlan {
   /// numbered_codes only: code → first fact row carrying its key tuple.
   std::vector<int64_t> code_rows;
 
-  /// Per dimension: fact row → dimension row, absent FKs → dims[i].num_rows.
-  std::vector<std::vector<int32_t>> fact_dim_row;
+  /// Per dimension: the shared join column (fact row → dimension row,
+  /// absent FKs → dims[i].num_rows).
+  std::vector<std::shared_ptr<const JoinColumn>> fact_dim_row;
   /// Pre-packed group code per fact row (empty when !grouped).
   std::vector<uint64_t> codes;
-  /// Per-row aggregate weight (empty = COUNT, weight 1.0).
-  std::vector<double> weights;
+  /// The shared per-row aggregate weights (null = COUNT, weight 1.0).
+  std::shared_ptr<const WeightColumn> weights;
 
   /// Run-sorted scaffold, built for grouped queries whose code space fits the
   /// dense accumulator: fact rows stably partitioned by group code (counting
@@ -160,9 +250,9 @@ class ScanPlan {
   bool has_sorted_runs = false;
   /// code → begin of its run in the sorted arrays (size code_space + 1).
   std::vector<int64_t> run_offsets;
-  /// Per dimension: fact_dim_row permuted into run order.
+  /// Per dimension: fact_dim_row permuted into run order (per plan).
   std::vector<std::vector<int32_t>> sorted_dim_row;
-  /// weights permuted into run order (empty = COUNT).
+  /// weights permuted into run order (empty = COUNT; per plan).
   std::vector<double> sorted_weights;
 
   /// Labels too are predicate-independent, so the run-sorted scaffold

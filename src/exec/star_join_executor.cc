@@ -34,8 +34,8 @@ struct ScanPartial {
 using ScanPartials = std::vector<CacheAligned<ScanPartial>>;
 
 // True when bits [0, rows) are all set — a rebuilt predicate bitmap that
-// passes every real dimension row. Together with PlanDim::has_absent_fk ==
-// false this proves the dimension cannot reject any fact row, so the sweep
+// passes every real dimension row. Together with JoinColumn::has_absent_fk
+// == false this proves the dimension cannot reject any fact row, so the sweep
 // skips its gathers entirely (fully-open predicates are the steady state of
 // PM perturbation over wide domains). The check is ISA-independent, so
 // scalar and AVX2 executions still take identical code paths.
@@ -121,7 +121,8 @@ Result<QueryResult> StarJoinExecutor::Execute(const query::BoundQuery& q) const 
 
 Result<QueryResult> StarJoinExecutor::Execute(
     const query::BoundQuery& q, const PredicateOverrides& overrides) const {
-  DPSTARJ_ASSIGN_OR_RETURN(ScanPlan plan, ScanPlan::Compile(q));
+  PlanColumnStore columns;  // throwaway: the plan is its columns' only owner
+  DPSTARJ_ASSIGN_OR_RETURN(ScanPlan plan, ScanPlan::Compile(q, columns));
   return Execute(q, overrides, plan);
 }
 
@@ -179,7 +180,7 @@ Result<QueryResult> StarJoinExecutor::Execute(const query::BoundQuery& q,
     std::vector<const int32_t*> sorted_rows;
     std::vector<const uint64_t*> words;
     for (size_t i = 0; i < num_dims; ++i) {
-      if (!plan.dims[i].has_absent_fk &&
+      if (!plan.fact_dim_row[i]->has_absent_fk &&
           BitmapPassesAllRows(bitmaps[i], plan.dims[i].num_rows)) {
         continue;
       }
@@ -271,7 +272,7 @@ Result<QueryResult> StarJoinExecutor::Execute(const query::BoundQuery& q,
   std::vector<const uint64_t*> pass_words(num_dims);
   std::vector<int32_t> sentinels(num_dims);
   for (size_t i = 0; i < num_dims; ++i) {
-    dim_rows[i] = plan.fact_dim_row[i].data();
+    dim_rows[i] = plan.fact_dim_row[i]->rows.data();
     pass_words[i] = bitmaps[i].data();
     sentinels[i] = plan.dims[i].num_rows;
   }
@@ -281,7 +282,7 @@ Result<QueryResult> StarJoinExecutor::Execute(const query::BoundQuery& q,
   std::vector<const int32_t*> active_rows;
   std::vector<const uint64_t*> active_words;
   for (size_t i = 0; i < num_dims; ++i) {
-    if (!plan.dims[i].has_absent_fk &&
+    if (!plan.fact_dim_row[i]->has_absent_fk &&
         BitmapPassesAllRows(bitmaps[i], plan.dims[i].num_rows)) {
       continue;
     }
@@ -290,7 +291,8 @@ Result<QueryResult> StarJoinExecutor::Execute(const query::BoundQuery& q,
   }
   const size_t active_dims = active_rows.size();
   const uint64_t* codes = plan.codes.data();
-  const double* weights = plan.weights.empty() ? nullptr : plan.weights.data();
+  const double* weights =
+      plan.weights == nullptr ? nullptr : plan.weights->values.data();
 
   // The scan is pure gathers: resolved dimension rows index into the pass
   // bitmaps (an absent FK hits the sentinel bit, which is always 0), and the

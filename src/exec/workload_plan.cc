@@ -206,7 +206,7 @@ Result<std::vector<QueryResult>> WorkloadPlan::Execute(
     for (size_t s = 0; s < num_slots; ++s) {
       const Slot& slot = g.slots[s];
       slot_rows[s] =
-          items_[slot.item_idx].plan->fact_dim_row[slot.dim_idx].data();
+          items_[slot.item_idx].plan->fact_dim_row[slot.dim_idx]->rows.data();
     }
     std::vector<const uint64_t*> node_words(num_nodes);
     std::vector<uint32_t> node_slot(num_nodes);
@@ -268,7 +268,9 @@ Result<std::vector<QueryResult>> WorkloadPlan::Execute(
       item_nodes.insert(item_nodes.end(), w.nodes.begin(), w.nodes.end());
       item_grouped[j] = it.plan->grouped ? 1 : 0;
       if (it.plan->grouped) item_codes[j] = it.plan->codes.data();
-      if (!it.plan->weights.empty()) item_weights[j] = it.plan->weights.data();
+      if (it.plan->weights != nullptr) {
+        item_weights[j] = it.plan->weights->values.data();
+      }
     }
     item_node_begin[num_items] = item_nodes.size();
 

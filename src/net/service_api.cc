@@ -295,6 +295,10 @@ Json ServiceStatsToJson(const service::ServiceStats& stats) {
                                         stats.plan_cache.invalidated_identity)));
   plans.Set("evictions",
             Json::Number(static_cast<double>(stats.plan_cache.evictions)));
+  plans.Set("column_builds",
+            Json::Number(static_cast<double>(stats.plan_cache.column_builds)));
+  plans.Set("column_reuses",
+            Json::Number(static_cast<double>(stats.plan_cache.column_reuses)));
   plans.Set("hit_rate", Json::Number(stats.plan_cache.HitRate()));
   body.Set("plan_cache", std::move(plans));
   return body;
@@ -383,6 +387,14 @@ Router MakeServiceRouter(service::QueryService* service, ApiOptions options) {
                   "Append-stale cached plans revalidated by incremental "
                   "tail extension instead of a recompile")
         ->Set(static_cast<double>(stats.plan_cache.extends));
+    reg->GetGauge("dpstarj_plan_column_builds",
+                  "Fact-sized join and weight columns built for plans, from "
+                  "scratch or over an extended plan's old column")
+        ->Set(static_cast<double>(stats.plan_cache.column_builds));
+    reg->GetGauge("dpstarj_plan_column_reuses",
+                  "Join and weight column requests served by a live column "
+                  "another plan already holds")
+        ->Set(static_cast<double>(stats.plan_cache.column_reuses));
     reg->GetGauge("dpstarj_plan_recompiles",
                   "Plan-cache lookups that compiled a fresh plan")
         ->Set(static_cast<double>(stats.plan_cache.misses));

@@ -356,7 +356,8 @@ exec::ScanPlan CheckAgainstNaive(std::mt19937& rng,
                                  const std::string& where) {
   auto naive = exec::ExecuteNaive(bound);
   EXPECT_TRUE(naive.ok()) << naive.status().ToString();
-  auto plan = exec::ScanPlan::Compile(bound);
+  exec::PlanColumnStore columns;
+  auto plan = exec::ScanPlan::Compile(bound, columns);
   EXPECT_TRUE(plan.ok()) << plan.status().ToString();
   if (!naive.ok() || !plan.ok()) return exec::ScanPlan();
   const exec::PredicateOverrides none(bound.dims.size());
@@ -459,7 +460,8 @@ TEST(ExecutorEquivalence, StrictIntegrityMissesAgreeAcrossThreadCounts) {
     // Every thread count must fail and report the same (first) violating
     // row as the sequential scan, through a one-shot Execute and through a
     // compiled plan alike.
-    auto plan = exec::ScanPlan::Compile(*bound);
+    exec::PlanColumnStore columns;
+    auto plan = exec::ScanPlan::Compile(*bound, columns);
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
     const exec::PredicateOverrides none(bound->dims.size());
     std::string expected_message;

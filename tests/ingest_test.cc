@@ -108,8 +108,9 @@ void ExpectBitIdentical(const QueryResult& expected, const QueryResult& got) {
   }
 }
 
-// Every public scaffold array of the two plans, field by field. `where`
-// identifies the (shape, seed, batch) combination on failure.
+// Every public scaffold array of the two plans, field by field — the shared
+// join and weight columns by content, since the plans hold them by pointer.
+// `where` identifies the (shape, seed, batch) combination on failure.
 void ExpectSamePlan(const ScanPlan& fresh, const ScanPlan& ext,
                     const std::string& where) {
   SCOPED_TRACE(where);
@@ -117,9 +118,21 @@ void ExpectSamePlan(const ScanPlan& fresh, const ScanPlan& ext,
   EXPECT_EQ(fresh.fact_rows(), ext.fact_rows());
   EXPECT_EQ(fresh.grouped, ext.grouped);
   EXPECT_EQ(fresh.code_space, ext.code_space);
-  EXPECT_EQ(fresh.fact_dim_row, ext.fact_dim_row);
+  ASSERT_EQ(fresh.fact_dim_row.size(), ext.fact_dim_row.size());
+  for (size_t i = 0; i < fresh.fact_dim_row.size(); ++i) {
+    const exec::JoinColumn& f = *fresh.fact_dim_row[i];
+    const exec::JoinColumn& e = *ext.fact_dim_row[i];
+    EXPECT_EQ(f.fact_rows, e.fact_rows);
+    EXPECT_EQ(f.dim_rows, e.dim_rows);
+    EXPECT_EQ(f.has_absent_fk, e.has_absent_fk);
+    EXPECT_EQ(f.rows, e.rows);
+  }
   EXPECT_EQ(fresh.codes, ext.codes);
-  EXPECT_EQ(fresh.weights, ext.weights);
+  ASSERT_EQ(fresh.weights == nullptr, ext.weights == nullptr);
+  if (fresh.weights != nullptr) {
+    EXPECT_EQ(fresh.weights->fact_rows, ext.weights->fact_rows);
+    EXPECT_EQ(fresh.weights->values, ext.weights->values);
+  }
   EXPECT_EQ(fresh.has_sorted_runs, ext.has_sorted_runs);
   EXPECT_EQ(fresh.run_offsets, ext.run_offsets);
   EXPECT_EQ(fresh.sorted_dim_row, ext.sorted_dim_row);
@@ -129,7 +142,6 @@ void ExpectSamePlan(const ScanPlan& fresh, const ScanPlan& ext,
   ASSERT_EQ(fresh.dims.size(), ext.dims.size());
   for (size_t i = 0; i < fresh.dims.size(); ++i) {
     EXPECT_EQ(fresh.dims[i].num_rows, ext.dims[i].num_rows);
-    EXPECT_EQ(fresh.dims[i].has_absent_fk, ext.dims[i].has_absent_fk);
     EXPECT_EQ(fresh.dims[i].group_ordinal, ext.dims[i].group_ordinal);
     EXPECT_EQ(fresh.dims[i].rep_rows, ext.dims[i].rep_rows);
     EXPECT_EQ(fresh.dims[i].field, ext.dims[i].field);
@@ -154,7 +166,8 @@ TEST(IngestEquivalenceTest, ExtendMatchesFreshCompileOnRandomSchedules) {
 
       auto bound = binder.Bind(shapes[shape]);
       ASSERT_TRUE(bound.ok()) << bound.status().ToString();
-      auto prev = ScanPlan::Compile(*bound);
+      exec::PlanColumnStore columns;
+      auto prev = ScanPlan::Compile(*bound, columns);
       ASSERT_TRUE(prev.ok()) << prev.status().ToString();
 
       Rng rng(seed * 977 + shape);
@@ -167,9 +180,12 @@ TEST(IngestEquivalenceTest, ExtendMatchesFreshCompileOnRandomSchedules) {
         ASSERT_TRUE(grown.ok());
         ASSERT_TRUE(ScanPlan::IsAppendExtension(*prev, *grown));
 
-        auto ext = ScanPlan::ExtendFrom(*prev, *grown);
+        auto ext = ScanPlan::ExtendFrom(*prev, *grown, columns);
         ASSERT_TRUE(ext.ok()) << ext.status().ToString();
-        auto fresh = ScanPlan::Compile(*grown);
+        // A store of its own, so the fresh compile builds every column
+        // instead of reusing the extension's.
+        exec::PlanColumnStore fresh_columns;
+        auto fresh = ScanPlan::Compile(*grown, fresh_columns);
         ASSERT_TRUE(fresh.ok());
         ExpectSamePlan(*fresh, *ext,
                        Format("shape=%zu seed=%llu batch=%d rows=%lld", shape,
@@ -196,9 +212,10 @@ TEST(IngestEquivalenceTest, ExtendMatchesFreshCompileOnRandomSchedules) {
 TEST(IngestEquivalenceTest, ExtendDeclinedWhenFactGroupFieldOverflows) {
   storage::Catalog catalog = MakeToyCatalog();
   query::Binder binder(&catalog);
+  exec::PlanColumnStore columns;
   auto bound = binder.Bind(ToyFactGroupedQuery());
   ASSERT_TRUE(bound.ok());
-  auto plan = ScanPlan::Compile(*bound);
+  auto plan = ScanPlan::Compile(*bound, columns);
   ASSERT_TRUE(plan.ok());
 
   // qty was compiled from values 1..5: base 1, a 3-bit field, mask 7. An
@@ -213,7 +230,7 @@ TEST(IngestEquivalenceTest, ExtendDeclinedWhenFactGroupFieldOverflows) {
   auto grown = binder.Bind(ToyFactGroupedQuery());
   ASSERT_TRUE(grown.ok());
   ASSERT_TRUE(ScanPlan::IsAppendExtension(*plan, *grown));
-  auto ext = ScanPlan::ExtendFrom(*plan, *grown);
+  auto ext = ScanPlan::ExtendFrom(*plan, *grown, columns);
   ASSERT_FALSE(ext.ok());
   EXPECT_EQ(ext.status().code(), StatusCode::kNotSupported);
 
@@ -222,7 +239,7 @@ TEST(IngestEquivalenceTest, ExtendDeclinedWhenFactGroupFieldOverflows) {
   query::Binder binder2(&catalog2);
   auto bound2 = binder2.Bind(ToyFactGroupedQuery());
   ASSERT_TRUE(bound2.ok());
-  auto plan2 = ScanPlan::Compile(*bound2);
+  auto plan2 = ScanPlan::Compile(*bound2, columns);
   ASSERT_TRUE(plan2.ok());
   auto orders2 = catalog2.GetTable("Orders");
   ASSERT_TRUE(orders2.ok());
@@ -232,7 +249,7 @@ TEST(IngestEquivalenceTest, ExtendDeclinedWhenFactGroupFieldOverflows) {
                   .ok());
   auto grown2 = binder2.Bind(ToyFactGroupedQuery());
   ASSERT_TRUE(grown2.ok());
-  auto ext2 = ScanPlan::ExtendFrom(*plan2, *grown2);
+  auto ext2 = ScanPlan::ExtendFrom(*plan2, *grown2, columns);
   ASSERT_FALSE(ext2.ok());
   EXPECT_EQ(ext2.status().code(), StatusCode::kNotSupported);
 
@@ -249,7 +266,7 @@ TEST(IngestEquivalenceTest, ExtendDeclinedWhenFactGroupFieldOverflows) {
                   .ok());
   auto bound3 = binder3.Bind(ToyFactGroupedQuery());
   ASSERT_TRUE(bound3.ok());
-  auto plan3 = ScanPlan::Compile(*bound3);
+  auto plan3 = ScanPlan::Compile(*bound3, columns);
   ASSERT_TRUE(plan3.ok());
   ASSERT_FALSE(plan3->numbered_codes);  // range 4e18 + 5 < 2^62: packed
   ASSERT_TRUE((*orders3)
@@ -258,7 +275,7 @@ TEST(IngestEquivalenceTest, ExtendDeclinedWhenFactGroupFieldOverflows) {
                   .ok());
   auto grown3 = binder3.Bind(ToyFactGroupedQuery());
   ASSERT_TRUE(grown3.ok());
-  auto ext3 = ScanPlan::ExtendFrom(*plan3, *grown3);
+  auto ext3 = ScanPlan::ExtendFrom(*plan3, *grown3, columns);
   ASSERT_FALSE(ext3.ok());
   EXPECT_EQ(ext3.status().code(), StatusCode::kNotSupported);
 }
@@ -291,7 +308,8 @@ TEST(IngestEquivalenceTest, NumberedCodePlansRecompileOnAppend) {
                   .ok());
   auto grown = binder.Bind(q);
   ASSERT_TRUE(grown.ok());
-  auto ext = ScanPlan::ExtendFrom(**plan, *grown);
+  exec::PlanColumnStore columns;
+  auto ext = ScanPlan::ExtendFrom(**plan, *grown, columns);
   ASSERT_FALSE(ext.ok());
   EXPECT_EQ(ext.status().code(), StatusCode::kNotSupported);
 
@@ -313,9 +331,10 @@ TEST(IngestEquivalenceTest, NumberedCodePlansRecompileOnAppend) {
 TEST(IngestEquivalenceTest, ExtendRefusedWhenADimensionGrew) {
   storage::Catalog catalog = MakeToyCatalog();
   query::Binder binder(&catalog);
+  exec::PlanColumnStore columns;
   auto bound = binder.Bind(ToyCountQuery());
   ASSERT_TRUE(bound.ok());
-  auto plan = ScanPlan::Compile(*bound);
+  auto plan = ScanPlan::Compile(*bound, columns);
   ASSERT_TRUE(plan.ok());
 
   auto cust = catalog.GetTable("Cust");
@@ -327,7 +346,7 @@ TEST(IngestEquivalenceTest, ExtendRefusedWhenADimensionGrew) {
   auto grown = binder.Bind(ToyCountQuery());
   ASSERT_TRUE(grown.ok());
   EXPECT_FALSE(ScanPlan::IsAppendExtension(*plan, *grown));
-  auto ext = ScanPlan::ExtendFrom(*plan, *grown);
+  auto ext = ScanPlan::ExtendFrom(*plan, *grown, columns);
   ASSERT_FALSE(ext.ok());
   EXPECT_EQ(ext.status().code(), StatusCode::kNotSupported);
 }

@@ -407,7 +407,8 @@ TEST(KernelsTest, ExecutorResultsBitIdenticalAcrossKernelTables) {
     query::StarJoinQuery q = MakeMediumQuery(grouped);
     auto bound = binder.Bind(q);
     ASSERT_TRUE(bound.ok()) << bound.status().ToString();
-    auto plan = exec::ScanPlan::Compile(*bound);
+    exec::PlanColumnStore columns;
+    auto plan = exec::ScanPlan::Compile(*bound, columns);
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
 
     exec::ExecutorOptions options;

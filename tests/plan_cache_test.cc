@@ -1,13 +1,17 @@
 // PlanCache + ScanPlan behavior: cached-plan execution equals the naive
 // oracle (exec/naive_executor.h) bit-for-bit, invalidation fires when a
-// table grows, equivalent query spellings share one plan, the cache is safe
-// under concurrent use (run under TSan via the build-tsan / CI TSan
-// configuration), and the plan path never changes Predicate Mechanism noise
-// semantics.
+// table grows, equivalent query spellings share one plan, plans over one FK
+// edge or measure share one join or weight column for exactly as long as
+// some plan holds it, the cache is safe under concurrent use and appends
+// (run under TSan via the build-tsan / CI TSan configuration), and the plan
+// path never changes Predicate Mechanism noise semantics.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
+#include <mutex>
+#include <shared_mutex>
 #include <thread>
 #include <vector>
 
@@ -49,6 +53,28 @@ query::StarJoinQuery ToyGroupedQuery() {
   q.aggregate = query::AggregateKind::kSum;
   q.measure_terms = {{"qty", 1.0}};
   q.group_by = {{"Cust", "region"}, {"Prod", "cat"}};
+  return q;
+}
+
+// Two signatures over the same Orders→Cust edge with different predicate
+// columns: a COUNT filtered on region and a SUM(qty) filtered on tier.
+query::StarJoinQuery CustRegionCountQuery() {
+  query::StarJoinQuery q;
+  q.fact_table = "Orders";
+  q.joined_tables = {"Cust"};
+  q.aggregate = query::AggregateKind::kCount;
+  q.predicates.push_back(query::Predicate::Point("Cust", "region", Value("N")));
+  return q;
+}
+
+query::StarJoinQuery CustTierSumQuery() {
+  query::StarJoinQuery q;
+  q.fact_table = "Orders";
+  q.joined_tables = {"Cust"};
+  q.aggregate = query::AggregateKind::kSum;
+  q.measure_terms = {{"qty", 1.0}};
+  q.predicates.push_back(query::Predicate::Range(
+      "Cust", "tier", Value(int64_t{1}), Value(int64_t{2})));
   return q;
 }
 
@@ -343,43 +369,164 @@ TEST(PlanCacheTest, EmptyGroupByDimensionCompilesAndAnswersEmpty) {
   ExpectBitIdentical(*naive, *got);
 }
 
+TEST(PlanCacheTest, PlansShareJoinAndWeightColumnsWhileHeld) {
+  storage::Catalog catalog = MakeToyCatalog();
+  query::Binder binder(&catalog);
+  PlanCache cache(8);
+  StarJoinExecutor executor;
+
+  auto count_q = binder.Bind(CustRegionCountQuery());
+  auto sum_q = binder.Bind(CustTierSumQuery());
+  ASSERT_TRUE(count_q.ok() && sum_q.ok());
+  auto count_plan = cache.GetOrCompile(*count_q);
+  auto sum_plan = cache.GetOrCompile(*sum_q);
+  ASSERT_TRUE(count_plan.ok() && sum_plan.ok());
+  ASSERT_NE(count_plan->get(), sum_plan->get());  // two signatures
+  // One join column for the shared edge; the SUM adds its weight column.
+  const auto column = (*count_plan)->fact_dim_row[0];
+  EXPECT_EQ((*sum_plan)->fact_dim_row[0].get(), column.get());
+  EXPECT_EQ((*count_plan)->weights, nullptr);
+  ASSERT_NE((*sum_plan)->weights, nullptr);
+  EXPECT_EQ(column->fact_rows, 12);
+  PlanCache::Stats stats = cache.GetStats();
+  EXPECT_EQ(stats.column_builds, 2u);  // the join column + the weights
+  EXPECT_EQ(stats.column_reuses, 1u);  // the SUM's join column
+
+  // A fact append: the first lookup extends the edge's column over the tail
+  // and the second reuses that extension, so both plans stay on one object.
+  auto orders = catalog.GetTable("Orders");
+  ASSERT_TRUE(orders.ok());
+  ASSERT_TRUE(
+      (*orders)
+          ->AppendRow({Value(int64_t{1}), Value(int64_t{1}), Value(int64_t{9}),
+                       Value(90.0)})
+          .ok());
+  auto count_ext = cache.GetOrCompile(*count_q);
+  auto sum_ext = cache.GetOrCompile(*sum_q);
+  ASSERT_TRUE(count_ext.ok() && sum_ext.ok());
+  const auto extended = (*count_ext)->fact_dim_row[0];
+  EXPECT_NE(extended.get(), column.get());
+  EXPECT_EQ((*sum_ext)->fact_dim_row[0].get(), extended.get());
+  EXPECT_EQ(extended->fact_rows, 13);
+  EXPECT_EQ((*sum_ext)->weights->fact_rows, 13);
+  stats = cache.GetStats();
+  EXPECT_EQ(stats.extends, 2u);
+  // One build per edge (plus the SUM's weights); the second extend reuses.
+  EXPECT_EQ(stats.column_builds, 2u + 2u);
+  EXPECT_EQ(stats.column_reuses, 1u + 1u);
+  for (const auto* q : {&*count_q, &*sum_q}) {
+    auto plan = cache.GetOrCompile(*q);
+    ASSERT_TRUE(plan.ok());
+    auto naive = exec::ExecuteNaive(*q);
+    auto got =
+        executor.Execute(*q, PredicateOverrides(q->dims.size()), **plan);
+    ASSERT_TRUE(naive.ok() && got.ok());
+    ExpectBitIdentical(*naive, *got);
+  }
+
+  // A dimension append changes the edge itself: a new column object, again
+  // shared by both recompiled plans.
+  auto cust = catalog.GetTable("Cust");
+  ASSERT_TRUE(cust.ok());
+  ASSERT_TRUE(
+      (*cust)->AppendRow({Value(int64_t{7}), Value("N"), Value(int64_t{1})}).ok());
+  std::shared_ptr<const ScanPlan> held_count =
+      cache.GetOrCompile(*count_q).ValueOr(nullptr);
+  std::shared_ptr<const ScanPlan> held_sum =
+      cache.GetOrCompile(*sum_q).ValueOr(nullptr);
+  ASSERT_TRUE(held_count != nullptr && held_sum != nullptr);
+  const std::weak_ptr<const exec::JoinColumn> watched =
+      held_count->fact_dim_row[0];
+  EXPECT_NE(held_count->fact_dim_row[0].get(), extended.get());
+  EXPECT_EQ(held_sum->fact_dim_row[0].get(), held_count->fact_dim_row[0].get());
+  EXPECT_EQ(held_count->fact_dim_row[0]->dim_rows, 7);
+
+  // The column lives exactly as long as some plan references it: Clear()
+  // alone leaves it to the plans this test still holds.
+  cache.Clear();
+  EXPECT_FALSE(watched.expired());
+  held_count.reset();
+  EXPECT_FALSE(watched.expired());
+  held_sum.reset();
+  EXPECT_TRUE(watched.expired());
+}
+
 TEST(PlanCacheTest, ConcurrentSharedCacheIsSafe) {
   storage::Catalog catalog = MakeToyCatalog();
   query::Binder binder(&catalog);
   auto cache = std::make_shared<PlanCache>(4);
 
-  auto bound_count = binder.Bind(ToyCountQuery());
-  auto bound_group = binder.Bind(ToyGroupedQuery());
-  ASSERT_TRUE(bound_count.ok() && bound_group.ok());
-  auto expect_count = exec::ExecuteNaive(*bound_count);
-  auto expect_group = exec::ExecuteNaive(*bound_group);
-  ASSERT_TRUE(expect_count.ok() && expect_group.ok());
+  // Four signatures sharing FK edges (all join Orders→Cust, two also
+  // Orders→Prod; two SUM the same measure), so concurrent compiles and
+  // extends race on the same join and weight columns.
+  std::vector<query::BoundQuery> bound;
+  for (const auto& q : {ToyCountQuery(), ToyGroupedQuery(),
+                        CustRegionCountQuery(), CustTierSumQuery()}) {
+    auto b = binder.Bind(q);
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    bound.push_back(std::move(*b));
+  }
+  auto orders = catalog.GetTable("Orders");
+  ASSERT_TRUE(orders.ok());
 
+  // Appends exclude scans, as the service's per-table lock makes them.
+  std::shared_mutex table_mu;
   std::atomic<int> failures{0};
+  std::atomic<int> lookups{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&, t]() {
-      const query::BoundQuery& bound = t % 2 == 0 ? *bound_count : *bound_group;
-      const QueryResult& expected = t % 2 == 0 ? *expect_count : *expect_group;
       StarJoinExecutor local;
       for (int i = 0; i < 50; ++i) {
         if (t == 0 && i % 16 == 7) cache->Clear();  // exercise the clear race
-        auto plan = cache->GetOrCompile(bound);
+        const query::BoundQuery& q = bound[static_cast<size_t>(t + i) % 4];
+        std::shared_lock<std::shared_mutex> lock(table_mu);
+        auto plan = cache->GetOrCompile(q);
+        ++lookups;
         if (!plan.ok()) {
           ++failures;
           continue;
         }
-        auto got = local.Execute(bound, PredicateOverrides(bound.dims.size()),
-                                 **plan);
-        if (!got.ok() || got->scalar != expected.scalar ||
-            got->groups != expected.groups) {
+        auto got =
+            local.Execute(q, PredicateOverrides(q.dims.size()), **plan);
+        auto expected = exec::ExecuteNaive(q);
+        if (!got.ok() || !expected.ok() || got->scalar != expected->scalar ||
+            got->groups != expected->groups) {
           ++failures;
         }
       }
     });
   }
+  // Interleaved fact appends: each lands once the readers are further in, so
+  // stale entries get extended while other threads compile over the edges.
+  threads.emplace_back([&]() {
+    for (int k = 1; k <= 5; ++k) {
+      while (lookups.load() < 60 * k) std::this_thread::yield();
+      std::unique_lock<std::shared_mutex> lock(table_mu);
+      if (!(*orders)
+               ->AppendRow({Value(int64_t{k}), Value(int64_t{1 + k % 4}),
+                            Value(int64_t{k}), Value(10.0 * k)})
+               .ok()) {
+        ++failures;
+      }
+    }
+  });
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
+
+  // However the races went, the plans now cached sit on one join column per
+  // edge: every signature's Orders→Cust column is the same object.
+  std::shared_ptr<const exec::JoinColumn> cust_column;
+  for (const auto& q : bound) {
+    auto plan = cache->GetOrCompile(q);
+    ASSERT_TRUE(plan.ok());
+    EXPECT_EQ((*plan)->fact_rows(), 17);
+    for (size_t i = 0; i < q.dims.size(); ++i) {
+      if (q.dims[i].table != "Cust") continue;
+      if (cust_column == nullptr) cust_column = (*plan)->fact_dim_row[i];
+      EXPECT_EQ((*plan)->fact_dim_row[i].get(), cust_column.get());
+    }
+  }
 }
 
 TEST(PlanCacheTest, PlanPathDoesNotChangePmNoiseSemantics) {

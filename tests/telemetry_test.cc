@@ -306,6 +306,22 @@ TEST_F(TelemetryTest, StatsAndMetricsAgree) {
   EXPECT_EQ(submitted->Value(), in_process.submitted);
   EXPECT_EQ(in_process.submitted, 5u);
   EXPECT_EQ(in_process.completed, 5u);
+
+  // So do the plan cache's column counters: the five queries share one
+  // signature, whose compile built one join column per dimension.
+  const Json* plans = stats->Find("plan_cache");
+  ASSERT_NE(plans, nullptr);
+  EXPECT_EQ(in_process.plan_cache.column_builds, 2u);
+  EXPECT_DOUBLE_EQ(*plans->GetNumber("column_builds"), 2.0);
+  EXPECT_DOUBLE_EQ(*plans->GetNumber("column_reuses"),
+                   static_cast<double>(in_process.plan_cache.column_reuses));
+  ASSERT_EQ(client.Get("/metrics")->status, 200);
+  const obs::Gauge* builds = metrics->FindGauge("dpstarj_plan_column_builds");
+  const obs::Gauge* reuses = metrics->FindGauge("dpstarj_plan_column_reuses");
+  ASSERT_TRUE(builds != nullptr && reuses != nullptr);
+  EXPECT_EQ(builds->Value(), 2.0);
+  EXPECT_EQ(reuses->Value(),
+            static_cast<double>(in_process.plan_cache.column_reuses));
   server.Stop();
 }
 

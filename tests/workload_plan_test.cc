@@ -113,12 +113,13 @@ TEST(WorkloadPlanTest, SsbBatchMatchesSequentialWarmExecutionBitForBit) {
 
   std::vector<query::BoundQuery> bound;
   std::vector<std::shared_ptr<const exec::ScanPlan>> plans;
+  exec::PlanColumnStore columns;
   for (const char* name : {"Qc1", "Qc2", "Qc3", "Qc4", "Qg2", "Qg4"}) {
     auto q = ssb::GetQuery(name);
     ASSERT_TRUE(q.ok()) << name;
     auto b = binder.Bind(*q);
     ASSERT_TRUE(b.ok()) << name << ": " << b.status().ToString();
-    auto plan = exec::ScanPlan::Compile(*b);
+    auto plan = exec::ScanPlan::Compile(*b, columns);
     ASSERT_TRUE(plan.ok()) << name << ": " << plan.status().ToString();
     bound.push_back(std::move(*b));
     plans.push_back(std::make_shared<exec::ScanPlan>(std::move(*plan)));
@@ -186,10 +187,11 @@ TEST(WorkloadPlanTest, CseDedupesIdenticalPredicateNodes) {
 
   std::vector<query::BoundQuery> bound;
   std::vector<std::shared_ptr<const exec::ScanPlan>> plans;
+  exec::PlanColumnStore columns;
   for (const auto& q : {a, b, c}) {
     auto bq = binder.Bind(q);
     ASSERT_TRUE(bq.ok()) << bq.status().ToString();
-    auto plan = exec::ScanPlan::Compile(*bq);
+    auto plan = exec::ScanPlan::Compile(*bq, columns);
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
     bound.push_back(std::move(*bq));
     plans.push_back(std::make_shared<exec::ScanPlan>(std::move(*plan)));
@@ -274,8 +276,9 @@ TEST(WorkloadPlanTest, UnpackableGroupKeysMatchNaiveThroughBatch) {
     bound.push_back(std::move(*b));
   }
   std::vector<std::shared_ptr<const exec::ScanPlan>> plans;
+  exec::PlanColumnStore columns;
   for (const auto& b : bound) {
-    auto plan = exec::ScanPlan::Compile(b);
+    auto plan = exec::ScanPlan::Compile(b, columns);
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
     plans.push_back(std::make_shared<exec::ScanPlan>(std::move(*plan)));
   }
@@ -331,12 +334,13 @@ TEST(WorkloadPlanTest, BatchExecutionIsDeterministicAcrossThreadCounts) {
 
   std::vector<query::BoundQuery> bound;
   std::vector<std::shared_ptr<const exec::ScanPlan>> plans;
+  exec::PlanColumnStore columns;
   for (const char* name : {"Qc2", "Qg2", "Qg4"}) {
     auto q = ssb::GetQuery(name);
     ASSERT_TRUE(q.ok());
     auto b = binder.Bind(*q);
     ASSERT_TRUE(b.ok()) << b.status().ToString();
-    auto plan = exec::ScanPlan::Compile(*b);
+    auto plan = exec::ScanPlan::Compile(*b, columns);
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
     bound.push_back(std::move(*b));
     plans.push_back(std::make_shared<exec::ScanPlan>(std::move(*plan)));

@@ -73,6 +73,9 @@ REQUIRED = [
     "dpstarj_ingest_api_duration_seconds",
     "dpstarj_plan_extends",
     "dpstarj_plan_recompiles",
+    # Plans' shared join and weight columns: builds vs reuses.
+    "dpstarj_plan_column_builds",
+    "dpstarj_plan_column_reuses",
 ]
 
 
