@@ -22,6 +22,8 @@ namespace dpstarj {
 template <typename T>
 class Result {
  public:
+  using ValueType = T;
+
   /// Constructs from a value (implicit so `return value;` works).
   Result(T value) : value_(std::move(value)) {}  // NOLINT(google-explicit-constructor)
 

@@ -79,9 +79,7 @@ std::vector<Result<exec::QueryResult>> PredicateMechanism::AnswerBatch(
   }
 
   // ---- 2. execution strategy: each query's cached scaffold, then one
-  // WorkloadPlan over the batch. Strict integrity needs the single-query
-  // path's exact row reporting, so strict queries run one at a time.
-  const bool strict = executor_.options().strict_integrity;
+  // WorkloadPlan over the batch.
   std::vector<exec::WorkloadItem> items;
   std::vector<size_t> item_query;  // items[i] answers batch[item_query[i]]
   items.reserve(batch.size());
@@ -92,11 +90,6 @@ std::vector<Result<exec::QueryResult>> PredicateMechanism::AnswerBatch(
         plan_cache_->GetOrCompile(*batch[k].query, trace);
     if (!plan.ok()) {
       slots[k] = plan.status();
-      continue;
-    }
-    if (strict) {
-      slots[k] =
-          executor_.Execute(*batch[k].query, overrides[k], **plan, trace);
       continue;
     }
     exec::WorkloadItem item;

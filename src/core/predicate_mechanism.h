@@ -83,10 +83,11 @@ class PredicateMechanism {
   /// swept once, accumulating every query simultaneously.
   ///
   /// Returns one Result per query, in batch order: a query that fails to
-  /// perturb or plan gets its own error without failing the batch. Under
-  /// strict integrity every query runs through the single-query path
-  /// instead, still in batch order. `stats` (optional) accumulates the CSE
-  /// receipts of the shared-scan portion.
+  /// perturb or plan gets its own error without failing the batch. Each
+  /// answer equals what Answer would return on the same draws — bit for bit,
+  /// except grouped SUMs whose plans have sorted runs, which agree to
+  /// rounding (exec/workload_plan.h). `stats` (optional) accumulates the CSE
+  /// receipts of the batch.
   std::vector<Result<exec::QueryResult>> AnswerBatch(
       const std::vector<BatchQueryRef>& batch, Rng* rng,
       obs::Trace* trace = nullptr,

@@ -239,94 +239,6 @@ Result<DataCube> DataCube::Build(
   return cube;
 }
 
-Status DataCube::AppendRows(const query::BoundQuery& q, int64_t first_row) {
-  const int64_t fact_rows = q.fact->num_rows();
-  if (first_row < 0 || first_row > fact_rows) {
-    return Status::InvalidArgument("cube append: first_row out of range");
-  }
-
-  // Rebuild the probes from the query exactly as Build does: axis probes in
-  // axis order (revalidating that each axis table is still joined and its
-  // domain still fits), then presence probes for the remaining joined
-  // dimensions in bound order.
-  std::vector<CubeProbe> probes;
-  probes.reserve(q.dims.size());
-  for (size_t a = 0; a < axes_.size(); ++a) {
-    const CubeAxis& axis = axes_[a];
-    const query::DimBinding* owner = nullptr;
-    for (const auto& d : q.dims) {
-      if (d.table == axis.table) {
-        owner = &d;
-        break;
-      }
-    }
-    if (owner == nullptr) {
-      return Status::InvalidArgument(
-          Format("cube append: axis table %s not joined by the query",
-                 axis.table.c_str()));
-    }
-    DPSTARJ_ASSIGN_OR_RETURN(int col,
-                             owner->dim->schema().FieldIndex(axis.column));
-    DPSTARJ_ASSIGN_OR_RETURN(
-        std::vector<int64_t> ordinals,
-        ComputeDomainIndexes(owner->dim->column(col), axis.domain));
-    CubeProbe probe;
-    const auto& keys = owner->dim->column(owner->dim_pk_col).int64_data();
-    probe.lut = AxisLut::Build(keys, &ordinals);
-    probe.fk = q.fact->column(owner->fact_fk_col).int64_data().data();
-    probe.stride = strides_[a];
-    probes.push_back(std::move(probe));
-  }
-  for (const auto& d : q.dims) {
-    bool is_axis = false;
-    for (const auto& axis : axes_) {
-      if (axis.table == d.table) {
-        is_axis = true;
-        break;
-      }
-    }
-    if (is_axis) continue;
-    CubeProbe probe;
-    const auto& pk = d.dim->column(d.dim_pk_col).int64_data();
-    probe.lut = AxisLut::Build(pk, nullptr);
-    probe.fk = q.fact->column(d.fact_fk_col).int64_data().data();
-    probe.stride = 0;
-    probes.push_back(std::move(probe));
-  }
-
-  std::vector<std::pair<storage::Column::NumericView, double>> measures;
-  measures.reserve(q.measure_cols.size());
-  for (const auto& [col, coeff] : q.measure_cols) {
-    measures.emplace_back(q.fact->column(col).numeric_view(), coeff);
-  }
-
-  // Sequential tail scan in row order: the same contribution order a fresh
-  // sequential Build would use for these rows.
-  const size_t num_probes = probes.size();
-  for (int64_t row = first_row; row < fact_rows; ++row) {
-    int64_t offset = 0;
-    bool drop = false;
-    for (size_t a = 0; a < num_probes; ++a) {
-      const CubeProbe& probe = probes[a];
-      int64_t ordinal = probe.lut.Lookup(probe.fk[row]);
-      drop |= ordinal < 0;
-      offset += ordinal * probe.stride;  // poisoned when drop; unused then
-    }
-    if (drop) {
-      ++dropped_rows_;
-      continue;
-    }
-    double w = 1.0;
-    if (!measures.empty()) {
-      w = 0.0;
-      for (const auto& [view, coeff] : measures) w += coeff * view[row];
-    }
-    values_[static_cast<size_t>(offset)] += w;
-    total_ += w;
-  }
-  return Status::OK();
-}
-
 Result<DataCube> DataCube::BuildFromQueryPredicates(const query::BoundQuery& q,
                                                     const CubeOptions& options) {
   std::vector<query::DimensionAttribute> attrs;

@@ -6,6 +6,11 @@
 // ordinals. This is the vector W of Eq. (11): any predicate query over the
 // attributes is a dot product against the cube, which makes repeated-noise
 // experiments and Workload Decomposition evaluation cheap.
+//
+// A cube is a snapshot of the tables at Build time: it is not maintained
+// across appends, so callers that ingest rows build a new one. The served
+// path never holds a cube — it answers through ScanPlans
+// (exec/scan_plan.h), which do extend across appends.
 
 #pragma once
 
@@ -64,15 +69,6 @@ class DataCube {
   /// of predicate-bearing dims in the bound query).
   static Result<DataCube> BuildFromQueryPredicates(const query::BoundQuery& q,
                                                    const CubeOptions& options = {});
-
-  /// \brief Folds fact rows [first_row, q.fact->num_rows()) into the cube —
-  /// the incremental counterpart of Build for streaming ingest. `q` must
-  /// join every axis table (axes are revalidated against the query); the
-  /// dimensions must be unchanged since the build. The tail is scanned
-  /// sequentially in row order, so a cube maintained across appends equals
-  /// a fresh sequential Build over the final table bit for bit
-  /// (tests/ingest_test.cc asserts this).
-  Status AppendRows(const query::BoundQuery& q, int64_t first_row);
 
   /// The axes, in build order.
   const std::vector<CubeAxis>& axes() const { return axes_; }

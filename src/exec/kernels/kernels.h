@@ -8,11 +8,11 @@
 //   pass_mask             the per-row verdict gather of the warm fact sweep:
 //                         for ≤ 64 rows, gather each dimension's resolved row
 //                         into its predicate bitmap and AND the bits into one
-//                         mask word (star_join_executor.cc plan paths);
+//                         mask word (star_join_executor.cc sweeps);
 //   sum_span              contiguous double accumulation in a FIXED four-lane
-//                         split (see below), used for all-pass chunks of the
-//                         per-run gather/accumulate (32-byte-wide loads over
-//                         NumericView-backed weight spans);
+//                         split (see below), used for the all-pass chunks of
+//                         every fact sweep (SumChunk; 32-byte-wide loads over
+//                         the plan's weight spans);
 //   byte_gather_transpose the workload plan's per-slot verdict gather: pull
 //                         ≤ 64 byte-wide verdict words and transpose bit k of
 //                         every byte into node k's packed verdict word
@@ -114,6 +114,17 @@ inline double SumMaskedAscending(const double* w, int64_t base, uint64_t mask) {
     sum += w[base + bit];
   }
   return sum;
+}
+
+/// \brief The sum of one ≤ 64-row chunk's passing weights, rows
+/// [base, base + nbits) with `mask` set: sum_span's four-lane split when
+/// every row passes, SumMaskedAscending otherwise. Every fact sweep sums its
+/// chunks through this one association.
+inline double SumChunk(const EngineKernels& kern, const double* w, int64_t base,
+                       int nbits, uint64_t mask) {
+  const uint64_t all = nbits == 64 ? ~uint64_t{0} : (uint64_t{1} << nbits) - 1;
+  return mask == all ? kern.sum_span(w + base, nbits)
+                     : SumMaskedAscending(w, base, mask);
 }
 
 }  // namespace dpstarj::exec::kernels

@@ -21,18 +21,6 @@ const std::vector<query::BoundPredicate>* EffectivePreds(
   return &q.dims[i].predicates;
 }
 
-struct ScanPartial {
-  double scalar = 0.0;
-  int64_t rows = 0;
-  std::unique_ptr<GroupAccumulator> groups;
-  int64_t error_row = -1;  // first strict-integrity violation in scan order
-  int error_dim = -1;
-};
-
-// Workers bump scalar/rows on every passing chunk, so each role's partial
-// gets its own cache line (see CacheAligned in exec/parallel.h).
-using ScanPartials = std::vector<CacheAligned<ScanPartial>>;
-
 // True when bits [0, rows) are all set — a rebuilt predicate bitmap that
 // passes every real dimension row. Together with JoinColumn::has_absent_fk
 // == false this proves the dimension cannot reject any fact row, so the sweep
@@ -50,52 +38,9 @@ bool BitmapPassesAllRows(const std::vector<uint64_t>& words, int32_t rows) {
   return (words[static_cast<size_t>(full)] & need) == need;
 }
 
-// First strict-integrity violation across workers (scan order), or row -1.
-std::pair<int64_t, int> FirstStrictError(const ScanPartials& partials) {
-  int64_t error_row = -1;
-  int error_dim = -1;
-  for (const auto& slot : partials) {
-    const ScanPartial& p = slot.value;
-    if (p.error_row >= 0 && (error_row < 0 || p.error_row < error_row)) {
-      error_row = p.error_row;
-      error_dim = p.error_dim;
-    }
-  }
-  return {error_row, error_dim};
-}
-
-Status StrictErrorStatus(const query::BoundQuery& q, int64_t error_row,
-                         int error_dim) {
-  int64_t key = q.fact->column(q.dims[static_cast<size_t>(error_dim)].fact_fk_col)
-                    .int64_data()[static_cast<size_t>(error_row)];
-  return Status::InvalidArgument(
-      Format("fact row %lld: foreign key %lld misses dimension '%s'",
-             static_cast<long long>(error_row), static_cast<long long>(key),
-             q.dims[static_cast<size_t>(error_dim)].table.c_str()));
-}
-
-// Folds worker partials of a non-grouped scan, in worker order.
-QueryResult FinalizeScalar(const ScanPartials& partials, bool is_avg) {
-  QueryResult result;
-  double scalar = 0.0;
-  int64_t rows = 0;
-  for (const auto& slot : partials) {
-    scalar += slot.value.scalar;
-    rows += slot.value.rows;
-  }
-  result.scalar =
-      is_avg ? (rows > 0 ? scalar / static_cast<double>(rows) : 0.0) : scalar;
-  return result;
-}
-
-// Resolves the worker count for a fact scan of `fact_rows` rows.
-int ResolveWorkers(const ExecutorOptions& options, int64_t fact_rows) {
-  return MorselPool::ResolveWorkers(options.exec_threads, options.morsel_size,
-                                    fact_rows);
-}
-
-}  // namespace
-
+// Renders a merged group accumulator: labels are rendered once per group
+// (ScanPlan::RenderLabel) and merged by rendered label, since distinct codes
+// can format identically.
 QueryResult RenderPlanGroups(const query::BoundQuery& q, const ScanPlan& plan,
                              const GroupAccumulator& merged, bool is_avg) {
   std::map<std::string, GroupAgg> by_label;
@@ -112,6 +57,45 @@ QueryResult RenderPlanGroups(const query::BoundQuery& q, const ScanPlan& plan,
     result.groups[label_key] =
         is_avg ? agg.sum / static_cast<double>(agg.rows) : agg.sum;
   }
+  return result;
+}
+
+}  // namespace
+
+SweepAccumulator::SweepAccumulator(const ScanPlan& plan, int num_workers)
+    : plan_(plan),
+      kern_(kernels::ActiveKernels()),
+      weights_(plan.weights == nullptr ? nullptr : plan.weights->values.data()),
+      codes_(plan.grouped ? plan.codes.data() : nullptr),
+      partials_(static_cast<size_t>(num_workers)) {
+  if (!plan.grouped) return;
+  // Each worker sees about fact_rows / num_workers rows, so a flat vector
+  // much larger than that would be mostly zero-initialized slack.
+  const uint64_t dense_limit =
+      static_cast<uint64_t>(plan.fact_rows() / num_workers) * 4 + 1024;
+  for (Partial& p : partials_) {
+    p.groups = std::make_unique<GroupAccumulator>(plan.code_space, dense_limit);
+  }
+}
+
+QueryResult SweepAccumulator::Finalize(const query::BoundQuery& q) {
+  const bool is_avg = q.query.aggregate == query::AggregateKind::kAvg;
+  if (codes_ != nullptr) {
+    GroupAccumulator& merged = *partials_[0].groups;
+    for (size_t i = 1; i < partials_.size(); ++i) {
+      merged.MergeFrom(*partials_[i].groups);
+    }
+    return RenderPlanGroups(q, plan_, merged, is_avg);
+  }
+  double sum = 0.0;
+  int64_t rows = 0;
+  for (const Partial& p : partials_) {
+    sum += p.sum;
+    rows += p.rows;
+  }
+  QueryResult result;
+  result.scalar =
+      is_avg ? (rows > 0 ? sum / static_cast<double>(rows) : 0.0) : sum;
   return result;
 }
 
@@ -154,40 +138,46 @@ Result<QueryResult> StarJoinExecutor::Execute(const query::BoundQuery& q,
                                       *EffectivePreds(q, overrides, i)));
     }
   }
-  // Everything below is the fact sweep (run-sorted or probing) + merge.
+  // Everything below is the fact sweep (run-sorted or row-order) + merge.
   obs::ScopedStage scan_span(trace, obs::Stage::kScan);
 
   const int64_t fact_rows = plan.fact_rows();
-  const int num_workers = ResolveWorkers(options_, fact_rows);
-  const bool strict = options_.strict_integrity;
-  const bool is_avg = q.query.aggregate == query::AggregateKind::kAvg;
+  const int num_workers = MorselPool::ResolveWorkers(
+      options_.exec_threads, options_.morsel_size, fact_rows);
+  const auto& kern = kernels::ActiveKernels();
+  // Only dimensions that can actually reject a fact row take part in the
+  // verdict gather (see BitmapPassesAllRows).
+  std::vector<size_t> active;
+  std::vector<const uint64_t*> words;
+  for (size_t i = 0; i < num_dims; ++i) {
+    if (!plan.fact_dim_row[i]->has_absent_fk &&
+        BitmapPassesAllRows(bitmaps[i], plan.dims[i].num_rows)) {
+      continue;
+    }
+    active.push_back(i);
+    words.push_back(bitmaps[i].data());
+  }
+  const size_t active_dims = active.size();
+  std::vector<const int32_t*> dim_rows(active_dims);  // filled per sweep
+  const int32_t* const* drows = dim_rows.data();
+  const uint64_t* const* wptrs = words.data();
 
-  // ---- run-sorted fast path (grouped, dense code space, non-strict): sweep
-  // each group's pre-partitioned run once and emit a single aggregate into
-  // its pre-rendered label slot — sequential reads, no random accumulator
+  // ---- run-sorted fast path (grouped, dense code space): sweep each group's
+  // pre-partitioned run once and emit a single aggregate into its
+  // pre-rendered label slot — sequential reads, no random accumulator
   // traffic, and no string work at all. Per-group sums associate in row
   // order, so results are identical at every worker count for exact
   // aggregates and reproducible for inexact ones.
-  if (grouped && plan.has_sorted_runs && !strict) {
+  if (grouped && plan.has_sorted_runs) {
     const int64_t code_space = static_cast<int64_t>(*plan.code_space);
     const size_t num_labels = plan.group_labels.size();
     const int64_t* offsets = plan.run_offsets.data();
     const int32_t* label_of = plan.label_of_code.data();
     const double* sorted_w =
         plan.sorted_weights.empty() ? nullptr : plan.sorted_weights.data();
-    // Only dimensions that can actually reject a fact row take part in the
-    // verdict gather (see BitmapPassesAllRows).
-    std::vector<const int32_t*> sorted_rows;
-    std::vector<const uint64_t*> words;
-    for (size_t i = 0; i < num_dims; ++i) {
-      if (!plan.fact_dim_row[i]->has_absent_fk &&
-          BitmapPassesAllRows(bitmaps[i], plan.dims[i].num_rows)) {
-        continue;
-      }
-      sorted_rows.push_back(plan.sorted_dim_row[i].data());
-      words.push_back(bitmaps[i].data());
+    for (size_t k = 0; k < active_dims; ++k) {
+      dim_rows[k] = plan.sorted_dim_row[active[k]].data();
     }
-    const size_t active_dims = sorted_rows.size();
     // Workers are sized by the real work — the fact rows inside the runs —
     // then clamped to the number of code morsels actually available.
     const int64_t code_morsel = std::max<int64_t>(
@@ -198,13 +188,8 @@ Result<QueryResult> StarJoinExecutor::Execute(const query::BoundQuery& q,
     std::vector<std::vector<GroupAgg>> label_partials(
         static_cast<size_t>(sweep_workers), std::vector<GroupAgg>(num_labels));
     // The sweep dispatches through the kernel layer in ≤64-row chunks: one
-    // pass_mask gather-AND per chunk, popcount for the row count, and a wide
-    // contiguous accumulate (sum_span) when every row in the chunk passed —
-    // the common case for selective-on-few-dims queries — falling back to a
-    // set-bit walk for sparse chunks.
-    const auto& kern = kernels::ActiveKernels();
-    const int32_t* const* srows = sorted_rows.data();
-    const uint64_t* const* wptrs = words.data();
+    // pass_mask gather-AND per chunk, popcount for the row count, and the
+    // chunk sum (kernels::SumChunk) for SUMs.
     auto sweep = [&](int worker, int64_t code_begin, int64_t code_end) {
       std::vector<GroupAgg>& aggs = label_partials[static_cast<size_t>(worker)];
       for (int64_t code = code_begin; code < code_end; ++code) {
@@ -221,14 +206,11 @@ Result<QueryResult> StarJoinExecutor::Execute(const query::BoundQuery& q,
           for (int64_t j = begin; j < end; j += 64) {
             const int nbits = static_cast<int>(std::min<int64_t>(64, end - j));
             const uint64_t mask =
-                kern.pass_mask(srows, wptrs, active_dims, j, nbits);
+                kern.pass_mask(drows, wptrs, active_dims, j, nbits);
             if (mask == 0) continue;
-            const int hits = __builtin_popcountll(mask);
-            rows += hits;
+            rows += __builtin_popcountll(mask);
             if (sorted_w == nullptr) continue;  // COUNT: popcount is enough
-            sum += hits == nbits
-                       ? kern.sum_span(sorted_w + j, nbits)
-                       : kernels::SumMaskedAscending(sorted_w, j, mask);
+            sum += kernels::SumChunk(kern, sorted_w, j, nbits, mask);
           }
         }
         if (rows > 0) {
@@ -242,6 +224,7 @@ Result<QueryResult> StarJoinExecutor::Execute(const query::BoundQuery& q,
 
     // Labels are pre-sorted, so the result map builds in O(groups) with an
     // end hint instead of O(groups log groups) comparisons.
+    const bool is_avg = q.query.aggregate == query::AggregateKind::kAvg;
     QueryResult result;
     result.grouped = true;
     for (size_t li = 0; li < num_labels; ++li) {
@@ -258,132 +241,25 @@ Result<QueryResult> StarJoinExecutor::Execute(const query::BoundQuery& q,
     return result;
   }
 
-  ScanPartials partials(static_cast<size_t>(num_workers));
-  if (grouped) {
-    const uint64_t dense_limit =
-        static_cast<uint64_t>(fact_rows / num_workers) * 4 + 1024;
-    for (auto& p : partials) {
-      p.value.groups =
-          std::make_unique<GroupAccumulator>(plan.code_space, dense_limit);
-    }
+  // ---- the row-order sweep: ≤ 64-row chunks of pure gathers — resolved
+  // dimension rows index into the pass bitmaps, and an absent FK hits the
+  // sentinel bit, which is always 0 — then SweepAccumulator does the rest.
+  for (size_t k = 0; k < active_dims; ++k) {
+    dim_rows[k] = plan.fact_dim_row[active[k]]->rows.data();
   }
-
-  std::vector<const int32_t*> dim_rows(num_dims);
-  std::vector<const uint64_t*> pass_words(num_dims);
-  std::vector<int32_t> sentinels(num_dims);
-  for (size_t i = 0; i < num_dims; ++i) {
-    dim_rows[i] = plan.fact_dim_row[i]->rows.data();
-    pass_words[i] = bitmaps[i].data();
-    sentinels[i] = plan.dims[i].num_rows;
-  }
-  // The non-strict sweep only gathers dimensions that can reject a row
-  // (BitmapPassesAllRows); strict mode keeps the full set because it must
-  // report the exact (row, dimension) of an integrity violation.
-  std::vector<const int32_t*> active_rows;
-  std::vector<const uint64_t*> active_words;
-  for (size_t i = 0; i < num_dims; ++i) {
-    if (!plan.fact_dim_row[i]->has_absent_fk &&
-        BitmapPassesAllRows(bitmaps[i], plan.dims[i].num_rows)) {
-      continue;
-    }
-    active_rows.push_back(dim_rows[i]);
-    active_words.push_back(pass_words[i]);
-  }
-  const size_t active_dims = active_rows.size();
-  const uint64_t* codes = plan.codes.data();
-  const double* weights =
-      plan.weights == nullptr ? nullptr : plan.weights->values.data();
-
-  // The scan is pure gathers: resolved dimension rows index into the pass
-  // bitmaps (an absent FK hits the sentinel bit, which is always 0), and the
-  // group code and weight are pre-packed per row. Strict mode takes a
-  // separate branchy loop because it must report the first absent FK in
-  // scan order, at its exact (row, dimension), rather than drop the row.
+  SweepAccumulator acc(plan, num_workers);
   auto scan = [&](int worker, int64_t begin, int64_t end) {
-    ScanPartial& p = partials[static_cast<size_t>(worker)].value;
-    if (p.error_row >= 0) return;
-    if (strict) {
-      for (int64_t row = begin; row < end; ++row) {
-        bool pass = true;
-        for (size_t i = 0; i < num_dims; ++i) {
-          int32_t dr = dim_rows[i][row];
-          if (dr == sentinels[i]) {
-            p.error_row = row;
-            p.error_dim = static_cast<int>(i);
-            return;
-          }
-          if (((pass_words[i][dr >> 6] >> (dr & 63)) & 1) == 0) {
-            pass = false;
-            break;
-          }
-        }
-        if (!pass) continue;
-        const double w = weights != nullptr ? weights[row] : 1.0;
-        if (!grouped) {
-          p.scalar += w;
-          p.rows += 1;
-        } else {
-          p.groups->Add(codes[row], w);
-        }
-      }
-      return;
-    }
-    // Non-strict probing sweep: ≤64-row chunks through the kernel layer.
-    // Scalar aggregates take popcount + wide sums; grouped aggregates must
-    // touch the accumulator per row, so they walk the mask's set bits (the
-    // verdict gather is still vectorized).
-    const auto& kern = kernels::ActiveKernels();
-    if (active_dims == 0 && !grouped) {
-      // Nothing can reject a row: the whole morsel aggregates wide.
-      p.rows += end - begin;
-      p.scalar += weights != nullptr
-                      ? kern.sum_span(weights + begin, end - begin)
-                      : static_cast<double>(end - begin);
-      return;
-    }
     for (int64_t row = begin; row < end; row += 64) {
       const int nbits = static_cast<int>(std::min<int64_t>(64, end - row));
       const uint64_t mask =
           nbits == 64 && active_dims == 0
               ? ~uint64_t{0}
-              : kern.pass_mask(active_rows.data(), active_words.data(),
-                               active_dims, row, nbits);
-      if (mask == 0) continue;
-      if (!grouped) {
-        const int hits = __builtin_popcountll(mask);
-        p.rows += hits;
-        if (weights == nullptr) {
-          p.scalar += static_cast<double>(hits);
-        } else {
-          p.scalar += hits == nbits
-                          ? kern.sum_span(weights + row, nbits)
-                          : kernels::SumMaskedAscending(weights, row, mask);
-        }
-        continue;
-      }
-      uint64_t m = mask;
-      while (m != 0) {
-        const int bit = __builtin_ctzll(m);
-        m &= m - 1;
-        const int64_t r = row + bit;
-        p.groups->Add(codes[r], weights != nullptr ? weights[r] : 1.0);
-      }
+              : kern.pass_mask(drows, wptrs, active_dims, row, nbits);
+      acc.AddChunk(worker, row, nbits, mask);
     }
   };
   MorselPool::Shared().Run(num_workers, fact_rows, options_.morsel_size, scan);
-
-  if (strict) {
-    auto [error_row, error_dim] = FirstStrictError(partials);
-    if (error_row >= 0) return StrictErrorStatus(q, error_row, error_dim);
-  }
-
-  if (!grouped) return FinalizeScalar(partials, is_avg);
-
-  GroupAccumulator& merged = *partials[0].value.groups;
-  for (size_t i = 1; i < partials.size(); ++i) {
-    merged.MergeFrom(*partials[i].value.groups);
-  }
-  return RenderPlanGroups(q, plan, merged, is_avg);
+  return acc.Finalize(q);
 }
 
 }  // namespace dpstarj::exec

@@ -11,6 +11,14 @@
 // one fact sweep through exec/workload_plan.h. exec/naive_executor.h is the
 // independent test oracle.
 //
+// Both fact sweeps that visit rows in row order — this executor's and the
+// workload plan's shared sweep — hand each ≤ 64-row chunk's pass mask to one
+// SweepAccumulator (below), so the chunk association is their common
+// contract: a scalar COUNT, SUM or AVG answers to the same bits alone and in
+// a batch. Fact rows whose foreign key misses its dimension are dropped, as
+// in a SQL inner join; Catalog::ValidateIntegrity is the referential-
+// integrity check.
+//
 // The executor accepts *predicate overrides* so that DP mechanisms can run
 // the same plan under perturbed predicates (the heart of DP-starJ's input
 // perturbation) without re-binding. The DP layer is post-processing-safe, so
@@ -20,10 +28,13 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "common/result.h"
+#include "exec/group_code.h"
+#include "exec/kernels/kernels.h"
 #include "exec/parallel.h"
 #include "exec/query_result.h"
 #include "exec/scan_plan.h"
@@ -42,11 +53,6 @@ using PredicateOverrides = std::vector<DimPredicateOverride>;
 
 /// \brief Options for the executor.
 struct ExecutorOptions {
-  /// When true, fact rows whose foreign key misses the dimension hash table
-  /// are an error (they violate referential integrity). When false they are
-  /// silently dropped, matching SQL inner-join semantics.
-  bool strict_integrity = false;
-
   /// Worker threads for the fact scan. 1 (default) runs on the calling
   /// thread; 0 means one worker per hardware thread. Results are
   /// deterministic for any fixed value: morsels are statically assigned and
@@ -82,13 +88,13 @@ class StarJoinExecutor {
   /// refused rather than silently mis-answered).
   ///
   /// Exact aggregates (COUNT, integer-valued SUM) are bit-identical to
-  /// exec/naive_executor.h at every thread count; inexact grouped SUMs
-  /// follow the plan's run-sorted sweep, which associates each group's
-  /// additions in a fixed chunked order (≤64-row chunks in row order;
-  /// all-pass chunks accumulate in the kernel layer's pinned four-lane
-  /// split — see exec/kernels/kernels.h) that is identical at every worker
-  /// count and on every ISA. Under strict integrity the first absent FK in
-  /// scan order is reported with its row, key and dimension.
+  /// exec/naive_executor.h at every thread count. Inexact SUMs are
+  /// reproducible at a fixed worker count and identical on every ISA
+  /// (exec/kernels/kernels.h): the row-order sweep follows
+  /// SweepAccumulator's chunk association. Grouped plans with sorted runs
+  /// take the run-sorted sweep instead, which sums each group's run in
+  /// ≤ 64-row chunks (kernels::SumChunk) in row order, so their sums are
+  /// identical at every worker count too.
   ///
   /// A non-null `trace` records the bitmap-rebuild and fact-sweep spans
   /// (obs::Stage::kBitmapRebuild / kScan); execution is unchanged otherwise.
@@ -103,12 +109,56 @@ class StarJoinExecutor {
   ExecutorOptions options_;
 };
 
-/// \brief Renders a merged plan-path group accumulator into a QueryResult:
-/// labels are rendered once per group (ScanPlan::RenderLabel) and merged by
-/// rendered label, since distinct codes can format identically. Shared by
-/// the executor's probing sweep and the shared-scan batch path
-/// (exec/workload_plan.h).
-QueryResult RenderPlanGroups(const query::BoundQuery& q, const ScanPlan& plan,
-                             const GroupAccumulator& merged, bool is_avg);
+/// \brief The accumulate step of a row-order fact sweep — everything after a
+/// chunk's pass mask is known — shared by StarJoinExecutor and WorkloadPlan.
+///
+/// One accumulator per query and sweep. Workers hand it their morsels'
+/// chunks: ≤ 64 rows each, starting at the morsel's first row, in row order.
+/// Each worker adds to its own cache-line-aligned partial: COUNT adds the
+/// chunk's popcount, scalar SUM/AVG adds the chunk's sum
+/// (kernels::SumChunk), and grouped plans add each passing row to the
+/// worker's GroupAccumulator in ascending row order. Finalize merges the
+/// partials in worker order. Two sweeps with the same morsel size and worker
+/// count therefore add the same terms in the same order.
+class SweepAccumulator {
+ public:
+  SweepAccumulator(const ScanPlan& plan, int num_workers);
+
+  /// Adds the rows of `mask` — bit i set = fact row `base + i` passes, bits
+  /// ≥ `nbits` clear — to `worker`'s partial.
+  void AddChunk(int worker, int64_t base, int nbits, uint64_t mask) {
+    if (mask == 0) return;
+    Partial& p = partials_[static_cast<size_t>(worker)];
+    if (codes_ == nullptr) {
+      const int hits = __builtin_popcountll(mask);
+      p.rows += hits;
+      p.sum += weights_ == nullptr
+                   ? static_cast<double>(hits)
+                   : kernels::SumChunk(kern_, weights_, base, nbits, mask);
+      return;
+    }
+    while (mask != 0) {
+      const int64_t row = base + __builtin_ctzll(mask);
+      mask &= mask - 1;
+      p.groups->Add(codes_[row], weights_ != nullptr ? weights_[row] : 1.0);
+    }
+  }
+
+  /// Merges the partials in worker order and renders `q`'s answer.
+  QueryResult Finalize(const query::BoundQuery& q);
+
+ private:
+  struct alignas(64) Partial {
+    double sum = 0.0;
+    int64_t rows = 0;
+    std::unique_ptr<GroupAccumulator> groups;  ///< grouped plans only
+  };
+
+  const ScanPlan& plan_;
+  const kernels::EngineKernels& kern_;
+  const double* weights_;  ///< null = COUNT
+  const uint64_t* codes_;  ///< null = scalar
+  std::vector<Partial> partials_;
+};
 
 }  // namespace dpstarj::exec

@@ -1,11 +1,10 @@
 #include "exec/workload_plan.h"
 
 #include <algorithm>
-#include <cstring>
+#include <cstdint>
 #include <tuple>
 
 #include "common/string_util.h"
-#include "exec/group_code.h"
 #include "exec/kernels/kernels.h"
 #include "exec/parallel.h"
 
@@ -50,14 +49,13 @@ bool SamePredList(const std::vector<query::BoundPredicate>& a,
   return true;
 }
 
-// Per-(worker, item) scan partial; merged in worker order like ScanPartial.
-// Aligned to a cache line so the slots at the seam of two workers' partial
-// vectors (allocated back-to-back) never share one — scalar/rows are bumped
-// on every surviving verdict word.
-struct alignas(64) ItemPartial {
-  double scalar = 0.0;
-  int64_t rows = 0;
-  std::unique_ptr<GroupAccumulator> groups;
+// Up to eight nodes of one slot: one byte per dimension row whose bit k is
+// node k's verdict on that row.
+struct ByteTable {
+  const int32_t* fact_dim_row = nullptr;  ///< the slot's gather array
+  uint32_t nodes[8] = {};                 ///< group-local node of bit k
+  size_t num_nodes = 0;
+  std::vector<uint8_t> verdicts;
 };
 
 }  // namespace
@@ -173,15 +171,9 @@ Result<WorkloadPlan> WorkloadPlan::Compile(std::vector<WorkloadItem> items) {
 
 Result<std::vector<QueryResult>> WorkloadPlan::Execute(
     const ExecutorOptions& options, obs::Trace* trace) const {
-  if (options.strict_integrity) {
-    return Status::InvalidArgument(
-        "strict integrity is not supported by the shared-scan batch path; "
-        "execute strict queries through the single-query path");
-  }
   std::vector<QueryResult> results(items_.size());
 
   for (const ScanGroup& g : groups_) {
-    const size_t num_slots = g.slots.size();
     const size_t num_nodes = g.nodes.size();
     const size_t num_items = g.wiring.size();
 
@@ -201,104 +193,56 @@ Result<std::vector<QueryResult>> WorkloadPlan::Execute(
     }
     obs::ScopedStage scan_span(trace, obs::Stage::kScan);
 
-    // ---- hoisted per-slot / per-node / per-item scan state.
-    std::vector<const int32_t*> slot_rows(num_slots);
-    for (size_t s = 0; s < num_slots; ++s) {
-      const Slot& slot = g.slots[s];
-      slot_rows[s] =
-          items_[slot.item_idx].plan->fact_dim_row[slot.dim_idx]->rows.data();
-    }
-    std::vector<const uint64_t*> node_words(num_nodes);
-    std::vector<uint32_t> node_slot(num_nodes);
+    // ---- byte verdict tables: each slot's nodes, eight to a table. The
+    // sweep gathers each table once per fact row — so a slot costs one probe
+    // per eight deduped predicates on it, however many items reference them
+    // — and transposes the gathered bytes into per-node verdict words.
+    std::vector<ByteTable> tables;
+    tables.reserve(num_nodes);
+    std::vector<size_t> filling(g.slots.size(), SIZE_MAX);  // slot → table
     for (size_t n = 0; n < num_nodes; ++n) {
-      node_words[n] = bitmaps[n].data();
-      node_slot[n] = static_cast<uint32_t>(g.nodes[n].slot);
-    }
-    // ---- per-slot verdict tables: one word per dimension row packing the
-    // verdict bit of every node on that slot. The sweep then probes each
-    // shared slot ONCE per fact row — cost independent of how many deduped
-    // predicates reference it — and transposes the packed words in-register.
-    // Falls back to per-node bitmap probing past 64 nodes on one slot.
-    std::vector<std::vector<uint32_t>> slot_nodes(num_slots);
-    for (size_t n = 0; n < num_nodes; ++n) {
-      slot_nodes[node_slot[n]].push_back(static_cast<uint32_t>(n));
-    }
-    bool slot_tables_ok = true;
-    for (const auto& sn : slot_nodes) {
-      if (sn.size() > 64) slot_tables_ok = false;
-    }
-    std::vector<std::vector<uint64_t>> slot_tables(num_slots);
-    std::vector<std::vector<uint8_t>> slot_tables8(num_slots);
-    if (slot_tables_ok) {
-      for (size_t s = 0; s < num_slots; ++s) {
-        const size_t nn = slot_nodes[s].size();
-        if (nn == 0) continue;
-        const size_t dim_rows = bitmaps[slot_nodes[s][0]].size() * 64;
-        // Up to 8 nodes fit a byte-wide table, which the sweep can gather
-        // 8 rows at a time with a multiply trick; wider slots take the
-        // word-wide table and a plain bit transpose.
-        if (nn <= 8) {
-          slot_tables8[s].assign(dim_rows, 0);
-        } else {
-          slot_tables[s].assign(dim_rows, 0);
-        }
-        for (size_t k = 0; k < nn; ++k) {
-          const uint64_t* words = node_words[slot_nodes[s][k]];
-          for (size_t dr = 0; dr < dim_rows; ++dr) {
-            const uint64_t bit = (words[dr >> 6] >> (dr & 63)) & uint64_t{1};
-            if (nn <= 8) {
-              slot_tables8[s][dr] |= static_cast<uint8_t>(bit << k);
-            } else {
-              slot_tables[s][dr] |= bit << k;
-            }
-          }
-        }
+      const size_t s = g.nodes[n].slot;
+      if (filling[s] == SIZE_MAX || tables[filling[s]].num_nodes == 8) {
+        filling[s] = tables.size();
+        const Slot& slot = g.slots[s];
+        ByteTable& t = tables.emplace_back();
+        t.fact_dim_row =
+            items_[slot.item_idx].plan->fact_dim_row[slot.dim_idx]->rows.data();
+        t.verdicts.assign(bitmaps[n].size() * 64, 0);
+      }
+      ByteTable& t = tables[filling[s]];
+      const unsigned k = static_cast<unsigned>(t.num_nodes++);
+      t.nodes[k] = static_cast<uint32_t>(n);
+      const uint64_t* words = bitmaps[n].data();
+      for (size_t dr = 0; dr < t.verdicts.size(); ++dr) {
+        t.verdicts[dr] |=
+            static_cast<uint8_t>(((words[dr >> 6] >> (dr & 63)) & 1) << k);
       }
     }
     // Item node lists flattened for a tight inner loop.
     std::vector<size_t> item_node_begin(num_items + 1, 0);
     std::vector<uint32_t> item_nodes;
-    std::vector<const uint64_t*> item_codes(num_items, nullptr);
-    std::vector<const double*> item_weights(num_items, nullptr);
-    std::vector<uint8_t> item_grouped(num_items, 0);
     for (size_t j = 0; j < num_items; ++j) {
       const ItemWiring& w = g.wiring[j];
-      const WorkloadItem& it = items_[w.item_idx];
       item_node_begin[j] = item_nodes.size();
       item_nodes.insert(item_nodes.end(), w.nodes.begin(), w.nodes.end());
-      item_grouped[j] = it.plan->grouped ? 1 : 0;
-      if (it.plan->grouped) item_codes[j] = it.plan->codes.data();
-      if (it.plan->weights != nullptr) {
-        item_weights[j] = it.plan->weights->values.data();
-      }
     }
     item_node_begin[num_items] = item_nodes.size();
 
     // ---- the single shared sweep, accumulating every item at once.
     const int num_workers = MorselPool::ResolveWorkers(
         options.exec_threads, options.morsel_size, g.fact_rows);
-    const uint64_t dense_limit =
-        static_cast<uint64_t>(g.fact_rows / std::max(num_workers, 1)) * 4 +
-        1024;
-    std::vector<std::vector<ItemPartial>> partials(
-        static_cast<size_t>(num_workers));
-    for (auto& per_item : partials) {
-      per_item.resize(num_items);
-      for (size_t j = 0; j < num_items; ++j) {
-        if (item_grouped[j]) {
-          per_item[j].groups = std::make_unique<GroupAccumulator>(
-              items_[g.wiring[j].item_idx].plan->code_space, dense_limit);
-        }
-      }
+    std::vector<SweepAccumulator> accs;
+    accs.reserve(num_items);
+    for (const ItemWiring& w : g.wiring) {
+      accs.emplace_back(*items_[w.item_idx].plan, num_workers);
     }
     // Block-vectorized sweep with bit-packed verdicts: per block, each
-    // deduped node probes its bitmap ONCE per row (this is where the CSE
-    // pays at scan time, not just at build time) and packs the verdicts
-    // into uint64 words. Combining an item's nodes is then one AND per 64
-    // rows, counts reduce to popcounts, and non-count accumulation walks
-    // only the PASSING rows via count-trailing-zeros — in ascending row
-    // order, so merged results stay deterministic and (for exact
-    // aggregates) bit-identical to the single-query path.
+    // deduped node's verdicts are gathered ONCE per row (this is where the
+    // CSE pays at scan time, not just at build time) into uint64 words.
+    // Combining an item's nodes is then one AND per 64 rows, and each
+    // item's chunk goes to its SweepAccumulator — the same chunks, in the
+    // same order, as the single-query sweep hands its accumulator.
     constexpr int64_t kBlock = 1024;
     constexpr int kWordsPerBlock = static_cast<int>(kBlock / 64);
     std::vector<std::vector<uint64_t>> verdict_scratch(
@@ -307,7 +251,6 @@ Result<std::vector<QueryResult>> WorkloadPlan::Execute(
 
     const auto& kern = kernels::ActiveKernels();
     auto scan = [&](int worker, int64_t begin, int64_t end) {
-      std::vector<ItemPartial>& ps = partials[static_cast<size_t>(worker)];
       uint64_t* verdict = verdict_scratch[static_cast<size_t>(worker)].data();
       for (int64_t b0 = begin; b0 < end; b0 += kBlock) {
         const int len = static_cast<int>(std::min(kBlock, end - b0));
@@ -315,67 +258,17 @@ Result<std::vector<QueryResult>> WorkloadPlan::Execute(
         // Each node's verdict bits for this block. An absent FK lands on
         // the sentinel row, whose bit in every node bitmap is 0. Bits past
         // `len` in the tail word stay 0.
-        if (slot_tables_ok) {
-          // One table probe per (row, slot); the probed word carries every
-          // node-on-that-slot verdict, transposed here into per-node words.
-          for (size_t s = 0; s < num_slots; ++s) {
-            const size_t nn = slot_nodes[s].size();
-            if (nn == 0) continue;
-            const int32_t* rows_for = slot_rows[s] + b0;
-            if (!slot_tables8[s].empty()) {
-              // Byte-table path: the dispatched byte_gather_transpose kernel
-              // gathers 64 verdict bytes and pulls bit k of every byte into
-              // node k's packed word (SWAR multiply on scalar, vpmovmskb
-              // transpose on AVX2); the per-node words then scatter into the
-              // verdict scratch rows.
-              const uint8_t* table = slot_tables8[s].data();
-              uint64_t node_bits[8];
-              for (int wi = 0; wi < nwords; ++wi) {
-                const int i0 = wi * 64;
-                const int i1 = std::min(len, i0 + 64);
-                kern.byte_gather_transpose(table, rows_for + i0, i1 - i0, nn,
-                                           node_bits);
-                for (size_t k = 0; k < nn; ++k) {
-                  verdict[slot_nodes[s][k] *
-                              static_cast<size_t>(kWordsPerBlock) +
-                          wi] = node_bits[k];
-                }
-              }
-              continue;
-            }
-            const uint64_t* table = slot_tables[s].data();
-            for (int wi = 0; wi < nwords; ++wi) {
-              const int i0 = wi * 64;
-              const int i1 = std::min(len, i0 + 64);
-              uint64_t vbuf[64];
-              for (int i = i0; i < i1; ++i) vbuf[i - i0] = table[rows_for[i]];
-              for (int i = i1 - i0; i < 64; ++i) vbuf[i] = 0;
-              for (size_t k = 0; k < nn; ++k) {
-                uint64_t bits = 0;
-                for (int i = 0; i < 64; ++i) {
-                  bits |= ((vbuf[i] >> k) & uint64_t{1})
-                          << static_cast<unsigned>(i);
-                }
-                verdict[slot_nodes[s][k] * static_cast<size_t>(kWordsPerBlock)
-                        + wi] = bits;
-              }
-            }
-          }
-        } else {
-          for (size_t n = 0; n < num_nodes; ++n) {
-            const int32_t* rows_for = slot_rows[node_slot[n]] + b0;
-            const uint64_t* words = node_words[n];
-            uint64_t* out = verdict + n * static_cast<size_t>(kWordsPerBlock);
-            for (int wi = 0; wi < nwords; ++wi) {
-              const int i0 = wi * 64;
-              const int i1 = std::min(len, i0 + 64);
-              uint64_t bits = 0;
-              for (int i = i0; i < i1; ++i) {
-                const int32_t dr = rows_for[i];
-                bits |= ((words[dr >> 6] >> (dr & 63)) & uint64_t{1})
-                        << static_cast<unsigned>(i - i0);
-              }
-              out[wi] = bits;
+        for (const ByteTable& t : tables) {
+          const int32_t* rows_for = t.fact_dim_row + b0;
+          const size_t nn = t.num_nodes;
+          uint64_t node_bits[8];
+          for (int wi = 0; wi < nwords; ++wi) {
+            const int i0 = wi * 64;
+            kern.byte_gather_transpose(t.verdicts.data(), rows_for + i0,
+                                       std::min(64, len - i0), nn, node_bits);
+            for (size_t k = 0; k < nn; ++k) {
+              verdict[t.nodes[k] * static_cast<size_t>(kWordsPerBlock) + wi] =
+                  node_bits[k];
             }
           }
         }
@@ -384,9 +277,6 @@ Result<std::vector<QueryResult>> WorkloadPlan::Execute(
         for (size_t j = 0; j < num_items; ++j) {
           const size_t nb = item_node_begin[j];
           const size_t ne = item_node_begin[j + 1];
-          ItemPartial& p = ps[j];
-          const double* weights = item_weights[j];
-          const bool grouped = item_grouped[j];
           for (int wi = 0; wi < nwords; ++wi) {
             const int i0 = wi * 64;
             const int nbits = std::min(64, len - i0);
@@ -398,28 +288,7 @@ Result<std::vector<QueryResult>> WorkloadPlan::Execute(
               pw &= verdict[item_nodes[x] * static_cast<size_t>(kWordsPerBlock)
                             + wi];
             }
-            if (pw == 0) continue;
-            if (!grouped && weights == nullptr) {
-              // Exact count: integer-valued sums commute bit-exactly, so a
-              // word subtotal is safe.
-              const int cnt = __builtin_popcountll(pw);
-              p.scalar += static_cast<double>(cnt);
-              p.rows += cnt;
-              continue;
-            }
-            const int64_t base = b0 + i0;
-            do {
-              const int bit = __builtin_ctzll(pw);
-              pw &= pw - 1;
-              const int64_t row = base + bit;
-              const double w = weights != nullptr ? weights[row] : 1.0;
-              if (grouped) {
-                p.groups->Add(item_codes[j][row], w);
-              } else {
-                p.scalar += w;
-                p.rows += 1;
-              }
-            } while (pw != 0);
+            accs[j].AddChunk(worker, b0 + i0, nbits, pw);
           }
         }
       }
@@ -427,29 +296,9 @@ Result<std::vector<QueryResult>> WorkloadPlan::Execute(
     MorselPool::Shared().Run(num_workers, g.fact_rows, options.morsel_size,
                              scan);
 
-    // ---- deterministic per-item merges, in worker order.
     for (size_t j = 0; j < num_items; ++j) {
-      const WorkloadItem& it = items_[g.wiring[j].item_idx];
-      const bool is_avg =
-          it.query->query.aggregate == query::AggregateKind::kAvg;
-      QueryResult& out = results[g.wiring[j].item_idx];
-      if (!item_grouped[j]) {
-        double scalar = 0.0;
-        int64_t rows = 0;
-        for (const auto& per_item : partials) {
-          scalar += per_item[j].scalar;
-          rows += per_item[j].rows;
-        }
-        out.scalar = is_avg
-                         ? (rows > 0 ? scalar / static_cast<double>(rows) : 0.0)
-                         : scalar;
-        continue;
-      }
-      GroupAccumulator& merged = *partials[0][j].groups;
-      for (size_t p = 1; p < partials.size(); ++p) {
-        merged.MergeFrom(*partials[p][j].groups);
-      }
-      out = RenderPlanGroups(*it.query, *it.plan, merged, is_avg);
+      const size_t k = g.wiring[j].item_idx;
+      results[k] = accs[j].Finalize(*items_[k].query);
     }
   }
   return results;

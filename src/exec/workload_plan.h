@@ -22,11 +22,17 @@
 //      ScanPlan, so N queries joining Date probe its resolved rows once per
 //      fact row, not N times.
 //   3. The fact table is swept **once**: each morsel gathers every slot's
-//      dimension row, evaluates every node's bit, and accumulates into every
-//      item's packed-group-code accumulator simultaneously. Per-worker
-//      partials merge in worker order, exactly like the single-query morsel
-//      path, so exact aggregates (COUNT, integer-valued SUM) are
-//      bit-identical to one-at-a-time warm execution at any thread count.
+//      verdicts from byte tables — eight nodes to a table, one byte per
+//      dimension row, so a slot costs one gather per eight nodes however
+//      many items reference them — transposes them into per-node verdict
+//      words, ANDs each item's words, and hands every item's ≤ 64-row
+//      chunks to its own SweepAccumulator (exec/star_join_executor.h): the
+//      accumulate step of the single-query row-order sweep. A scalar COUNT,
+//      SUM or AVG therefore answers bit-identically to one-at-a-time
+//      execution on the same plan, overrides and ExecutorOptions, and so
+//      does a grouped query whose plan has no sorted runs. Executed alone,
+//      a grouped plan with sorted runs takes the run-sorted sweep, which
+//      associates double SUMs per group run, so those agree to rounding.
 //
 // Design exemplar: IronBee's Predicate system (rule predicates as expression
 // DAGs with cross-rule subexpression merging at configuration time); see
@@ -90,11 +96,9 @@ class WorkloadPlan {
   /// items simultaneously (obs::Stage::kScan). Returns one QueryResult per
   /// item, in item order.
   ///
-  /// Determinism matches the single-query morsel path: per-worker partials
-  /// merge in worker order, so exact aggregates are bit-identical to
-  /// one-at-a-time warm execution at every `options.exec_threads`.
-  /// `options.strict_integrity` is refused — strict callers take the
-  /// single-query path, which reports the exact violating row.
+  /// Determinism matches the single-query path: every answer but the grouped
+  /// SUMs of plans with sorted runs is bit-identical to
+  /// StarJoinExecutor::Execute with the same plan, overrides and `options`.
   Result<std::vector<QueryResult>> Execute(const ExecutorOptions& options,
                                            obs::Trace* trace = nullptr) const;
 

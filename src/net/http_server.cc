@@ -53,32 +53,30 @@ HttpServer::HttpServer(Router router, ServerOptions options)
     : router_(std::move(router)), options_(std::move(options)) {
   if (options_.handler_threads <= 0) options_.handler_threads = 1;
   if (options_.max_connections <= 0) options_.max_connections = 1;
-  if (options_.metrics != nullptr) {
-    obs::MetricsRegistry* reg = options_.metrics;
-    m_connections_accepted_ =
-        reg->GetCounter("dpstarj_http_connections_total",
-                        "Connections by accept outcome", {{"result", "accepted"}});
-    m_connections_rejected_ =
-        reg->GetCounter("dpstarj_http_connections_total",
-                        "Connections by accept outcome", {{"result", "rejected"}});
-    m_requests_handled_ = reg->GetCounter("dpstarj_http_requests_total",
-                                          "Requests answered by the router");
-    m_bad_requests_ = reg->GetCounter("dpstarj_http_bad_requests_total",
-                                      "Parse failures answered 4xx/5xx");
-    m_timeouts_header_ =
-        reg->GetCounter("dpstarj_http_timeouts_total",
-                        "Connections reaped by deadline, by kind",
-                        {{"kind", "header"}});
-    m_timeouts_body_ = reg->GetCounter("dpstarj_http_timeouts_total",
-                                       "Connections reaped by deadline, by kind",
-                                       {{"kind", "body"}});
-    m_timeouts_idle_ = reg->GetCounter("dpstarj_http_timeouts_total",
-                                       "Connections reaped by deadline, by kind",
-                                       {{"kind", "idle"}});
-    m_timeouts_write_ = reg->GetCounter("dpstarj_http_timeouts_total",
-                                        "Connections reaped by deadline, by kind",
-                                        {{"kind", "write"}});
+  if (options_.metrics == nullptr) {
+    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
   }
+  obs::MetricsRegistry* reg =
+      options_.metrics != nullptr ? options_.metrics : owned_metrics_.get();
+  connections_accepted_ =
+      reg->GetCounter("dpstarj_http_connections_total",
+                      "Connections by accept outcome", {{"result", "accepted"}});
+  connections_rejected_ =
+      reg->GetCounter("dpstarj_http_connections_total",
+                      "Connections by accept outcome", {{"result", "rejected"}});
+  requests_handled_ = reg->GetCounter("dpstarj_http_requests_total",
+                                      "Requests answered by the router");
+  bad_requests_ = reg->GetCounter("dpstarj_http_bad_requests_total",
+                                  "Parse failures answered 4xx/5xx");
+  auto timeouts = [reg](const char* kind) {
+    return reg->GetCounter("dpstarj_http_timeouts_total",
+                           "Connections reaped by deadline, by kind",
+                           {{"kind", kind}});
+  };
+  timeouts_header_ = timeouts("header");
+  timeouts_body_ = timeouts("body");
+  timeouts_idle_ = timeouts("idle");
+  timeouts_write_ = timeouts("write");
 }
 
 HttpServer::~HttpServer() { Stop(); }
@@ -212,14 +210,14 @@ int HttpServer::connection_count() const {
 
 ServerStats HttpServer::GetStats() const {
   ServerStats s;
-  s.connections_accepted = connections_accepted_.load();
-  s.connections_rejected = connections_rejected_.load();
-  s.requests_handled = requests_handled_.load();
-  s.bad_requests = bad_requests_.load();
-  s.timeouts_header = timeouts_header_.load();
-  s.timeouts_body = timeouts_body_.load();
-  s.timeouts_idle = timeouts_idle_.load();
-  s.timeouts_write = timeouts_write_.load();
+  s.connections_accepted = connections_accepted_->Value();
+  s.connections_rejected = connections_rejected_->Value();
+  s.requests_handled = requests_handled_->Value();
+  s.bad_requests = bad_requests_->Value();
+  s.timeouts_header = timeouts_header_->Value();
+  s.timeouts_body = timeouts_body_->Value();
+  s.timeouts_idle = timeouts_idle_->Value();
+  s.timeouts_write = timeouts_write_->Value();
   return s;
 }
 
@@ -351,9 +349,7 @@ void HttpServer::ReapConnection(const DeadlineEntry& entry) {
     case Connection::Phase::kHeader:
     case Connection::Phase::kBody: {
       const bool header = phase == Connection::Phase::kHeader;
-      (header ? timeouts_header_ : timeouts_body_).fetch_add(1);
-      obs::Counter* twin = header ? m_timeouts_header_ : m_timeouts_body_;
-      if (twin != nullptr) twin->Inc();
+      (header ? timeouts_header_ : timeouts_body_)->Inc();
       // Best-effort 408 — one non-blocking send; a peer too slow to read a
       // request is likely too slow to read this, and that must not stall us.
       HttpResponse timeout = HttpResponse::MakeJson(
@@ -379,8 +375,7 @@ void HttpServer::ReapConnection(const DeadlineEntry& entry) {
       break;
     }
     case Connection::Phase::kIdle:
-      timeouts_idle_.fetch_add(1);
-      if (m_timeouts_idle_ != nullptr) m_timeouts_idle_->Inc();
+      timeouts_idle_->Inc();
       break;
     case Connection::Phase::kHandling:
       break;  // unreachable: dispatch bumps the gen
@@ -440,8 +435,7 @@ void HttpServer::AcceptReady() {
     if (draining_.load() || connection_count() >= options_.max_connections) {
       // Over the cap (or shutting down): shed the connection with a best-
       // effort 503 — never let it consume parser/handler resources.
-      connections_rejected_.fetch_add(1);
-      if (m_connections_rejected_ != nullptr) m_connections_rejected_->Inc();
+      connections_rejected_->Inc();
       HttpResponse busy = HttpResponse::MakeJson(
           503,
           "{\"error\":{\"code\":\"Unavailable\","
@@ -458,8 +452,7 @@ void HttpServer::AcceptReady() {
       }
       continue;
     }
-    connections_accepted_.fetch_add(1);
-    if (m_connections_accepted_ != nullptr) m_connections_accepted_->Inc();
+    connections_accepted_->Inc();
     Connection* conn = nullptr;
     {
       std::lock_guard<std::mutex> lock(conn_mu_);
@@ -662,8 +655,7 @@ void HttpServer::HandleRequest(Connection* conn) {
     fd = conn->fd;
     for (;;) {
       if (conn->parser.in_error()) {
-        bad_requests_.fetch_add(1);
-        if (m_bad_requests_ != nullptr) m_bad_requests_->Inc();
+        bad_requests_->Inc();
         HttpResponse r = HttpResponse::MakeJson(
             conn->parser.error_status(),
             Format("{\"error\":{\"code\":\"%s\",\"message\":\"%s\"}}",
@@ -715,8 +707,7 @@ void HttpServer::HandleRequest(Connection* conn) {
       const bool keep_alive = request.keep_alive && !draining_.load();
       const auto handle_start = std::chrono::steady_clock::now();
       HttpResponse response = router_.Dispatch(request);
-      requests_handled_.fetch_add(1);
-      if (m_requests_handled_ != nullptr) m_requests_handled_->Inc();
+      requests_handled_->Inc();
       if (response.trace != nullptr) {
         response.headers.push_back({"X-DPStarJ-Trace-Id", response.trace->id()});
       }
@@ -792,8 +783,7 @@ bool HttpServer::WriteAll(int fd, const std::string& data) {
   size_t sent = 0;
   while (sent < data.size()) {
     if (bounded && std::chrono::steady_clock::now() >= deadline) {
-      timeouts_write_.fetch_add(1);
-      if (m_timeouts_write_ != nullptr) m_timeouts_write_->Inc();
+      timeouts_write_->Inc();
       return false;
     }
     ssize_t n = ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);

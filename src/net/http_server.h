@@ -84,9 +84,11 @@ struct ServerOptions {
   /// connection mid-response.
   int write_timeout_ms = 30'000;
   /// @}
-  /// When set, the server's connection/request/timeout counters are also
-  /// published here (names under dpstarj_http_*), so one /metrics scrape
-  /// covers the transport next to the service. Must outlive the server.
+  /// When set, the server's connection/request/timeout counters live here
+  /// (names under dpstarj_http_*), so one /metrics scrape covers the
+  /// transport next to the service; servers sharing a registry share the
+  /// counters. When null the server keeps a private registry. Must outlive
+  /// the server.
   obs::MetricsRegistry* metrics = nullptr;
   /// When set, one JSON line per finished exchange — responses the router
   /// produced, reaped 408s, and 503 sheds alike (see obs/access_log.h).
@@ -296,26 +298,18 @@ class HttpServer {
   /// the queue is final and everything in it still gets answered).
   std::atomic<bool> handlers_exit_{false};
 
-  std::atomic<uint64_t> connections_accepted_{0};
-  std::atomic<uint64_t> connections_rejected_{0};
-  std::atomic<uint64_t> requests_handled_{0};
-  std::atomic<uint64_t> bad_requests_{0};
-  std::atomic<uint64_t> timeouts_header_{0};
-  std::atomic<uint64_t> timeouts_body_{0};
-  std::atomic<uint64_t> timeouts_idle_{0};
-  std::atomic<uint64_t> timeouts_write_{0};
-
-  /// Registry twins of the counters above (null without options_.metrics):
-  /// the atomics stay authoritative for GetStats(), the registry children
-  /// feed /metrics — both are bumped at the same sites.
-  obs::Counter* m_connections_accepted_ = nullptr;
-  obs::Counter* m_connections_rejected_ = nullptr;
-  obs::Counter* m_requests_handled_ = nullptr;
-  obs::Counter* m_bad_requests_ = nullptr;
-  obs::Counter* m_timeouts_header_ = nullptr;
-  obs::Counter* m_timeouts_body_ = nullptr;
-  obs::Counter* m_timeouts_idle_ = nullptr;
-  obs::Counter* m_timeouts_write_ = nullptr;
+  /// The server's counters, in options_.metrics (names under
+  /// dpstarj_http_*) or, when that is null, in owned_metrics_. GetStats()
+  /// reads them back, so /metrics and GetStats() never disagree.
+  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  obs::Counter* connections_accepted_ = nullptr;
+  obs::Counter* connections_rejected_ = nullptr;
+  obs::Counter* requests_handled_ = nullptr;
+  obs::Counter* bad_requests_ = nullptr;
+  obs::Counter* timeouts_header_ = nullptr;
+  obs::Counter* timeouts_body_ = nullptr;
+  obs::Counter* timeouts_idle_ = nullptr;
+  obs::Counter* timeouts_write_ = nullptr;
 };
 
 }  // namespace dpstarj::net

@@ -69,6 +69,18 @@ bool AddrMapped(uintptr_t addr, size_t len) {
   return mincore(reinterpret_cast<void*>(page), span, vec) == 0;
 }
 
+// Loads the frame record {caller's fp, return address} at `fp`. The walk
+// follows whatever frame pointer the interrupted code left behind, and
+// AddrMapped only proves the pages are mapped, not that the bytes belong to
+// a live object: under AddressSanitizer an interrupted rbp can point into a
+// redzone. These two loads are therefore exempt from ASan instrumentation,
+// and kept out of line so the exemption cannot be inlined away.
+__attribute__((no_sanitize("address"), noinline)) void LoadFrameRecord(
+    uintptr_t fp, uintptr_t* next_fp, uintptr_t* ret) {
+  *next_fp = *reinterpret_cast<const uintptr_t*>(fp);
+  *ret = *(reinterpret_cast<const uintptr_t*>(fp) + 1);
+}
+
 void SigprofHandler(int, siginfo_t*, void* ucontext) {
   const int saved_errno = errno;  // handlers must not spoil errno
   g_in_handler.fetch_add(1, std::memory_order_acq_rel);
@@ -99,9 +111,9 @@ void SigprofHandler(int, siginfo_t*, void* ucontext) {
       while (n < kMaxFrames) {
         if (fp == 0 || (fp % sizeof(uintptr_t)) != 0) break;
         if (!AddrMapped(fp, 2 * sizeof(uintptr_t))) break;
-        const uintptr_t next_fp = *reinterpret_cast<const uintptr_t*>(fp);
-        const uintptr_t ret =
-            *(reinterpret_cast<const uintptr_t*>(fp) + 1);
+        uintptr_t next_fp = 0;
+        uintptr_t ret = 0;
+        LoadFrameRecord(fp, &next_fp, &ret);
         if (ret < 0x1000) break;
         slot.frames[n++] = ret;
         if (next_fp <= fp || next_fp - fp > kMaxFrameStride) break;

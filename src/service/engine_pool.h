@@ -24,6 +24,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <future>
 #include <map>
@@ -31,6 +32,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/result.h"
@@ -42,14 +44,16 @@ namespace dpstarj::service {
 
 /// \brief A pool of worker threads, each owning one DpStarJoin engine.
 ///
-/// Work items are callables taking the worker's engine; their return value is
-/// delivered through a std::future. Dispatch blocks while the queue is at
-/// capacity. Shutdown drains every queued job before joining the workers, so
-/// no future is ever abandoned.
+/// Work items are callables taking the worker's engine and returning some
+/// Result<T>; that value is delivered through a std::future<Result<T>>. A job
+/// that throws resolves its future to Internal instead. Dispatch blocks while
+/// the queue is at capacity. Shutdown drains every queued job before joining
+/// the workers, so no future is ever abandoned.
 class EnginePool {
  public:
   /// The unit of work: runs on a worker thread against that worker's engine.
-  using Job = std::function<Result<exec::QueryResult>(core::DpStarJoin&)>;
+  template <typename T>
+  using Job = std::function<Result<T>(core::DpStarJoin&)>;
 
   /// \brief Creates `num_engines` engines over `catalog`, with worker i's RNG
   /// stream forked deterministically from `engine_options.seed`. The options'
@@ -67,14 +71,19 @@ class EnginePool {
   /// \brief Enqueues `job` on `tenant`'s FIFO sub-queue, blocking while the
   /// global queue is full. Returns the future of the job's result, or an
   /// error without enqueuing when the pool has been shut down.
-  Result<std::future<Result<exec::QueryResult>>> Dispatch(
-      Job job, const std::string& tenant = std::string());
+  template <typename Fn>
+  auto Dispatch(Fn job, const std::string& tenant = std::string()) {
+    return Enqueue(Job<JobValue<Fn>>(std::move(job)), tenant, /*blocking=*/true);
+  }
 
   /// \brief Non-blocking Dispatch: never waits for queue space. A full queue
   /// returns Unavailable immediately — the admission signal the network front
   /// door converts into HTTP 429 instead of stalling its accept loop.
-  Result<std::future<Result<exec::QueryResult>>> TryDispatch(
-      Job job, const std::string& tenant = std::string());
+  template <typename Fn>
+  auto TryDispatch(Fn job, const std::string& tenant = std::string()) {
+    return Enqueue(Job<JobValue<Fn>>(std::move(job)), tenant,
+                   /*blocking=*/false);
+  }
 
   /// Queued jobs not yet picked up by a worker (approximate under load).
   size_t queue_depth() const;
@@ -103,9 +112,28 @@ class EnginePool {
   std::vector<WorkerStats> worker_stats() const;
 
  private:
+  /// T of a job callable returning Result<T>.
+  template <typename Fn>
+  using JobValue =
+      typename std::invoke_result_t<Fn&, core::DpStarJoin&>::ValueType;
+
+  /// A queued job with its result type erased: Run executes the job against
+  /// the worker's engine and resolves the job's future.
   struct Task {
-    Job job;
-    std::promise<Result<exec::QueryResult>> promise;
+    Task() = default;
+    Task(const Task&) = delete;
+    Task& operator=(const Task&) = delete;
+    virtual ~Task() = default;
+    virtual void Run(core::DpStarJoin& engine) = 0;
+  };
+  template <typename T>
+  struct TypedTask final : Task {
+    explicit TypedTask(Job<T> j) : job(std::move(j)) {}
+    void Run(core::DpStarJoin& engine) override {
+      promise.set_value(RunGuarded<T>(job, engine));
+    }
+    Job<T> job;
+    std::promise<Result<T>> promise;
   };
 
   // Cache-line-padded so each worker's updates stay on its own line.
@@ -114,12 +142,38 @@ class EnginePool {
     std::atomic<uint64_t> jobs{0};
   };
 
-  Result<std::future<Result<exec::QueryResult>>> DispatchInternal(
-      Job job, const std::string& tenant, bool blocking);
+  template <typename T>
+  Result<std::future<Result<T>>> Enqueue(Job<T> job, const std::string& tenant,
+                                         bool blocking) {
+    if (!job) return Status::InvalidArgument("job must be callable");
+    auto task = std::make_unique<TypedTask<T>>(std::move(job));
+    std::future<Result<T>> future = task->promise.get_future();
+    DPSTARJ_RETURN_NOT_OK(EnqueueTask(std::move(task), tenant, blocking));
+    return future;
+  }
+
+  /// Runs `job`, converting an escaping exception into Internal: the library
+  /// is exception-free by contract, but a job can still throw
+  /// (std::bad_alloc, user callables), and an escape would std::terminate
+  /// the whole service.
+  template <typename T>
+  static Result<T> RunGuarded(const Job<T>& job, core::DpStarJoin& engine) {
+    try {
+      return job(engine);
+    } catch (const std::exception& e) {
+      return Status::Internal(std::string("query job threw: ") + e.what());
+    } catch (...) {
+      return Status::Internal("query job threw a non-standard exception");
+    }
+  }
+
+  /// Queues `task` on `tenant`'s sub-queue (see Dispatch / TryDispatch).
+  Status EnqueueTask(std::unique_ptr<Task> task, const std::string& tenant,
+                     bool blocking);
 
   /// Pops the next task in round-robin tenant order. Requires mu_ held and
   /// queued_total_ > 0.
-  Task PopNextLocked();
+  std::unique_ptr<Task> PopNextLocked();
 
   void WorkerLoop(int engine_index);
 
@@ -135,7 +189,7 @@ class EnginePool {
   std::condition_variable queue_not_empty_;
   /// Per-tenant FIFO sub-queues; entries are erased when drained so the map
   /// only holds tenants with waiting work.
-  std::map<std::string, std::deque<Task>> tenant_queues_;
+  std::map<std::string, std::deque<std::unique_ptr<Task>>> tenant_queues_;
   /// Round-robin service order: one entry per non-empty sub-queue.
   std::deque<std::string> active_tenants_;
   size_t queued_total_ = 0;

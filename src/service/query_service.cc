@@ -200,9 +200,10 @@ std::future<Result<exec::QueryResult>> QueryService::SubmitInternal(
     rejected_tenant_limited_->Inc();
     return FailedFuture(std::move(fair.status));
   }
-  auto dispatch = [this, blocking, &tenant, trace](EnginePool::Job job) {
+  auto dispatch = [this, blocking, &tenant,
+                   trace](EnginePool::Job<exec::QueryResult> job) {
     const auto enqueued = std::chrono::steady_clock::now();
-    EnginePool::Job with_release =
+    EnginePool::Job<exec::QueryResult> with_release =
         [this, tenant, trace, enqueued,
          inner = std::move(job)](core::DpStarJoin& engine) {
           // First action on the worker: close the queue-wait span. The trace
@@ -415,17 +416,10 @@ std::future<Result<WorkloadOutcome>> QueryService::SubmitWorkload(
     rejected_budget_->Inc(static_cast<uint64_t>(n));
     return failed(std::move(admit));
   }
-  // The pool's Job protocol returns Result<QueryResult>; the batch outcome
-  // travels through this promise instead, set as the job's last action. The
-  // pool resolves every accepted job (Shutdown drains the queue), so the
-  // future always becomes ready.
-  auto promise = std::make_shared<std::promise<Result<WorkloadOutcome>>>();
-  std::future<Result<WorkloadOutcome>> future = promise->get_future();
   const auto enqueued = std::chrono::steady_clock::now();
   queue_depth_sampled_->Observe(static_cast<double>(pool_.queue_depth()));
   auto dispatched = pool_.TryDispatch(
-      [this, queries, tenant, trace, enqueued,
-       promise](core::DpStarJoin& engine) -> Result<exec::QueryResult> {
+      [this, queries, tenant, trace, enqueued](core::DpStarJoin& engine) {
         if (trace != nullptr) {
           trace->Record(
               obs::Stage::kQueueWait,
@@ -434,14 +428,15 @@ std::future<Result<WorkloadOutcome>> QueryService::SubmitWorkload(
                       std::chrono::steady_clock::now() - enqueued)
                       .count()));
         }
+        // A scope guard, so the slots flow back when ExecuteWorkload throws
+        // too (the pool then resolves the future to Internal).
         struct SlotGuard {
           AdmissionController& admission;
           const std::string& tenant;
           int count;
           ~SlotGuard() { admission.Release(tenant, count); }
         } guard{admission_, tenant, static_cast<int>(queries.size())};
-        promise->set_value(ExecuteWorkload(engine, queries, tenant, trace));
-        return exec::QueryResult{};
+        return ExecuteWorkload(engine, queries, tenant, trace);
       },
       tenant);
   if (!dispatched.ok()) {
@@ -456,7 +451,7 @@ std::future<Result<WorkloadOutcome>> QueryService::SubmitWorkload(
     }
     return failed(dispatched.status());
   }
-  return future;
+  return std::move(*dispatched);
 }
 
 Result<WorkloadOutcome> QueryService::ExecuteWorkload(

@@ -3,8 +3,8 @@
 // SUM, AVG} × {scalar, GROUP BY} × {dense, sparse key spaces} × {1, 4, 8}
 // exec threads: one-shot Execute, repeated execution of one compiled
 // ScanPlan, and that plan under random predicate overrides (the Predicate
-// Mechanism's repeated-noisy-run shape), including strict-integrity error
-// reporting.
+// Mechanism's repeated-noisy-run shape), including fact rows whose foreign
+// key misses its dimension.
 //
 // The generator also produces the three GROUP BY key sets whose ordinals
 // cannot pack into a 64-bit code — a double fact key, an int64 fact key
@@ -314,14 +314,12 @@ void ExpectBitIdentical(const QueryResult& expected, const QueryResult& got,
 // Executor configurations under test: 1, 4 and 8 scan workers. morsel_size
 // 17 forces dozens of morsels per scan, so multi-worker runs really exercise
 // partial merging.
-std::vector<std::pair<std::string, ExecutorOptions>> ThreadConfigs(
-    bool strict) {
+std::vector<std::pair<std::string, ExecutorOptions>> ThreadConfigs() {
   std::vector<std::pair<std::string, ExecutorOptions>> out;
   for (int threads : {1, 4, 8}) {
     ExecutorOptions options;
     options.exec_threads = threads;
     options.morsel_size = 17;
-    options.strict_integrity = strict;
     out.emplace_back("threads/" + std::to_string(threads), options);
   }
   return out;
@@ -361,7 +359,7 @@ exec::ScanPlan CheckAgainstNaive(std::mt19937& rng,
   EXPECT_TRUE(plan.ok()) << plan.status().ToString();
   if (!naive.ok() || !plan.ok()) return exec::ScanPlan();
   const exec::PredicateOverrides none(bound.dims.size());
-  for (const auto& [name, options] : ThreadConfigs(/*strict=*/false)) {
+  for (const auto& [name, options] : ThreadConfigs()) {
     StarJoinExecutor executor(options);
     auto one_shot = executor.Execute(bound);
     EXPECT_TRUE(one_shot.ok()) << name << ": " << one_shot.status().ToString();
@@ -380,7 +378,7 @@ exec::ScanPlan CheckAgainstNaive(std::mt19937& rng,
     auto expected = exec::ExecuteNaive(bound, overrides);
     EXPECT_TRUE(expected.ok()) << expected.status().ToString();
     if (!expected.ok()) continue;
-    for (const auto& [name, options] : ThreadConfigs(/*strict=*/false)) {
+    for (const auto& [name, options] : ThreadConfigs()) {
       StarJoinExecutor executor(options);
       auto got = executor.Execute(bound, overrides, *plan);
       EXPECT_TRUE(got.ok()) << name << ": " << got.status().ToString();
@@ -447,45 +445,27 @@ TEST(ExecutorEquivalence, UnpackableGroupKeysMatchNaiveBitForBit) {
   }
 }
 
-TEST(ExecutorEquivalence, StrictIntegrityMissesAgreeAcrossThreadCounts) {
+// A fact row whose foreign key misses its dimension is dropped, as in a SQL
+// inner join, at every thread count, through a one-shot Execute and through
+// a compiled plan alike; Catalog::ValidateIntegrity reports the instance.
+TEST(ExecutorEquivalence, DanglingForeignKeysDropAcrossThreadCounts) {
   for (uint32_t seed = 100; seed < 110; ++seed) {
     std::mt19937 rng(seed);
     Instance inst =
         MakeRandomInstance(rng, /*with_bad_fk=*/true, RandomHSpan(rng));
+    EXPECT_FALSE(inst.catalog.ValidateIntegrity().ok()) << "seed " << seed;
     query::Binder binder(&inst.catalog);
     query::StarJoinQuery q = MakeRandomQuery(rng, inst);
     auto bound = binder.Bind(q);
     ASSERT_TRUE(bound.ok()) << bound.status().ToString();
 
-    // Every thread count must fail and report the same (first) violating
-    // row as the sequential scan, through a one-shot Execute and through a
-    // compiled plan alike.
     exec::PlanColumnStore columns;
     auto plan = exec::ScanPlan::Compile(*bound, columns);
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
     const exec::PredicateOverrides none(bound->dims.size());
-    std::string expected_message;
-    for (const auto& [name, options] : ThreadConfigs(/*strict=*/true)) {
-      StarJoinExecutor executor(options);
-      for (bool use_plan : {false, true}) {
-        auto got = use_plan ? executor.Execute(*bound, none, *plan)
-                            : executor.Execute(*bound);
-        ASSERT_FALSE(got.ok()) << name << " seed " << seed;
-        EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument) << name;
-        if (expected_message.empty()) {
-          expected_message = got.status().message();
-          EXPECT_NE(expected_message.find("misses dimension"), std::string::npos);
-        } else {
-          EXPECT_EQ(expected_message, got.status().message())
-              << name << " seed " << seed << " plan=" << use_plan;
-        }
-      }
-    }
-
-    // Non-strict executions silently drop the row, matching the reference.
     auto naive = exec::ExecuteNaive(*bound);
     ASSERT_TRUE(naive.ok());
-    for (const auto& [name, options] : ThreadConfigs(/*strict=*/false)) {
+    for (const auto& [name, options] : ThreadConfigs()) {
       StarJoinExecutor executor(options);
       auto got = executor.Execute(*bound);
       ASSERT_TRUE(got.ok()) << name;
@@ -512,7 +492,7 @@ TEST(ExecutorEquivalence, ThreadCountsAgreeOnEmptyFact) {
   ASSERT_TRUE(bound.ok()) << bound.status().ToString();
   auto naive = exec::ExecuteNaive(*bound);
   ASSERT_TRUE(naive.ok());
-  for (const auto& [name, options] : ThreadConfigs(false)) {
+  for (const auto& [name, options] : ThreadConfigs()) {
     StarJoinExecutor executor(options);
     auto got = executor.Execute(*bound);
     ASSERT_TRUE(got.ok()) << name;

@@ -1,6 +1,6 @@
-// Streaming-ingest equivalence tier: incremental plan extension, incremental
-// cube maintenance, and the service's epoch semantics must be
-// indistinguishable from tearing everything down and rebuilding.
+// Streaming-ingest equivalence tier: incremental plan extension and the
+// service's epoch semantics must be indistinguishable from tearing
+// everything down and rebuilding.
 //
 //   * ScanPlan::ExtendFrom vs a fresh Compile over randomized append
 //     schedules × query shapes: every scaffold array (FK resolution, packed
@@ -8,8 +8,6 @@
 //     and execution of both plans bit-identical to the naive oracle. Tails
 //     that cannot splice (a key outgrowing its packed field, a plan with
 //     numbered group codes) are declined, and the cache recompiles.
-//   * DataCube::AppendRows vs a fresh sequential Build: totals, marginals
-//     and weighted evaluations exactly equal.
 //   * QueryService::Ingest: one epoch bump per accepted batch, all-or-nothing
 //     batches, answer-cache keys that fold the epoch in (a post-append query
 //     is a FRESH DP release and a fresh ε spend), exact ledger accounting.
@@ -33,7 +31,6 @@
 
 #include "common/random.h"
 #include "common/string_util.h"
-#include "exec/data_cube.h"
 #include "exec/naive_executor.h"
 #include "exec/plan_cache.h"
 #include "exec/scan_plan.h"
@@ -349,64 +346,6 @@ TEST(IngestEquivalenceTest, ExtendRefusedWhenADimensionGrew) {
   auto ext = ScanPlan::ExtendFrom(*plan, *grown, columns);
   ASSERT_FALSE(ext.ok());
   EXPECT_EQ(ext.status().code(), StatusCode::kNotSupported);
-}
-
-// ---------------------------------------------------------------------------
-// DataCube::AppendRows ≡ fresh Build
-
-TEST(IngestEquivalenceTest, CubeAppendRowsMatchesFreshSequentialBuild) {
-  for (uint64_t seed = 1; seed <= 4; ++seed) {
-    storage::Catalog catalog = MakeToyCatalog();
-    query::Binder binder(&catalog);
-    auto orders = catalog.GetTable("Orders");
-    ASSERT_TRUE(orders.ok());
-
-    auto bound = binder.Bind(ToyCountQuery());
-    ASSERT_TRUE(bound.ok());
-    const std::vector<query::DimensionAttribute> attrs = {
-        {"Cust", "region", testing_fixture::RegionDomain()},
-        {"Prod", "cat", testing_fixture::CatDomain()}};
-    auto cube = exec::DataCube::Build(*bound, attrs);
-    ASSERT_TRUE(cube.ok()) << cube.status().ToString();
-
-    Rng rng(seed);
-    for (int batch = 0; batch < 3; ++batch) {
-      const int64_t first = (*orders)->num_rows();
-      const int64_t batch_rows = rng.UniformInt(1, 10);
-      for (int64_t r = 0; r < batch_rows; ++r) {
-        ASSERT_TRUE((*orders)->AppendRow(RandomOrdersRow(&rng)).ok());
-      }
-      auto grown = binder.Bind(ToyCountQuery());
-      ASSERT_TRUE(grown.ok());
-      ASSERT_TRUE(cube->AppendRows(*grown, first).ok());
-
-      auto rebuilt = exec::DataCube::Build(*grown, attrs);
-      ASSERT_TRUE(rebuilt.ok());
-      EXPECT_EQ(rebuilt->total(), cube->total());
-      EXPECT_EQ(rebuilt->dropped_rows(), cube->dropped_rows());
-      for (int a = 0; a < 2; ++a) {
-        auto m_fresh = rebuilt->Marginal(a);
-        auto m_inc = cube->Marginal(a);
-        ASSERT_TRUE(m_fresh.ok() && m_inc.ok());
-        EXPECT_EQ(*m_fresh, *m_inc) << "axis " << a;
-      }
-      // Random weighted evaluations probe every cell with exact arithmetic.
-      for (int probe = 0; probe < 4; ++probe) {
-        std::vector<std::vector<double>> weights;
-        for (int a = 0; a < 2; ++a) {
-          auto marginal = rebuilt->Marginal(a);
-          ASSERT_TRUE(marginal.ok());
-          std::vector<double> w(marginal->size());
-          for (auto& v : w) v = rng.Bernoulli(0.5) ? 1.0 : -2.0;
-          weights.push_back(std::move(w));
-        }
-        auto e_fresh = rebuilt->EvaluateWeighted(weights);
-        auto e_inc = cube->EvaluateWeighted(weights);
-        ASSERT_TRUE(e_fresh.ok() && e_inc.ok());
-        EXPECT_EQ(*e_fresh, *e_inc);
-      }
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@
 #include <future>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -299,6 +301,29 @@ TEST(EnginePoolTest, EnginesHaveIndependentRngStreams) {
   bool all_equal = true;
   for (double s : scalars) all_equal = all_equal && s == scalars[0];
   EXPECT_FALSE(all_equal);
+}
+
+// A job's result type is its own: a throwing job of any type resolves its
+// future to Internal instead of leaving it unset, and a non-throwing one of
+// the same type delivers its value.
+TEST(EnginePoolTest, ThrowingJobOfAnyResultTypeResolvesToInternal) {
+  auto catalog = testing_fixture::MakeToyCatalog();
+  EnginePool pool(&catalog, /*num_engines=*/1, /*queue_capacity=*/4);
+  auto thrown = pool.Dispatch([](core::DpStarJoin&) -> Result<std::string> {
+    throw std::runtime_error("boom");
+  });
+  ASSERT_TRUE(thrown.ok()) << thrown.status().ToString();
+  Result<std::string> got = thrown->get();
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kInternal);
+  EXPECT_NE(got.status().message().find("boom"), std::string::npos);
+
+  auto fine = pool.TryDispatch(
+      [](core::DpStarJoin&) -> Result<std::string> { return std::string("ok"); });
+  ASSERT_TRUE(fine.ok()) << fine.status().ToString();
+  Result<std::string> value = fine->get();
+  ASSERT_TRUE(value.ok());
+  EXPECT_EQ(*value, "ok");
 }
 
 // Deterministic queue-full behavior: park the single worker on a latch, fill

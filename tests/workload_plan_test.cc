@@ -1,8 +1,10 @@
 // Tests for the workload-level shared-scan compiler (exec/workload_plan.h)
 // and the layers above it: batched execution is bit-identical to one-at-a-time
-// warm execution on the paper's SSB counting queries under randomized
-// predicate overrides and to the naive oracle on GROUP BY key sets that
-// cannot pack into 64 bits, the predicate CSE actually dedupes bitmap builds
+// warm execution on the paper's SSB scalar COUNT, SUM and AVG queries under
+// randomized predicate overrides — also with more than 8 and more than 64
+// predicate nodes on one dimension slot — and to the naive oracle on GROUP BY
+// key sets that cannot pack into 64 bits, the predicate CSE actually dedupes
+// bitmap builds
 // (the stats receipts prove it), multithreaded batch execution is deterministic
 // across thread counts and repetitions, PredicateMechanism::AnswerBatch
 // consumes the RNG exactly like sequential Answer calls, and the service's
@@ -52,9 +54,10 @@ void ExpectBitIdentical(const QueryResult& expected, const QueryResult& got,
   }
 }
 
-// For double-SUM aggregates the single-query path (run-sorted sweep) and the
-// batch path (probe-order accumulation) add the same terms in different
-// orders, so only near-equality at double precision can be promised.
+// For the double SUMs of grouped plans with sorted runs, the single-query path
+// (run-sorted sweep) and the batch path (row-order sweep) add the same terms
+// in different orders, so only near-equality at double precision can be
+// promised.
 void ExpectNearIdentical(const QueryResult& expected, const QueryResult& got,
                          const std::string& what) {
   EXPECT_EQ(expected.grouped, got.grouped) << what;
@@ -97,13 +100,59 @@ exec::PredicateOverrides MakeRandomOverrides(std::mt19937& rng,
 
 // ------------------------------------------ SSB batch ≡ sequential warm ----
 
-// The paper's SSB queries (scalar counts Qc1–Qc4 and grouped sums Qg2/Qg4),
-// answered two ways under the same randomized overrides: one at a time
-// through the warm cached-plan path, and all together through one shared
-// scan. Counting aggregates are exact, so they must match bit-for-bit at
-// every thread count; the double-SUM queries must agree to within summation-
-// reordering rounding (the two paths visit matching rows in different
-// orders).
+// Binds `q` and compiles its plan into `bound` / `plans`.
+void BindAndCompile(const query::Binder& binder, const query::StarJoinQuery& q,
+                    exec::PlanColumnStore& columns,
+                    std::vector<query::BoundQuery>* bound,
+                    std::vector<std::shared_ptr<const exec::ScanPlan>>* plans) {
+  auto b = binder.Bind(q);
+  ASSERT_TRUE(b.ok()) << q.name << ": " << b.status().ToString();
+  auto plan = exec::ScanPlan::Compile(*b, columns);
+  ASSERT_TRUE(plan.ok()) << q.name << ": " << plan.status().ToString();
+  bound->push_back(std::move(*b));
+  plans->push_back(std::make_shared<exec::ScanPlan>(std::move(*plan)));
+}
+
+// Executes `items` as one batch and each item alone through the single-query
+// path with the same options, expecting every answer bit-identical except the
+// grouped SUMs of plans with sorted runs, which must agree to rounding.
+void ExpectBatchMatchesSequential(const std::vector<WorkloadItem>& items,
+                                  const std::vector<int>& thread_counts,
+                                  int64_t morsel_size, const std::string& what) {
+  auto wplan = WorkloadPlan::Compile(items);
+  ASSERT_TRUE(wplan.ok()) << wplan.status().ToString();
+  for (int threads : thread_counts) {
+    ExecutorOptions options;
+    options.exec_threads = threads;
+    options.morsel_size = morsel_size;
+    StarJoinExecutor executor(options);
+    auto batched = wplan->Execute(options);
+    ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+    ASSERT_EQ(batched->size(), items.size());
+    for (size_t i = 0; i < items.size(); ++i) {
+      const WorkloadItem& it = items[i];
+      auto sequential = executor.Execute(*it.query, *it.overrides, *it.plan);
+      ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
+      const std::string where = what + " query " + std::to_string(i) +
+                                " threads " + std::to_string(threads);
+      const bool double_grouped_sum =
+          it.plan->has_sorted_runs && it.plan->weights != nullptr;
+      if (double_grouped_sum) {
+        ExpectNearIdentical(*sequential, (*batched)[i], where);
+      } else {
+        ExpectBitIdentical(*sequential, (*batched)[i], where);
+      }
+    }
+  }
+}
+
+// The paper's SSB queries (scalar counts Qc1–Qc4, scalar sums Qs2–Qs4 with an
+// AVG twin, grouped sums Qg2/Qg4), answered two ways under the same
+// randomized overrides: one at a time through the warm cached-plan path, and
+// all together through one shared scan. Every scalar answer must match
+// bit-for-bit at every thread count; the grouped double SUMs, whose
+// single-query plans take the run-sorted sweep, to within summation-
+// reordering rounding.
 TEST(WorkloadPlanTest, SsbBatchMatchesSequentialWarmExecutionBitForBit) {
   ssb::SsbOptions gen;
   gen.scale_factor = 0.002;
@@ -114,16 +163,18 @@ TEST(WorkloadPlanTest, SsbBatchMatchesSequentialWarmExecutionBitForBit) {
   std::vector<query::BoundQuery> bound;
   std::vector<std::shared_ptr<const exec::ScanPlan>> plans;
   exec::PlanColumnStore columns;
-  for (const char* name : {"Qc1", "Qc2", "Qc3", "Qc4", "Qg2", "Qg4"}) {
+  for (const char* name :
+       {"Qc1", "Qc2", "Qc3", "Qc4", "Qs2", "Qs3", "Qs4", "Qg2", "Qg4"}) {
     auto q = ssb::GetQuery(name);
     ASSERT_TRUE(q.ok()) << name;
-    auto b = binder.Bind(*q);
-    ASSERT_TRUE(b.ok()) << name << ": " << b.status().ToString();
-    auto plan = exec::ScanPlan::Compile(*b, columns);
-    ASSERT_TRUE(plan.ok()) << name << ": " << plan.status().ToString();
-    bound.push_back(std::move(*b));
-    plans.push_back(std::make_shared<exec::ScanPlan>(std::move(*plan)));
+    BindAndCompile(binder, *q, columns, &bound, &plans);
   }
+  auto avg = ssb::GetQuery("Qs3");
+  ASSERT_TRUE(avg.ok());
+  avg->aggregate = query::AggregateKind::kAvg;
+  BindAndCompile(binder, *avg, columns, &bound, &plans);
+  EXPECT_TRUE(plans[7]->has_sorted_runs);  // Qg2
+  EXPECT_TRUE(plans[8]->has_sorted_runs);  // Qg4
 
   for (uint32_t seed = 1; seed <= 5; ++seed) {
     std::mt19937 rng(seed);
@@ -139,32 +190,100 @@ TEST(WorkloadPlanTest, SsbBatchMatchesSequentialWarmExecutionBitForBit) {
       item.plan = plans[i];
       items.push_back(std::move(item));
     }
-    auto wplan = WorkloadPlan::Compile(std::move(items));
+    auto wplan = WorkloadPlan::Compile(items);
     ASSERT_TRUE(wplan.ok()) << wplan.status().ToString();
-    // One fact table, six queries, one sweep.
-    EXPECT_EQ(wplan->stats().queries, 6);
+    // One fact table, ten queries, one sweep.
+    EXPECT_EQ(wplan->stats().queries, 10);
     EXPECT_EQ(wplan->stats().scans, 1);
+    // morsel_size 257: dozens of morsels, so real partial merging.
+    ExpectBatchMatchesSequential(items, {1, 4}, /*morsel_size=*/257,
+                                 "seed " + std::to_string(seed));
+  }
+}
 
-    for (int threads : {1, 4}) {
-      ExecutorOptions options;
-      options.exec_threads = threads;
-      options.morsel_size = 257;  // dozens of morsels: real partial merging
-      StarJoinExecutor executor(options);
-      auto batched = wplan->Execute(options);
-      ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-      ASSERT_EQ(batched->size(), bound.size());
-      for (size_t i = 0; i < bound.size(); ++i) {
-        auto sequential = executor.Execute(bound[i], overrides[i], *plans[i]);
-        ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
-        const std::string what = "seed " + std::to_string(seed) + " query " +
-                                 std::to_string(i) + " threads " +
-                                 std::to_string(threads);
-        if (i < 4) {  // Qc1–Qc4: exact counts
-          ExpectBitIdentical(*sequential, (*batched)[i], what);
-        } else {  // Qg2/Qg4: double sums
-          ExpectNearIdentical(*sequential, (*batched)[i], what);
-        }
+// Batches whose items filter one dimension slot (Part) with `num_nodes`
+// distinct category ranges, so that slot packs its nodes into several byte
+// tables: 20 nodes (three tables) and 80 nodes (ten tables). Items rotate
+// through scalar COUNT, SUM and AVG; every answer must match the
+// single-query path bit-for-bit at 1, 4 and 8 threads and odd morsel sizes.
+TEST(WorkloadPlanTest, ManyNodesOnOneSlotMatchSequentialBitForBit) {
+  ssb::SsbOptions gen;
+  gen.scale_factor = 0.002;
+  auto catalog = ssb::GenerateSsb(gen);
+  ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+  query::Binder binder(&*catalog);
+
+  std::vector<query::BoundQuery> bound;
+  std::vector<std::shared_ptr<const exec::ScanPlan>> plans;
+  exec::PlanColumnStore columns;
+  auto count = ssb::GetQuery("Qc2");
+  auto sum = ssb::GetQuery("Qs2");
+  ASSERT_TRUE(count.ok() && sum.ok());
+  query::StarJoinQuery avg = *sum;
+  avg.aggregate = query::AggregateKind::kAvg;
+  for (const auto& q : {*count, *sum, avg}) {
+    BindAndCompile(binder, q, columns, &bound, &plans);
+  }
+  // Qc2/Qs2 filter Part.category and Supplier.region. At this scale no
+  // supplier is in AMERICA, so every item drops its Supplier filter.
+  size_t part_dim = bound[0].dims.size();
+  size_t supplier_dim = bound[0].dims.size();
+  for (size_t i = 0; i < bound[0].dims.size(); ++i) {
+    if (bound[0].dims[i].table == "Part") part_dim = i;
+    if (bound[0].dims[i].table == "Supplier") supplier_dim = i;
+  }
+  ASSERT_LT(part_dim, bound[0].dims.size());
+  ASSERT_LT(supplier_dim, bound[0].dims.size());
+  ASSERT_EQ(bound[0].dims[part_dim].predicates.size(), 1u);
+  const int64_t m = bound[0].dims[part_dim].predicates[0].domain.size();
+
+  for (int num_nodes : {20, 80}) {
+    ASSERT_LE(num_nodes, m * (m + 1) / 2);
+    // Item i filters category range number i, enumerated (lo, hi) with
+    // lo ≤ hi, so all ranges are distinct.
+    std::vector<exec::PredicateOverrides> overrides(
+        static_cast<size_t>(num_nodes));
+    int n = 0;
+    for (int64_t lo = 0; lo < m && n < num_nodes; ++lo) {
+      for (int64_t hi = lo; hi < m && n < num_nodes; ++hi, ++n) {
+        const size_t shape = static_cast<size_t>(n) % bound.size();
+        std::vector<query::BoundPredicate> preds =
+            bound[shape].dims[part_dim].predicates;
+        preds[0].lo_index = lo;
+        preds[0].hi_index = hi;
+        preds[0].kind = lo == hi ? query::PredicateKind::kPoint
+                                 : query::PredicateKind::kRange;
+        exec::PredicateOverrides& ov = overrides[static_cast<size_t>(n)];
+        ov.resize(bound[shape].dims.size());
+        ov[part_dim] = std::move(preds);
+        ov[supplier_dim] = std::vector<query::BoundPredicate>{};
       }
+    }
+    std::vector<WorkloadItem> items;
+    for (int i = 0; i < num_nodes; ++i) {
+      const size_t shape = static_cast<size_t>(i) % bound.size();
+      WorkloadItem item;
+      item.query = &bound[shape];
+      item.overrides = &overrides[static_cast<size_t>(i)];
+      item.plan = plans[shape];
+      items.push_back(std::move(item));
+    }
+    auto wplan = WorkloadPlan::Compile(items);
+    ASSERT_TRUE(wplan.ok()) << wplan.status().ToString();
+    // Date and Supplier join without predicates (one node each), Part has
+    // one node per item.
+    EXPECT_EQ(wplan->stats().shared_dim_slots, 3);
+    EXPECT_EQ(wplan->stats().predicate_nodes, num_nodes + 2);
+    auto answers = wplan->Execute(ExecutorOptions{});
+    ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+    int nonzero = 0;
+    for (const QueryResult& r : *answers) nonzero += r.scalar != 0.0 ? 1 : 0;
+    EXPECT_EQ(nonzero, num_nodes);  // every category range matches some row
+    for (int64_t morsel_size : {257, 1001}) {
+      ExpectBatchMatchesSequential(
+          items, {1, 4, 8}, morsel_size,
+          std::to_string(num_nodes) + " nodes, morsel " +
+              std::to_string(morsel_size));
     }
   }
 }
