@@ -1,45 +1,41 @@
-// Engine-level micro benchmarks: comparison harnesses (always run;
-// `--json out.json` records machine-readable
-// {bench, config, rows_per_sec, wall_ms} rows — see BENCH_engine.json) for
+// Engine-level micro benchmarks: comparison harnesses (`--json out.json`
+// records machine-readable {bench, config, rows_per_sec, wall_ms} rows — see
+// BENCH_engine.json) for
 //   * repeated PredicateMechanism::Answer — the PlanCache cold (compile+run),
-//     cold over live shared columns, and warm (bitmap-only) paths,
+//     cold over live shared columns, first hit (cells built) and warm
+//     (bitmaps only) paths,
 //   * a 16-query shared-predicate SSB workload — one shared-scan AnswerBatch
 //     vs sequential warm Answer calls,
 //   * DataCube build (fused-LUT morsel scan at 1/2/4 threads) and the
 //     box-sweep Evaluate,
-//   * ingest plan maintenance — ScanPlan::Compile on a grown fact table vs
-//     ScanPlan::ExtendFrom over just the appended tail,
-// plus google-benchmark timings of the join/cube/PMA/R2T/k-star substrate
-// (skipped with `--compare-only`). These are not paper experiments; they
-// track the substrate's performance so regressions in the hot paths are
-// visible. Thread-scaling configs are annotated with the host core count
-// when the host cannot actually scale to them (e.g. a 1-core container).
+//   * ingest plan maintenance — ScanPlan::Compile plus the cell build on a
+//     grown fact table vs ScanPlan::ExtendFrom of a plan with cells over
+//     just the appended tail.
+// These are not paper experiments; they track the substrate's performance
+// so regressions in the hot paths are visible. Thread-scaling configs are
+// annotated with the host core count when the host cannot actually scale
+// to them (e.g. a 1-core container).
 //
 // Environment knobs:
 //   DPSTARJ_MICRO_SF       SSB scale factor of the comparison harness (0.05)
 //   DPSTARJ_MICRO_MIN_SEC  min measured wall-clock per configuration (0.3)
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
-#include <cstring>
+#include <cmath>
+#include <cstdio>
 #include <functional>
 #include <optional>
 #include <string>
 
-#include "baselines/r2t.h"
 #include "bench_common.h"
 #include "bench_util/table_printer.h"
 #include "common/random.h"
 #include "common/timer.h"
-#include "core/pma.h"
 #include "core/predicate_mechanism.h"
 #include "obs/trace.h"
 #include "exec/data_cube.h"
 #include "exec/scan_plan.h"
 #include "exec/star_join_executor.h"
-#include "graph/generator.h"
-#include "graph/kstar.h"
 #include "query/binder.h"
 #include "ssb/ssb_generator.h"
 #include "ssb/ssb_queries.h"
@@ -47,125 +43,6 @@
 namespace {
 
 using namespace dpstarj;
-
-// Shared SSB instance (built once, smallest useful size).
-const storage::Catalog& SharedCatalog() {
-  static storage::Catalog* catalog = [] {
-    ssb::SsbOptions options;
-    options.scale_factor = 0.01;
-    auto c = ssb::GenerateSsb(options);
-    DPSTARJ_CHECK(c.ok(), "ssb generation");
-    return new storage::Catalog(std::move(*c));
-  }();
-  return *catalog;
-}
-
-const query::BoundQuery& SharedBoundQc3() {
-  static query::BoundQuery* bound = [] {
-    query::Binder binder(&SharedCatalog());
-    auto q = ssb::GetQuery("Qc3");
-    DPSTARJ_CHECK(q.ok(), "query");
-    auto b = binder.Bind(*q);
-    DPSTARJ_CHECK(b.ok(), "bind");
-    return new query::BoundQuery(std::move(*b));
-  }();
-  return *bound;
-}
-
-void BM_StarJoinExecute(benchmark::State& state) {
-  exec::StarJoinExecutor executor;
-  const auto& bound = SharedBoundQc3();
-  for (auto _ : state) {
-    auto r = executor.Execute(bound);
-    DPSTARJ_CHECK(r.ok(), "execute");
-    benchmark::DoNotOptimize(r->scalar);
-  }
-  state.SetItemsProcessed(state.iterations() * bound.fact->num_rows());
-}
-BENCHMARK(BM_StarJoinExecute);
-
-void BM_DataCubeBuild(benchmark::State& state) {
-  const auto& bound = SharedBoundQc3();
-  for (auto _ : state) {
-    auto cube = exec::DataCube::BuildFromQueryPredicates(bound);
-    DPSTARJ_CHECK(cube.ok(), "cube");
-    benchmark::DoNotOptimize(cube->total());
-  }
-  state.SetItemsProcessed(state.iterations() * bound.fact->num_rows());
-}
-BENCHMARK(BM_DataCubeBuild);
-
-void BM_DataCubeEvaluate(benchmark::State& state) {
-  const auto& bound = SharedBoundQc3();
-  auto cube = exec::DataCube::BuildFromQueryPredicates(bound);
-  DPSTARJ_CHECK(cube.ok(), "cube");
-  auto preds = bound.Predicates();
-  for (auto _ : state) {
-    auto r = cube->Evaluate(preds);
-    DPSTARJ_CHECK(r.ok(), "evaluate");
-    benchmark::DoNotOptimize(*r);
-  }
-}
-BENCHMARK(BM_DataCubeEvaluate);
-
-void BM_PmaPerturbRange(benchmark::State& state) {
-  Rng rng(1);
-  query::BoundPredicate pred;
-  pred.domain = storage::AttributeDomain::IntRange(0, state.range(0) - 1);
-  pred.kind = query::PredicateKind::kRange;
-  pred.lo_index = state.range(0) / 4;
-  pred.hi_index = 3 * state.range(0) / 4;
-  for (auto _ : state) {
-    auto r = core::PerturbPredicate(pred, 0.5, &rng);
-    DPSTARJ_CHECK(r.ok(), "pma");
-    benchmark::DoNotOptimize(r->lo_index);
-  }
-}
-BENCHMARK(BM_PmaPerturbRange)->Arg(7)->Arg(366)->Arg(144000);
-
-void BM_PredicateMechanismAnswer(benchmark::State& state) {
-  Rng rng(2);
-  core::PredicateMechanism pm;
-  const auto& bound = SharedBoundQc3();
-  auto cube = exec::DataCube::BuildFromQueryPredicates(bound);
-  DPSTARJ_CHECK(cube.ok(), "cube");
-  for (auto _ : state) {
-    auto r = pm.AnswerWithCube(bound, *cube, 0.5, &rng);
-    DPSTARJ_CHECK(r.ok(), "pm");
-    benchmark::DoNotOptimize(*r);
-  }
-}
-BENCHMARK(BM_PredicateMechanismAnswer);
-
-void BM_R2tRace(benchmark::State& state) {
-  Rng rng(3);
-  std::vector<double> contributions(static_cast<size_t>(state.range(0)));
-  for (size_t i = 0; i < contributions.size(); ++i) {
-    contributions[i] = 1.0 + static_cast<double>(i % 17);
-  }
-  for (auto _ : state) {
-    auto r = baselines::R2tRace(contributions, 1e6, 0.5, 0.1, &rng);
-    DPSTARJ_CHECK(r.ok(), "race");
-    benchmark::DoNotOptimize(*r);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_R2tRace)->Arg(1000)->Arg(100000);
-
-void BM_KStarIndexBuild(benchmark::State& state) {
-  graph::GeneratorOptions options;
-  options.num_nodes = state.range(0);
-  options.num_edges = state.range(0) * 5;
-  options.seed = 4;
-  auto g = graph::GeneratePowerLawGraph(options);
-  DPSTARJ_CHECK(g.ok(), "graph");
-  for (auto _ : state) {
-    graph::KStarIndex index(*g, 2);
-    benchmark::DoNotOptimize(index.total());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_KStarIndexBuild)->Arg(10000)->Arg(100000);
 
 double SharedMinSec() {
   return bench_util::EnvDouble("DPSTARJ_MICRO_MIN_SEC", 0.3);
@@ -188,8 +65,11 @@ const storage::Catalog& ComparisonCatalog() {
 // (compile+run)" pays a whole ScanPlan::Compile every run, join and weight
 // columns included (what a one-shot Execute costs); "plan cold (columns
 // shared)" compiles while another plan holds those columns, as a compile for
-// a new signature against a populated plan cache does; "plan warm" is the
-// steady state — predicate bitmaps only.
+// a new signature against a populated plan cache does; "plan first hit
+// (cells built)" is that compile followed by the plan's first cache hit,
+// which builds its cells before it answers; "plan warm" is the steady state
+// — predicate bitmaps only, and a sweep over the cells when the plan has
+// them.
 // ---------------------------------------------------------------------------
 
 void RunPlanCacheComparison(bench::JsonBenchWriter* json) {
@@ -246,12 +126,23 @@ void RunPlanCacheComparison(bench::JsonBenchWriter* json) {
                        auto r = pm.Answer(*bound, epsilon, &rng);
                        DPSTARJ_CHECK(r.ok(), "answer");
                      }});
+    // A plan held across Clear() (taken at the first run, outside the
+    // timing), so every later compile finds its join and weight columns live.
+    std::shared_ptr<const exec::ScanPlan> held;
     paths.push_back({"plan cold (columns shared)", [&]() {
-                       // The previous run's plan outlives Clear(), so the
-                       // compile finds its join and weight columns live.
-                       auto previous = pm.plan_cache()->GetOrCompile(*bound);
-                       DPSTARJ_CHECK(previous.ok(), "plan");
+                       if (held == nullptr) {
+                         auto plan = pm.plan_cache()->GetOrCompile(*bound);
+                         DPSTARJ_CHECK(plan.ok(), "plan");
+                         held = *plan;
+                       }
                        pm.plan_cache()->Clear();
+                       auto r = pm.Answer(*bound, epsilon, &rng);
+                       DPSTARJ_CHECK(r.ok(), "answer");
+                     }});
+    paths.push_back({"plan first hit (cells built)", [&]() {
+                       pm.plan_cache()->Clear();
+                       auto compiled = pm.plan_cache()->GetOrCompile(*bound);
+                       DPSTARJ_CHECK(compiled.ok(), "compile");
                        auto r = pm.Answer(*bound, epsilon, &rng);
                        DPSTARJ_CHECK(r.ok(), "answer");
                      }});
@@ -505,11 +396,12 @@ void RunCubeComparison(bench::JsonBenchWriter* json) {
 }
 
 // ---------------------------------------------------------------------------
-// Ingest comparison (the PR-10 acceptance measurement): after an append batch
-// lands on a live fact table, a cached grouped ScanPlan is stale. The
-// PlanCache extends it over the tail (ScanPlan::ExtendFrom) instead of
-// recompiling the full table (ScanPlan::Compile) — this harness measures both
-// on the same grown table, after checking the two scaffolds are identical.
+// Ingest comparison: after an append batch lands on a live fact table, a
+// cached grouped ScanPlan with cells is stale. The PlanCache extends it over
+// the tail (ScanPlan::ExtendFrom, which adds the tail rows to its cells)
+// instead of recompiling the full table and rebuilding the cells
+// (ScanPlan::Compile + ScanPlan::WithCells) — this harness measures both on
+// the same grown table, after checking the two scaffolds are identical.
 // Runs last: it appends to the shared comparison catalog's Lineorder.
 // ---------------------------------------------------------------------------
 
@@ -534,9 +426,17 @@ void RunIngestComparison(bench::JsonBenchWriter* json) {
   auto fact = catalog.GetTable("Lineorder");
   DPSTARJ_CHECK(fact.ok(), "fact table");
   const int64_t base_rows = (*fact)->num_rows();
+  // Compile plus cells, the way PlanCache builds them at a first hit.
+  auto with_cells = [&](exec::PlanColumnStore& columns) {
+    auto plan = exec::ScanPlan::Compile(*bound, columns);
+    DPSTARJ_CHECK(plan.ok(), "compile");
+    auto cells = exec::ScanPlan::WithCells(
+        *plan, *bound, exec::ScanPlan::CellLimit(plan->fact_rows()));
+    DPSTARJ_CHECK(cells.ok(), "cells");
+    return std::move(*cells);
+  };
   exec::PlanColumnStore old_columns;
-  auto old_plan = exec::ScanPlan::Compile(*bound, old_columns);
-  DPSTARJ_CHECK(old_plan.ok(), "compile");
+  const exec::ScanPlan old_plan = with_cells(old_columns);
 
   // Append a ~1% tail of recycled rows (valid FKs by construction — they are
   // existing rows), the shape of one ingest batch on a live table.
@@ -551,28 +451,29 @@ void RunIngestComparison(bench::JsonBenchWriter* json) {
   // Each path builds its join and weight columns in a store of its own every
   // run: the recompile resolves every fact row, the extension the tail only
   // — what the first plan to extend an edge after an ingest pays.
-  DPSTARJ_CHECK(exec::ScanPlan::IsAppendExtension(*old_plan, *bound),
+  DPSTARJ_CHECK(exec::ScanPlan::IsAppendExtension(old_plan, *bound),
                 "append precondition");
   exec::PlanColumnStore fresh_columns;
-  auto fresh = exec::ScanPlan::Compile(*bound, fresh_columns);
-  DPSTARJ_CHECK(fresh.ok(), "fresh compile");
+  const exec::ScanPlan fresh = with_cells(fresh_columns);
   exec::PlanColumnStore extended_columns;
   auto extended =
-      exec::ScanPlan::ExtendFrom(*old_plan, *bound, extended_columns);
+      exec::ScanPlan::ExtendFrom(old_plan, *bound, extended_columns);
   DPSTARJ_CHECK(extended.ok(), "extend");
   bool same_join_columns = true;
-  for (size_t i = 0; i < fresh->fact_dim_row.size(); ++i) {
+  for (size_t i = 0; i < fresh.fact_dim_row.size(); ++i) {
     same_join_columns = same_join_columns &&
                         extended->fact_dim_row[i]->rows ==
-                            fresh->fact_dim_row[i]->rows;
+                            fresh.fact_dim_row[i]->rows;
   }
-  DPSTARJ_CHECK(same_join_columns &&
-                    extended->codes == fresh->codes &&
-                    extended->weights->values == fresh->weights->values &&
-                    extended->run_offsets == fresh->run_offsets &&
-                    extended->sorted_dim_row == fresh->sorted_dim_row &&
-                    extended->sorted_weights == fresh->sorted_weights &&
-                    extended->group_labels == fresh->group_labels,
+  const exec::CellLayout& ext_cells = *extended->cells;
+  const exec::CellLayout& fresh_cells = *fresh.cells;
+  DPSTARJ_CHECK(same_join_columns && extended->codes == fresh.codes &&
+                    extended->weights->values == fresh.weights->values &&
+                    ext_cells.cell_class == fresh_cells.cell_class &&
+                    ext_cells.counts == fresh_cells.counts &&
+                    ext_cells.weights == fresh_cells.weights &&
+                    ext_cells.labels == fresh_cells.labels &&
+                    ext_cells.slots == fresh_cells.slots,
                 "extended plan diverges from fresh compile");
 
   std::printf("== ingest plan maintenance: QgScan "
@@ -588,16 +489,15 @@ void RunIngestComparison(bench::JsonBenchWriter* json) {
   std::vector<PathConfig> paths;
   paths.push_back({"recompile (full table)", [&]() {
                      exec::PlanColumnStore columns;
-                     auto p = exec::ScanPlan::Compile(*bound, columns);
-                     DPSTARJ_CHECK(p.ok(), "compile");
-                     benchmark::DoNotOptimize(p->codes.data());
+                     const exec::ScanPlan p = with_cells(columns);
+                     DPSTARJ_CHECK(p.cells->num_cells() > 0, "no cells");
                    }});
-  paths.push_back({"extend (tail splice)", [&]() {
+  paths.push_back({"extend (tail only)", [&]() {
                      exec::PlanColumnStore columns;
                      auto p =
-                         exec::ScanPlan::ExtendFrom(*old_plan, *bound, columns);
-                     DPSTARJ_CHECK(p.ok(), "extend");
-                     benchmark::DoNotOptimize(p->codes.data());
+                         exec::ScanPlan::ExtendFrom(old_plan, *bound, columns);
+                     DPSTARJ_CHECK(p.ok() && p->cells->num_cells() > 0,
+                                   "extend");
                    }});
 
   double recompile_rows_per_sec = 0.0;
@@ -634,28 +534,15 @@ void RunIngestComparison(bench::JsonBenchWriter* json) {
 
 int main(int argc, char** argv) {
   std::string json_path = bench::JsonBenchWriter::ConsumeJsonFlag(&argc, argv);
-  bool compare_only = false;
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--compare-only") == 0) {
-      compare_only = true;
-      continue;
-    }
-    argv[out++] = argv[i];
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: %s [--json out.json]\n", argv[0]);
+    return 1;
   }
-  argc = out;
-
   bench::JsonBenchWriter json(json_path);
   RunPlanCacheComparison(&json);
   RunWorkloadComparison(&json);
   RunCubeComparison(&json);
   RunIngestComparison(&json);  // last: appends to the comparison catalog
   json.Flush();
-  if (compare_only) return 0;
-
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -109,6 +109,7 @@ std::vector<Result<exec::QueryResult>> PredicateMechanism::AnswerBatch(
         const exec::WorkloadExecStats& s = wplan->stats();
         stats->queries += s.queries;
         stats->scans += s.scans;
+        stats->cell_sweeps += s.cell_sweeps;
         stats->predicate_refs += s.predicate_refs;
         stats->predicate_nodes += s.predicate_nodes;
         stats->shared_dim_slots += s.shared_dim_slots;

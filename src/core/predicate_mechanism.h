@@ -84,10 +84,10 @@ class PredicateMechanism {
   ///
   /// Returns one Result per query, in batch order: a query that fails to
   /// perturb or plan gets its own error without failing the batch. Each
-  /// answer equals what Answer would return on the same draws — bit for bit,
-  /// except grouped SUMs whose plans have sorted runs, which agree to
-  /// rounding (exec/workload_plan.h). `stats` (optional) accumulates the CSE
-  /// receipts of the batch.
+  /// answer equals what Answer would return on the same draws and plans, bit
+  /// for bit; a query whose cached plan has cells is answered from them
+  /// instead of riding the shared sweep (exec/workload_plan.h). `stats`
+  /// (optional) accumulates the CSE receipts of the batch.
   std::vector<Result<exec::QueryResult>> AnswerBatch(
       const std::vector<BatchQueryRef>& batch, Rng* rng,
       obs::Trace* trace = nullptr,

@@ -1,6 +1,8 @@
 #include "exec/plan_cache.h"
 
 #include <algorithm>
+#include <iterator>
+#include <utility>
 
 #include "common/string_util.h"
 
@@ -56,35 +58,78 @@ std::string PlanKey(const query::BoundQuery& q) {
 PlanCache::PlanCache(size_t capacity, size_t max_bytes)
     : capacity_(capacity), max_bytes_(max_bytes) {}
 
+void PlanCache::Remove(std::list<Entry>::iterator it, Released& released) {
+  bytes_ -= it->plan->ApproxBytes();
+  index_.erase(it->key);
+  released.push_back(std::move(it->plan));
+  lru_.erase(it);
+}
+
+void PlanCache::EvictOverflow(Released& released) {
+  while (lru_.size() > 1 &&
+         (lru_.size() > capacity_ || bytes_ > max_bytes_)) {
+    Remove(std::prev(lru_.end()), released);
+    ++stats_.evictions;
+  }
+}
+
 Result<std::shared_ptr<const ScanPlan>> PlanCache::GetOrCompile(
     const query::BoundQuery& q, obs::Trace* trace) {
   const std::string key = PlanKey(q);
+  // Declared before every lock below, so dropped plans are freed after it.
+  Released released;
   std::shared_ptr<const ScanPlan> append_base;
+  std::shared_ptr<const ScanPlan> cell_base;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-      std::shared_ptr<const ScanPlan> cached = it->second->second;
-      if (cached->Matches(q)) {
-        lru_.splice(lru_.begin(), lru_, it->second);
+    auto found = index_.find(key);
+    if (found != index_.end()) {
+      const auto it = found->second;
+      if (it->plan->Matches(q)) {
+        lru_.splice(lru_.begin(), lru_, it);
         ++stats_.hits;
         if (trace != nullptr) trace->plan_cache_hit = true;
-        return cached;
-      }
-      // Stale. When only the fact table grew (streaming ingest), keep the
-      // entry for now — its scaffold is the input of the tail extension
-      // below, and a declined extension drops it then. Anything else is an
-      // identity invalidation: nothing is salvageable, drop immediately.
-      if (ScanPlan::IsAppendExtension(*cached, q)) {
-        append_base = std::move(cached);
+        if (it->cells_decided || it->plan->numbered_codes) return it->plan;
+        // The first validated hit decides the plan's cells, below.
+        it->cells_decided = true;
+        cell_base = it->plan;
+      } else if (ScanPlan::IsAppendExtension(*it->plan, q)) {
+        // Stale, but only the fact table grew (streaming ingest): keep the
+        // entry for now — its scaffold is the input of the tail extension
+        // below, and a declined extension drops it then.
+        append_base = it->plan;
       } else {
-        bytes_ -= cached->ApproxBytes();
-        lru_.erase(it->second);
-        index_.erase(it);
+        // Any other staleness: nothing is salvageable, drop immediately.
+        Remove(it, released);
         ++stats_.invalidations;
         ++stats_.invalidated_identity;
       }
     }
+  }
+
+  // Cells are built outside the lock and published like an extension. The
+  // hit is already counted; a decline leaves the plan on its fact rows.
+  if (cell_base != nullptr) {
+    Result<ScanPlan> with_cells = [&] {
+      obs::ScopedStage cells_span(trace, obs::Stage::kPlanCells);
+      return ScanPlan::WithCells(*cell_base, q,
+                                 ScanPlan::CellLimit(cell_base->fact_rows()));
+    }();
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!with_cells.ok()) {
+      ++stats_.cell_declines;
+      return cell_base;
+    }
+    ++stats_.cell_builds;
+    auto plan = std::make_shared<const ScanPlan>(std::move(*with_cells));
+    auto found = index_.find(key);
+    // Unless an extension or eviction replaced the entry meanwhile.
+    if (found != index_.end() && found->second->plan == cell_base) {
+      bytes_ = bytes_ - cell_base->ApproxBytes() + plan->ApproxBytes();
+      released.push_back(std::exchange(found->second->plan, plan));
+      EvictOverflow(released);
+    }
+    return plan;
   }
 
   // Extend / compile outside the lock: both scan fact data and must not
@@ -98,8 +143,9 @@ Result<std::shared_ptr<const ScanPlan>> PlanCache::GetOrCompile(
       plan = std::make_shared<const ScanPlan>(std::move(*ext));
       extended = true;
     }
-    // A declined extension (NotSupported: the tail does not splice) falls
-    // through to a fresh compile; the entry is dropped below.
+    // A declined extension (NotSupported: the tail does not fit the
+    // compiled layout) falls through to a fresh compile; the entry is
+    // dropped below.
   }
   if (!extended) {
     obs::ScopedStage compile_span(trace, obs::Stage::kPlanCompile);
@@ -123,17 +169,16 @@ Result<std::shared_ptr<const ScanPlan>> PlanCache::GetOrCompile(
     }
   }
   if (capacity_ == 0) return plan;
-  auto it = index_.find(key);
-  if (it != index_.end()) {
+  auto found = index_.find(key);
+  if (found != index_.end()) {
+    const auto it = found->second;
     // A racing insert landed first; keep ours only if theirs went stale.
-    if (it->second->second->Matches(q)) {
-      lru_.splice(lru_.begin(), lru_, it->second);
-      return it->second->second;
+    if (it->plan->Matches(q)) {
+      lru_.splice(lru_.begin(), lru_, it);
+      return it->plan;
     }
-    const bool replacing_base = it->second->second == append_base;
-    bytes_ -= it->second->second->ApproxBytes();
-    lru_.erase(it->second);
-    index_.erase(it);
+    const bool replacing_base = it->plan == append_base;
+    Remove(it, released);
     if (!replacing_base) {
       // Someone else's entry went stale underneath us (not the append base
       // we deliberately left in place) — account it like any invalidation.
@@ -141,24 +186,18 @@ Result<std::shared_ptr<const ScanPlan>> PlanCache::GetOrCompile(
       ++stats_.invalidated_identity;
     }
   }
-  lru_.emplace_front(key, plan);
+  // An extension keeps its cells; any other new plan decides at its next hit.
+  lru_.push_front(Entry{key, plan, /*cells_decided=*/plan->cells != nullptr});
   index_[key] = lru_.begin();
   bytes_ += plan->ApproxBytes();
-  // Evict by entry count and by scaffold bytes; the most recent entry always
-  // stays so a single oversized plan is still served (it just caches alone).
-  while (lru_.size() > 1 &&
-         (lru_.size() > capacity_ || bytes_ > max_bytes_)) {
-    bytes_ -= lru_.back().second->ApproxBytes();
-    index_.erase(lru_.back().first);
-    lru_.pop_back();
-    ++stats_.evictions;
-  }
+  EvictOverflow(released);
   return plan;
 }
 
 void PlanCache::Clear() {
+  std::list<Entry> dropped;  // freed after the lock is released
   std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
+  dropped.swap(lru_);
   index_.clear();
   bytes_ = 0;
 }

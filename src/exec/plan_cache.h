@@ -22,6 +22,19 @@
 // layer shares one PlanCache across all pool engines (see
 // service/query_service.h).
 //
+// Cells: a plan's first validated hit builds its cell layout
+// (ScanPlan::WithCells) when the dense cell index is at most half its fact
+// rows, and publishes the plan with cells the way an extension is
+// published. The build is not done at compile: most compiled plans of an
+// ad-hoc stream never run twice, and a build costs several fact sweeps. An
+// extension keeps a plan's cells; a plan without them (compiled, declined,
+// or extended from one without) is considered again at its next hit. Plans
+// with numbered group codes are never considered.
+//
+// Plans leave the cache — evicted, invalidated, replaced or cleared — under
+// the cache mutex but are freed after it is released, so no lookup waits
+// behind a multi-MB free.
+//
 // The cache also owns the PlanColumnStore its plans compile against, so
 // every cached plan over one FK edge points at one join column and every
 // plan over one measure at one weight column: a compile for a new signature
@@ -37,6 +50,7 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/result.h"
 #include "exec/scan_plan.h"
@@ -49,12 +63,14 @@ namespace dpstarj::exec {
 class PlanCache {
  public:
   /// Default entry capacity. Plans hold per-fact-row scaffolds — up to
-  /// ≈ 24 + 8·dims bytes per fact row for grouped SUM queries with run-
-  /// sorted layouts, of which 8 + 4·dims are the join and weight columns
-  /// shared with other plans — so eviction is governed by a byte budget as
-  /// well as this entry cap; popular queries dominate hits long before
-  /// either matters. The budget counts shared columns in full in every plan
-  /// that references them, so it bounds the bytes from above.
+  /// ≈ 18 + 4·dims bytes per fact row for grouped SUM queries with cells:
+  /// 8 for the group codes, at most 2 for the dense cell index (≤ half a
+  /// 4-byte slot per row), and 8 + 4·dims for the join and weight columns
+  /// shared with other plans; the cells themselves number at most half the
+  /// fact rows and are usually far fewer — so eviction is governed by a
+  /// byte budget as well as this entry cap; popular queries dominate hits
+  /// long before either matters. The budget counts shared columns in full
+  /// in every plan that references them, so it bounds the bytes from above.
   static constexpr size_t kDefaultCapacity = 32;
   /// Default scaffold-byte budget across all cached plans (LRU entries are
   /// evicted past it; the most recent plan is always kept).
@@ -82,6 +98,10 @@ class PlanCache {
     /// plan holds. Reuses over builds is the column store's hit ratio.
     uint64_t column_builds = 0;
     uint64_t column_reuses = 0;
+    /// First validated hits that built the plan's cells vs those the size
+    /// rule (dense cell index > fact rows / 2) kept on the fact rows.
+    uint64_t cell_builds = 0;
+    uint64_t cell_declines = 0;
 
     /// hits / (hits + misses), 0 when empty.
     double HitRate() const {
@@ -95,22 +115,26 @@ class PlanCache {
                      size_t max_bytes = kDefaultMaxBytes);
 
   /// \brief Returns the cached plan for `q`'s execution signature: a
-  /// validated hit when fresh, an incremental extension when only the fact
-  /// table grew, and a full compile otherwise. Extension and compilation
-  /// both run outside the cache lock; two threads racing on the same cold
-  /// key may both compile, and the first insert wins: the later caller
-  /// drops its plan and returns the cached one — wasted work, never wrong
-  /// results. Their columns race the same way and end up shared.
+  /// validated hit when fresh (the first one builds the plan's cells), an
+  /// incremental extension when only the fact table grew, and a full
+  /// compile otherwise. Cell builds, extension and compilation all run
+  /// outside the cache lock; two threads racing on the same cold key may
+  /// both compile, and the first insert wins: the later caller drops its
+  /// plan and returns the cached one — wasted work, never wrong results.
+  /// Their columns race the same way and end up shared. Only one hit per
+  /// plan builds cells; concurrent hits meanwhile get the plan without them.
   ///
   /// A non-null `trace` gets `plan_cache_hit` set on a validated hit or a
-  /// successful extension, the extend span (obs::Stage::kPlanExtend)
-  /// recorded on the extension path, and the compile span
-  /// (obs::Stage::kPlanCompile) recorded on a miss.
+  /// successful extension, the cell build span (obs::Stage::kPlanCells)
+  /// recorded on the hit that builds or declines cells, the extend span
+  /// (obs::Stage::kPlanExtend) recorded on the extension path, and the
+  /// compile span (obs::Stage::kPlanCompile) recorded on a miss.
   Result<std::shared_ptr<const ScanPlan>> GetOrCompile(
       const query::BoundQuery& q, obs::Trace* trace = nullptr);
 
-  /// Drops every entry (stats are preserved). A column dies with the last
-  /// plan referencing it, cached or held by a caller.
+  /// Drops every entry (stats are preserved), freeing them after the lock is
+  /// released. A column dies with the last plan referencing it, cached or
+  /// held by a caller.
   void Clear();
 
   /// Current entry count.
@@ -124,7 +148,22 @@ class PlanCache {
   Stats GetStats() const;
 
  private:
-  using Entry = std::pair<std::string, std::shared_ptr<const ScanPlan>>;
+  struct Entry {
+    std::string key;
+    std::shared_ptr<const ScanPlan> plan;
+    /// A validated hit has built or declined this plan's cells (or is
+    /// building them now).
+    bool cells_decided = false;
+  };
+  /// Plans dropped under mu_, freed by the caller after unlocking.
+  using Released = std::vector<std::shared_ptr<const ScanPlan>>;
+
+  /// Unlinks `it` from the LRU and index into `released`. Requires mu_.
+  void Remove(std::list<Entry>::iterator it, Released& released);
+  /// Evicts LRU entries past the entry cap or byte budget into `released`;
+  /// the most recent entry always stays, so a single oversized plan is still
+  /// served (it just caches alone). Requires mu_.
+  void EvictOverflow(Released& released);
 
   mutable std::mutex mu_;
   size_t capacity_;

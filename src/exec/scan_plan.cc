@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <unordered_map>
 
 #include "common/string_util.h"
 #include "exec/domain_index.h"
@@ -157,41 +158,141 @@ void NumberKeyTuples(ScanPlan& plan, const query::BoundQuery& q) {
   plan.code_space = plan.code_rows.size();
 }
 
-// (Re)renders the label of every code whose run is non-empty, merging codes
-// that render identically — shared by Compile and ExtendFrom so the extended
-// plan's label table is the fresh compile's by construction. A group-bearing
-// dimension with zero rows means no fact row can ever pass (all FKs resolve
-// to its sentinel), so nothing is renderable — and its empty rep_rows must
-// not be indexed.
-void RenderRunLabels(ScanPlan& plan, const query::BoundQuery& q) {
-  const int64_t space = static_cast<int64_t>(plan.run_offsets.size()) - 1;
-  bool renderable = true;
-  for (const auto& part : plan.parts) {
-    if (part.dim_idx >= 0 &&
-        plan.dims[static_cast<size_t>(part.dim_idx)].rep_rows.empty()) {
-      renderable = false;
-      break;
+// Numbers one dimension's classes: rows with equal domain ordinals in every
+// memoized ordinal table and equal group ordinals share a class, numbered in
+// first-occurrence row order. Fills `class_of_row` and `classes` (num_rows =
+// class count; each ordinal table maps class → ordinal). NotSupported when
+// the tuples do not fit a 64-bit key.
+Status NumberClasses(const PlanDim& pd, std::vector<int32_t>& class_of_row,
+                     PlanDim& classes) {
+  // Each row's tuple as one mixed-radix key: ordinal + 1 per table (so -1,
+  // outside the domain, is a digit too), then the group ordinal.
+  const size_t rows = static_cast<size_t>(pd.num_rows);
+  std::vector<uint64_t> key(rows, 0);
+  uint64_t scale = 1;
+  auto add_digits = [&](uint64_t radix, auto digit) {
+    for (size_t r = 0; r < rows; ++r) key[r] += digit(r) * scale;
+    return !__builtin_mul_overflow(scale, radix, &scale);
+  };
+  for (const auto& t : pd.ordinal_tables) {
+    const int64_t* ordinals = t.ordinals.data();
+    if (!add_digits(static_cast<uint64_t>(t.domain.size()) + 1, [&](size_t r) {
+          return static_cast<uint64_t>(ordinals[r] + 1);
+        })) {
+      return Status::NotSupported("class tuples do not fit 64 bits");
     }
   }
-  plan.group_labels.clear();
-  plan.label_of_code.assign(static_cast<size_t>(space), -1);
-  std::map<std::string, std::vector<int64_t>> codes_of_label;
-  std::string label;
-  for (int64_t code = 0; renderable && code < space; ++code) {
-    if (plan.run_offsets[static_cast<size_t>(code)] ==
-        plan.run_offsets[static_cast<size_t>(code) + 1]) {
-      continue;
-    }
-    plan.RenderLabel(q, static_cast<uint64_t>(code), &label);
-    codes_of_label[label].push_back(code);
+  if (!pd.group_ordinal.empty() &&
+      !add_digits(pd.rep_rows.size(), [&](size_t r) {
+        return static_cast<uint64_t>(pd.group_ordinal[r]);
+      })) {
+    return Status::NotSupported("class tuples do not fit 64 bits");
   }
-  plan.group_labels.reserve(codes_of_label.size());
-  for (auto& [label_key, code_list] : codes_of_label) {
-    const int32_t slot = static_cast<int32_t>(plan.group_labels.size());
-    plan.group_labels.push_back(label_key);
-    for (int64_t code : code_list) {
-      plan.label_of_code[static_cast<size_t>(code)] = slot;
+
+  std::unordered_map<uint64_t, int32_t> class_of_key;
+  std::vector<size_t> reps;  // class → first row
+  class_of_row.resize(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    auto [it, inserted] =
+        class_of_key.try_emplace(key[r], static_cast<int32_t>(reps.size()));
+    if (inserted) reps.push_back(r);
+    class_of_row[r] = it->second;
+  }
+  classes.num_rows = static_cast<int32_t>(reps.size());
+  for (const auto& t : pd.ordinal_tables) {
+    PlanDim::OrdinalTable& ct = classes.ordinal_tables.emplace_back();
+    ct.column_index = t.column_index;
+    ct.domain = t.domain;
+    ct.ordinals.reserve(reps.size());
+    for (size_t rep : reps) ct.ordinals.push_back(t.ordinals[rep]);
+  }
+  return Status::OK();
+}
+
+// Adds fact rows [begin, plan.fact_rows()) to `cells`. A row whose foreign
+// keys all resolve joins the cell of its (classes, fact-side group fields)
+// combination, opened at the combination's first row, adding 1 to the
+// cell's count and its weight to the cell's sum in row order. Rows go in
+// cache-resident blocks: first every row's dense index, one dimension at a
+// time, then the cells.
+void AddRowsToCells(const ScanPlan& plan, int64_t begin, CellLayout& cells) {
+  constexpr int64_t kBlock = 1024;
+  constexpr uint64_t kMissing = ~uint64_t{0};
+  const int64_t end = plan.fact_rows();
+  const double* w =
+      plan.weights == nullptr ? nullptr : plan.weights->values.data();
+  uint64_t index[kBlock];
+  for (int64_t b0 = begin; b0 < end; b0 += kBlock) {
+    const int64_t n = std::min(kBlock, end - b0);
+    std::fill(index, index + n, 0);
+    for (size_t i = 0; i < plan.dims.size(); ++i) {
+      const int32_t* rows = plan.fact_dim_row[i]->rows.data() + b0;
+      const int32_t* cls = cells.class_of_row[i].data();
+      const int32_t sentinel = plan.dims[i].num_rows;
+      const uint64_t stride = cells.dim_strides[i];
+      for (int64_t k = 0; k < n; ++k) {
+        if (rows[k] == sentinel) {
+          index[k] = kMissing;
+        } else if (index[k] != kMissing) {
+          index[k] += static_cast<uint64_t>(cls[rows[k]]) * stride;
+        }
+      }
     }
+    for (size_t p = 0; p < plan.parts.size(); ++p) {
+      const PlanLabelPart& part = plan.parts[p];
+      if (part.dim_idx >= 0) continue;
+      const uint64_t* codes = plan.codes.data() + b0;
+      const uint64_t stride = cells.part_strides[p];
+      for (int64_t k = 0; k < n; ++k) {
+        if (index[k] == kMissing) continue;
+        index[k] += plan.layout.Extract(codes[k], part.field) * stride;
+      }
+    }
+    for (int64_t k = 0; k < n; ++k) {
+      if (index[k] == kMissing) continue;
+      const size_t r = static_cast<size_t>(b0 + k);
+      int32_t& cell = cells.cell_of_index[index[k]];
+      if (cell < 0) {
+        cell = static_cast<int32_t>(cells.counts.size());
+        for (size_t i = 0; i < plan.dims.size(); ++i) {
+          cells.cell_class[i].push_back(cells.class_of_row[i][static_cast<size_t>(
+              plan.fact_dim_row[i]->rows[r])]);
+        }
+        cells.counts.push_back(0);
+        if (w != nullptr) cells.weights.push_back(0.0);
+        if (plan.grouped) cells.codes.push_back(plan.codes[r]);
+      }
+      ++cells.counts[static_cast<size_t>(cell)];
+      if (w != nullptr) cells.weights[static_cast<size_t>(cell)] += w[r];
+    }
+  }
+}
+
+// (Re)renders the cells' label table — the sorted distinct labels of their
+// group codes — and every cell's slot in it. WithCells and ExtendFrom both
+// run it over all cells, so an extended plan's table is a fresh build's by
+// construction.
+void RenderCellLabels(const ScanPlan& plan, const query::BoundQuery& q,
+                      CellLayout& cells) {
+  std::unordered_map<uint64_t, std::string> label_of;  // code → label
+  for (uint64_t code : cells.codes) {
+    auto [it, inserted] = label_of.try_emplace(code);
+    if (inserted) plan.RenderLabel(q, code, &it->second);
+  }
+  cells.labels.clear();
+  for (const auto& [code, label] : label_of) cells.labels.push_back(label);
+  std::sort(cells.labels.begin(), cells.labels.end());
+  cells.labels.erase(std::unique(cells.labels.begin(), cells.labels.end()),
+                     cells.labels.end());
+  std::unordered_map<uint64_t, int32_t> slot_of;  // code → slot
+  for (const auto& [code, label] : label_of) {
+    slot_of[code] = static_cast<int32_t>(
+        std::lower_bound(cells.labels.begin(), cells.labels.end(), label) -
+        cells.labels.begin());
+  }
+  cells.slots.resize(cells.codes.size());
+  for (size_t c = 0; c < cells.codes.size(); ++c) {
+    cells.slots[c] = slot_of[cells.codes[c]];
   }
 }
 
@@ -424,48 +525,76 @@ Result<ScanPlan> ScanPlan::Compile(const query::BoundQuery& q,
   if (!q.measure_cols.empty()) {
     plan.weights = columns.GetWeightColumn(q, plan.fact_rows_);
   }
-
-  // Run-sorted layout for dense code spaces: stable counting sort of fact
-  // rows by group code, so warm executions aggregate each group in one
-  // sequential sweep.
-  if (plan.grouped && plan.code_space.has_value() &&
-      *plan.code_space <= GroupAccumulator::kDenseLimit) {
-    const int64_t space = static_cast<int64_t>(*plan.code_space);
-    plan.run_offsets.assign(static_cast<size_t>(space) + 1, 0);
-    for (int64_t r = 0; r < plan.fact_rows_; ++r) {
-      ++plan.run_offsets[static_cast<size_t>(plan.codes[static_cast<size_t>(r)]) + 1];
-    }
-    for (int64_t c = 0; c < space; ++c) {
-      plan.run_offsets[static_cast<size_t>(c) + 1] +=
-          plan.run_offsets[static_cast<size_t>(c)];
-    }
-    std::vector<int64_t> cursor(plan.run_offsets.begin(),
-                                plan.run_offsets.end() - 1);
-    plan.sorted_dim_row.resize(plan.dims.size());
-    for (auto& v : plan.sorted_dim_row) {
-      v.resize(static_cast<size_t>(plan.fact_rows_));
-    }
-    if (plan.weights != nullptr) {
-      plan.sorted_weights.resize(static_cast<size_t>(plan.fact_rows_));
-    }
-    for (int64_t r = 0; r < plan.fact_rows_; ++r) {
-      const int64_t pos = cursor[static_cast<size_t>(plan.codes[static_cast<size_t>(r)])]++;
-      for (size_t i = 0; i < plan.dims.size(); ++i) {
-        plan.sorted_dim_row[i][static_cast<size_t>(pos)] =
-            plan.fact_dim_row[i]->rows[static_cast<size_t>(r)];
-      }
-      if (plan.weights != nullptr) {
-        plan.sorted_weights[static_cast<size_t>(pos)] =
-            plan.weights->values[static_cast<size_t>(r)];
-      }
-    }
-
-    // Pre-render the label of every code that can ever produce a group (its
-    // run is non-empty), merging codes that render identically.
-    RenderRunLabels(plan, q);
-    plan.has_sorted_runs = true;
-  }
   return plan;
+}
+
+Result<ScanPlan> ScanPlan::WithCells(const ScanPlan& plan,
+                                     const query::BoundQuery& q,
+                                     uint64_t max_cells) {
+  if (!plan.Matches(q)) {
+    return Status::InvalidArgument("cells need the plan compiled for the query");
+  }
+  if (plan.numbered_codes) {
+    return Status::NotSupported(
+        "plans with numbered group codes keep the row layout");
+  }
+  const size_t num_dims = plan.dims.size();
+  auto cells = std::make_shared<CellLayout>();
+  cells->class_of_row.resize(num_dims);
+  cells->classes.resize(num_dims);
+  cells->dim_strides.resize(num_dims);
+  cells->cell_class.resize(num_dims);
+  cells->part_strides.assign(plan.parts.size(), 0);
+  // The dense index size, stride by stride: dimensions first, then the
+  // fact-side group fields at their packed widths (an extension's tail
+  // ordinals may use the whole field).
+  uint64_t size = 1;
+  bool overflow = false;
+  for (size_t i = 0; i < num_dims; ++i) {
+    DPSTARJ_RETURN_NOT_OK(NumberClasses(plan.dims[i], cells->class_of_row[i],
+                                        cells->classes[i]));
+    cells->dim_strides[i] = size;
+    overflow = overflow ||
+               __builtin_mul_overflow(
+                   size, static_cast<uint64_t>(cells->classes[i].num_rows),
+                   &size);
+  }
+  for (size_t p = 0; p < plan.parts.size(); ++p) {
+    if (plan.parts[p].dim_idx >= 0) continue;
+    cells->part_strides[p] = size;
+    const uint64_t width = plan.layout.FieldMask(plan.parts[p].field) + 1;
+    overflow = overflow || width == 0 ||
+               __builtin_mul_overflow(size, width, &size);
+  }
+  if (overflow || size > max_cells) {
+    return Status::NotSupported(
+        Format("the dense cell index exceeds %llu cells",
+               static_cast<unsigned long long>(max_cells)));
+  }
+  cells->cell_of_index.assign(static_cast<size_t>(size), -1);
+  AddRowsToCells(plan, 0, *cells);
+  if (plan.grouped) RenderCellLabels(plan, q, *cells);
+  ScanPlan out = plan;
+  out.cells = std::move(cells);
+  return out;
+}
+
+bool ScanPlan::CellsServe(const query::BoundQuery& q,
+                          const PredicateOverrides& overrides) const {
+  if (cells == nullptr || q.dims.size() != dims.size()) return false;
+  if (!overrides.empty() && overrides.size() != q.dims.size()) return false;
+  for (size_t i = 0; i < dims.size(); ++i) {
+    for (const auto& pred : EffectivePreds(q, overrides, i)) {
+      const auto& tables = dims[i].ordinal_tables;
+      if (std::none_of(tables.begin(), tables.end(), [&](const auto& t) {
+            return t.column_index == pred.column_index &&
+                   t.domain == pred.domain;
+          })) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 bool ScanPlan::IsAppendExtension(const ScanPlan& old,
@@ -531,10 +660,7 @@ Result<ScanPlan> ScanPlan::ExtendFrom(const ScanPlan& old,
   }
 
   // Copy only what the extension keeps: the identity fields and the group
-  // codes it extends in place. The run-sorted arrays and the label table are
-  // rebuilt below (or stay empty when `old` carries none) — copying them
-  // from `old` just to overwrite them roughly doubles the cost of the very
-  // recompile this function exists to avoid.
+  // codes it extends in place; the columns and cells are extended below.
   ScanPlan plan;
   plan.fact_ = old.fact_;
   plan.fact_rows_ = new_rows;
@@ -548,7 +674,6 @@ Result<ScanPlan> ScanPlan::ExtendFrom(const ScanPlan& old,
   plan.code_space = old.code_space;
   plan.dims = old.dims;
   plan.codes = old.codes;
-  plan.has_sorted_runs = old.has_sorted_runs;
 
   // FK resolution and weights for the tail only, through the store: the
   // first plan to extend a column resolves the tail over the old column, and
@@ -567,92 +692,16 @@ Result<ScanPlan> ScanPlan::ExtendFrom(const ScanPlan& old,
   }
   if (plan.grouped) PackGroupCodes(plan, q, old_rows);
 
-  // Splice the tail into the counting-sort runs: each code's new run is its
-  // old run (rows already in scan order) followed by its tail rows in scan
-  // order — exactly what a fresh stable counting sort over all rows
-  // produces, since every tail row index is larger than every compiled row
-  // index. Per-group aggregation order (and thus float association) is
-  // therefore bit-identical to a from-scratch compile.
-  if (plan.has_sorted_runs) {
-    const int64_t space = static_cast<int64_t>(*plan.code_space);
-    std::vector<int64_t> tail_count(static_cast<size_t>(space), 0);
-    bool populates_empty_run = false;
-    for (int64_t r = old_rows; r < new_rows; ++r) {
-      const size_t code =
-          static_cast<size_t>(plan.codes[static_cast<size_t>(r)]);
-      if (tail_count[code]++ == 0 &&
-          old.run_offsets[code] == old.run_offsets[code + 1]) {
-        populates_empty_run = true;
-      }
+  // The tail's rows join existing or new cells. The classes depend on the
+  // unchanged dimensions alone, and every tail field ordinal fits its packed
+  // field (validated above), so the dense index covers every tail row.
+  if (old.cells != nullptr) {
+    auto cells = std::make_shared<CellLayout>(*old.cells);
+    AddRowsToCells(plan, old_rows, *cells);
+    if (plan.grouped && cells->num_cells() > old.cells->num_cells()) {
+      RenderCellLabels(plan, q, *cells);
     }
-    std::vector<int64_t> offsets(static_cast<size_t>(space) + 1, 0);
-    for (int64_t c = 0; c < space; ++c) {
-      const size_t cs = static_cast<size_t>(c);
-      offsets[cs + 1] = offsets[cs] +
-                        (old.run_offsets[cs + 1] - old.run_offsets[cs]) +
-                        tail_count[cs];
-    }
-    // Stable counting sort of just the tail rows by code, so the merge below
-    // emits every destination element exactly once and strictly in run
-    // order: no zero-initialized full-size scratch, no random-access cursor.
-    const int64_t tail_n = new_rows - old_rows;
-    std::vector<int64_t> tail_begin(static_cast<size_t>(space) + 1, 0);
-    for (int64_t c = 0; c < space; ++c) {
-      tail_begin[static_cast<size_t>(c) + 1] =
-          tail_begin[static_cast<size_t>(c)] +
-          tail_count[static_cast<size_t>(c)];
-    }
-    std::vector<int64_t> tail_sorted(static_cast<size_t>(tail_n));
-    {
-      std::vector<int64_t> cursor(tail_begin.begin(), tail_begin.end() - 1);
-      for (int64_t r = old_rows; r < new_rows; ++r) {
-        const size_t code =
-            static_cast<size_t>(plan.codes[static_cast<size_t>(r)]);
-        tail_sorted[static_cast<size_t>(cursor[code]++)] = r;
-      }
-    }
-    std::vector<std::vector<int32_t>> sorted_dim_row(plan.dims.size());
-    for (auto& v : sorted_dim_row) v.reserve(static_cast<size_t>(new_rows));
-    const bool weighted = plan.weights != nullptr;
-    std::vector<double> sorted_weights;
-    if (weighted) sorted_weights.reserve(static_cast<size_t>(new_rows));
-    for (int64_t c = 0; c < space; ++c) {
-      const size_t cs = static_cast<size_t>(c);
-      const int64_t old_begin = old.run_offsets[cs];
-      const int64_t old_end = old.run_offsets[cs + 1];
-      for (size_t i = 0; i < plan.dims.size(); ++i) {
-        sorted_dim_row[i].insert(sorted_dim_row[i].end(),
-                                 old.sorted_dim_row[i].begin() + old_begin,
-                                 old.sorted_dim_row[i].begin() + old_end);
-      }
-      if (weighted) {
-        sorted_weights.insert(sorted_weights.end(),
-                              old.sorted_weights.begin() + old_begin,
-                              old.sorted_weights.begin() + old_end);
-      }
-      for (int64_t t = tail_begin[cs]; t < tail_begin[cs + 1]; ++t) {
-        const size_t r = static_cast<size_t>(tail_sorted[static_cast<size_t>(t)]);
-        for (size_t i = 0; i < plan.dims.size(); ++i) {
-          sorted_dim_row[i].push_back(plan.fact_dim_row[i]->rows[r]);
-        }
-        if (weighted) sorted_weights.push_back(plan.weights->values[r]);
-      }
-    }
-    plan.run_offsets = std::move(offsets);
-    plan.sorted_dim_row = std::move(sorted_dim_row);
-    plan.sorted_weights = std::move(sorted_weights);
-
-    if (populates_empty_run) {
-      // Codes whose runs were empty are populated now: re-render labels
-      // from the new runs with the same loop Compile uses.
-      RenderRunLabels(plan, q);
-    } else {
-      // The set of non-empty runs is unchanged, and the label table depends
-      // only on that set — the old table is exactly what a fresh render
-      // over the spliced runs would produce.
-      plan.group_labels = old.group_labels;
-      plan.label_of_code = old.label_of_code;
-    }
+    plan.cells = std::move(cells);
   }
   return plan;
 }
@@ -662,22 +711,33 @@ size_t ScanPlan::ApproxBytes() const {
   for (const auto& c : fact_dim_row) {
     bytes += c->rows.capacity() * sizeof(int32_t);
   }
-  for (const auto& v : sorted_dim_row) bytes += v.capacity() * sizeof(int32_t);
   bytes += codes.capacity() * sizeof(uint64_t);
   if (weights != nullptr) {
     bytes += weights->values.capacity() * sizeof(double);
   }
-  bytes += sorted_weights.capacity() * sizeof(double);
-  bytes += run_offsets.capacity() * sizeof(int64_t);
-  bytes += label_of_code.capacity() * sizeof(int32_t);
   bytes += code_rows.capacity() * sizeof(int64_t);
-  for (const auto& s : group_labels) bytes += sizeof(s) + s.capacity();
-  for (const auto& d : dims) {
-    bytes += d.group_ordinal.capacity() * sizeof(int32_t);
-    bytes += d.rep_rows.capacity() * sizeof(int64_t);
+  auto table_bytes = [](const PlanDim& d) {
+    size_t n = d.group_ordinal.capacity() * sizeof(int32_t) +
+               d.rep_rows.capacity() * sizeof(int64_t);
     for (const auto& t : d.ordinal_tables) {
-      bytes += t.ordinals.capacity() * sizeof(int64_t);
+      n += t.ordinals.capacity() * sizeof(int64_t);
     }
+    return n;
+  };
+  for (const auto& d : dims) bytes += table_bytes(d);
+  if (cells != nullptr) {
+    for (size_t i = 0; i < cells->classes.size(); ++i) {
+      bytes += table_bytes(cells->classes[i]) +
+               (cells->class_of_row[i].capacity() +
+                cells->cell_class[i].capacity()) *
+                   sizeof(int32_t);
+    }
+    bytes += (cells->cell_of_index.capacity() + cells->slots.capacity()) *
+                 sizeof(int32_t) +
+             (cells->counts.capacity() + cells->codes.capacity()) *
+                 sizeof(uint64_t) +
+             cells->weights.capacity() * sizeof(double);
+    for (const auto& s : cells->labels) bytes += sizeof(s) + s.capacity();
   }
   return bytes;
 }
@@ -726,6 +786,12 @@ bool ScanPlan::Matches(const query::BoundQuery& q) const {
   // shape the plan was compiled for (a mismatch just recompiles).
   return q.measure_cols == measure_cols_ &&
          q.group_key_layout == group_key_layout_;
+}
+
+const std::vector<query::BoundPredicate>& EffectivePreds(
+    const query::BoundQuery& q, const PredicateOverrides& overrides, size_t i) {
+  if (!overrides.empty() && overrides[i].has_value()) return *overrides[i];
+  return q.dims[i].predicates;
 }
 
 Result<std::vector<uint64_t>> BuildPassBitmap(

@@ -17,16 +17,27 @@
 //     first-occurrence number of the row's key tuple;
 //   * the per-row aggregate weight (measure terms are fact columns), a
 //     *weight column* shared the same way;
-//   * for grouped queries with a dense code space, the run-sorted copies of
-//     the join and weight columns and the pre-rendered group labels;
 //   * memoized domain-ordinal tables for the query's predicate columns, the
-//     inputs of per-execution predicate evaluation.
+//     inputs of per-execution predicate evaluation;
+//   * once the plan is reused (PlanCache builds it at the plan's first
+//     validated hit), a second *layout* of the same data made of cells —
+//     CellLayout, below — the vector W of the paper's Eq. (11).
+//
+// Cells. The Predicate Mechanism perturbs predicate constants only, so two
+// fact rows that agree on every predicate column's domain ordinal and on the
+// GROUP BY key are treated alike by every noisy execution of the plan. Per
+// dimension, a *class* numbers the distinct (predicate ordinals, group
+// ordinal) tuples of its rows; a *cell* is one combination of classes across
+// the dimensions plus the packed fact-side group fields, holding a row count
+// and a weight sum. An execution whose predicates keep the memoized
+// (column, domain) pairs then evaluates one bit per class and sweeps the
+// cells instead of the fact rows.
 //
 // What remains per execution is the cheap part: one *predicate bitmap* per
-// dimension — bit r = "dimension row r passes every effective predicate" —
-// built from the ordinal tables with branchless, autovectorizable compares
-// and packed into uint64 words, then a fact scan that is just gathers into
-// those bitmaps plus the pre-packed code/weight arrays.
+// dimension — bit r = "dimension row (or class) r passes every effective
+// predicate" — built from the ordinal tables with branchless,
+// autovectorizable compares and packed into uint64 words, then a sweep that
+// is just gathers into those bitmaps plus the pre-packed code/weight arrays.
 //
 // Compiling and running a ScanPlan is the executor's only way to answer a
 // query: one-shot callers pay the compile, repeated callers share it through
@@ -74,6 +85,56 @@ struct PlanDim {
   /// predicates. Overrides that keep column and domain (the Predicate
   /// Mechanism always does) evaluate against these; others compute fresh.
   std::vector<OrdinalTable> ordinal_tables;
+};
+
+/// \brief Per-dimension predicate replacements, aligned with BoundQuery::dims.
+///
+/// Entry semantics: nullopt = keep the dimension's own predicates; an engaged
+/// vector replaces them wholesale (possibly with a different count, possibly
+/// empty = no filtering on that dimension). An empty PredicateOverrides keeps
+/// every dimension's own predicates.
+using DimPredicateOverride = std::optional<std::vector<query::BoundPredicate>>;
+using PredicateOverrides = std::vector<DimPredicateOverride>;
+
+/// The effective predicate list of dimension i of `q` under `overrides`.
+const std::vector<query::BoundPredicate>& EffectivePreds(
+    const query::BoundQuery& q, const PredicateOverrides& overrides, size_t i);
+
+/// \brief A plan's cell layout: its fact rows merged into cells (see the file
+/// comment). Fact rows whose foreign key misses a dimension pass no predicate,
+/// so they belong to no cell.
+struct CellLayout {
+  /// Per dimension: dimension row → class, numbered in first-occurrence row
+  /// order over the tuple (domain ordinal of each memoized ordinal table,
+  /// group ordinal).
+  std::vector<std::vector<int32_t>> class_of_row;
+  /// Per dimension: the classes as the rows of a PlanDim — num_rows is the
+  /// class count, and ordinal_tables map class → ordinal in the order of the
+  /// plan's own tables — so BuildPassBitmap builds one bit per class.
+  std::vector<PlanDim> classes;
+  /// Dense cell index: Σ class · dim_strides[i] over the dimensions plus
+  /// Σ field ordinal · part_strides[p] over the fact-side group parts
+  /// (0 for dimension parts) → cell, -1 while no row has that combination.
+  std::vector<uint64_t> dim_strides;
+  std::vector<uint64_t> part_strides;
+  std::vector<int32_t> cell_of_index;
+
+  /// Per dimension: cell → class (the sweep's gather arrays).
+  std::vector<std::vector<int32_t>> cell_class;
+  /// Cells are numbered in first-occurrence fact-row order, and each sums
+  /// its rows in fact-row order, so extending a plan over an appended tail
+  /// leaves exactly the cells a fresh build over the grown table makes.
+  std::vector<int64_t> counts;   ///< cell → fact rows merged
+  std::vector<double> weights;   ///< cell → Σ row weight (empty = COUNT)
+  std::vector<uint64_t> codes;   ///< grouped: cell → packed group code
+  /// Grouped: the sorted distinct labels of the cells' group codes, and
+  /// cell → label slot. Distinct codes may share a label (two doubles
+  /// rendering identically); they share the slot — results group by
+  /// rendered label, as exec/naive_executor.h does.
+  std::vector<std::string> labels;
+  std::vector<int32_t> slots;
+
+  int64_t num_cells() const { return static_cast<int64_t>(counts.size()); }
 };
 
 /// \brief One rendered group-key part, in declared GROUP BY order.
@@ -171,11 +232,34 @@ class ScanPlan {
  public:
   /// \brief Compiles `q`: the per-dimension tables, the join and weight
   /// columns (taken from `columns` when live there, else built and shared
-  /// through it), and for grouped queries the group codes and counting-sort
-  /// partition. Amortized by every later run. A one-shot caller passes a
-  /// store of its own.
+  /// through it), and for grouped queries the group codes. Amortized by every
+  /// later run. A one-shot caller passes a store of its own. The plan has no
+  /// cells yet.
   static Result<ScanPlan> Compile(const query::BoundQuery& q,
                                   PlanColumnStore& columns);
+
+  /// \brief `plan`, which must match `q`, with its cell layout added. Returns
+  /// NotSupported when the plan numbers its group-key tuples, or when its
+  /// dense cell index — the product of the dimensions' class counts and the
+  /// fact-side group fields' widths — exceeds `max_cells`. PlanCache passes
+  /// CellLimit(fact rows).
+  static Result<ScanPlan> WithCells(const ScanPlan& plan,
+                                    const query::BoundQuery& q,
+                                    uint64_t max_cells);
+
+  /// The size rule of PlanCache: a plan gets cells when its dense cell index
+  /// is at most half its fact rows.
+  static uint64_t CellLimit(int64_t fact_rows) {
+    return static_cast<uint64_t>(fact_rows) / 2;
+  }
+
+  /// \brief True when executions of `q` under `overrides` can sweep this
+  /// plan's cells: the plan has them, and every effective predicate's
+  /// (column, domain) is one of the memoized tables its classes were built
+  /// from. The Predicate Mechanism always meets this; other overrides run
+  /// the fact rows.
+  bool CellsServe(const query::BoundQuery& q,
+                  const PredicateOverrides& overrides) const;
 
   /// \brief True when the plan was compiled against exactly the tables (by
   /// identity *and* row count — tables are append-only) and the aggregate
@@ -190,17 +274,17 @@ class ScanPlan {
 
   /// \brief Compiles a plan for `q` by extending `old` over the fact table's
   /// appended tail only: FK resolution, group-code packing, and weights run
-  /// over rows [old.fact_rows(), q.fact->num_rows()), and the tail is spliced
-  /// into the counting-sort runs. The join and weight columns come from
-  /// `columns` with `old`'s as their prefix, so when another plan has
-  /// already extended an edge to this size, its column is reused. Because
-  /// the sort is stable and every tail row index exceeds every compiled row
-  /// index, the result is bit-identical to a fresh Compile on the grown
-  /// table (tests/ingest_test.cc asserts this over randomized append
-  /// schedules). Returns NotSupported when the tail cannot be spliced — the
-  /// plan numbers its key tuples, or a fact-side group key outgrew its
-  /// packed bit field — in which case the caller falls back to a full
-  /// Compile.
+  /// over rows [old.fact_rows(), q.fact->num_rows()), and when `old` has
+  /// cells the tail rows are added to existing or new cells. The join and
+  /// weight columns come from `columns` with `old`'s as their prefix, so
+  /// when another plan has already extended an edge to this size, its column
+  /// is reused. Every tail row index exceeds every compiled row index, so the
+  /// result is bit-identical to a fresh Compile on the grown table — followed
+  /// by WithCells when `old` has cells (tests/ingest_test.cc asserts this
+  /// over randomized append schedules). Returns NotSupported when the tail
+  /// cannot be added — the plan numbers its key tuples, or a fact-side group
+  /// key outgrew its packed bit field — in which case the caller falls back
+  /// to a full Compile. Cells never make it decline.
   static Result<ScanPlan> ExtendFrom(const ScanPlan& old,
                                      const query::BoundQuery& q,
                                      PlanColumnStore& columns);
@@ -211,9 +295,9 @@ class ScanPlan {
                    std::string* label) const;
 
   /// Approximate heap footprint of the scaffold arrays (for the cache's
-  /// byte budget; labels and small per-dimension tables included). Shared
-  /// join and weight columns count in full, so across plans this is an
-  /// upper bound.
+  /// byte budget; the cell layout and small per-dimension tables included).
+  /// Shared join and weight columns count in full, so across plans this is
+  /// an upper bound.
   size_t ApproxBytes() const;
 
   // --- scaffold data, read by the executor's plan path -------------------
@@ -240,30 +324,9 @@ class ScanPlan {
   /// The shared per-row aggregate weights (null = COUNT, weight 1.0).
   std::shared_ptr<const WeightColumn> weights;
 
-  /// Run-sorted scaffold, built for grouped queries whose code space fits the
-  /// dense accumulator: fact rows stably partitioned by group code (counting
-  /// sort, so rows stay in scan order within a run). The warm scan then
-  /// sweeps each code's run once and emits one aggregate per group —
-  /// sequential accumulator writes instead of a random read-modify-write per
-  /// fact row, and per-group sums that associate in row order at *any*
-  /// worker count.
-  bool has_sorted_runs = false;
-  /// code → begin of its run in the sorted arrays (size code_space + 1).
-  std::vector<int64_t> run_offsets;
-  /// Per dimension: fact_dim_row permuted into run order (per plan).
-  std::vector<std::vector<int32_t>> sorted_dim_row;
-  /// weights permuted into run order (empty = COUNT; per plan).
-  std::vector<double> sorted_weights;
-
-  /// Labels too are predicate-independent, so the run-sorted scaffold
-  /// pre-renders them: the sorted unique label of every code whose run is
-  /// non-empty, and code → label slot (-1 for empty runs). Warm executions
-  /// never touch a string — they aggregate per label slot and emit the
-  /// result map in pre-sorted order. Distinct codes may share a label (two
-  /// doubles rendering identically); they merge into one slot — results
-  /// group by rendered label, as exec/naive_executor.h does.
-  std::vector<std::string> group_labels;
-  std::vector<int32_t> label_of_code;
+  /// The cell layout (null until WithCells; immutable, so plans extended
+  /// from or copied off this one may share it).
+  std::shared_ptr<const CellLayout> cells;
 
   int64_t fact_rows() const { return fact_rows_; }
 
@@ -281,7 +344,9 @@ class ScanPlan {
 /// r passes every predicate in `preds`, packed into uint64 words covering
 /// rows [0, num_rows] with the sentinel bit (num_rows) always 0. Evaluation
 /// is branchless over the plan's memoized ordinal tables (computing a fresh
-/// table when a predicate's column/domain is not memoized).
+/// table when a predicate's column/domain is not memoized). Passed a
+/// CellLayout's classes, it builds one bit per class; the caller must then
+/// have checked ScanPlan::CellsServe, so that every table is memoized.
 Result<std::vector<uint64_t>> BuildPassBitmap(
     const PlanDim& pd, const storage::Table& dim,
     const std::vector<query::BoundPredicate>& preds);

@@ -2,34 +2,47 @@
 //
 // The star-join executor. Every query runs through one path: compile the
 // query's predicate-independent ScanPlan (exec/scan_plan.h: FK→row
-// resolution, pre-packed group codes and weights, the run-sorted layout),
-// rebuild one predicate bitmap per dimension, and sweep the fact table in
-// morsels — optionally in parallel — with gathers into those bitmaps,
-// accumulating COUNT/SUM per group code and rendering string group labels
-// once per group (see exec/group_code.h, exec/parallel.h). Repeated callers
-// share compiled plans through exec/plan_cache.h; batches of queries share
-// one fact sweep through exec/workload_plan.h. exec/naive_executor.h is the
-// independent test oracle.
+// resolution, pre-packed group codes and weights, and once the plan is
+// reused its cells), rebuild one predicate bitmap per dimension, and run one
+// sweep over one of the plan's two *layouts*:
 //
-// Both fact sweeps that visit rows in row order — this executor's and the
-// workload plan's shared sweep — hand each ≤ 64-row chunk's pass mask to one
-// SweepAccumulator (below), so the chunk association is their common
-// contract: a scalar COUNT, SUM or AVG answers to the same bits alone and in
-// a batch. Fact rows whose foreign key misses its dimension are dropped, as
-// in a SQL inner join; Catalog::ValidateIntegrity is the referential-
-// integrity check.
+//   * the fact rows — the trivial layout: a row's class in a dimension is
+//     its dimension row, and each row counts once. Swept in morsels,
+//     optionally in parallel;
+//   * the plan's cells (ScanPlan::CellsServe says when they serve) — one
+//     bit per class in each dimension's bitmap, and each cell carries its
+//     row count, weight sum and pre-rendered label slot. Cells are few, so
+//     they are swept as one morsel on the calling thread.
 //
-// The executor accepts *predicate overrides* so that DP mechanisms can run
-// the same plan under perturbed predicates (the heart of DP-starJ's input
-// perturbation) without re-binding. The DP layer is post-processing-safe, so
-// execution strategy (plan reuse, batching, thread count) never changes
-// noise semantics — only throughput.
+// Either way the sweep is gathers into the bitmaps (kernels pass_mask) in
+// ≤ 64-unit chunks, and each chunk's pass mask goes to one SweepAccumulator
+// (below), which WorkloadPlan's shared row sweep uses too (see
+// exec/group_code.h, exec/parallel.h). Repeated callers share compiled plans
+// through exec/plan_cache.h; batches share one fact sweep through
+// exec/workload_plan.h. exec/naive_executor.h is the independent test oracle.
+//
+// Association contract. A row-layout sweep adds each chunk's terms
+// (kernels::SumChunk) in chunk order per worker, then merges the workers in
+// worker order. A cell sweep adds each cell's weight sum, itself summed in
+// fact-row order, chunk by chunk in cell order. So COUNT and integer-valued
+// SUMs are exact either way, while a double SUM or AVG answered from cells
+// differs from the row-layout answer in its low bits only. A cell answer
+// depends on the plan and the predicates alone — not on the thread count or
+// morsel size — and a batch answers every item with the same sweep as
+// Execute, bit for bit. Fact rows whose foreign key misses its dimension are
+// dropped, as in a SQL inner join; Catalog::ValidateIntegrity is the
+// referential-integrity check.
+//
+// The executor accepts *predicate overrides* (exec/scan_plan.h) so that DP
+// mechanisms can run the same plan under perturbed predicates (the heart of
+// DP-starJ's input perturbation) without re-binding. The DP layer is
+// post-processing-safe, so execution strategy (plan reuse, layout,
+// batching, thread count) never changes noise semantics — only throughput.
 
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/result.h"
@@ -43,14 +56,6 @@
 
 namespace dpstarj::exec {
 
-/// \brief Per-dimension predicate replacements, aligned with BoundQuery::dims.
-///
-/// Entry semantics: nullopt = keep the dimension's own predicates; an engaged
-/// vector replaces them wholesale (possibly with a different count, possibly
-/// empty = no filtering on that dimension).
-using DimPredicateOverride = std::optional<std::vector<query::BoundPredicate>>;
-using PredicateOverrides = std::vector<DimPredicateOverride>;
-
 /// \brief Options for the executor.
 struct ExecutorOptions {
   /// Worker threads for the fact scan. 1 (default) runs on the calling
@@ -58,7 +63,8 @@ struct ExecutorOptions {
   /// deterministic for any fixed value: morsels are statically assigned and
   /// worker partials merge in worker order, so aggregates whose additions are
   /// exact (COUNT, integer-valued SUM) are identical across thread counts,
-  /// and inexact floating-point SUMs are reproducible run-to-run.
+  /// and inexact floating-point SUMs are reproducible run-to-run. Cell
+  /// sweeps always run on the calling thread.
   int exec_threads = 1;
 
   /// Rows per scan morsel (parallel granularity). The default is sized to
@@ -81,20 +87,18 @@ class StarJoinExecutor {
                               const PredicateOverrides& overrides) const;
 
   /// \brief Evaluates against a pre-compiled ScanPlan (see exec/scan_plan.h):
-  /// only the per-dimension predicate bitmaps are rebuilt, and the fact scan
-  /// is gathers into them plus the plan's pre-packed codes and weights — the
-  /// repeated-noisy-execution fast path of the Predicate Mechanism. The plan
-  /// must have been compiled for `q`'s tables (checked; a stale plan is
-  /// refused rather than silently mis-answered).
+  /// only the per-dimension predicate bitmaps are rebuilt, and the sweep is
+  /// gathers into them plus the layout's pre-packed codes and weights — the
+  /// repeated-noisy-execution fast path of the Predicate Mechanism. The
+  /// plan's cells are swept when they serve `q` under `overrides`, its fact
+  /// rows otherwise. The plan must have been compiled for `q`'s tables
+  /// (checked; a stale plan is refused rather than silently mis-answered).
   ///
   /// Exact aggregates (COUNT, integer-valued SUM) are bit-identical to
-  /// exec/naive_executor.h at every thread count. Inexact SUMs are
-  /// reproducible at a fixed worker count and identical on every ISA
-  /// (exec/kernels/kernels.h): the row-order sweep follows
-  /// SweepAccumulator's chunk association. Grouped plans with sorted runs
-  /// take the run-sorted sweep instead, which sums each group's run in
-  /// ≤ 64-row chunks (kernels::SumChunk) in row order, so their sums are
-  /// identical at every worker count too.
+  /// exec/naive_executor.h at every thread count, from either layout.
+  /// Inexact SUMs follow the association contract above: reproducible at a
+  /// fixed worker count (cells: always) and identical on every ISA
+  /// (exec/kernels/kernels.h).
   ///
   /// A non-null `trace` records the bitmap-rebuild and fact-sweep spans
   /// (obs::Stage::kBitmapRebuild / kScan); execution is unchanged otherwise.
@@ -109,38 +113,54 @@ class StarJoinExecutor {
   ExecutorOptions options_;
 };
 
-/// \brief The accumulate step of a row-order fact sweep — everything after a
-/// chunk's pass mask is known — shared by StarJoinExecutor and WorkloadPlan.
+/// \brief The accumulate step of a sweep — everything after a chunk's pass
+/// mask is known — shared by StarJoinExecutor and WorkloadPlan.
 ///
-/// One accumulator per query and sweep. Workers hand it their morsels'
-/// chunks: ≤ 64 rows each, starting at the morsel's first row, in row order.
-/// Each worker adds to its own cache-line-aligned partial: COUNT adds the
-/// chunk's popcount, scalar SUM/AVG adds the chunk's sum
-/// (kernels::SumChunk), and grouped plans add each passing row to the
-/// worker's GroupAccumulator in ascending row order. Finalize merges the
-/// partials in worker order. Two sweeps with the same morsel size and worker
-/// count therefore add the same terms in the same order.
+/// One accumulator per query and sweep, over one layout of its plan: the fact
+/// rows, or the plan's cells. Workers hand it their morsels' chunks: ≤ 64
+/// units each, starting at the morsel's first unit, in unit order. Each
+/// worker adds to its own cache-line-aligned partial: the chunk's row count
+/// (popcount, or the passing cells' counts), for SUM/AVG the chunk's weight
+/// sum (kernels::SumChunk), and for grouped plans each passing unit in
+/// ascending order — a row to the worker's GroupAccumulator by group code, a
+/// cell to its pre-rendered label slot. Finalize merges the partials in
+/// worker order. Two sweeps of one layout with the same morsel size and
+/// worker count therefore add the same terms in the same order.
 class SweepAccumulator {
  public:
-  SweepAccumulator(const ScanPlan& plan, int num_workers);
+  /// Accumulates a sweep over `plan`'s fact rows, or over its cells when
+  /// `cells` (the plan must have them).
+  SweepAccumulator(const ScanPlan& plan, bool cells, int num_workers);
 
-  /// Adds the rows of `mask` — bit i set = fact row `base + i` passes, bits
+  /// Adds the units of `mask` — bit i set = unit `base + i` passes, bits
   /// ≥ `nbits` clear — to `worker`'s partial.
   void AddChunk(int worker, int64_t base, int nbits, uint64_t mask) {
     if (mask == 0) return;
     Partial& p = partials_[static_cast<size_t>(worker)];
-    if (codes_ == nullptr) {
-      const int hits = __builtin_popcountll(mask);
-      p.rows += hits;
-      p.sum += weights_ == nullptr
-                   ? static_cast<double>(hits)
-                   : kernels::SumChunk(kern_, weights_, base, nbits, mask);
+    if (!grouped_) {
+      if (counts_ == nullptr) {
+        p.rows += __builtin_popcountll(mask);
+      } else {
+        for (uint64_t m = mask; m != 0; m &= m - 1) {
+          p.rows += counts_[base + __builtin_ctzll(m)];
+        }
+      }
+      if (weights_ != nullptr) {
+        p.sum += kernels::SumChunk(kern_, weights_, base, nbits, mask);
+      }
       return;
     }
     while (mask != 0) {
-      const int64_t row = base + __builtin_ctzll(mask);
+      const int64_t unit = base + __builtin_ctzll(mask);
       mask &= mask - 1;
-      p.groups->Add(codes_[row], weights_ != nullptr ? weights_[row] : 1.0);
+      if (!cells_) {
+        p.groups->Add(codes_[unit], weights_ != nullptr ? weights_[unit] : 1.0);
+        continue;
+      }
+      GroupAgg& agg = p.slot_aggs[static_cast<size_t>(slots_[unit])];
+      agg.rows += counts_[unit];
+      agg.sum += weights_ != nullptr ? weights_[unit]
+                                     : static_cast<double>(counts_[unit]);
     }
   }
 
@@ -149,15 +169,20 @@ class SweepAccumulator {
 
  private:
   struct alignas(64) Partial {
-    double sum = 0.0;
+    double sum = 0.0;  ///< SUM/AVG only; a COUNT is `rows`
     int64_t rows = 0;
-    std::unique_ptr<GroupAccumulator> groups;  ///< grouped plans only
+    std::unique_ptr<GroupAccumulator> groups;  ///< grouped rows
+    std::vector<GroupAgg> slot_aggs;           ///< grouped cells: per slot
   };
 
   const ScanPlan& plan_;
   const kernels::EngineKernels& kern_;
-  const double* weights_;  ///< null = COUNT
-  const uint64_t* codes_;  ///< null = scalar
+  const bool grouped_;
+  const bool cells_;
+  const double* weights_;   ///< null = COUNT
+  const int64_t* counts_;   ///< null = one row per unit (fact rows)
+  const uint64_t* codes_;   ///< grouped rows: unit → group code
+  const int32_t* slots_;    ///< grouped cells: unit → label slot
   std::vector<Partial> partials_;
 };
 

@@ -12,14 +12,10 @@ namespace dpstarj::exec {
 
 namespace {
 
-// The effective predicate list of item dimension i (overrides win).
-const std::vector<query::BoundPredicate>& EffectiveItemPreds(
-    const WorkloadItem& it, size_t i) {
-  if (it.overrides != nullptr && !it.overrides->empty() &&
-      (*it.overrides)[i].has_value()) {
-    return *(*it.overrides)[i];
-  }
-  return it.query->dims[i].predicates;
+// The item's overrides; null means none.
+const PredicateOverrides& ItemOverrides(const WorkloadItem& it) {
+  static const PredicateOverrides kNone;
+  return it.overrides != nullptr ? *it.overrides : kNone;
 }
 
 // Canonical order for interning: two queries listing the same predicates in
@@ -87,6 +83,16 @@ Result<WorkloadPlan> WorkloadPlan::Compile(std::vector<WorkloadItem> items) {
                  k, it.overrides->size(), it.query->dims.size()));
     }
 
+    // Items whose cells serve them take the single-query cell sweep; the
+    // rest join their fact table's shared row sweep.
+    wp.stats_.predicate_refs += static_cast<int64_t>(it.query->dims.size());
+    if (it.plan->CellsServe(*it.query, ItemOverrides(it))) {
+      wp.cell_items_.push_back(k);
+      wp.stats_.cell_sweeps += 1;
+      wp.stats_.predicate_nodes += static_cast<int64_t>(it.query->dims.size());
+      continue;
+    }
+
     // One scan group per distinct fact table, in first-occurrence order.
     const storage::Table* fact = it.query->fact.get();
     ScanGroup* g = nullptr;
@@ -142,7 +148,8 @@ Result<WorkloadPlan> WorkloadPlan::Compile(std::vector<WorkloadItem> items) {
       }
 
       // Intern the canonicalized effective predicate list as a node.
-      std::vector<query::BoundPredicate> preds = EffectiveItemPreds(it, i);
+      std::vector<query::BoundPredicate> preds =
+          EffectivePreds(*it.query, ItemOverrides(it), i);
       CanonicalizePreds(&preds);
       size_t node = g->nodes.size();
       for (size_t n = 0; n < g->nodes.size(); ++n) {
@@ -161,7 +168,6 @@ Result<WorkloadPlan> WorkloadPlan::Compile(std::vector<WorkloadItem> items) {
         wp.stats_.predicate_nodes += 1;
       }
       w.nodes.push_back(static_cast<uint32_t>(node));
-      wp.stats_.predicate_refs += 1;
     }
     g->wiring.push_back(std::move(w));
   }
@@ -235,7 +241,7 @@ Result<std::vector<QueryResult>> WorkloadPlan::Execute(
     std::vector<SweepAccumulator> accs;
     accs.reserve(num_items);
     for (const ItemWiring& w : g.wiring) {
-      accs.emplace_back(*items_[w.item_idx].plan, num_workers);
+      accs.emplace_back(*items_[w.item_idx].plan, /*cells=*/false, num_workers);
     }
     // Block-vectorized sweep with bit-packed verdicts: per block, each
     // deduped node's verdicts are gathered ONCE per row (this is where the
@@ -300,6 +306,16 @@ Result<std::vector<QueryResult>> WorkloadPlan::Execute(
       const size_t k = g.wiring[j].item_idx;
       results[k] = accs[j].Finalize(*items_[k].query);
     }
+  }
+
+  // Items answered from cells: the single-query sweep itself, so each
+  // answer is its Execute answer bit for bit.
+  const StarJoinExecutor executor(options);
+  for (size_t k : cell_items_) {
+    const WorkloadItem& it = items_[k];
+    DPSTARJ_ASSIGN_OR_RETURN(
+        results[k], executor.Execute(*it.query, ItemOverrides(it), *it.plan,
+                                     trace));
   }
   return results;
 }

@@ -27,12 +27,14 @@
 //      many items reference them — transposes them into per-node verdict
 //      words, ANDs each item's words, and hands every item's ≤ 64-row
 //      chunks to its own SweepAccumulator (exec/star_join_executor.h): the
-//      accumulate step of the single-query row-order sweep. A scalar COUNT,
-//      SUM or AVG therefore answers bit-identically to one-at-a-time
-//      execution on the same plan, overrides and ExecutorOptions, and so
-//      does a grouped query whose plan has no sorted runs. Executed alone,
-//      a grouped plan with sorted runs takes the run-sorted sweep, which
-//      associates double SUMs per group run, so those agree to rounding.
+//      accumulate step of the single-query row sweep. A row-swept item
+//      therefore answers bit-identically to one-at-a-time execution on the
+//      same plan, overrides and ExecutorOptions.
+//   4. An item whose plan has cells that serve its predicates
+//      (ScanPlan::CellsServe) skips the shared sweep: it is answered by the
+//      single-query cell sweep itself (StarJoinExecutor::Execute), which
+//      touches its plan's cells instead of the fact rows. Its answer is the
+//      single-query answer bit for bit, too.
 //
 // Design exemplar: IronBee's Predicate system (rule predicates as expression
 // DAGs with cross-rule subexpression merging at configuration time); see
@@ -74,10 +76,16 @@ struct WorkloadItem {
 
 /// \brief What the batch compiler actually shared — the CSE receipts.
 struct WorkloadExecStats {
-  int64_t queries = 0;           ///< items executed through the batch path
-  int64_t scans = 0;             ///< shared fact sweeps (one per fact table)
-  int64_t predicate_refs = 0;    ///< (item, dimension) predicate references
-  int64_t predicate_nodes = 0;   ///< deduped bitmap builds (≤ predicate_refs)
+  int64_t queries = 0;  ///< items executed through the batch path
+  /// Shared fact-row sweeps: one per fact table with a row-swept item.
+  int64_t scans = 0;
+  /// Items answered from their plan's cells, each by its own cell sweep.
+  int64_t cell_sweeps = 0;
+  int64_t predicate_refs = 0;  ///< (item, dimension) predicate references
+  /// Bitmap builds (≤ predicate_refs): one per deduped node of the shared
+  /// row sweeps, plus one per dimension of each cell-swept item (class
+  /// bitmaps belong to one plan, so they are not shared).
+  int64_t predicate_nodes = 0;
   int64_t shared_dim_slots = 0;  ///< distinct (dim table, FK column) slots
 };
 
@@ -93,12 +101,12 @@ class WorkloadPlan {
 
   /// \brief Builds each predicate node's bitmap once (obs::Stage::
   /// kBitmapRebuild), then sweeps each fact table once accumulating all
-  /// items simultaneously (obs::Stage::kScan). Returns one QueryResult per
-  /// item, in item order.
+  /// row-swept items simultaneously (obs::Stage::kScan), then answers the
+  /// cell-swept items one by one (both stages again). Returns one
+  /// QueryResult per item, in item order.
   ///
-  /// Determinism matches the single-query path: every answer but the grouped
-  /// SUMs of plans with sorted runs is bit-identical to
-  /// StarJoinExecutor::Execute with the same plan, overrides and `options`.
+  /// Every answer is bit-identical to StarJoinExecutor::Execute with the
+  /// same plan, overrides and `options`.
   Result<std::vector<QueryResult>> Execute(const ExecutorOptions& options,
                                            obs::Trace* trace = nullptr) const;
 
@@ -141,6 +149,7 @@ class WorkloadPlan {
 
   std::vector<WorkloadItem> items_;
   std::vector<ScanGroup> groups_;
+  std::vector<size_t> cell_items_;  ///< items answered from their cells
   WorkloadExecStats stats_;
 };
 

@@ -299,6 +299,10 @@ Json ServiceStatsToJson(const service::ServiceStats& stats) {
             Json::Number(static_cast<double>(stats.plan_cache.column_builds)));
   plans.Set("column_reuses",
             Json::Number(static_cast<double>(stats.plan_cache.column_reuses)));
+  plans.Set("cell_builds",
+            Json::Number(static_cast<double>(stats.plan_cache.cell_builds)));
+  plans.Set("cell_declines",
+            Json::Number(static_cast<double>(stats.plan_cache.cell_declines)));
   plans.Set("hit_rate", Json::Number(stats.plan_cache.HitRate()));
   body.Set("plan_cache", std::move(plans));
   return body;
@@ -395,6 +399,14 @@ Router MakeServiceRouter(service::QueryService* service, ApiOptions options) {
                   "Join and weight column requests served by a live column "
                   "another plan already holds")
         ->Set(static_cast<double>(stats.plan_cache.column_reuses));
+    reg->GetGauge("dpstarj_plan_cell_builds",
+                  "Cell layouts built for plans at their first validated hit")
+        ->Set(static_cast<double>(stats.plan_cache.cell_builds));
+    reg->GetGauge("dpstarj_plan_cell_declines",
+                  "Plans kept on the fact-row layout at their first validated "
+                  "hit because their dense cell index exceeds half their "
+                  "fact rows")
+        ->Set(static_cast<double>(stats.plan_cache.cell_declines));
     reg->GetGauge("dpstarj_plan_recompiles",
                   "Plan-cache lookups that compiled a fresh plan")
         ->Set(static_cast<double>(stats.plan_cache.misses));
@@ -744,6 +756,8 @@ Router MakeServiceRouter(service::QueryService* service, ApiOptions options) {
       ex.Set("queries",
              Json::Number(static_cast<double>(outcome->exec.queries)));
       ex.Set("scans", Json::Number(static_cast<double>(outcome->exec.scans)));
+      ex.Set("cell_sweeps",
+             Json::Number(static_cast<double>(outcome->exec.cell_sweeps)));
       ex.Set("predicate_refs",
              Json::Number(static_cast<double>(outcome->exec.predicate_refs)));
       ex.Set("predicate_nodes",

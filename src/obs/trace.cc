@@ -50,6 +50,7 @@ const char* StageName(Stage stage) {
     case Stage::kEncode: return "encode";
     case Stage::kPlanExtend: return "plan_extend";
     case Stage::kIngestApply: return "ingest_apply";
+    case Stage::kPlanCells: return "plan_cells";
   }
   return "unknown";
 }

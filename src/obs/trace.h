@@ -41,9 +41,10 @@ enum class Stage : int {
   kEncode,          ///< result → JSON response body
   kPlanExtend,      ///< plan-cache append hit: incremental scaffold extend
   kIngestApply,     ///< ingest: row append + epoch bump under the write lock
+  kPlanCells,       ///< plan-cache first hit: the plan's cell layout build
 };
 
-inline constexpr int kStageCount = static_cast<int>(Stage::kIngestApply) + 1;
+inline constexpr int kStageCount = static_cast<int>(Stage::kPlanCells) + 1;
 
 /// Stable lower_snake_case stage name ("header_read", "scan", ...), used as
 /// the `stage` label value and the access-log key.

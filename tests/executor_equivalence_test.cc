@@ -4,7 +4,10 @@
 // exec threads: one-shot Execute, repeated execution of one compiled
 // ScanPlan, and that plan under random predicate overrides (the Predicate
 // Mechanism's repeated-noisy-run shape), including fact rows whose foreign
-// key misses its dimension.
+// key misses its dimension. Every plan that can have cells is checked again
+// with them (ScanPlan::WithCells, the build PlanCache runs at a first hit),
+// including an override on a column the classes were not built from, which
+// must sweep the fact rows instead.
 //
 // The generator also produces the three GROUP BY key sets whose ordinals
 // cannot pack into a 64-bit code — a double fact key, an int64 fact key
@@ -346,19 +349,81 @@ exec::PredicateOverrides MakeRandomOverrides(std::mt19937& rng,
   return overrides;
 }
 
+// Far above any generated plan's dense cell index that fits in memory, so
+// cells are built on tables too small for PlanCache's size rule; plans whose
+// fact group field is ~2^42 wide, or that number their key tuples, have none.
+constexpr uint64_t kAnyCells = uint64_t{1} << 20;
+
+// Overrides that filter dimension `i` on the column its own predicates do
+// not use ("s" ↔ "t"; a dimension without predicates gets one on "t") — a
+// (column, domain) no class was built from.
+exec::PredicateOverrides NonMemoizedOverride(const query::BoundQuery& bound,
+                                             size_t i) {
+  const query::DimBinding& d = bound.dims[i];
+  const int col =
+      !d.predicates.empty() && d.predicates[0].column_index == 2 ? 1 : 2;
+  query::BoundPredicate pred;
+  pred.table = d.table;
+  pred.column_index = col;
+  pred.column = d.dim->schema().field(col).name;
+  pred.domain = *d.dim->schema().field(col).domain;
+  pred.kind = query::PredicateKind::kRange;
+  pred.lo_index = 0;
+  pred.hi_index = pred.domain.size() / 2;
+  exec::PredicateOverrides overrides(bound.dims.size());
+  overrides[i] = std::vector<query::BoundPredicate>{pred};
+  return overrides;
+}
+
+// Checks `plan` against the oracle at every thread count: two runs without
+// overrides, and three random override sets — which keep every predicate's
+// (column, domain), so a plan with cells sweeps them — plus, for a plan with
+// cells, an override its cells cannot serve.
+void CheckPlan(std::mt19937& rng, const query::BoundQuery& bound,
+               const exec::ScanPlan& plan, const std::string& where) {
+  std::vector<std::pair<std::string, exec::PredicateOverrides>> cases;
+  cases.emplace_back("", exec::PredicateOverrides(bound.dims.size()));
+  cases.emplace_back("", exec::PredicateOverrides(bound.dims.size()));
+  for (int oi = 0; oi < 3; ++oi) {
+    cases.emplace_back(" override " + std::to_string(oi),
+                       MakeRandomOverrides(rng, bound));
+    if (plan.cells != nullptr) {
+      EXPECT_TRUE(plan.CellsServe(bound, cases.back().second)) << where;
+    }
+  }
+  if (plan.cells != nullptr && !bound.dims.empty()) {
+    const size_t i = static_cast<size_t>(
+        RandInt(rng, 0, static_cast<int64_t>(bound.dims.size()) - 1));
+    cases.emplace_back(" non-memoized", NonMemoizedOverride(bound, i));
+    EXPECT_FALSE(plan.CellsServe(bound, cases.back().second)) << where;
+  }
+  for (const auto& [what, overrides] : cases) {
+    auto expected = exec::ExecuteNaive(bound, overrides);
+    EXPECT_TRUE(expected.ok()) << expected.status().ToString();
+    if (!expected.ok()) continue;
+    for (const auto& [name, options] : ThreadConfigs()) {
+      StarJoinExecutor executor(options);
+      auto got = executor.Execute(bound, overrides, plan);
+      EXPECT_TRUE(got.ok()) << name << ": " << got.status().ToString();
+      if (got.ok()) ExpectBitIdentical(*expected, *got, where + what + " " + name);
+    }
+  }
+}
+
 // Checks one bound query against the oracle at every thread count: one-shot
-// Execute, two runs of one compiled plan, and three random override sets
-// through the same plan. Returns the compiled plan for shape accounting.
+// Execute, then the compiled plan and — when it can have them — the plan
+// with cells through CheckPlan. Returns the compiled plan for shape
+// accounting; `cell_plans`, when given, counts the plans checked with cells.
 exec::ScanPlan CheckAgainstNaive(std::mt19937& rng,
                                  const query::BoundQuery& bound,
-                                 const std::string& where) {
+                                 const std::string& where,
+                                 int* cell_plans = nullptr) {
   auto naive = exec::ExecuteNaive(bound);
   EXPECT_TRUE(naive.ok()) << naive.status().ToString();
   exec::PlanColumnStore columns;
   auto plan = exec::ScanPlan::Compile(bound, columns);
   EXPECT_TRUE(plan.ok()) << plan.status().ToString();
   if (!naive.ok() || !plan.ok()) return exec::ScanPlan();
-  const exec::PredicateOverrides none(bound.dims.size());
   for (const auto& [name, options] : ThreadConfigs()) {
     StarJoinExecutor executor(options);
     auto one_shot = executor.Execute(bound);
@@ -366,34 +431,22 @@ exec::ScanPlan CheckAgainstNaive(std::mt19937& rng,
     if (one_shot.ok()) {
       ExpectBitIdentical(*naive, *one_shot, where + " " + name);
     }
-    // Plans are stateless, so every repetition matches the oracle.
-    for (int rep = 0; rep < 2; ++rep) {
-      auto got = executor.Execute(bound, none, *plan);
-      EXPECT_TRUE(got.ok()) << name << ": " << got.status().ToString();
-      if (got.ok()) ExpectBitIdentical(*naive, *got, where + " plan " + name);
-    }
   }
-  for (int oi = 0; oi < 3; ++oi) {
-    exec::PredicateOverrides overrides = MakeRandomOverrides(rng, bound);
-    auto expected = exec::ExecuteNaive(bound, overrides);
-    EXPECT_TRUE(expected.ok()) << expected.status().ToString();
-    if (!expected.ok()) continue;
-    for (const auto& [name, options] : ThreadConfigs()) {
-      StarJoinExecutor executor(options);
-      auto got = executor.Execute(bound, overrides, *plan);
-      EXPECT_TRUE(got.ok()) << name << ": " << got.status().ToString();
-      if (got.ok()) {
-        ExpectBitIdentical(
-            *expected, *got,
-            where + " override " + std::to_string(oi) + " " + name);
-      }
-    }
+  CheckPlan(rng, bound, *plan, where + " plan");
+  auto with_cells = exec::ScanPlan::WithCells(*plan, bound, kAnyCells);
+  if (with_cells.ok()) {
+    EXPECT_NE(with_cells->cells, nullptr);
+    CheckPlan(rng, bound, *with_cells, where + " cells");
+    if (cell_plans != nullptr) ++*cell_plans;
+  } else {
+    EXPECT_EQ(with_cells.status().code(), StatusCode::kNotSupported) << where;
   }
   return std::move(*plan);
 }
 
 TEST(ExecutorEquivalence, RandomizedMatrixMatchesNaiveBitForBit) {
   std::array<int, kNumShapes + 1> shape_count{};
+  int cell_plans = 0;
   for (uint32_t seed = 1; seed <= 40; ++seed) {
     std::mt19937 rng(seed);
     Instance inst =
@@ -405,7 +458,8 @@ TEST(ExecutorEquivalence, RandomizedMatrixMatchesNaiveBitForBit) {
       ASSERT_TRUE(bound.ok()) << bound.status().ToString();
       exec::ScanPlan plan = CheckAgainstNaive(
           rng, *bound,
-          "seed " + std::to_string(seed) + " query " + std::to_string(qi));
+          "seed " + std::to_string(seed) + " query " + std::to_string(qi),
+          &cell_plans);
       ++shape_count[ShapeOf(plan, q, inst.h_span)];
     }
   }
@@ -413,6 +467,7 @@ TEST(ExecutorEquivalence, RandomizedMatrixMatchesNaiveBitForBit) {
     EXPECT_GT(shape_count[static_cast<size_t>(s)], 0)
         << "the generator never produced a " << kShapeNames[s] << " query";
   }
+  EXPECT_GT(cell_plans, 60);  // most of the 120 plans have cells
 }
 
 // Each unpackable shape on purpose, on plain instances, on instances with a
@@ -462,6 +517,13 @@ TEST(ExecutorEquivalence, DanglingForeignKeysDropAcrossThreadCounts) {
     exec::PlanColumnStore columns;
     auto plan = exec::ScanPlan::Compile(*bound, columns);
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    // The dangling rows belong to no cell: they pass no predicate.
+    auto with_cells = exec::ScanPlan::WithCells(*plan, *bound, kAnyCells);
+    if (with_cells.ok()) {
+      int64_t cell_rows = 0;
+      for (int64_t n : with_cells->cells->counts) cell_rows += n;
+      EXPECT_LT(cell_rows, bound->fact->num_rows()) << "seed " << seed;
+    }
     const exec::PredicateOverrides none(bound->dims.size());
     auto naive = exec::ExecuteNaive(*bound);
     ASSERT_TRUE(naive.ok());
@@ -474,6 +536,11 @@ TEST(ExecutorEquivalence, DanglingForeignKeysDropAcrossThreadCounts) {
       ASSERT_TRUE(got_plan.ok()) << name;
       ExpectBitIdentical(*naive, *got_plan,
                          name + " plan seed " + std::to_string(seed));
+      if (!with_cells.ok()) continue;
+      auto got_cells = executor.Execute(*bound, none, *with_cells);
+      ASSERT_TRUE(got_cells.ok()) << name;
+      ExpectBitIdentical(*naive, *got_cells,
+                         name + " cells seed " + std::to_string(seed));
     }
   }
 }
@@ -498,6 +565,14 @@ TEST(ExecutorEquivalence, ThreadCountsAgreeOnEmptyFact) {
     ASSERT_TRUE(got.ok()) << name;
     ExpectBitIdentical(*naive, *got, name);
   }
+  // An empty fact table has an empty cell layout, which answers the same.
+  exec::PlanColumnStore columns;
+  auto plan = exec::ScanPlan::Compile(*bound, columns);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  auto with_cells = exec::ScanPlan::WithCells(*plan, *bound, kAnyCells);
+  ASSERT_TRUE(with_cells.ok()) << with_cells.status().ToString();
+  EXPECT_EQ(with_cells->cells->num_cells(), 0);
+  CheckPlan(rng, *bound, *with_cells, "empty fact cells");
 }
 
 }  // namespace

@@ -2,12 +2,14 @@
 // service's epoch semantics must be indistinguishable from tearing
 // everything down and rebuilding.
 //
-//   * ScanPlan::ExtendFrom vs a fresh Compile over randomized append
-//     schedules × query shapes: every scaffold array (FK resolution, packed
-//     codes, weights, counting-sort runs, rendered labels) bit-identical,
-//     and execution of both plans bit-identical to the naive oracle. Tails
-//     that cannot splice (a key outgrowing its packed field, a plan with
-//     numbered group codes) are declined, and the cache recompiles.
+//   * ScanPlan::ExtendFrom vs a fresh Compile — plus ScanPlan::WithCells
+//     when the extended plan has cells — over randomized append schedules ×
+//     query shapes: every scaffold array (FK resolution, packed codes,
+//     weights, and the classes, cells and rendered labels of the cell
+//     layout) bit-identical, and execution of both plans bit-identical to
+//     the naive oracle. Tails that cannot be added (a key outgrowing its
+//     packed field, a plan with numbered group codes) are declined, and the
+//     cache recompiles.
 //   * QueryService::Ingest: one epoch bump per accepted batch, all-or-nothing
 //     batches, answer-cache keys that fold the epoch in (a post-append query
 //     is a FRESH DP release and a fresh ε spend), exact ledger accounting.
@@ -105,9 +107,14 @@ void ExpectBitIdentical(const QueryResult& expected, const QueryResult& got) {
   }
 }
 
+// A cell-layout limit far above every toy plan's dense cell index, so the
+// tests build cells on tables too small for PlanCache's size rule.
+constexpr uint64_t kAnyCells = uint64_t{1} << 20;
+
 // Every public scaffold array of the two plans, field by field — the shared
-// join and weight columns by content, since the plans hold them by pointer.
-// `where` identifies the (shape, seed, batch) combination on failure.
+// join and weight columns and the cell layouts by content, since the plans
+// hold them by pointer. `where` identifies the (shape, seed, batch)
+// combination on failure.
 void ExpectSamePlan(const ScanPlan& fresh, const ScanPlan& ext,
                     const std::string& where) {
   SCOPED_TRACE(where);
@@ -130,12 +137,31 @@ void ExpectSamePlan(const ScanPlan& fresh, const ScanPlan& ext,
     EXPECT_EQ(fresh.weights->fact_rows, ext.weights->fact_rows);
     EXPECT_EQ(fresh.weights->values, ext.weights->values);
   }
-  EXPECT_EQ(fresh.has_sorted_runs, ext.has_sorted_runs);
-  EXPECT_EQ(fresh.run_offsets, ext.run_offsets);
-  EXPECT_EQ(fresh.sorted_dim_row, ext.sorted_dim_row);
-  EXPECT_EQ(fresh.sorted_weights, ext.sorted_weights);
-  EXPECT_EQ(fresh.group_labels, ext.group_labels);
-  EXPECT_EQ(fresh.label_of_code, ext.label_of_code);
+  ASSERT_EQ(fresh.cells == nullptr, ext.cells == nullptr);
+  if (fresh.cells != nullptr) {
+    const exec::CellLayout& f = *fresh.cells;
+    const exec::CellLayout& e = *ext.cells;
+    EXPECT_EQ(f.class_of_row, e.class_of_row);
+    ASSERT_EQ(f.classes.size(), e.classes.size());
+    for (size_t i = 0; i < f.classes.size(); ++i) {
+      EXPECT_EQ(f.classes[i].num_rows, e.classes[i].num_rows);
+      ASSERT_EQ(f.classes[i].ordinal_tables.size(),
+                e.classes[i].ordinal_tables.size());
+      for (size_t t = 0; t < f.classes[i].ordinal_tables.size(); ++t) {
+        EXPECT_EQ(f.classes[i].ordinal_tables[t].ordinals,
+                  e.classes[i].ordinal_tables[t].ordinals);
+      }
+    }
+    EXPECT_EQ(f.dim_strides, e.dim_strides);
+    EXPECT_EQ(f.part_strides, e.part_strides);
+    EXPECT_EQ(f.cell_of_index, e.cell_of_index);
+    EXPECT_EQ(f.cell_class, e.cell_class);
+    EXPECT_EQ(f.counts, e.counts);
+    EXPECT_EQ(f.weights, e.weights);
+    EXPECT_EQ(f.codes, e.codes);
+    EXPECT_EQ(f.labels, e.labels);
+    EXPECT_EQ(f.slots, e.slots);
+  }
   ASSERT_EQ(fresh.dims.size(), ext.dims.size());
   for (size_t i = 0; i < fresh.dims.size(); ++i) {
     EXPECT_EQ(fresh.dims[i].num_rows, ext.dims[i].num_rows);
@@ -148,59 +174,73 @@ void ExpectSamePlan(const ScanPlan& fresh, const ScanPlan& ext,
 // ---------------------------------------------------------------------------
 // ScanPlan::ExtendFrom ≡ fresh Compile
 
+// Each schedule runs twice: on the fact-row layout alone, and from a plan
+// with cells, whose every extension must keep cells equal to a fresh build.
 TEST(IngestEquivalenceTest, ExtendMatchesFreshCompileOnRandomSchedules) {
   const std::vector<query::StarJoinQuery> shapes = {
       ToyCountQuery(), ToyGroupedQuery(), ToyFactGroupedQuery(),
       ToyMultiMeasureQuery()};
   for (size_t shape = 0; shape < shapes.size(); ++shape) {
     for (uint64_t seed = 1; seed <= 4; ++seed) {
-      // Fresh instance per schedule: appends mutate the catalog.
-      storage::Catalog catalog = MakeToyCatalog();
-      query::Binder binder(&catalog);
-      StarJoinExecutor executor;
-      auto orders = catalog.GetTable("Orders");
-      ASSERT_TRUE(orders.ok());
+      for (const bool with_cells : {false, true}) {
+        // Fresh instance per schedule: appends mutate the catalog.
+        storage::Catalog catalog = MakeToyCatalog();
+        query::Binder binder(&catalog);
+        StarJoinExecutor executor;
+        auto orders = catalog.GetTable("Orders");
+        ASSERT_TRUE(orders.ok());
 
-      auto bound = binder.Bind(shapes[shape]);
-      ASSERT_TRUE(bound.ok()) << bound.status().ToString();
-      exec::PlanColumnStore columns;
-      auto prev = ScanPlan::Compile(*bound, columns);
-      ASSERT_TRUE(prev.ok()) << prev.status().ToString();
-
-      Rng rng(seed * 977 + shape);
-      for (int batch = 0; batch < 3; ++batch) {
-        const int64_t batch_rows = rng.UniformInt(1, 8);
-        for (int64_t r = 0; r < batch_rows; ++r) {
-          ASSERT_TRUE((*orders)->AppendRow(RandomOrdersRow(&rng)).ok());
+        auto bound = binder.Bind(shapes[shape]);
+        ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+        exec::PlanColumnStore columns;
+        auto prev = ScanPlan::Compile(*bound, columns);
+        ASSERT_TRUE(prev.ok()) << prev.status().ToString();
+        if (with_cells) {
+          prev = ScanPlan::WithCells(*prev, *bound, kAnyCells);
+          ASSERT_TRUE(prev.ok()) << prev.status().ToString();
         }
-        auto grown = binder.Bind(shapes[shape]);
-        ASSERT_TRUE(grown.ok());
-        ASSERT_TRUE(ScanPlan::IsAppendExtension(*prev, *grown));
 
-        auto ext = ScanPlan::ExtendFrom(*prev, *grown, columns);
-        ASSERT_TRUE(ext.ok()) << ext.status().ToString();
-        // A store of its own, so the fresh compile builds every column
-        // instead of reusing the extension's.
-        exec::PlanColumnStore fresh_columns;
-        auto fresh = ScanPlan::Compile(*grown, fresh_columns);
-        ASSERT_TRUE(fresh.ok());
-        ExpectSamePlan(*fresh, *ext,
-                       Format("shape=%zu seed=%llu batch=%d rows=%lld", shape,
-                              static_cast<unsigned long long>(seed), batch,
-                              static_cast<long long>(grown->fact->num_rows())));
+        Rng rng(seed * 977 + shape);
+        for (int batch = 0; batch < 3; ++batch) {
+          const int64_t batch_rows = rng.UniformInt(1, 8);
+          for (int64_t r = 0; r < batch_rows; ++r) {
+            ASSERT_TRUE((*orders)->AppendRow(RandomOrdersRow(&rng)).ok());
+          }
+          auto grown = binder.Bind(shapes[shape]);
+          ASSERT_TRUE(grown.ok());
+          ASSERT_TRUE(ScanPlan::IsAppendExtension(*prev, *grown));
 
-        // Execution through both scaffolds agrees with the naive oracle.
-        auto baseline = exec::ExecuteNaive(*grown);
-        ASSERT_TRUE(baseline.ok());
-        auto via_ext = executor.Execute(
-            *grown, PredicateOverrides(grown->dims.size()), *ext);
-        auto via_fresh = executor.Execute(
-            *grown, PredicateOverrides(grown->dims.size()), *fresh);
-        ASSERT_TRUE(via_ext.ok() && via_fresh.ok());
-        ExpectBitIdentical(*baseline, *via_ext);
-        ExpectBitIdentical(*via_fresh, *via_ext);
+          auto ext = ScanPlan::ExtendFrom(*prev, *grown, columns);
+          ASSERT_TRUE(ext.ok()) << ext.status().ToString();
+          ASSERT_EQ(ext->cells != nullptr, with_cells);
+          // A store of its own, so the fresh compile builds every column
+          // instead of reusing the extension's.
+          exec::PlanColumnStore fresh_columns;
+          auto fresh = ScanPlan::Compile(*grown, fresh_columns);
+          ASSERT_TRUE(fresh.ok());
+          if (with_cells) {
+            fresh = ScanPlan::WithCells(*fresh, *grown, kAnyCells);
+            ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+          }
+          ExpectSamePlan(
+              *fresh, *ext,
+              Format("shape=%zu seed=%llu cells=%d batch=%d rows=%lld", shape,
+                     static_cast<unsigned long long>(seed), with_cells, batch,
+                     static_cast<long long>(grown->fact->num_rows())));
 
-        prev = std::move(ext);  // next batch extends the extension
+          // Execution through both scaffolds agrees with the naive oracle.
+          auto baseline = exec::ExecuteNaive(*grown);
+          ASSERT_TRUE(baseline.ok());
+          auto via_ext = executor.Execute(
+              *grown, PredicateOverrides(grown->dims.size()), *ext);
+          auto via_fresh = executor.Execute(
+              *grown, PredicateOverrides(grown->dims.size()), *fresh);
+          ASSERT_TRUE(via_ext.ok() && via_fresh.ok());
+          ExpectBitIdentical(*baseline, *via_ext);
+          ExpectBitIdentical(*via_fresh, *via_ext);
+
+          prev = std::move(ext);  // next batch extends the extension
+        }
       }
     }
   }

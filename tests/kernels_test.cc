@@ -15,10 +15,12 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/cpu.h"
 #include "common/random.h"
+#include "common/string_util.h"
 #include "exec/star_join_executor.h"
 #include "query/binder.h"
 #include "storage/catalog.h"
@@ -87,9 +89,8 @@ storage::Catalog MakeMediumCatalog(int64_t fact_rows, uint64_t seed) {
 }
 
 // grouped: SUM(price) by Da.t with a range predicate on Da only, so the
-// predicate-free Db is elidable (all-pass bitmap) — the run-sorted sweep's
-// wide path. !grouped: COUNT with predicates on both dims — the probing
-// sweep's chunked path.
+// predicate-free Db is elidable (all-pass bitmap) and the sweep gathers Da
+// alone. !grouped: COUNT with predicates on both dims — both gathered.
 query::StarJoinQuery MakeMediumQuery(bool grouped) {
   query::StarJoinQuery q;
   q.name = grouped ? "medium_sum_grouped" : "medium_count";
@@ -393,9 +394,10 @@ TEST(KernelsTest, DetectedCpuIsSane) {
   EXPECT_EQ(Avx2KernelsOrNull() != nullptr, cpu.avx2);
 }
 
-// Executes a grouped SUM and a scalar COUNT through the full plan path under
-// each kernel table and requires bit-identical QueryResults — the end-to-end
-// form of the contract the micro tests check per kernel.
+// Executes a grouped SUM and a scalar COUNT through the full plan path — over
+// the fact rows and over the plan's cells — under each kernel table and
+// requires bit-identical QueryResults: the end-to-end form of the contract
+// the micro tests check per kernel.
 TEST(KernelsTest, ExecutorResultsBitIdenticalAcrossKernelTables) {
   const EngineKernels* avx2 = Avx2KernelsOrNull();
   if (avx2 == nullptr) GTEST_SKIP() << "host has no AVX2";
@@ -404,34 +406,43 @@ TEST(KernelsTest, ExecutorResultsBitIdenticalAcrossKernelTables) {
       MakeMediumCatalog(/*fact_rows=*/7777, /*seed=*/99);
   query::Binder binder(&catalog);
   for (const bool grouped : {false, true}) {
-    query::StarJoinQuery q = MakeMediumQuery(grouped);
-    auto bound = binder.Bind(q);
-    ASSERT_TRUE(bound.ok()) << bound.status().ToString();
-    exec::PlanColumnStore columns;
-    auto plan = exec::ScanPlan::Compile(*bound, columns);
-    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    for (const bool cells : {false, true}) {
+      query::StarJoinQuery q = MakeMediumQuery(grouped);
+      auto bound = binder.Bind(q);
+      ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+      exec::PlanColumnStore columns;
+      auto plan = exec::ScanPlan::Compile(*bound, columns);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      if (cells) {
+        plan = exec::ScanPlan::WithCells(
+            *plan, *bound, exec::ScanPlan::CellLimit(plan->fact_rows()));
+        ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      }
 
-    exec::ExecutorOptions options;
-    options.morsel_size = 1013;  // prime: plenty of ragged chunk tails
-    exec::StarJoinExecutor executor(options);
+      exec::ExecutorOptions options;
+      options.morsel_size = 1013;  // prime: plenty of ragged chunk tails
+      exec::StarJoinExecutor executor(options);
 
-    auto run = [&](const EngineKernels* kern) {
-      ScopedKernelOverride override_kernels(kern);
-      return executor.Execute(*bound, {}, *plan);
-    };
-    auto scalar_result = run(&ScalarKernels());
-    auto avx2_result = run(avx2);
-    ASSERT_TRUE(scalar_result.ok()) << scalar_result.status().ToString();
-    ASSERT_TRUE(avx2_result.ok()) << avx2_result.status().ToString();
+      auto run = [&](const EngineKernels* kern) {
+        ScopedKernelOverride override_kernels(kern);
+        return executor.Execute(*bound, {}, *plan);
+      };
+      auto scalar_result = run(&ScalarKernels());
+      auto avx2_result = run(avx2);
+      ASSERT_TRUE(scalar_result.ok()) << scalar_result.status().ToString();
+      ASSERT_TRUE(avx2_result.ok()) << avx2_result.status().ToString();
 
-    EXPECT_EQ(scalar_result->grouped, avx2_result->grouped);
-    EXPECT_EQ(scalar_result->scalar, avx2_result->scalar) << "grouped=" << grouped;
-    ASSERT_EQ(scalar_result->groups.size(), avx2_result->groups.size());
-    auto it_a = scalar_result->groups.begin();
-    auto it_b = avx2_result->groups.begin();
-    for (; it_a != scalar_result->groups.end(); ++it_a, ++it_b) {
-      EXPECT_EQ(it_a->first, it_b->first);
-      EXPECT_EQ(it_a->second, it_b->second) << "group " << it_a->first;
+      const std::string what =
+          Format("grouped=%d cells=%d", grouped ? 1 : 0, cells ? 1 : 0);
+      EXPECT_EQ(scalar_result->grouped, avx2_result->grouped) << what;
+      EXPECT_EQ(scalar_result->scalar, avx2_result->scalar) << what;
+      ASSERT_EQ(scalar_result->groups.size(), avx2_result->groups.size());
+      auto it_a = scalar_result->groups.begin();
+      auto it_b = avx2_result->groups.begin();
+      for (; it_a != scalar_result->groups.end(); ++it_a, ++it_b) {
+        EXPECT_EQ(it_a->first, it_b->first) << what;
+        EXPECT_EQ(it_a->second, it_b->second) << what << " group " << it_a->first;
+      }
     }
   }
 }

@@ -2,7 +2,9 @@
 // oracle (exec/naive_executor.h) bit-for-bit, invalidation fires when a
 // table grows, equivalent query spellings share one plan, plans over one FK
 // edge or measure share one join or weight column for exactly as long as
-// some plan holds it, the cache is safe under concurrent use and appends
+// some plan holds it, a plan's first validated hit builds (or declines) its
+// cells exactly once — also when many threads hit it at once — and an
+// extension keeps them, the cache is safe under concurrent use and appends
 // (run under TSan via the build-tsan / CI TSan configuration), and the plan
 // path never changes Predicate Mechanism noise semantics.
 
@@ -275,11 +277,20 @@ TEST(PlanCacheTest, EquivalentSpellingsShareOnePlan) {
   auto b2 = binder.Bind(q2);
   ASSERT_TRUE(b1.ok() && b2.ok());
 
+  // The hit is the plan's first, so it publishes the plan with cells (four
+  // tier classes, twelve fact rows) in the compiled plan's place; both
+  // spellings then resolve to that one entry.
   auto p1 = cache.GetOrCompile(*b1);
   auto p2 = cache.GetOrCompile(*b2);
   ASSERT_TRUE(p1.ok() && p2.ok());
-  EXPECT_EQ(p1->get(), p2->get());
-  EXPECT_EQ(cache.GetStats().hits, 1u);
+  EXPECT_EQ((*p1)->cells, nullptr);
+  EXPECT_NE((*p2)->cells, nullptr);
+  auto p3 = cache.GetOrCompile(*b1);
+  ASSERT_TRUE(p3.ok());
+  EXPECT_EQ(p2->get(), p3->get());
+  EXPECT_EQ(cache.GetStats().misses, 1u);
+  EXPECT_EQ(cache.GetStats().hits, 2u);
+  EXPECT_EQ(cache.GetStats().cell_builds, 1u);
 
   auto naive = exec::ExecuteNaive(*b2);
   ASSERT_TRUE(naive.ok());
@@ -296,8 +307,10 @@ TEST(PlanCacheTest, BoundIndependentKeySharesPlanAcrossFilterConstants) {
   StarJoinExecutor executor;
 
   // Same logical query, four different tier ranges: the scaffold is bound-
-  // independent, so all four share one compiled plan (and each still gets
-  // its own correct answer through its own predicate bitmap).
+  // independent, so all four share one cache entry (and each still gets its
+  // own correct answer through its own predicate bitmap). The first hit
+  // replaces the compiled plan with the plan with cells; every later lookup
+  // returns that one.
   std::shared_ptr<const ScanPlan> first;
   for (int64_t hi = 1; hi <= 4; ++hi) {
     query::StarJoinQuery q;
@@ -310,9 +323,9 @@ TEST(PlanCacheTest, BoundIndependentKeySharesPlanAcrossFilterConstants) {
     ASSERT_TRUE(bound.ok()) << bound.status().ToString();
     auto plan = cache.GetOrCompile(*bound);
     ASSERT_TRUE(plan.ok());
-    if (first == nullptr) {
+    if (hi == 2) {
       first = *plan;
-    } else {
+    } else if (hi > 2) {
       EXPECT_EQ(first.get(), plan->get()) << "hi=" << hi;
     }
     auto naive = exec::ExecuteNaive(*bound);
@@ -323,6 +336,7 @@ TEST(PlanCacheTest, BoundIndependentKeySharesPlanAcrossFilterConstants) {
   }
   EXPECT_EQ(cache.GetStats().misses, 1u);
   EXPECT_EQ(cache.GetStats().hits, 3u);
+  EXPECT_EQ(cache.GetStats().cell_builds, 1u);
 }
 
 TEST(PlanCacheTest, EmptyGroupByDimensionCompilesAndAnswersEmpty) {
@@ -527,6 +541,162 @@ TEST(PlanCacheTest, ConcurrentSharedCacheIsSafe) {
       EXPECT_EQ((*plan)->fact_dim_row[i].get(), cust_column.get());
     }
   }
+}
+
+// Orders→Cust by region has three classes, within half the fixture's twelve
+// fact rows, so its first hit builds cells; the two-dimension count has
+// 3 × 4 = 12 class combinations and is kept on its fact rows.
+TEST(PlanCacheTest, FirstHitBuildsCellsExactlyOnce) {
+  storage::Catalog catalog = MakeToyCatalog();
+  query::Binder binder(&catalog);
+  PlanCache cache(8);
+  StarJoinExecutor executor;
+
+  auto bound = binder.Bind(CustRegionCountQuery());
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  auto compiled = cache.GetOrCompile(*bound);
+  ASSERT_TRUE(compiled.ok());
+  EXPECT_EQ((*compiled)->cells, nullptr);  // compiles never build cells
+
+  obs::Trace trace;
+  auto first_hit = cache.GetOrCompile(*bound, &trace);
+  ASSERT_TRUE(first_hit.ok());
+  EXPECT_TRUE(trace.plan_cache_hit);
+  EXPECT_TRUE(trace.touched(obs::Stage::kPlanCells));
+  ASSERT_NE((*first_hit)->cells, nullptr);
+  EXPECT_EQ((*first_hit)->cells->classes[0].num_rows, 3);
+  EXPECT_EQ((*first_hit)->cells->num_cells(), 3);
+
+  obs::Trace later_trace;
+  auto later = cache.GetOrCompile(*bound, &later_trace);
+  ASSERT_TRUE(later.ok());
+  EXPECT_EQ(later->get(), first_hit->get());
+  EXPECT_FALSE(later_trace.touched(obs::Stage::kPlanCells));
+
+  auto declined = binder.Bind(ToyCountQuery());
+  ASSERT_TRUE(declined.ok());
+  auto row_plan = cache.GetOrCompile(*declined);
+  ASSERT_TRUE(row_plan.ok());
+  for (int rep = 0; rep < 3; ++rep) {
+    auto hit = cache.GetOrCompile(*declined);
+    ASSERT_TRUE(hit.ok());
+    EXPECT_EQ(hit->get(), row_plan->get());
+    EXPECT_EQ((*hit)->cells, nullptr);
+  }
+
+  PlanCache::Stats stats = cache.GetStats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.hits, 5u);
+  EXPECT_EQ(stats.cell_builds, 1u);
+  EXPECT_EQ(stats.cell_declines, 1u);
+
+  // Both layouts answer like the oracle, under every region the Predicate
+  // Mechanism could draw.
+  for (const auto* b : {&*bound, &*declined}) {
+    auto plan = cache.GetOrCompile(*b);
+    ASSERT_TRUE(plan.ok());
+    for (int64_t region = 0; region < 3; ++region) {
+      PredicateOverrides overrides(b->dims.size());
+      for (size_t i = 0; i < b->dims.size(); ++i) {
+        std::vector<query::BoundPredicate> preds = b->dims[i].predicates;
+        for (auto& p : preds) p.lo_index = p.hi_index = region;
+        overrides[i] = std::move(preds);
+      }
+      EXPECT_EQ((*plan)->CellsServe(*b, overrides), b == &*bound);
+      auto naive = exec::ExecuteNaive(*b, overrides);
+      auto got = executor.Execute(*b, overrides, **plan);
+      ASSERT_TRUE(naive.ok() && got.ok());
+      ExpectBitIdentical(*naive, *got);
+    }
+  }
+}
+
+// Many threads take a compiled plan's first hits at once: exactly one
+// builds the cells, the others are served the plan on its fact rows
+// meanwhile, and every answer matches the oracle. Under TSan this is the
+// race check of the build-and-publish path.
+TEST(PlanCacheTest, ConcurrentFirstHitsBuildCellsOnce) {
+  storage::Catalog catalog = MakeToyCatalog();
+  query::Binder binder(&catalog);
+  for (int round = 0; round < 20; ++round) {
+    PlanCache cache(8);
+    auto bound = binder.Bind(CustTierSumQuery());
+    ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+    ASSERT_TRUE(cache.GetOrCompile(*bound).ok());
+    auto naive = exec::ExecuteNaive(*bound);
+    ASSERT_TRUE(naive.ok());
+
+    std::atomic<int> ready{0};
+    std::atomic<int> failures{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 8; ++t) {
+      threads.emplace_back([&]() {
+        ++ready;
+        while (ready.load() < 8) std::this_thread::yield();
+        StarJoinExecutor local;
+        for (int i = 0; i < 4; ++i) {
+          auto plan = cache.GetOrCompile(*bound);
+          auto got = plan.ok() ? local.Execute(*bound, PredicateOverrides(),
+                                               **plan)
+                               : Result<QueryResult>(plan.status());
+          if (!got.ok() || got->scalar != naive->scalar) ++failures;
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    EXPECT_EQ(failures.load(), 0);
+    PlanCache::Stats stats = cache.GetStats();
+    EXPECT_EQ(stats.hits, 32u);
+    EXPECT_EQ(stats.cell_builds, 1u);
+    EXPECT_EQ(stats.cell_declines, 0u);
+    auto plan = cache.GetOrCompile(*bound);
+    ASSERT_TRUE(plan.ok());
+    EXPECT_NE((*plan)->cells, nullptr);
+  }
+}
+
+// Extending a plan with cells is an extend like any other — a hit, not a
+// miss — and the extended plan keeps cells, so its next hit builds nothing.
+TEST(PlanCacheTest, ExtendingACellPlanCountsAsAnExtend) {
+  storage::Catalog catalog = MakeToyCatalog();
+  query::Binder binder(&catalog);
+  PlanCache cache(8);
+  StarJoinExecutor executor;
+
+  auto bound = binder.Bind(CustTierSumQuery());
+  ASSERT_TRUE(bound.ok());
+  ASSERT_TRUE(cache.GetOrCompile(*bound).ok());
+  auto with_cells = cache.GetOrCompile(*bound);
+  ASSERT_TRUE(with_cells.ok());
+  ASSERT_NE((*with_cells)->cells, nullptr);
+
+  auto orders = catalog.GetTable("Orders");
+  ASSERT_TRUE(orders.ok());
+  ASSERT_TRUE((*orders)
+                  ->AppendRow({Value(int64_t{2}), Value(int64_t{3}),
+                               Value(int64_t{4}), Value(40.0)})
+                  .ok());
+  auto grown = binder.Bind(CustTierSumQuery());
+  ASSERT_TRUE(grown.ok());
+  auto extended = cache.GetOrCompile(*grown);
+  ASSERT_TRUE(extended.ok());
+  ASSERT_NE((*extended)->cells, nullptr);
+  auto again = cache.GetOrCompile(*grown);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->get(), extended->get());
+
+  PlanCache::Stats stats = cache.GetStats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 3u);
+  EXPECT_EQ(stats.extends, 1u);
+  EXPECT_EQ(stats.invalidations, 0u);
+  EXPECT_EQ(stats.cell_builds, 1u);
+
+  auto naive = exec::ExecuteNaive(*grown);
+  ASSERT_TRUE(naive.ok());
+  auto got = executor.Execute(*grown, PredicateOverrides(), **extended);
+  ASSERT_TRUE(got.ok());
+  ExpectBitIdentical(*naive, *got);
 }
 
 TEST(PlanCacheTest, PlanPathDoesNotChangePmNoiseSemantics) {

@@ -1,10 +1,10 @@
 // Tests for the workload-level shared-scan compiler (exec/workload_plan.h)
 // and the layers above it: batched execution is bit-identical to one-at-a-time
-// warm execution on the paper's SSB scalar COUNT, SUM and AVG queries under
-// randomized predicate overrides — also with more than 8 and more than 64
-// predicate nodes on one dimension slot — and to the naive oracle on GROUP BY
-// key sets that cannot pack into 64 bits, the predicate CSE actually dedupes
-// bitmap builds
+// warm execution on the paper's SSB COUNT, SUM, AVG and GROUP BY queries under
+// randomized predicate overrides, in batches that mix plans with cells and
+// plans without — also with more than 8 and more than 64 predicate nodes on
+// one dimension slot — and to the naive oracle on GROUP BY key sets that
+// cannot pack into 64 bits, the predicate CSE actually dedupes bitmap builds
 // (the stats receipts prove it), multithreaded batch execution is deterministic
 // across thread counts and repetitions, PredicateMechanism::AnswerBatch
 // consumes the RNG exactly like sequential Answer calls, and the service's
@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <limits>
 #include <memory>
 #include <random>
@@ -50,26 +49,6 @@ void ExpectBitIdentical(const QueryResult& expected, const QueryResult& got,
   for (const auto& [label, value] : expected.groups) {
     EXPECT_EQ(label, it->first) << what;
     EXPECT_EQ(value, it->second) << what << " group " << label;
-    ++it;
-  }
-}
-
-// For the double SUMs of grouped plans with sorted runs, the single-query path
-// (run-sorted sweep) and the batch path (row-order sweep) add the same terms
-// in different orders, so only near-equality at double precision can be
-// promised.
-void ExpectNearIdentical(const QueryResult& expected, const QueryResult& got,
-                         const std::string& what) {
-  EXPECT_EQ(expected.grouped, got.grouped) << what;
-  EXPECT_NEAR(expected.scalar, got.scalar,
-              1e-9 * (1.0 + std::abs(expected.scalar)))
-      << what;
-  ASSERT_EQ(expected.groups.size(), got.groups.size()) << what;
-  auto it = got.groups.begin();
-  for (const auto& [label, value] : expected.groups) {
-    EXPECT_EQ(label, it->first) << what;
-    EXPECT_NEAR(value, it->second, 1e-9 * (1.0 + std::abs(value)))
-        << what << " group " << label;
     ++it;
   }
 }
@@ -114,8 +93,7 @@ void BindAndCompile(const query::Binder& binder, const query::StarJoinQuery& q,
 }
 
 // Executes `items` as one batch and each item alone through the single-query
-// path with the same options, expecting every answer bit-identical except the
-// grouped SUMs of plans with sorted runs, which must agree to rounding.
+// path with the same options, expecting every answer bit-identical.
 void ExpectBatchMatchesSequential(const std::vector<WorkloadItem>& items,
                                   const std::vector<int>& thread_counts,
                                   int64_t morsel_size, const std::string& what) {
@@ -133,15 +111,9 @@ void ExpectBatchMatchesSequential(const std::vector<WorkloadItem>& items,
       const WorkloadItem& it = items[i];
       auto sequential = executor.Execute(*it.query, *it.overrides, *it.plan);
       ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
-      const std::string where = what + " query " + std::to_string(i) +
-                                " threads " + std::to_string(threads);
-      const bool double_grouped_sum =
-          it.plan->has_sorted_runs && it.plan->weights != nullptr;
-      if (double_grouped_sum) {
-        ExpectNearIdentical(*sequential, (*batched)[i], where);
-      } else {
-        ExpectBitIdentical(*sequential, (*batched)[i], where);
-      }
+      ExpectBitIdentical(*sequential, (*batched)[i],
+                         what + " query " + std::to_string(i) + " threads " +
+                             std::to_string(threads));
     }
   }
 }
@@ -149,10 +121,9 @@ void ExpectBatchMatchesSequential(const std::vector<WorkloadItem>& items,
 // The paper's SSB queries (scalar counts Qc1–Qc4, scalar sums Qs2–Qs4 with an
 // AVG twin, grouped sums Qg2/Qg4), answered two ways under the same
 // randomized overrides: one at a time through the warm cached-plan path, and
-// all together through one shared scan. Every scalar answer must match
-// bit-for-bit at every thread count; the grouped double SUMs, whose
-// single-query plans take the run-sorted sweep, to within summation-
-// reordering rounding.
+// all together through one batch. Every other plan has cells, so the batch
+// mixes the shared row sweep with cell sweeps; every answer must match
+// bit-for-bit at every thread count.
 TEST(WorkloadPlanTest, SsbBatchMatchesSequentialWarmExecutionBitForBit) {
   ssb::SsbOptions gen;
   gen.scale_factor = 0.002;
@@ -173,8 +144,13 @@ TEST(WorkloadPlanTest, SsbBatchMatchesSequentialWarmExecutionBitForBit) {
   ASSERT_TRUE(avg.ok());
   avg->aggregate = query::AggregateKind::kAvg;
   BindAndCompile(binder, *avg, columns, &bound, &plans);
-  EXPECT_TRUE(plans[7]->has_sorted_runs);  // Qg2
-  EXPECT_TRUE(plans[8]->has_sorted_runs);  // Qg4
+  // Cells for Qc1, Qc3, Qs2, Qs4 and Qg4, built past PlanCache's size rule.
+  for (size_t i = 0; i < plans.size(); i += 2) {
+    auto with_cells =
+        exec::ScanPlan::WithCells(*plans[i], bound[i], uint64_t{1} << 24);
+    ASSERT_TRUE(with_cells.ok()) << with_cells.status().ToString();
+    plans[i] = std::make_shared<exec::ScanPlan>(std::move(*with_cells));
+  }
 
   for (uint32_t seed = 1; seed <= 5; ++seed) {
     std::mt19937 rng(seed);
@@ -192,9 +168,11 @@ TEST(WorkloadPlanTest, SsbBatchMatchesSequentialWarmExecutionBitForBit) {
     }
     auto wplan = WorkloadPlan::Compile(items);
     ASSERT_TRUE(wplan.ok()) << wplan.status().ToString();
-    // One fact table, ten queries, one sweep.
+    // One fact table, ten queries: one shared sweep for the five row-swept
+    // items, and one cell sweep for each of the other five.
     EXPECT_EQ(wplan->stats().queries, 10);
     EXPECT_EQ(wplan->stats().scans, 1);
+    EXPECT_EQ(wplan->stats().cell_sweeps, 5);
     // morsel_size 257: dozens of morsels, so real partial merging.
     ExpectBatchMatchesSequential(items, {1, 4}, /*morsel_size=*/257,
                                  "seed " + std::to_string(seed));

@@ -76,6 +76,9 @@ REQUIRED = [
     # Plans' shared join and weight columns: builds vs reuses.
     "dpstarj_plan_column_builds",
     "dpstarj_plan_column_reuses",
+    # Plans' cell layouts: built vs kept on fact rows at a first hit.
+    "dpstarj_plan_cell_builds",
+    "dpstarj_plan_cell_declines",
 ]
 
 
