@@ -6,11 +6,11 @@
 //     (bitmaps only) paths,
 //   * a 16-query shared-predicate SSB workload — one shared-scan AnswerBatch
 //     vs sequential warm Answer calls,
-//   * DataCube build (fused-LUT morsel scan at 1/2/4 threads) and the
+//   * DataCube build (fused-LUT morsel scan on one thread) and the
 //     box-sweep Evaluate,
 //   * ingest plan maintenance — ScanPlan::Compile plus the cell build on a
-//     grown fact table vs ScanPlan::ExtendFrom of a plan with cells over
-//     just the appended tail.
+//     grown fact table vs a sequence of small ingests, each followed by
+//     ScanPlan::ExtendFrom of the same plan with cells over just the tail.
 // These are not paper experiments; they track the substrate's performance
 // so regressions in the hot paths are visible. Thread-scaling configs are
 // annotated with the host core count when the host cannot actually scale
@@ -20,8 +20,6 @@
 //   DPSTARJ_MICRO_SF       SSB scale factor of the comparison harness (0.05)
 //   DPSTARJ_MICRO_MIN_SEC  min measured wall-clock per configuration (0.3)
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <optional>
@@ -299,8 +297,9 @@ void RunWorkloadComparison(bench::JsonBenchWriter* json) {
 
 // ---------------------------------------------------------------------------
 // DataCube comparison: the other full fact scan. Build: the fused dense-LUT
-// morsel scan at 1/2/4 threads. Evaluate: the box sweep over the predicate
-// hyper-rectangle.
+// morsel scan on one thread (the baseline is recorded pinned to one core,
+// where more threads time the same core). Evaluate: the box sweep over the
+// predicate hyper-rectangle.
 // ---------------------------------------------------------------------------
 
 void RunCubeComparison(bench::JsonBenchWriter* json) {
@@ -317,52 +316,28 @@ void RunCubeComparison(bench::JsonBenchWriter* json) {
 
   std::printf("== DataCube build: Qc3 (sf=%.3g, %.0f fact rows) ==\n", sf,
               fact_rows);
-  bench_util::TablePrinter table(
-      {"pipeline", "iters", "ms/build", "rows/sec", "speedup"});
-
-  struct CubeConfig {
-    std::string name;
-    exec::CubeOptions options;
-  };
-  std::vector<CubeConfig> configs;
-  for (int threads : {1, 2, 4}) {
-    exec::CubeOptions options;
-    options.threads = threads;
-    configs.push_back({"vectorized t=" + std::to_string(threads), options});
-  }
-
-  double first_rows_per_sec = 0.0;
-  double reference_total = 0.0;
-  bool have_reference = false;
-  for (const CubeConfig& config : configs) {
-    auto warm = exec::DataCube::BuildFromQueryPredicates(*bound, config.options);
-    DPSTARJ_CHECK(warm.ok(), "cube build");
-    if (!have_reference) {
-      reference_total = warm->total();
-      have_reference = true;
-    } else {
-      double drift = std::abs(warm->total() - reference_total) /
-                     std::max(1.0, std::abs(reference_total));
-      DPSTARJ_CHECK(drift < 1e-9, "cube builds disagree on the total");
-    }
+  bench_util::TablePrinter table({"pipeline", "iters", "ms/build", "rows/sec"});
+  exec::CubeOptions options;
+  options.threads = 1;
+  DPSTARJ_CHECK(exec::DataCube::BuildFromQueryPredicates(*bound, options).ok(),
+                "cube build");  // warm-up
+  {
     Timer timer;
     std::optional<bench::CounterSpan> span;
     if (json != nullptr) span.emplace(*json);
     int iters = 0;
     do {
-      auto cube = exec::DataCube::BuildFromQueryPredicates(*bound, config.options);
+      auto cube = exec::DataCube::BuildFromQueryPredicates(*bound, options);
       DPSTARJ_CHECK(cube.ok(), "cube build");
       ++iters;
     } while (timer.ElapsedSeconds() < min_sec || iters < 3);
     const double wall_ms = timer.ElapsedMillis() / iters;
     const double rows_per_sec = fact_rows / (wall_ms / 1e3);
-    if (first_rows_per_sec == 0.0) first_rows_per_sec = rows_per_sec;
-    table.AddRow({config.name, Format("%d", iters), Format("%.3f", wall_ms),
-                  Format("%.3g", rows_per_sec),
-                  Format("%.2fx", rows_per_sec / first_rows_per_sec)});
+    table.AddRow({"vectorized t=1", Format("%d", iters),
+                  Format("%.3f", wall_ms), Format("%.3g", rows_per_sec)});
     if (json != nullptr) {
       const double rows = fact_rows * iters;
-      json->Add("micro_engine/cube_build/Qc3", config.name, rows_per_sec,
+      json->Add("micro_engine/cube_build/Qc3", "vectorized t=1", rows_per_sec,
                 wall_ms, span->CyclesPerRow(rows),
                 span->InstructionsPerRow(rows));
     }
@@ -398,11 +373,15 @@ void RunCubeComparison(bench::JsonBenchWriter* json) {
 // ---------------------------------------------------------------------------
 // Ingest comparison: after an append batch lands on a live fact table, a
 // cached grouped ScanPlan with cells is stale. The PlanCache extends it over
-// the tail (ScanPlan::ExtendFrom, which adds the tail rows to its cells)
-// instead of recompiling the full table and rebuilding the cells
-// (ScanPlan::Compile + ScanPlan::WithCells) — this harness measures both on
-// the same grown table, after checking the two scaffolds are identical.
-// Runs last: it appends to the shared comparison catalog's Lineorder.
+// the tail (ScanPlan::ExtendFrom, which appends the tail to the plan's
+// arrays and adds its rows to the cells) instead of recompiling the full
+// table and rebuilding the cells (ScanPlan::Compile + ScanPlan::WithCells).
+// "recompile" times the latter on the grown table. "extend" times the path
+// the repository benchmark's batch_ingest takes: a sequence of 2,000-row
+// ingests, each followed by an extension of the previous extension, checked
+// through the column store's copy counter to append in place. The final
+// extension must equal a fresh compile bit for bit. Runs last: it appends to
+// the shared comparison catalog's Lineorder.
 // ---------------------------------------------------------------------------
 
 void RunIngestComparison(bench::JsonBenchWriter* json) {
@@ -435,97 +414,114 @@ void RunIngestComparison(bench::JsonBenchWriter* json) {
     DPSTARJ_CHECK(cells.ok(), "cells");
     return std::move(*cells);
   };
-  exec::PlanColumnStore old_columns;
-  const exec::ScanPlan old_plan = with_cells(old_columns);
+  // One ingest: 2,000 recycled rows (valid FKs by construction — they are
+  // existing rows), the batch size of the repository benchmark's ingests.
+  constexpr int64_t kTail = 2000;
+  int64_t next_source = 0;
+  auto ingest = [&]() {
+    for (int64_t i = 0; i < kTail; ++i) {
+      Status appended =
+          (*fact)->AppendRow((*fact)->GetRow(next_source++ % base_rows));
+      DPSTARJ_CHECK(appended.ok(), "append");
+    }
+  };
+  exec::PlanColumnStore columns;
+  exec::ScanPlan plan = with_cells(columns);
+  auto extend = [&]() {
+    auto extended = exec::ScanPlan::ExtendFrom(plan, *bound, columns);
+    DPSTARJ_CHECK(extended.ok() && extended->cells->num_cells() > 0, "extend");
+    plan = std::move(*extended);
+  };
+  // Warm-up: compiled arrays hold no slack, so the first extension copies
+  // each into a buffer twice the grown size, which later ones fill.
+  ingest();
+  extend();
+  const double recompile_rows = static_cast<double>((*fact)->num_rows());
 
-  // Append a ~1% tail of recycled rows (valid FKs by construction — they are
-  // existing rows), the shape of one ingest batch on a live table.
-  const int64_t tail = std::max<int64_t>(int64_t{512}, base_rows / 100);
-  for (int64_t i = 0; i < tail; ++i) {
-    Status appended = (*fact)->AppendRow((*fact)->GetRow(i % base_rows));
-    DPSTARJ_CHECK(appended.ok(), "append");
+  std::printf("== ingest plan maintenance: QgScan "
+              "(sf=%.3g, %.0f fact rows, +%lld per ingest) ==\n",
+              sf, recompile_rows, static_cast<long long>(kTail));
+  bench_util::TablePrinter table(
+      {"path", "iters", "ms/batch", "rows/sec", "speedup"});
+  auto report = [&](const char* name, int iters, double wall_ms,
+                    double rows_per_sec, double floor_rows_per_sec,
+                    const std::optional<bench::CounterSpan>& span,
+                    double rows) {
+    table.AddRow({name, Format("%d", iters), Format("%.3f", wall_ms),
+                  Format("%.3g", rows_per_sec),
+                  Format("%.2fx", rows_per_sec / floor_rows_per_sec)});
+    if (json != nullptr) {
+      json->Add("micro_engine/ingest/QgScan", name, rows_per_sec, wall_ms,
+                span->CyclesPerRow(rows), span->InstructionsPerRow(rows));
+    }
+  };
+
+  // Recompile: the full table, plus the cell build, in a store of its own
+  // every run, so every fact row is resolved.
+  double recompile_rows_per_sec = 0.0;
+  {
+    Timer timer;
+    std::optional<bench::CounterSpan> span;
+    if (json != nullptr) span.emplace(*json);
+    int iters = 0;
+    do {
+      exec::PlanColumnStore fresh_columns;
+      DPSTARJ_CHECK(with_cells(fresh_columns).cells->num_cells() > 0,
+                    "no cells");
+      ++iters;
+    } while (timer.ElapsedSeconds() < min_sec || iters < 3);
+    const double wall_ms = timer.ElapsedMillis() / iters;
+    recompile_rows_per_sec = recompile_rows / (wall_ms / 1e3);
+    report("recompile (full table)", iters, wall_ms, recompile_rows_per_sec,
+           recompile_rows_per_sec, span, recompile_rows * iters);
   }
-  const double fact_rows = static_cast<double>((*fact)->num_rows());
 
-  // Self-check: the extension must reproduce a fresh compile bit for bit.
-  // Each path builds its join and weight columns in a store of its own every
-  // run: the recompile resolves every fact row, the extension the tail only
-  // — what the first plan to extend an edge after an ingest pays.
-  DPSTARJ_CHECK(exec::ScanPlan::IsAppendExtension(old_plan, *bound),
-                "append precondition");
+  // Extend: ingests while the buffers have room, each extension timed. Both
+  // paths deliver a plan covering the whole grown table, so work delivered
+  // per second is total fact rows either way.
+  {
+    const uint64_t copies = columns.GetStats().copies;
+    std::optional<bench::CounterSpan> span;
+    if (json != nullptr) span.emplace(*json);
+    Timer elapsed;
+    double extend_ms = 0.0;
+    double delivered_rows = 0.0;
+    int iters = 0;
+    while ((elapsed.ElapsedSeconds() < min_sec || iters < 3) &&
+           static_cast<size_t>((*fact)->num_rows() + kTail) <=
+               plan.codes.capacity()) {
+      ingest();
+      Timer timer;
+      extend();
+      extend_ms += timer.ElapsedMillis();
+      delivered_rows += static_cast<double>(plan.fact_rows());
+      ++iters;
+    }
+    DPSTARJ_CHECK(iters >= 3 && columns.GetStats().copies == copies,
+                  "timed extensions must append in place");
+    report("extend (tail only)", iters, extend_ms / iters,
+           delivered_rows / (extend_ms / 1e3), recompile_rows_per_sec, span,
+           delivered_rows);
+  }
+
+  // Self-check: the extended plan reproduces a fresh compile bit for bit.
   exec::PlanColumnStore fresh_columns;
   const exec::ScanPlan fresh = with_cells(fresh_columns);
-  exec::PlanColumnStore extended_columns;
-  auto extended =
-      exec::ScanPlan::ExtendFrom(old_plan, *bound, extended_columns);
-  DPSTARJ_CHECK(extended.ok(), "extend");
   bool same_join_columns = true;
   for (size_t i = 0; i < fresh.fact_dim_row.size(); ++i) {
-    same_join_columns = same_join_columns &&
-                        extended->fact_dim_row[i]->rows ==
-                            fresh.fact_dim_row[i]->rows;
+    same_join_columns = same_join_columns && plan.fact_dim_row[i]->rows ==
+                                                 fresh.fact_dim_row[i]->rows;
   }
-  const exec::CellLayout& ext_cells = *extended->cells;
+  const exec::CellLayout& ext_cells = *plan.cells;
   const exec::CellLayout& fresh_cells = *fresh.cells;
-  DPSTARJ_CHECK(same_join_columns && extended->codes == fresh.codes &&
-                    extended->weights->values == fresh.weights->values &&
+  DPSTARJ_CHECK(same_join_columns && plan.codes == fresh.codes &&
+                    plan.weights->values == fresh.weights->values &&
                     ext_cells.cell_class == fresh_cells.cell_class &&
                     ext_cells.counts == fresh_cells.counts &&
                     ext_cells.weights == fresh_cells.weights &&
                     ext_cells.labels == fresh_cells.labels &&
                     ext_cells.slots == fresh_cells.slots,
                 "extended plan diverges from fresh compile");
-
-  std::printf("== ingest plan maintenance: QgScan "
-              "(sf=%.3g, %.0f fact rows, +%lld tail) ==\n",
-              sf, fact_rows, static_cast<long long>(tail));
-  bench_util::TablePrinter table(
-      {"path", "iters", "ms/batch", "rows/sec", "speedup"});
-
-  struct PathConfig {
-    std::string name;
-    std::function<void()> run;
-  };
-  std::vector<PathConfig> paths;
-  paths.push_back({"recompile (full table)", [&]() {
-                     exec::PlanColumnStore columns;
-                     const exec::ScanPlan p = with_cells(columns);
-                     DPSTARJ_CHECK(p.cells->num_cells() > 0, "no cells");
-                   }});
-  paths.push_back({"extend (tail only)", [&]() {
-                     exec::PlanColumnStore columns;
-                     auto p =
-                         exec::ScanPlan::ExtendFrom(old_plan, *bound, columns);
-                     DPSTARJ_CHECK(p.ok() && p->cells->num_cells() > 0,
-                                   "extend");
-                   }});
-
-  double recompile_rows_per_sec = 0.0;
-  for (const PathConfig& path : paths) {
-    path.run();  // warm-up
-    Timer timer;
-    std::optional<bench::CounterSpan> span;
-    if (json != nullptr) span.emplace(*json);
-    int iters = 0;
-    do {
-      path.run();
-      ++iters;
-    } while (timer.ElapsedSeconds() < min_sec || iters < 3);
-    const double wall_ms = timer.ElapsedMillis() / iters;
-    // Both paths deliver a plan covering the whole grown table, so work
-    // delivered per second is total fact rows either way; the extension's
-    // advantage is that it only touches the tail to deliver them.
-    const double rows_per_sec = fact_rows / (wall_ms / 1e3);
-    if (recompile_rows_per_sec == 0.0) recompile_rows_per_sec = rows_per_sec;
-    table.AddRow({path.name, Format("%d", iters), Format("%.3f", wall_ms),
-                  Format("%.3g", rows_per_sec),
-                  Format("%.2fx", rows_per_sec / recompile_rows_per_sec)});
-    if (json != nullptr) {
-      const double rows = fact_rows * iters;
-      json->Add("micro_engine/ingest/QgScan", path.name, rows_per_sec, wall_ms,
-                span->CyclesPerRow(rows), span->InstructionsPerRow(rows));
-    }
-  }
   table.Print();
   std::printf("\n");
 }

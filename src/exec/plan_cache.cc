@@ -221,6 +221,7 @@ PlanCache::Stats PlanCache::GetStats() const {
   const PlanColumnStore::Stats columns = columns_.GetStats();
   stats.column_builds = columns.builds;
   stats.column_reuses = columns.reuses;
+  stats.column_copies = columns.copies;
   return stats;
 }
 

@@ -17,7 +17,10 @@
 // growth (streaming ingest) is *extended* in place via ScanPlan::ExtendFrom
 // — tail-only work instead of a full recompile — and only dropped when the
 // extension is declined (e.g. a fact group key outgrew its packed field).
-// Any other staleness (a table object replaced, a dimension grew) drops the
+// The tail is appended into the plan's fact-row arrays and only the cell
+// labels it brings are rendered, so an extension costs O(tail + cells),
+// plus one array copy per capacity doubling (Stats::column_copies). Any
+// other staleness (a table object replaced, a dimension grew) drops the
 // entry and recompiles; the two classes are counted separately. The service
 // layer shares one PlanCache across all pool engines (see
 // service/query_service.h).
@@ -69,8 +72,10 @@ class PlanCache {
   /// shared with other plans; the cells themselves number at most half the
   /// fact rows and are usually far fewer — so eviction is governed by a
   /// byte budget as well as this entry cap; popular queries dominate hits
-  /// long before either matters. The budget counts shared columns in full
-  /// in every plan that references them, so it bounds the bytes from above.
+  /// long before either matters. The budget counts the fact rows a plan
+  /// covers, not the spare capacity an extended plan's arrays reserve, and
+  /// it counts shared columns in full in every plan that references them,
+  /// so it bounds the resident bytes from above.
   static constexpr size_t kDefaultCapacity = 32;
   /// Default scaffold-byte budget across all cached plans (LRU entries are
   /// evicted past it; the most recent plan is always kept).
@@ -98,6 +103,10 @@ class PlanCache {
     /// plan holds. Reuses over builds is the column store's hit ratio.
     uint64_t column_builds = 0;
     uint64_t column_reuses = 0;
+    /// Extensions of a join, weight or code array that copied it instead
+    /// of appending in place: once per capacity doubling of each array
+    /// while extensions keep up with ingest, not once per ingest.
+    uint64_t column_copies = 0;
     /// First validated hits that built the plan's cells vs those the size
     /// rule (dense cell index > fact rows / 2) kept on the fact rows.
     uint64_t cell_builds = 0;

@@ -1,6 +1,7 @@
 #include "exec/scan_plan.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
 #include <map>
 #include <unordered_map>
@@ -46,10 +47,8 @@ uint64_t GroupOrdinalOf(const PlanDim& pd, int32_t dim_row) {
 // tail only, so an extended column or plan is a fresh build's by
 // construction.
 
-// Resolves dimension i's FK of rows [begin, end) into column.rows, absent
-// keys to the sentinel row column.dim_rows.
-Status ResolveFactRows(const query::BoundQuery& q, size_t i, int64_t begin,
-                       int64_t end, JoinColumn& column) {
+// Dimension i's primary key → dimension row. Fails on a duplicate key.
+Result<KeyIndex> DimRowIndex(const query::BoundQuery& q, size_t i) {
   const query::DimBinding& d = q.dims[i];
   const auto& keys = d.dim->column(d.dim_pk_col).int64_data();
   std::vector<int32_t> row_payload(keys.size());
@@ -62,10 +61,16 @@ Status ResolveFactRows(const query::BoundQuery& q, size_t i, int64_t begin,
         Format("duplicate primary key in dimension '%s': %s", d.table.c_str(),
                built.status().message().c_str()));
   }
-  const KeyIndex index = std::move(*built);
-  const int64_t* fk = q.fact->column(d.fact_fk_col).int64_data().data();
-  std::vector<int32_t>& rows = column.rows;
-  rows.resize(static_cast<size_t>(end));
+  return std::move(*built);
+}
+
+// Resolves dimension i's FK of rows [begin, end) into column.rows, absent
+// keys to the sentinel row column.dim_rows.
+void ResolveFactRows(const query::BoundQuery& q, size_t i,
+                     const KeyIndex& index, int64_t begin, int64_t end,
+                     JoinColumn& column) {
+  const int64_t* fk = q.fact->column(q.dims[i].fact_fk_col).int64_data().data();
+  int32_t* rows = column.rows.mutable_data();
   const int32_t sentinel = column.dim_rows;
   for (int64_t r = begin; r < end; ++r) {
     int32_t dr = index.Lookup(fk[r]);
@@ -73,16 +78,16 @@ Status ResolveFactRows(const query::BoundQuery& q, size_t i, int64_t begin,
       dr = sentinel;
       column.has_absent_fk = true;
     }
-    rows[static_cast<size_t>(r)] = dr;
+    rows[r] = dr;
   }
-  return Status::OK();
 }
 
-// Packs each row's group code: dimension ordinal fields (via the resolved
-// row, 0 for absent FKs — such rows never pass) plus fact-side key fields.
+// Packs the group codes of rows [begin, fact_rows) into plan.codes (zeroed
+// there): dimension ordinal fields (via the resolved row, 0 for absent FKs —
+// such rows never pass) plus fact-side key fields.
 void PackGroupCodes(ScanPlan& plan, const query::BoundQuery& q, int64_t begin) {
   const int64_t end = plan.fact_rows();
-  plan.codes.resize(static_cast<size_t>(end), 0);
+  uint64_t* codes = plan.codes.mutable_data();
   for (size_t i = 0; i < plan.dims.size(); ++i) {
     const PlanDim& pd = plan.dims[i];
     if (pd.field < 0) continue;
@@ -92,7 +97,7 @@ void PackGroupCodes(ScanPlan& plan, const query::BoundQuery& q, int64_t begin) {
     for (int64_t r = begin; r < end; ++r) {
       int32_t dr = rows[r];
       if (dr == sentinel) continue;
-      plan.codes[static_cast<size_t>(r)] |=
+      codes[r] |=
           plan.layout.Pack(pd.field, static_cast<uint64_t>(ordinals[dr]));
     }
   }
@@ -102,31 +107,29 @@ void PackGroupCodes(ScanPlan& plan, const query::BoundQuery& q, int64_t begin) {
     if (part.is_string) {
       const int32_t* code = c.code_data().data();
       for (int64_t r = begin; r < end; ++r) {
-        plan.codes[static_cast<size_t>(r)] |=
+        codes[r] |=
             plan.layout.Pack(part.field, static_cast<uint64_t>(code[r]));
       }
     } else {
       const int64_t* i64 = c.int64_data().data();
       for (int64_t r = begin; r < end; ++r) {
-        plan.codes[static_cast<size_t>(r)] |= plan.layout.Pack(
-            part.field, static_cast<uint64_t>(i64[r] - part.base));
+        codes[r] |= plan.layout.Pack(part.field,
+                                     static_cast<uint64_t>(i64[r] - part.base));
       }
     }
   }
 }
 
-// Adds rows [begin, end) of the measure terms' weighted sum into `values`.
-// Measure columns outer, rows inner, so every row's sum associates the same
-// way whether its column was built from scratch or over a prefix.
+// Adds rows [begin, end) of the measure terms' weighted sum into `values`
+// (zeroed there). Measure columns outer, rows inner, so every row's sum
+// associates the same way whether its column was built from scratch or over
+// a prefix.
 void AddWeights(const query::BoundQuery& q, int64_t begin, int64_t end,
-                std::vector<double>& values) {
-  values.resize(static_cast<size_t>(end), 0.0);
+                double* values) {
   for (const auto& [col, coeff] : q.measure_cols) {
     storage::Column::NumericView view = q.fact->column(col).numeric_view();
     const double c = coeff;
-    for (int64_t r = begin; r < end; ++r) {
-      values[static_cast<size_t>(r)] += c * view[r];
-    }
+    for (int64_t r = begin; r < end; ++r) values[r] += c * view[r];
   }
 }
 
@@ -137,7 +140,8 @@ void AddWeights(const query::BoundQuery& q, int64_t begin, int64_t end,
 void NumberKeyTuples(ScanPlan& plan, const query::BoundQuery& q) {
   plan.numbered_codes = true;
   const int64_t rows = plan.fact_rows();
-  plan.codes.resize(static_cast<size_t>(rows));
+  plan.codes = AppendArray<uint64_t>(static_cast<size_t>(rows));
+  uint64_t* codes = plan.codes.mutable_data();
   std::map<std::vector<int64_t>, uint64_t> code_of;
   std::vector<int64_t> tuple(plan.parts.size());
   for (int64_t r = 0; r < rows; ++r) {
@@ -153,7 +157,7 @@ void NumberKeyTuples(ScanPlan& plan, const query::BoundQuery& q) {
     }
     auto [it, inserted] = code_of.try_emplace(tuple, plan.code_rows.size());
     if (inserted) plan.code_rows.push_back(r);
-    plan.codes[static_cast<size_t>(r)] = it->second;
+    codes[r] = it->second;
   }
   plan.code_space = plan.code_rows.size();
 }
@@ -268,31 +272,88 @@ void AddRowsToCells(const ScanPlan& plan, int64_t begin, CellLayout& cells) {
   }
 }
 
-// (Re)renders the cells' label table — the sorted distinct labels of their
-// group codes — and every cell's slot in it. WithCells and ExtendFrom both
-// run it over all cells, so an extended plan's table is a fresh build's by
+// Gives cells [first, num_cells) their label slots. Only the group codes
+// missing from cells.code_slots are rendered; their labels merge into the
+// sorted table, and when one lands before an existing label the old slots
+// move up. WithCells runs it over every cell from an empty table, so an
+// extended plan's labels, code index and slots are a fresh build's by
 // construction.
-void RenderCellLabels(const ScanPlan& plan, const query::BoundQuery& q,
-                      CellLayout& cells) {
-  std::unordered_map<uint64_t, std::string> label_of;  // code → label
-  for (uint64_t code : cells.codes) {
-    auto [it, inserted] = label_of.try_emplace(code);
-    if (inserted) plan.RenderLabel(q, code, &it->second);
+void MergeCellLabels(const ScanPlan& plan, const query::BoundQuery& q,
+                     size_t first, CellLayout& cells) {
+  // The new cells' distinct codes → slot: the indexed ones' now, the
+  // others' (-1 here) once their labels are merged.
+  std::unordered_map<uint64_t, int32_t> slot_of;
+  for (size_t c = first; c < cells.codes.size(); ++c) {
+    slot_of.try_emplace(cells.codes[c], -1);
   }
-  cells.labels.clear();
-  for (const auto& [code, label] : label_of) cells.labels.push_back(label);
-  std::sort(cells.labels.begin(), cells.labels.end());
-  cells.labels.erase(std::unique(cells.labels.begin(), cells.labels.end()),
-                     cells.labels.end());
-  std::unordered_map<uint64_t, int32_t> slot_of;  // code → slot
-  for (const auto& [code, label] : label_of) {
-    slot_of[code] = static_cast<int32_t>(
-        std::lower_bound(cells.labels.begin(), cells.labels.end(), label) -
+  std::vector<uint64_t> fresh;  // the codes the index lacks
+  for (auto& [code, slot] : slot_of) {
+    const auto it = std::lower_bound(
+        cells.code_slots.begin(), cells.code_slots.end(), code,
+        [](const auto& entry, uint64_t c) { return entry.first < c; });
+    if (it != cells.code_slots.end() && it->first == code) {
+      slot = it->second;
+    } else {
+      fresh.push_back(code);
+    }
+  }
+  std::sort(fresh.begin(), fresh.end());
+  std::vector<std::string> fresh_labels(fresh.size());
+  std::vector<std::string> added;  // the labels the table lacks
+  for (size_t k = 0; k < fresh.size(); ++k) {
+    plan.RenderLabel(q, fresh[k], &fresh_labels[k]);
+    if (!std::binary_search(cells.labels.begin(), cells.labels.end(),
+                            fresh_labels[k])) {
+      added.push_back(fresh_labels[k]);
+    }
+  }
+  std::sort(added.begin(), added.end());
+  added.erase(std::unique(added.begin(), added.end()), added.end());
+
+  if (!added.empty()) {
+    // Merge, recording where each old slot moved.
+    std::vector<std::string> merged;
+    merged.reserve(cells.labels.size() + added.size());
+    std::vector<int32_t> moved(cells.labels.size());
+    size_t a = 0;
+    for (size_t s = 0; s < cells.labels.size(); ++s) {
+      while (a < added.size() && added[a] < cells.labels[s]) {
+        merged.push_back(std::move(added[a++]));
+      }
+      moved[s] = static_cast<int32_t>(merged.size());
+      merged.push_back(std::move(cells.labels[s]));
+    }
+    while (a < added.size()) merged.push_back(std::move(added[a++]));
+    cells.labels = std::move(merged);
+    // Old slots moved iff an added label sorts before the last old one.
+    if (!moved.empty() &&
+        moved.back() != static_cast<int32_t>(moved.size()) - 1) {
+      auto move = [&moved](int32_t& slot) {
+        slot = moved[static_cast<size_t>(slot)];
+      };
+      for (size_t c = 0; c < first; ++c) move(cells.slots[c]);
+      for (auto& entry : cells.code_slots) move(entry.second);
+      for (auto& [code, slot] : slot_of) {
+        if (slot >= 0) move(slot);
+      }
+    }
+  }
+  const size_t old_codes = cells.code_slots.size();
+  for (size_t k = 0; k < fresh.size(); ++k) {
+    const int32_t slot = static_cast<int32_t>(
+        std::lower_bound(cells.labels.begin(), cells.labels.end(),
+                         fresh_labels[k]) -
         cells.labels.begin());
+    slot_of[fresh[k]] = slot;
+    cells.code_slots.emplace_back(fresh[k], slot);
   }
+  std::inplace_merge(
+      cells.code_slots.begin(),
+      cells.code_slots.begin() + static_cast<std::ptrdiff_t>(old_codes),
+      cells.code_slots.end());
   cells.slots.resize(cells.codes.size());
-  for (size_t c = 0; c < cells.codes.size(); ++c) {
-    cells.slots[c] = slot_of[cells.codes[c]];
+  for (size_t c = first; c < cells.codes.size(); ++c) {
+    cells.slots[c] = slot_of.find(cells.codes[c])->second;
   }
 }
 
@@ -315,13 +376,10 @@ Result<std::shared_ptr<const Column>> PlanColumnStore::Share(
   // other edges must not queue behind it.
   DPSTARJ_ASSIGN_OR_RETURN(std::shared_ptr<const Column> built, build());
   std::lock_guard<std::mutex> lock(mu_);
-  std::weak_ptr<const Column>& slot = index[key];
-  if (std::shared_ptr<const Column> live = slot.lock()) {
-    ++stats_.reuses;
-    return live;
-  }
-  slot = built;
   ++stats_.builds;
+  std::weak_ptr<const Column>& slot = index[key];
+  if (std::shared_ptr<const Column> live = slot.lock()) return live;
+  slot = built;
   // Builds are rare and each scans the fact table, so dropping the entries
   // of dead columns here keeps the index at the live columns for free.
   for (auto it = index.begin(); it != index.end();) {
@@ -343,6 +401,8 @@ Result<std::shared_ptr<const JoinColumn>> PlanColumnStore::GetJoinColumn(
              d.dim_pk_col, static_cast<long long>(fact_rows), dim_rows);
   using Shared = std::shared_ptr<const JoinColumn>;
   return Share(joins_, key, [&]() -> Result<Shared> {
+    // The index first: a failed build must not claim the prefix's tail.
+    DPSTARJ_ASSIGN_OR_RETURN(const KeyIndex index, DimRowIndex(q, i));
     auto column = std::make_shared<JoinColumn>();
     column->fact = q.fact;
     column->dim = d.dim;
@@ -355,11 +415,13 @@ Result<std::shared_ptr<const JoinColumn>> PlanColumnStore::GetJoinColumn(
         prefix->fact_fk_col == d.fact_fk_col &&
         prefix->dim_pk_col == d.dim_pk_col && prefix->dim_rows == dim_rows &&
         prefix->fact_rows <= fact_rows) {
-      column->rows = prefix->rows;
+      column->rows = Extend(prefix->rows, fact_rows);
       column->has_absent_fk = prefix->has_absent_fk;
       begin = prefix->fact_rows;
+    } else {
+      column->rows = AppendArray<int32_t>(static_cast<size_t>(fact_rows));
     }
-    DPSTARJ_RETURN_NOT_OK(ResolveFactRows(q, i, begin, fact_rows, *column));
+    ResolveFactRows(q, i, index, begin, fact_rows, *column);
     return Shared(std::move(column));
   });
 }
@@ -383,10 +445,12 @@ std::shared_ptr<const WeightColumn> PlanColumnStore::GetWeightColumn(
     if (prefix != nullptr && prefix->fact == q.fact &&
         prefix->measure_cols == q.measure_cols &&
         prefix->fact_rows <= fact_rows) {
-      column->values = prefix->values;
+      column->values = Extend(prefix->values, fact_rows);
       begin = prefix->fact_rows;
+    } else {
+      column->values = AppendArray<double>(static_cast<size_t>(fact_rows));
     }
-    AddWeights(q, begin, fact_rows, column->values);
+    AddWeights(q, begin, fact_rows, column->values.mutable_data());
     return Shared(std::move(column));
   });
   return std::move(shared).ValueOrDie();  // building weights cannot fail
@@ -519,6 +583,7 @@ Result<ScanPlan> ScanPlan::Compile(const query::BoundQuery& q,
       NumberKeyTuples(plan, q);
     } else {
       plan.code_space = plan.layout.CodeSpace();
+      plan.codes = AppendArray<uint64_t>(static_cast<size_t>(plan.fact_rows_));
       PackGroupCodes(plan, q, 0);
     }
   }
@@ -573,7 +638,7 @@ Result<ScanPlan> ScanPlan::WithCells(const ScanPlan& plan,
   }
   cells->cell_of_index.assign(static_cast<size_t>(size), -1);
   AddRowsToCells(plan, 0, *cells);
-  if (plan.grouped) RenderCellLabels(plan, q, *cells);
+  if (plan.grouped) MergeCellLabels(plan, q, 0, *cells);
   ScanPlan out = plan;
   out.cells = std::move(cells);
   return out;
@@ -659,8 +724,8 @@ Result<ScanPlan> ScanPlan::ExtendFrom(const ScanPlan& old,
     }
   }
 
-  // Copy only what the extension keeps: the identity fields and the group
-  // codes it extends in place; the columns and cells are extended below.
+  // Copy only what the extension keeps: the identity fields and the small
+  // per-dimension tables; the arrays and cells are extended below.
   ScanPlan plan;
   plan.fact_ = old.fact_;
   plan.fact_rows_ = new_rows;
@@ -673,7 +738,6 @@ Result<ScanPlan> ScanPlan::ExtendFrom(const ScanPlan& old,
   plan.parts = old.parts;
   plan.code_space = old.code_space;
   plan.dims = old.dims;
-  plan.codes = old.codes;
 
   // FK resolution and weights for the tail only, through the store: the
   // first plan to extend a column resolves the tail over the old column, and
@@ -690,7 +754,10 @@ Result<ScanPlan> ScanPlan::ExtendFrom(const ScanPlan& old,
   if (old.weights != nullptr) {
     plan.weights = columns.GetWeightColumn(q, new_rows, old.weights.get());
   }
-  if (plan.grouped) PackGroupCodes(plan, q, old_rows);
+  if (plan.grouped) {
+    plan.codes = columns.Extend(old.codes, new_rows);
+    PackGroupCodes(plan, q, old_rows);
+  }
 
   // The tail's rows join existing or new cells. The classes depend on the
   // unchanged dimensions alone, and every tail field ordinal fits its packed
@@ -698,8 +765,9 @@ Result<ScanPlan> ScanPlan::ExtendFrom(const ScanPlan& old,
   if (old.cells != nullptr) {
     auto cells = std::make_shared<CellLayout>(*old.cells);
     AddRowsToCells(plan, old_rows, *cells);
-    if (plan.grouped && cells->num_cells() > old.cells->num_cells()) {
-      RenderCellLabels(plan, q, *cells);
+    if (plan.grouped) {
+      MergeCellLabels(plan, q, static_cast<size_t>(old.cells->num_cells()),
+                      *cells);
     }
     plan.cells = std::move(cells);
   }
@@ -709,12 +777,10 @@ Result<ScanPlan> ScanPlan::ExtendFrom(const ScanPlan& old,
 size_t ScanPlan::ApproxBytes() const {
   size_t bytes = sizeof(ScanPlan);
   for (const auto& c : fact_dim_row) {
-    bytes += c->rows.capacity() * sizeof(int32_t);
+    bytes += c->rows.size() * sizeof(int32_t);
   }
-  bytes += codes.capacity() * sizeof(uint64_t);
-  if (weights != nullptr) {
-    bytes += weights->values.capacity() * sizeof(double);
-  }
+  bytes += codes.size() * sizeof(uint64_t);
+  if (weights != nullptr) bytes += weights->values.size() * sizeof(double);
   bytes += code_rows.capacity() * sizeof(int64_t);
   auto table_bytes = [](const PlanDim& d) {
     size_t n = d.group_ordinal.capacity() * sizeof(int32_t) +
@@ -736,7 +802,9 @@ size_t ScanPlan::ApproxBytes() const {
                  sizeof(int32_t) +
              (cells->counts.capacity() + cells->codes.capacity()) *
                  sizeof(uint64_t) +
-             cells->weights.capacity() * sizeof(double);
+             cells->weights.capacity() * sizeof(double) +
+             cells->code_slots.capacity() *
+                 sizeof(std::pair<uint64_t, int32_t>);
     for (const auto& s : cells->labels) bytes += sizeof(s) + s.capacity();
   }
   return bytes;

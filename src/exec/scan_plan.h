@@ -39,6 +39,13 @@
 // autovectorizable compares and packed into uint64 words, then a sweep that
 // is just gathers into those bitmaps plus the pre-packed code/weight arrays.
 //
+// Ingest. The fact-row-sized arrays (join rows, weights, group codes) are
+// AppendArrays: a plan extended over an appended fact tail writes the tail
+// into its parent's buffer and shares the prefix, and its cells render only
+// the labels the tail brings, so ExtendFrom costs O(tail + cells), not
+// O(fact rows). A published prefix never changes, so older plans keep
+// sweeping theirs without a lock.
+//
 // Compiling and running a ScanPlan is the executor's only way to answer a
 // query: one-shot callers pay the compile, repeated callers share it through
 // exec/plan_cache.h. Plans are immutable after Compile and safe to share
@@ -46,6 +53,8 @@
 
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -133,6 +142,9 @@ struct CellLayout {
   /// rendered label, as exec/naive_executor.h does.
   std::vector<std::string> labels;
   std::vector<int32_t> slots;
+  /// Grouped: (code, slot) of every distinct code in `codes`, ascending by
+  /// code, so an extension renders only the codes its tail brings.
+  std::vector<std::pair<uint64_t, int32_t>> code_slots;
 
   int64_t num_cells() const { return static_cast<int64_t>(counts.size()); }
 };
@@ -144,6 +156,81 @@ struct PlanLabelPart {
   int field = -1;          ///< layout field
   bool is_string = false;  ///< fact parts: dictionary-coded column
   int64_t base = 0;        ///< fact int64 parts: ordinal = value - base
+};
+
+/// \brief An append-only array of per-fact-row values: the storage of
+/// JoinColumn::rows, WeightColumn::values and ScanPlan::codes. Arrays share
+/// buffers: each covers rows [0, size()) of its buffer, and that prefix never
+/// changes once the array is published, so older plans read theirs without a
+/// lock while newer ones grow past it. Writers touch only the rows they add.
+///
+/// Extend decides who may append with one compare-exchange on the buffer's
+/// claimed length. The first extension of the buffer's longest array writes
+/// the new rows into the spare capacity. Any other — a racing extension of
+/// the same prefix, or one from an array that is no longer the longest —
+/// copies the prefix into a buffer twice the new size. A range claimed by an
+/// array that is never published stays unused.
+template <typename T>
+class AppendArray {
+ public:
+  AppendArray() = default;
+
+  /// `rows` zeroed rows in a buffer of exactly that size: compiled plans are
+  /// mostly never extended, so they keep no slack.
+  explicit AppendArray(size_t rows)
+      : buffer_(std::make_shared<Buffer>(rows, rows)), size_(rows) {
+    std::fill_n(buffer_->data.get(), rows, T{});
+  }
+
+  /// \brief `prefix` grown to `rows` (≥ prefix.size()) rows, the new ones
+  /// zeroed for the caller to fill: appended in place when it claims them,
+  /// else copied (see the class comment; data() then differs from
+  /// prefix.data()).
+  static AppendArray Extend(const AppendArray& prefix, size_t rows) {
+    AppendArray out;
+    out.size_ = rows;
+    size_t expected = prefix.size_;
+    if (prefix.buffer_ != nullptr && rows <= prefix.buffer_->capacity &&
+        prefix.buffer_->claimed.compare_exchange_strong(expected, rows)) {
+      out.buffer_ = prefix.buffer_;
+    } else {
+      out.buffer_ = std::make_shared<Buffer>(2 * rows, rows);
+      std::copy(prefix.begin(), prefix.end(), out.buffer_->data.get());
+    }
+    std::fill(out.buffer_->data.get() + prefix.size_,
+              out.buffer_->data.get() + rows, T{});
+    return out;
+  }
+
+  const T* data() const { return buffer_ ? buffer_->data.get() : nullptr; }
+  /// For the array's builder, which writes only the rows it added and only
+  /// before publishing the array.
+  T* mutable_data() { return buffer_ ? buffer_->data.get() : nullptr; }
+  size_t size() const { return size_; }
+  /// Rows the buffer holds before an extension has to copy.
+  size_t capacity() const { return buffer_ ? buffer_->capacity : 0; }
+  const T& operator[](size_t i) const { return data()[i]; }
+  const T* begin() const { return data(); }
+  const T* end() const { return data() + size_; }
+
+  friend bool operator==(const AppendArray& a, const AppendArray& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  struct Buffer {
+    Buffer(size_t capacity, size_t claimed)
+        : data(new T[capacity]), capacity(capacity), claimed(claimed) {}
+    /// Default-initialized: capacity no array has written is never touched,
+    /// so it does not become resident.
+    std::unique_ptr<T[]> data;
+    size_t capacity;
+    /// Rows of the longest array over the buffer, published or not.
+    std::atomic<size_t> claimed;
+  };
+
+  std::shared_ptr<Buffer> buffer_;
+  size_t size_ = 0;
 };
 
 /// \brief Fact row → dimension row over one FK edge (fact table, FK column,
@@ -165,7 +252,7 @@ struct JoinColumn {
   /// perturbation of wide ranges — the dimension cannot reject any fact row
   /// and the sweep drops it entirely (see the executor's plan path).
   bool has_absent_fk = false;
-  std::vector<int32_t> rows;  ///< fact row → dimension row or dim_rows
+  AppendArray<int32_t> rows;  ///< fact row → dimension row or dim_rows
 };
 
 /// \brief Per-fact-row aggregate weight Σ coeff·column over one fact table's
@@ -174,7 +261,7 @@ struct WeightColumn {
   std::shared_ptr<storage::Table> fact;  ///< held like JoinColumn's tables
   std::vector<std::pair<int, double>> measure_cols;  ///< (column, coeff)
   int64_t fact_rows = 0;
-  std::vector<double> values;
+  AppendArray<double> values;
 };
 
 /// \brief Hands plans the join and weight columns they need, sharing each
@@ -183,19 +270,25 @@ struct WeightColumn {
 /// eviction of its own. A column is found again only at exactly the table
 /// sizes it covers; a plan extended over an appended fact tail passes its
 /// old column as the prefix, so the first extension of an edge resolves only
-/// the tail and every later one reuses that column. Two threads building the
-/// same column race harmlessly: the first insert wins and the other adopts
-/// it. Thread-safe.
+/// the tail (appended into the old column's buffer) and every later one
+/// reuses that column. Two threads building the same column race
+/// harmlessly: the first insert wins and the other adopts it. Thread-safe.
 class PlanColumnStore {
  public:
   struct Stats {
-    uint64_t builds = 0;  ///< columns built (from scratch or over a prefix)
+    /// Columns built, from scratch or over a prefix (a build that loses the
+    /// race to insert counts too: its work was done).
+    uint64_t builds = 0;
     uint64_t reuses = 0;  ///< requests served by a live column
+    /// Extensions of a join, weight or code array that copied the prefix
+    /// instead of appending in place. Once per capacity doubling of an
+    /// array when extensions keep up with the table.
+    uint64_t copies = 0;
   };
 
   /// \brief The join column of `q.dims[i]` covering fact rows
   /// [0, fact_rows). When a build is needed and `prefix` is a column of the
-  /// same edge and dimension size over no more fact rows, the build copies
+  /// same edge and dimension size over no more fact rows, the build extends
   /// it and resolves only the tail; any other prefix is ignored. Fails on a
   /// duplicate dimension primary key.
   Result<std::shared_ptr<const JoinColumn>> GetJoinColumn(
@@ -207,6 +300,18 @@ class PlanColumnStore {
   std::shared_ptr<const WeightColumn> GetWeightColumn(
       const query::BoundQuery& q, int64_t fact_rows,
       const WeightColumn* prefix = nullptr);
+
+  /// \brief AppendArray::Extend, counting a copy in Stats::copies.
+  template <typename T>
+  AppendArray<T> Extend(const AppendArray<T>& prefix, int64_t rows) {
+    AppendArray<T> out =
+        AppendArray<T>::Extend(prefix, static_cast<size_t>(rows));
+    if (out.data() != prefix.data()) {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++stats_.copies;
+    }
+    return out;
+  }
 
   Stats GetStats() const;
 
@@ -275,16 +380,20 @@ class ScanPlan {
   /// \brief Compiles a plan for `q` by extending `old` over the fact table's
   /// appended tail only: FK resolution, group-code packing, and weights run
   /// over rows [old.fact_rows(), q.fact->num_rows()), and when `old` has
-  /// cells the tail rows are added to existing or new cells. The join and
-  /// weight columns come from `columns` with `old`'s as their prefix, so
-  /// when another plan has already extended an edge to this size, its column
-  /// is reused. Every tail row index exceeds every compiled row index, so the
-  /// result is bit-identical to a fresh Compile on the grown table — followed
-  /// by WithCells when `old` has cells (tests/ingest_test.cc asserts this
-  /// over randomized append schedules). Returns NotSupported when the tail
-  /// cannot be added — the plan numbers its key tuples, or a fact-side group
-  /// key outgrew its packed bit field — in which case the caller falls back
-  /// to a full Compile. Cells never make it decline.
+  /// cells the tail rows are added to existing or new cells, and only the
+  /// group codes first seen in the tail are rendered and merged into the
+  /// sorted label table. The join and weight columns come from `columns`
+  /// with `old`'s as their prefix, so when another plan has already
+  /// extended an edge to this size, its column is reused. Each array is
+  /// appended in place (AppendArray::Extend), so the cost is O(tail + cells)
+  /// plus, once per capacity doubling, a copy of the array. Every tail row
+  /// index exceeds every compiled row index, so the result is bit-identical
+  /// to a fresh Compile on the grown table — followed by WithCells when
+  /// `old` has cells (tests/ingest_test.cc asserts this over randomized
+  /// append schedules). Returns NotSupported, before claiming any array
+  /// range, when the tail cannot be added — the plan numbers its key tuples,
+  /// or a fact-side group key outgrew its packed bit field — in which case
+  /// the caller falls back to a full Compile. Cells never make it decline.
   static Result<ScanPlan> ExtendFrom(const ScanPlan& old,
                                      const query::BoundQuery& q,
                                      PlanColumnStore& columns);
@@ -296,8 +405,10 @@ class ScanPlan {
 
   /// Approximate heap footprint of the scaffold arrays (for the cache's
   /// byte budget; the cell layout and small per-dimension tables included).
-  /// Shared join and weight columns count in full, so across plans this is
-  /// an upper bound.
+  /// Fact-row arrays count the rows the plan covers, not their buffers'
+  /// capacity, which stays unresident until an extension writes it. Shared
+  /// join and weight columns count in full, so across plans this is an
+  /// upper bound.
   size_t ApproxBytes() const;
 
   // --- scaffold data, read by the executor's plan path -------------------
@@ -320,7 +431,7 @@ class ScanPlan {
   /// absent FKs → dims[i].num_rows).
   std::vector<std::shared_ptr<const JoinColumn>> fact_dim_row;
   /// Pre-packed group code per fact row (empty when !grouped).
-  std::vector<uint64_t> codes;
+  AppendArray<uint64_t> codes;
   /// The shared per-row aggregate weights (null = COUNT, weight 1.0).
   std::shared_ptr<const WeightColumn> weights;
 

@@ -299,6 +299,8 @@ Json ServiceStatsToJson(const service::ServiceStats& stats) {
             Json::Number(static_cast<double>(stats.plan_cache.column_builds)));
   plans.Set("column_reuses",
             Json::Number(static_cast<double>(stats.plan_cache.column_reuses)));
+  plans.Set("column_copies",
+            Json::Number(static_cast<double>(stats.plan_cache.column_copies)));
   plans.Set("cell_builds",
             Json::Number(static_cast<double>(stats.plan_cache.cell_builds)));
   plans.Set("cell_declines",
@@ -399,6 +401,11 @@ Router MakeServiceRouter(service::QueryService* service, ApiOptions options) {
                   "Join and weight column requests served by a live column "
                   "another plan already holds")
         ->Set(static_cast<double>(stats.plan_cache.column_reuses));
+    reg->GetGauge("dpstarj_plan_column_copies",
+                  "Join, weight and code array extensions that copied the "
+                  "array instead of appending in place (once per capacity "
+                  "doubling while extensions keep up with ingest)")
+        ->Set(static_cast<double>(stats.plan_cache.column_copies));
     reg->GetGauge("dpstarj_plan_cell_builds",
                   "Cell layouts built for plans at their first validated hit")
         ->Set(static_cast<double>(stats.plan_cache.cell_builds));
@@ -657,34 +664,36 @@ Router MakeServiceRouter(service::QueryService* service, ApiOptions options) {
       return FinishTraced(api.get(), trace, std::move(tenant),
                           ErrorResponse(st));
     };
-    auto body = Json::Parse(req.body);
-    if (!body.ok()) return fail(body.status());
-    if (!body->is_object()) {
-      return fail(Status::InvalidArgument("body must be a JSON object"));
-    }
-    auto sql = body->GetString("sql");
-    if (!sql.ok()) return fail(sql.status());
-    auto epsilon = body->GetNumber("epsilon");
-    if (!epsilon.ok()) return fail(epsilon.status());
-    auto tenant = body->GetString("tenant");
-    if (!tenant.ok()) return fail(tenant.status());
+    std::string sql, tenant;
+    double epsilon = 0.0;
+    const Status decoded = [&]() -> Status {
+      obs::ScopedStage decode(trace.get(), obs::Stage::kDecode);
+      DPSTARJ_ASSIGN_OR_RETURN(Json body, Json::Parse(req.body));
+      if (!body.is_object()) {
+        return Status::InvalidArgument("body must be a JSON object");
+      }
+      DPSTARJ_ASSIGN_OR_RETURN(sql, body.GetString("sql"));
+      DPSTARJ_ASSIGN_OR_RETURN(epsilon, body.GetNumber("epsilon"));
+      DPSTARJ_ASSIGN_OR_RETURN(tenant, body.GetString("tenant"));
+      return Status::OK();
+    }();
+    if (!decoded.ok()) return fail(decoded);
 
     // Non-blocking admission: a full work queue answers 429 immediately —
     // the handler thread must not park on the pool's backpressure while the
     // client holds a connection open. The trace pointer stays valid for the
     // worker because this thread holds the shared_ptr across .get().
-    auto answer =
-        service->TrySubmit(*sql, *epsilon, *tenant, trace.get()).get();
+    auto answer = service->TrySubmit(sql, epsilon, tenant, trace.get()).get();
     if (!answer.ok()) {
       HttpResponse resp = ErrorResponse(answer.status());
-      AttachRetryAfter(service, options, answer.status(), *tenant, &resp);
-      return FinishTraced(api.get(), trace, *tenant, std::move(resp));
+      AttachRetryAfter(service, options, answer.status(), tenant, &resp);
+      return FinishTraced(api.get(), trace, tenant, std::move(resp));
     }
     HttpResponse resp = [&] {
       obs::ScopedStage encode(trace.get(), obs::Stage::kEncode);
       return JsonResponse(200, QueryResultToJson(*answer));
     }();
-    return FinishTraced(api.get(), trace, *tenant, std::move(resp));
+    return FinishTraced(api.get(), trace, tenant, std::move(resp));
   });
 
   router.Handle("POST", "/v1/workload",
@@ -696,48 +705,46 @@ Router MakeServiceRouter(service::QueryService* service, ApiOptions options) {
       return FinishTraced(workload_api.get(), trace, std::move(tenant),
                           ErrorResponse(st));
     };
-    auto body = Json::Parse(req.body);
-    if (!body.ok()) return fail(body.status());
-    if (!body->is_object()) {
-      return fail(Status::InvalidArgument("body must be a JSON object"));
-    }
-    auto tenant = body->GetString("tenant");
-    if (!tenant.ok()) return fail(tenant.status());
-    const Json* queries = body->Find("queries");
-    if (queries == nullptr || !queries->is_array()) {
-      return fail(
-          Status::InvalidArgument("'queries' must be a non-empty array"),
-          *tenant);
-    }
+    std::string tenant;  // set once decoded: later failures carry it
     std::vector<service::WorkloadQuerySpec> specs;
-    specs.reserve(queries->items().size());
-    for (const Json& q : queries->items()) {
-      if (!q.is_object()) {
-        return fail(Status::InvalidArgument(
-                        "each workload query must be a JSON object"),
-                    *tenant);
+    const Status decoded = [&]() -> Status {
+      obs::ScopedStage decode(trace.get(), obs::Stage::kDecode);
+      DPSTARJ_ASSIGN_OR_RETURN(Json body, Json::Parse(req.body));
+      if (!body.is_object()) {
+        return Status::InvalidArgument("body must be a JSON object");
       }
-      auto sql = q.GetString("sql");
-      if (!sql.ok()) return fail(sql.status(), *tenant);
-      auto epsilon = q.GetNumber("epsilon");
-      if (!epsilon.ok()) return fail(epsilon.status(), *tenant);
-      specs.push_back({std::move(*sql), *epsilon});
-    }
+      DPSTARJ_ASSIGN_OR_RETURN(tenant, body.GetString("tenant"));
+      const Json* queries = body.Find("queries");
+      if (queries == nullptr || !queries->is_array()) {
+        return Status::InvalidArgument("'queries' must be a non-empty array");
+      }
+      specs.reserve(queries->items().size());
+      for (const Json& q : queries->items()) {
+        if (!q.is_object()) {
+          return Status::InvalidArgument(
+              "each workload query must be a JSON object");
+        }
+        DPSTARJ_ASSIGN_OR_RETURN(std::string sql, q.GetString("sql"));
+        DPSTARJ_ASSIGN_OR_RETURN(double epsilon, q.GetNumber("epsilon"));
+        specs.push_back({std::move(sql), epsilon});
+      }
+      return Status::OK();
+    }();
+    if (!decoded.ok()) return fail(decoded, tenant);
     // One admission + one ledger decision for the whole batch, one pool job,
     // one shared fact sweep. Batch-level refusals (tenant-limited, budget,
     // overload) answer like /v1/query's; per-query failures land in the
     // 200 body's per-query entries instead.
-    auto outcome =
-        service->SubmitWorkload(specs, *tenant, trace.get()).get();
+    auto outcome = service->SubmitWorkload(specs, tenant, trace.get()).get();
     if (!outcome.ok()) {
       HttpResponse resp = ErrorResponse(outcome.status());
-      AttachRetryAfter(service, options, outcome.status(), *tenant, &resp);
-      return FinishTraced(workload_api.get(), trace, *tenant, std::move(resp));
+      AttachRetryAfter(service, options, outcome.status(), tenant, &resp);
+      return FinishTraced(workload_api.get(), trace, tenant, std::move(resp));
     }
     HttpResponse resp = [&] {
       obs::ScopedStage encode(trace.get(), obs::Stage::kEncode);
       Json out = Json::Object();
-      out.Set("tenant", Json::Str(*tenant));
+      out.Set("tenant", Json::Str(tenant));
       Json results = Json::Array();
       for (const service::WorkloadQueryOutcome& qo : outcome->queries) {
         if (qo.status.ok()) {
@@ -777,7 +784,7 @@ Router MakeServiceRouter(service::QueryService* service, ApiOptions options) {
       out.Set("stage_us", std::move(stages));
       return JsonResponse(200, out);
     }();
-    return FinishTraced(workload_api.get(), trace, *tenant, std::move(resp));
+    return FinishTraced(workload_api.get(), trace, tenant, std::move(resp));
   });
 
   router.Handle("POST", "/v1/ingest",
@@ -790,40 +797,43 @@ Router MakeServiceRouter(service::QueryService* service, ApiOptions options) {
     auto fail = [&](const Status& st) {
       return FinishTraced(ingest_api.get(), trace, "", ErrorResponse(st));
     };
-    auto body = Json::Parse(req.body);
-    if (!body.ok()) return fail(body.status());
-    if (!body->is_object()) {
-      return fail(Status::InvalidArgument("body must be a JSON object"));
-    }
-    auto table = body->GetString("table");
-    if (!table.ok()) return fail(table.status());
-    const Json* rows_json = body->Find("rows");
-    if (rows_json == nullptr || !rows_json->is_array()) {
-      return fail(
-          Status::InvalidArgument("'rows' must be a non-empty array of rows"));
-    }
+    std::string table;
     std::vector<std::vector<storage::Value>> rows;
-    rows.reserve(rows_json->items().size());
-    for (const Json& row_json : rows_json->items()) {
-      if (!row_json.is_array()) {
-        return fail(Status::InvalidArgument(
-            "each ingest row must be an array of cells"));
+    const Status decoded = [&]() -> Status {
+      obs::ScopedStage decode(trace.get(), obs::Stage::kDecode);
+      DPSTARJ_ASSIGN_OR_RETURN(Json body, Json::Parse(req.body));
+      if (!body.is_object()) {
+        return Status::InvalidArgument("body must be a JSON object");
       }
-      std::vector<storage::Value> row;
-      row.reserve(row_json.items().size());
-      for (const Json& cell : row_json.items()) {
-        auto value = DecodeIngestCell(cell);
-        if (!value.ok()) return fail(value.status());
-        row.push_back(std::move(*value));
+      DPSTARJ_ASSIGN_OR_RETURN(table, body.GetString("table"));
+      const Json* rows_json = body.Find("rows");
+      if (rows_json == nullptr || !rows_json->is_array()) {
+        return Status::InvalidArgument(
+            "'rows' must be a non-empty array of rows");
       }
-      rows.push_back(std::move(row));
-    }
-    auto outcome = service->Ingest(*table, rows, trace.get());
+      rows.reserve(rows_json->items().size());
+      for (const Json& row_json : rows_json->items()) {
+        if (!row_json.is_array()) {
+          return Status::InvalidArgument(
+              "each ingest row must be an array of cells");
+        }
+        std::vector<storage::Value>& row = rows.emplace_back();
+        row.reserve(row_json.items().size());
+        for (const Json& cell : row_json.items()) {
+          DPSTARJ_ASSIGN_OR_RETURN(storage::Value value,
+                                   DecodeIngestCell(cell));
+          row.push_back(std::move(value));
+        }
+      }
+      return Status::OK();
+    }();
+    if (!decoded.ok()) return fail(decoded);
+    auto outcome = service->Ingest(table, rows, trace.get());
     if (!outcome.ok()) return fail(outcome.status());
     HttpResponse resp = [&] {
       obs::ScopedStage encode(trace.get(), obs::Stage::kEncode);
       Json out = Json::Object();
-      out.Set("table", Json::Str(*table));
+      out.Set("table", Json::Str(table));
       out.Set("appended",
               Json::Number(static_cast<double>(outcome->appended)));
       out.Set("rows_total",

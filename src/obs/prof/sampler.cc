@@ -94,22 +94,29 @@ void SigprofHandler(int, siginfo_t*, void* ucontext) {
                   0, 0, 0);
       slot.thread_name[sizeof(slot.thread_name) - 1] = '\0';
       const auto* uc = static_cast<const ucontext_t*>(ucontext);
-      uintptr_t pc = 0, fp = 0;
+      uintptr_t pc = 0, fp = 0, sp = 0;
 #if defined(__x86_64__)
       pc = static_cast<uintptr_t>(uc->uc_mcontext.gregs[REG_RIP]);
       fp = static_cast<uintptr_t>(uc->uc_mcontext.gregs[REG_RBP]);
+      sp = static_cast<uintptr_t>(uc->uc_mcontext.gregs[REG_RSP]);
 #elif defined(__aarch64__)
       pc = static_cast<uintptr_t>(uc->uc_mcontext.pc);
       fp = static_cast<uintptr_t>(uc->uc_mcontext.regs[29]);
+      sp = static_cast<uintptr_t>(uc->uc_mcontext.sp);
 #endif
       uint32_t n = 0;
       if (pc != 0) slot.frames[n++] = pc;
       // Frame-pointer chain: each record is {caller's fp, return address}
       // on both x86-64 (rbp) and AArch64 (x29). Monotonically increasing
       // fp with a sane stride is required, so a corrupt chain terminates
-      // instead of looping.
+      // instead of looping. Records lie on the interrupted stack, within
+      // the stack cap above its pointer: code built without frame pointers
+      // uses the register for data, which can point into memory that is
+      // mapped but unreadable (a guard page, or AddressSanitizer's shadow
+      // gap) and so passes AddrMapped.
       while (n < kMaxFrames) {
         if (fp == 0 || (fp % sizeof(uintptr_t)) != 0) break;
+        if (fp < sp || fp - sp > kMaxFrameStride) break;
         if (!AddrMapped(fp, 2 * sizeof(uintptr_t))) break;
         uintptr_t next_fp = 0;
         uintptr_t ret = 0;

@@ -51,6 +51,7 @@ const char* StageName(Stage stage) {
     case Stage::kPlanExtend: return "plan_extend";
     case Stage::kIngestApply: return "ingest_apply";
     case Stage::kPlanCells: return "plan_cells";
+    case Stage::kDecode: return "decode";
   }
   return "unknown";
 }

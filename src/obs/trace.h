@@ -25,7 +25,8 @@
 
 namespace dpstarj::obs {
 
-/// The instrumented stages of a request, in pipeline order.
+/// The instrumented stages of a request: the first twelve in pipeline order,
+/// later ones appended so that every earlier stage keeps its index.
 enum class Stage : int {
   kHeaderRead = 0,  ///< socket read until headers complete
   kBodyRead,        ///< socket read of the body
@@ -42,9 +43,10 @@ enum class Stage : int {
   kPlanExtend,      ///< plan-cache append hit: incremental scaffold extend
   kIngestApply,     ///< ingest: row append + epoch bump under the write lock
   kPlanCells,       ///< plan-cache first hit: the plan's cell layout build
+  kDecode,          ///< request body → typed request (JSON parse + fields)
 };
 
-inline constexpr int kStageCount = static_cast<int>(Stage::kPlanCells) + 1;
+inline constexpr int kStageCount = static_cast<int>(Stage::kDecode) + 1;
 
 /// Stable lower_snake_case stage name ("header_read", "scan", ...), used as
 /// the `stage` label value and the access-log key.

@@ -7,9 +7,12 @@
 //     query shapes: every scaffold array (FK resolution, packed codes,
 //     weights, and the classes, cells and rendered labels of the cell
 //     layout) bit-identical, and execution of both plans bit-identical to
-//     the naive oracle. Tails that cannot be added (a key outgrowing its
-//     packed field, a plan with numbered group codes) are declined, and the
-//     cache recompiles.
+//     the naive oracle. Each extension appends into its parent's arrays
+//     while their capacity lasts, and the parent's own sweep answers as it
+//     did before. Tails whose labels sort before, between and after the
+//     plan's merge them into its label table. Tails that cannot be added (a
+//     key outgrowing its packed field, a plan with numbered group codes) are
+//     declined, and the cache recompiles.
 //   * QueryService::Ingest: one epoch bump per accepted batch, all-or-nothing
 //     batches, answer-cache keys that fold the epoch in (a post-append query
 //     is a FRESH DP release and a fresh ε spend), exact ledger accounting.
@@ -54,6 +57,7 @@ using exec::ScanPlan;
 using exec::StarJoinExecutor;
 using storage::Value;
 using testing_fixture::MakeToyCatalog;
+using testing_fixture::SweepPlanRows;
 using testing_fixture::ToyCountQuery;
 
 // ---------------------------------------------------------------------------
@@ -161,6 +165,7 @@ void ExpectSamePlan(const ScanPlan& fresh, const ScanPlan& ext,
     EXPECT_EQ(f.codes, e.codes);
     EXPECT_EQ(f.labels, e.labels);
     EXPECT_EQ(f.slots, e.slots);
+    EXPECT_EQ(f.code_slots, e.code_slots);
   }
   ASSERT_EQ(fresh.dims.size(), ext.dims.size());
   for (size_t i = 0; i < fresh.dims.size(); ++i) {
@@ -173,6 +178,18 @@ void ExpectSamePlan(const ScanPlan& fresh, const ScanPlan& ext,
 
 // ---------------------------------------------------------------------------
 // ScanPlan::ExtendFrom ≡ fresh Compile
+
+// An extension appends into each of its parent's fact-row arrays — and so
+// starts at the same address — exactly when the array's buffer holds the
+// grown table. A compiled array has no slack, so its first extension copies.
+template <typename T>
+void ExpectAppendedWhileCapacityLasts(const exec::AppendArray<T>& parent,
+                                      const exec::AppendArray<T>& child,
+                                      const char* what) {
+  EXPECT_EQ(child.data() == parent.data(), child.size() <= parent.capacity())
+      << what << ": " << parent.size() << " -> " << child.size()
+      << " rows, capacity " << parent.capacity();
+}
 
 // Each schedule runs twice: on the fact-row layout alone, and from a plan
 // with cells, whose every extension must keep cells equal to a fresh build.
@@ -201,7 +218,9 @@ TEST(IngestEquivalenceTest, ExtendMatchesFreshCompileOnRandomSchedules) {
         }
 
         Rng rng(seed * 977 + shape);
+        query::BoundQuery prev_bound = *bound;
         for (int batch = 0; batch < 3; ++batch) {
+          const QueryResult prev_answer = SweepPlanRows(*prev, prev_bound);
           const int64_t batch_rows = rng.UniformInt(1, 8);
           for (int64_t r = 0; r < batch_rows; ++r) {
             ASSERT_TRUE((*orders)->AppendRow(RandomOrdersRow(&rng)).ok());
@@ -213,6 +232,20 @@ TEST(IngestEquivalenceTest, ExtendMatchesFreshCompileOnRandomSchedules) {
           auto ext = ScanPlan::ExtendFrom(*prev, *grown, columns);
           ASSERT_TRUE(ext.ok()) << ext.status().ToString();
           ASSERT_EQ(ext->cells != nullptr, with_cells);
+          for (size_t i = 0; i < ext->fact_dim_row.size(); ++i) {
+            ExpectAppendedWhileCapacityLasts(prev->fact_dim_row[i]->rows,
+                                             ext->fact_dim_row[i]->rows,
+                                             "join rows");
+          }
+          if (ext->weights != nullptr) {
+            ExpectAppendedWhileCapacityLasts(prev->weights->values,
+                                             ext->weights->values, "weights");
+          }
+          if (ext->grouped) {
+            ExpectAppendedWhileCapacityLasts(prev->codes, ext->codes, "codes");
+          }
+          // The child wrote only past the parent's rows.
+          ExpectBitIdentical(prev_answer, SweepPlanRows(*prev, prev_bound));
           // A store of its own, so the fresh compile builds every column
           // instead of reusing the extension's.
           exec::PlanColumnStore fresh_columns;
@@ -240,9 +273,97 @@ TEST(IngestEquivalenceTest, ExtendMatchesFreshCompileOnRandomSchedules) {
           ExpectBitIdentical(*via_fresh, *via_ext);
 
           prev = std::move(ext);  // next batch extends the extension
+          prev_bound = *grown;
         }
       }
     }
+  }
+}
+
+// Shop(sk, name) with names c, e, g, a, d, and a Sales fact whose first rows
+// reach only shops c and e, so that tails can bring group labels sorting
+// after (g), before (a) and between (d) the ones a plan has.
+storage::Catalog MakeShopCatalog() {
+  using storage::Field;
+  using storage::ValueType;
+  storage::Catalog catalog;
+  storage::Schema shop_schema(
+      {Field("sk", ValueType::kInt64), Field("name", ValueType::kString)});
+  auto shop = *storage::Table::Create("Shop", shop_schema, "sk");
+  const char* names[5] = {"c", "e", "g", "a", "d"};
+  for (int64_t i = 0; i < 5; ++i) {
+    DPSTARJ_CHECK(shop->AppendRow({Value(i + 1), Value(names[i])}).ok(),
+                  "fixture append");
+  }
+  storage::Schema sales_schema(
+      {Field("sk", ValueType::kInt64), Field("units", ValueType::kInt64)});
+  auto sales = *storage::Table::Create("Sales", sales_schema);
+  for (const int64_t sk : {1, 2, 1, 2}) {
+    DPSTARJ_CHECK(sales->AppendRow({Value(sk), Value(sk * 3)}).ok(),
+                  "fixture append");
+  }
+  DPSTARJ_CHECK(catalog.AddTable(shop).ok(), "fixture");
+  DPSTARJ_CHECK(catalog.AddTable(sales).ok(), "fixture");
+  DPSTARJ_CHECK(catalog.AddForeignKey({"Sales", "sk", "Shop", "sk"}).ok(),
+                "fixture");
+  return catalog;
+}
+
+// Each tail brings one new shop name: the extension renders only its label,
+// merges it into the sorted table and, when it lands before old labels,
+// moves the old cells' slots — and still equals Compile + WithCells.
+TEST(IngestEquivalenceTest, TailLabelsMergeBeforeBetweenAndAfterOldOnes) {
+  storage::Catalog catalog = MakeShopCatalog();
+  query::Binder binder(&catalog);
+  StarJoinExecutor executor;
+  query::StarJoinQuery q;
+  q.name = "units_by_shop";
+  q.fact_table = "Sales";
+  q.joined_tables = {"Shop"};
+  q.aggregate = query::AggregateKind::kSum;
+  q.measure_terms = {{"units", 1.0}};
+  q.group_by = {{"Shop", "name"}};
+  auto bound = binder.Bind(q);
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  exec::PlanColumnStore columns;
+  auto prev = ScanPlan::Compile(*bound, columns);
+  ASSERT_TRUE(prev.ok()) << prev.status().ToString();
+  prev = ScanPlan::WithCells(*prev, *bound, kAnyCells);
+  ASSERT_TRUE(prev.ok()) << prev.status().ToString();
+  ASSERT_EQ(prev->cells->labels, (std::vector<std::string>{"c", "e"}));
+
+  auto sales = catalog.GetTable("Sales");
+  ASSERT_TRUE(sales.ok());
+  const std::vector<std::pair<int64_t, std::vector<std::string>>> tails = {
+      {3, {"c", "e", "g"}},             // after every old label
+      {4, {"a", "c", "e", "g"}},        // before every old label
+      {5, {"a", "c", "d", "e", "g"}}};  // between two old labels
+  for (const auto& [sk, labels] : tails) {
+    // A tail of the new shop's row and an old shop's, so the merge meets a
+    // code it already has too.
+    ASSERT_TRUE((*sales)->AppendRow({Value(sk), Value(sk * 3)}).ok());
+    ASSERT_TRUE(
+        (*sales)->AppendRow({Value(int64_t{1}), Value(int64_t{7})}).ok());
+    auto grown = binder.Bind(q);
+    ASSERT_TRUE(grown.ok());
+    auto ext = ScanPlan::ExtendFrom(*prev, *grown, columns);
+    ASSERT_TRUE(ext.ok()) << ext.status().ToString();
+    EXPECT_EQ(ext->cells->labels, labels);
+
+    exec::PlanColumnStore fresh_columns;
+    auto fresh = ScanPlan::Compile(*grown, fresh_columns);
+    ASSERT_TRUE(fresh.ok());
+    fresh = ScanPlan::WithCells(*fresh, *grown, kAnyCells);
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    ExpectSamePlan(*fresh, *ext,
+                   Format("shop=%lld", static_cast<long long>(sk)));
+
+    auto naive = exec::ExecuteNaive(*grown);
+    auto via_ext = executor.Execute(
+        *grown, PredicateOverrides(grown->dims.size()), *ext);
+    ASSERT_TRUE(naive.ok() && via_ext.ok());
+    ExpectBitIdentical(*naive, *via_ext);
+    prev = std::move(ext);
   }
 }
 

@@ -450,7 +450,8 @@ TEST_F(NetServerTest, WorkloadBatchOverTheWire) {
   EXPECT_DOUBLE_EQ(*exec->GetNumber("scans"), 1.0);
   const Json* stages = body->Find("stage_us");
   ASSERT_NE(stages, nullptr);
-  EXPECT_NE(stages->Find("scan"), nullptr);  // the one shared sweep
+  EXPECT_NE(stages->Find("scan"), nullptr);    // the one shared sweep
+  EXPECT_NE(stages->Find("decode"), nullptr);  // the request body's parse
 
   // ε accounting: warm 0.1 + fresh 0.2; the replay and the failure flowed
   // back. The refused batch below must not move the account either.

@@ -4,9 +4,11 @@
 // edge or measure share one join or weight column for exactly as long as
 // some plan holds it, a plan's first validated hit builds (or declines) its
 // cells exactly once — also when many threads hit it at once — and an
-// extension keeps them, the cache is safe under concurrent use and appends
-// (run under TSan via the build-tsan / CI TSan configuration), and the plan
-// path never changes Predicate Mechanism noise semantics.
+// extension keeps them, extensions append into their parent's arrays and
+// exactly one of several racing ones does, the cache is safe under
+// concurrent use and appends (run under TSan via the build-tsan / CI TSan
+// configuration), and the plan path never changes Predicate Mechanism noise
+// semantics.
 
 #include <gtest/gtest.h>
 
@@ -35,6 +37,7 @@ using exec::ScanPlan;
 using exec::StarJoinExecutor;
 using storage::Value;
 using testing_fixture::MakeToyCatalog;
+using testing_fixture::SweepPlanRows;
 using testing_fixture::ToyCountQuery;
 
 void ExpectBitIdentical(const QueryResult& expected, const QueryResult& got) {
@@ -428,6 +431,9 @@ TEST(PlanCacheTest, PlansShareJoinAndWeightColumnsWhileHeld) {
   // One build per edge (plus the SUM's weights); the second extend reuses.
   EXPECT_EQ(stats.column_builds, 2u + 2u);
   EXPECT_EQ(stats.column_reuses, 1u + 1u);
+  // Compiled columns hold no slack, so the first extension of each copied
+  // it into a buffer twice the grown size.
+  EXPECT_EQ(stats.column_copies, 2u);
   for (const auto* q : {&*count_q, &*sum_q}) {
     auto plan = cache.GetOrCompile(*q);
     ASSERT_TRUE(plan.ok());
@@ -437,6 +443,20 @@ TEST(PlanCacheTest, PlansShareJoinAndWeightColumnsWhileHeld) {
     ASSERT_TRUE(naive.ok() && got.ok());
     ExpectBitIdentical(*naive, *got);
   }
+  // The next append lands in those buffers: no copy.
+  ASSERT_TRUE(
+      (*orders)
+          ->AppendRow({Value(int64_t{2}), Value(int64_t{3}), Value(int64_t{4}),
+                       Value(40.0)})
+          .ok());
+  auto count_again = cache.GetOrCompile(*count_q);
+  auto sum_again = cache.GetOrCompile(*sum_q);
+  ASSERT_TRUE(count_again.ok() && sum_again.ok());
+  EXPECT_EQ((*count_again)->fact_dim_row[0]->rows.data(),
+            extended->rows.data());
+  EXPECT_EQ((*sum_again)->weights->values.data(),
+            (*sum_ext)->weights->values.data());
+  EXPECT_EQ(cache.GetStats().column_copies, 2u);
 
   // A dimension append changes the edge itself: a new column object, again
   // shared by both recompiled plans.
@@ -653,6 +673,91 @@ TEST(PlanCacheTest, ConcurrentFirstHitsBuildCellsOnce) {
     ASSERT_TRUE(plan.ok());
     EXPECT_NE((*plan)->cells, nullptr);
   }
+}
+
+// Several threads extend one stale plan at once while others sweep it
+// (under TSan, the race check of AppendArray's claim). The plan was
+// extended once, so each of its arrays has room for the tail: exactly one
+// extension appends into its codes, every other array extension copies and
+// is counted, each extension equals a fresh compile, and the old plan's
+// sweep answers exactly as before the ingest throughout.
+TEST(PlanCacheTest, RacingExtensionsOfOneStalePlanAppendOnce) {
+  constexpr int kExtenders = 4;
+  constexpr int kReaders = 2;
+  storage::Catalog catalog = MakeToyCatalog();
+  query::Binder binder(&catalog);
+  StarJoinExecutor executor;
+  auto orders = catalog.GetTable("Orders");
+  ASSERT_TRUE(orders.ok());
+  // Two join columns, a weight column and codes.
+  const query::StarJoinQuery shape = ToyGroupedQuery();
+  exec::PlanColumnStore columns;
+  auto first = binder.Bind(shape);
+  ASSERT_TRUE(first.ok());
+  auto compiled = ScanPlan::Compile(*first, columns);
+  ASSERT_TRUE(compiled.ok());
+  const std::vector<Value> row = {Value(int64_t{3}), Value(int64_t{1}),
+                                  Value(int64_t{2}), Value(20.0)};
+  ASSERT_TRUE((*orders)->AppendRow(row).ok());
+  auto old_bound = binder.Bind(shape);
+  ASSERT_TRUE(old_bound.ok());
+  auto old = ScanPlan::ExtendFrom(*compiled, *old_bound, columns);
+  ASSERT_TRUE(old.ok());
+  const QueryResult old_answer = SweepPlanRows(*old, *old_bound);
+  auto executed = executor.Execute(*old_bound, PredicateOverrides(), *old);
+  ASSERT_TRUE(executed.ok());
+  ExpectBitIdentical(*executed, old_answer);
+
+  ASSERT_TRUE((*orders)->AppendRow(row).ok());
+  auto grown = binder.Bind(shape);
+  ASSERT_TRUE(grown.ok());
+  const exec::PlanColumnStore::Stats before = columns.GetStats();
+  std::vector<Result<ScanPlan>> extended(
+      kExtenders, Status::Internal("not extended"));
+  std::atomic<int> ready{0};
+  std::atomic<int> extending{kExtenders};
+  std::atomic<int> stale_answers{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kExtenders + kReaders; ++t) {
+    threads.emplace_back([&, t]() {
+      ++ready;
+      while (ready.load() < kExtenders + kReaders) std::this_thread::yield();
+      if (t < kExtenders) {
+        extended[static_cast<size_t>(t)] =
+            ScanPlan::ExtendFrom(*old, *grown, columns);
+        --extending;
+        return;
+      }
+      do {
+        const QueryResult got = SweepPlanRows(*old, *old_bound);
+        if (got.groups != old_answer.groups) ++stale_answers;
+      } while (extending.load() > 0);
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(stale_answers.load(), 0);
+  ExpectBitIdentical(old_answer, SweepPlanRows(*old, *old_bound));
+
+  exec::PlanColumnStore fresh_columns;
+  auto fresh = ScanPlan::Compile(*grown, fresh_columns);
+  ASSERT_TRUE(fresh.ok());
+  int appended_codes = 0;
+  for (const Result<ScanPlan>& ext : extended) {
+    ASSERT_TRUE(ext.ok()) << ext.status().ToString();
+    for (size_t i = 0; i < fresh->fact_dim_row.size(); ++i) {
+      EXPECT_EQ(ext->fact_dim_row[i]->rows, fresh->fact_dim_row[i]->rows);
+    }
+    EXPECT_EQ(ext->weights->values, fresh->weights->values);
+    EXPECT_EQ(ext->codes, fresh->codes);
+    appended_codes += ext->codes.data() == old->codes.data() ? 1 : 0;
+  }
+  EXPECT_EQ(appended_codes, 1);
+  // Each array has one appending extension: of the codes' kExtenders, and
+  // of the column builds (two join columns and the weights; a thread that
+  // finds a racing twin's column live reuses it instead of building).
+  const exec::PlanColumnStore::Stats after = columns.GetStats();
+  EXPECT_EQ(after.copies - before.copies,
+            (kExtenders - 1) + (after.builds - before.builds - 3));
 }
 
 // Extending a plan with cells is an extend like any other — a hit, not a

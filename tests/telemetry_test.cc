@@ -322,6 +322,26 @@ TEST_F(TelemetryTest, StatsAndMetricsAgree) {
   EXPECT_EQ(builds->Value(), 2.0);
   EXPECT_EQ(reuses->Value(),
             static_cast<double>(in_process.plan_cache.column_reuses));
+
+  // An ingested row extends the plan. Its compiled join columns hold no
+  // slack, so each is copied once, and both surfaces count the copies.
+  ASSERT_EQ(client
+                .Post("/v1/ingest",
+                      R"({"table": "Orders", "rows": [[1, 1, 2, 20.0]]})")
+                ->status,
+            200);
+  ASSERT_EQ(client.Post("/v1/query", QueryBody(ToyQuery(0), 0.01, "agree"))
+                ->status,
+            200);
+  auto after = Client::ParseBody(*client.Get("/v1/stats"));
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(service.Stats().plan_cache.column_copies, 2u);
+  EXPECT_DOUBLE_EQ(
+      *after->Find("plan_cache")->GetNumber("column_copies"), 2.0);
+  ASSERT_EQ(client.Get("/metrics")->status, 200);
+  const obs::Gauge* copies = metrics->FindGauge("dpstarj_plan_column_copies");
+  ASSERT_NE(copies, nullptr);
+  EXPECT_EQ(copies->Value(), 2.0);
   server.Stop();
 }
 

@@ -6,12 +6,17 @@
 //   Orders(ck, pk, qty, price)                   — 12 rows (the fact)
 //
 // The instance is small enough to verify every aggregate by hand; helpers
-// expose the canonical counting query used across tests.
+// expose the canonical counting query used across tests, and a sweep of a
+// plan that its table has outgrown.
 
 #pragma once
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
+#include "exec/kernels/kernels.h"
+#include "exec/star_join_executor.h"
 #include "query/star_query.h"
 #include "storage/catalog.h"
 
@@ -97,6 +102,36 @@ inline query::StarJoinQuery ToyCountQuery() {
       query::Predicate::Point("Cust", "region", storage::Value("N")));
   q.predicates.push_back(query::Predicate::Point("Prod", "cat", storage::Value("a")));
   return q;
+}
+
+/// The answer a sweep of `plan`'s fact rows gives under `q`'s own
+/// predicates, in 64-row chunks on one worker. It is the executor's row
+/// sweep without its refusal of a stale plan, so tests can run a plan after
+/// an append has grown its table: `q` must be bound like the plan, and only
+/// the plan's rows [0, fact_rows()) are read.
+inline exec::QueryResult SweepPlanRows(const exec::ScanPlan& plan,
+                                       const query::BoundQuery& q) {
+  std::vector<std::vector<uint64_t>> bitmaps;
+  std::vector<const int32_t*> rows;
+  std::vector<const uint64_t*> words;
+  for (size_t i = 0; i < q.dims.size(); ++i) {
+    bitmaps.push_back(*exec::BuildPassBitmap(plan.dims[i], *q.dims[i].dim,
+                                             q.dims[i].predicates));
+  }
+  for (size_t i = 0; i < q.dims.size(); ++i) {
+    rows.push_back(plan.fact_dim_row[i]->rows.data());
+    words.push_back(bitmaps[i].data());
+  }
+  const auto& kern = exec::kernels::ActiveKernels();
+  exec::SweepAccumulator acc(plan, /*cells=*/false, /*num_workers=*/1);
+  for (int64_t unit = 0; unit < plan.fact_rows(); unit += 64) {
+    const int nbits =
+        static_cast<int>(std::min<int64_t>(64, plan.fact_rows() - unit));
+    acc.AddChunk(0, unit, nbits,
+                 kern.pass_mask(rows.data(), words.data(), rows.size(), unit,
+                                nbits));
+  }
+  return acc.Finalize(q);
 }
 
 }  // namespace dpstarj::testing_fixture

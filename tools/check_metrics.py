@@ -73,9 +73,11 @@ REQUIRED = [
     "dpstarj_ingest_api_duration_seconds",
     "dpstarj_plan_extends",
     "dpstarj_plan_recompiles",
-    # Plans' shared join and weight columns: builds vs reuses.
+    # Plans' shared join and weight columns: builds vs reuses, and the
+    # array extensions that copied instead of appending in place.
     "dpstarj_plan_column_builds",
     "dpstarj_plan_column_reuses",
+    "dpstarj_plan_column_copies",
     # Plans' cell layouts: built vs kept on fact rows at a first hit.
     "dpstarj_plan_cell_builds",
     "dpstarj_plan_cell_declines",

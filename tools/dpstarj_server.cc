@@ -414,8 +414,8 @@ int RunSelfcheck(const std::string& host, uint16_t port,
         "dpstarj_ingest_duration_seconds_bucket",
         "dpstarj_ingest_api_duration_seconds_bucket", "dpstarj_plan_extends",
         "dpstarj_plan_recompiles", "dpstarj_plan_column_builds",
-        "dpstarj_plan_column_reuses", "dpstarj_plan_cell_builds",
-        "dpstarj_plan_cell_declines"}) {
+        "dpstarj_plan_column_reuses", "dpstarj_plan_column_copies",
+        "dpstarj_plan_cell_builds", "dpstarj_plan_cell_declines"}) {
     if (metrics->body.find(needle) == std::string::npos) {
       std::fprintf(stderr, "selfcheck: /metrics missing %s\n", needle);
       return 1;
