@@ -105,12 +105,10 @@ Result<std::vector<double>> DpStarJoin::AnswerWorkload(
     return AnswerWorkloadWithDecomposition(cube, workload, attributes, epsilon,
                                            &rng_, opts);
   }
-  // Independent per-query PM (§5.3's baseline), executed through the
-  // shared-scan batch path: bind every workload query and answer the whole
-  // set in one fact sweep with cross-query predicate CSE. Each query is
-  // perturbed independently at ε/n like AnswerWorkloadPerQuery; batching is
-  // post-processing, so the answer distribution is unchanged — only the
-  // scan count drops from l to 1.
+  // Independent per-query PM (§5.3's baseline), through the batch path:
+  // bind every workload query, spend once, then perturb each query
+  // independently like AnswerWorkloadPerQuery and answer it with its own
+  // sweep (PredicateMechanism::AnswerBatch).
   if (workload.size() == 0) return Status::InvalidArgument("empty workload");
   std::vector<query::BoundQuery> bound;
   bound.reserve(workload.queries.size());

@@ -82,14 +82,13 @@ class DpStarJoin {
                                         double epsilon, Rng* rng,
                                         obs::Trace* trace = nullptr) const;
 
-  /// \brief Batch form of AnswerBound: answers every query of `batch` with
-  /// one shared fact sweep (predicate CSE across queries, see
-  /// exec/workload_plan.h), each perturbed independently at its own epsilon
-  /// in batch order — the joint answer distribution is identical to
-  /// sequential AnswerBound calls on the same Rng. Returns one Result per
-  /// query, in batch order; per-query failures do not fail the batch. Const
-  /// and re-entrant like AnswerBound; budget accounting stays with the
-  /// caller.
+  /// \brief Batch form of AnswerBound (PredicateMechanism::AnswerBatch):
+  /// every query of `batch` is perturbed independently at its own epsilon in
+  /// batch order, then answered like AnswerBound — each answer is
+  /// bit-identical to sequential AnswerBound calls on the same Rng. Returns
+  /// one Result per query, in batch order; per-query failures do not fail
+  /// the batch. Const and re-entrant like AnswerBound; budget accounting
+  /// stays with the caller.
   std::vector<Result<exec::QueryResult>> AnswerBoundBatch(
       const std::vector<BatchQueryRef>& batch, Rng* rng,
       obs::Trace* trace = nullptr,

@@ -21,7 +21,6 @@
 #include "exec/plan_cache.h"
 #include "exec/query_result.h"
 #include "exec/star_join_executor.h"
-#include "exec/workload_plan.h"
 #include "query/binder.h"
 
 namespace dpstarj::core {
@@ -75,19 +74,16 @@ class PredicateMechanism {
   Result<exec::QueryResult> Answer(const query::BoundQuery& q, double epsilon,
                                    Rng* rng, obs::Trace* trace = nullptr) const;
 
-  /// \brief Answers a batch of bound queries with **one shared fact sweep**
-  /// (exec/workload_plan.h): predicates are perturbed per query in batch
-  /// order — consuming the RNG exactly like sequential Answer calls, so the
-  /// joint answer distribution is identical — then the perturbed queries'
-  /// deduped predicate bitmaps are built once each and the fact table is
-  /// swept once, accumulating every query simultaneously.
+  /// \brief Answers a batch of bound queries: perturbs every query's
+  /// predicates in batch order — consuming the RNG exactly like sequential
+  /// Answer calls — then runs each perturbed query through the step Answer
+  /// uses: its cached plan and one sweep of the plan's cells or fact rows.
+  /// So every answer equals sequential Answer's on an identically seeded
+  /// Rng, bit for bit.
   ///
   /// Returns one Result per query, in batch order: a query that fails to
-  /// perturb or plan gets its own error without failing the batch. Each
-  /// answer equals what Answer would return on the same draws and plans, bit
-  /// for bit; a query whose cached plan has cells is answered from them
-  /// instead of riding the shared sweep (exec/workload_plan.h). `stats`
-  /// (optional) accumulates the CSE receipts of the batch.
+  /// perturb, plan or execute gets its own error without failing the batch.
+  /// `stats` (optional) accumulates each execution's receipts.
   std::vector<Result<exec::QueryResult>> AnswerBatch(
       const std::vector<BatchQueryRef>& batch, Rng* rng,
       obs::Trace* trace = nullptr,
@@ -105,6 +101,13 @@ class PredicateMechanism {
   const std::shared_ptr<exec::PlanCache>& plan_cache() const { return plan_cache_; }
 
  private:
+  /// The execution step of Answer and AnswerBatch: the query's cached plan,
+  /// then one StarJoinExecutor sweep under the perturbed `overrides`.
+  Result<exec::QueryResult> Execute(const query::BoundQuery& q,
+                                    const exec::PredicateOverrides& overrides,
+                                    obs::Trace* trace,
+                                    exec::WorkloadExecStats* stats) const;
+
   PmaOptions pma_;
   exec::StarJoinExecutor executor_;
   std::shared_ptr<exec::PlanCache> plan_cache_;

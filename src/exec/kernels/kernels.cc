@@ -69,31 +69,11 @@ double SumSpan(const double* w, int64_t n) {
   return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
 }
 
-void ByteGatherTranspose(const uint8_t* table, const int32_t* rows, int len,
-                         size_t nn, uint64_t* out) {
-  // SWAR bit extraction: mask bit k into each byte's LSB, then one multiply
-  // shift-accumulates the eight LSBs into the top byte (little-endian).
-  constexpr uint64_t kLsb8 = 0x0101010101010101ULL;
-  constexpr uint64_t kGather = 0x0102040810204080ULL;
-  uint64_t chunks[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-  uint8_t* vbuf = reinterpret_cast<uint8_t*>(chunks);
-  for (int i = 0; i < len; ++i) vbuf[i] = table[rows[i]];
-  for (size_t k = 0; k < nn; ++k) {
-    uint64_t bits = 0;
-    for (int c = 0; c < 8; ++c) {
-      bits |= ((((chunks[c] >> k) & kLsb8) * kGather) >> 56)
-              << static_cast<unsigned>(8 * c);
-    }
-    out[k] = bits;
-  }
-}
-
 }  // namespace scalar
 
 const EngineKernels& ScalarKernels() {
   static const EngineKernels kernels = {
-      "scalar",          scalar::RangeBitmapAnd, scalar::PassMask,
-      scalar::SumSpan,   scalar::ByteGatherTranspose,
+      "scalar", scalar::RangeBitmapAnd, scalar::PassMask, scalar::SumSpan,
   };
   return kernels;
 }

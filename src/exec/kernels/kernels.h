@@ -1,6 +1,6 @@
 // Copyright (c) dpstarj authors. Licensed under the MIT license.
 //
-// Runtime-dispatched SIMD kernels for the engine's four hot loops:
+// Runtime-dispatched SIMD kernels for the engine's three hot loops:
 //
 //   range_bitmap_and      predicate compare → 64-bit bitmap pack over a
 //                         memoized domain-ordinal span (scan_plan.cc,
@@ -12,11 +12,7 @@
 //   sum_span              contiguous double accumulation in a FIXED four-lane
 //                         split (see below), used for the all-pass chunks of
 //                         every fact sweep (SumChunk; 32-byte-wide loads over
-//                         the plan's weight spans);
-//   byte_gather_transpose the workload plan's per-slot verdict gather: pull
-//                         ≤ 64 byte-wide verdict words and transpose bit k of
-//                         every byte into node k's packed verdict word
-//                         (workload_plan.cc).
+//                         the plan's weight spans).
 //
 // Dispatch is decided ONCE at startup from CPUID (common/cpu.h): AVX2 when
 // the host executes it, the portable scalar implementations otherwise.
@@ -66,12 +62,6 @@ struct EngineKernels {
   /// identically, so the result is ISA-independent (and differs from a naive
   /// running sum only by normal floating-point rounding).
   double (*sum_span)(const double* w, int64_t n);
-
-  /// Gathers table[rows[i]] for i in [0, len), len ≤ 64, and writes the
-  /// packed word of bit k across the gathered bytes into out[k] for each
-  /// k in [0, nn), nn ≤ 8. Bits ≥ len are 0.
-  void (*byte_gather_transpose)(const uint8_t* table, const int32_t* rows,
-                                int len, size_t nn, uint64_t* out);
 };
 
 /// The portable reference implementations (always available).

@@ -110,37 +110,12 @@ __attribute__((target("avx2"))) double SumSpan(const double* w, int64_t n) {
   return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
 }
 
-__attribute__((target("avx2"))) void ByteGatherTranspose(const uint8_t* table,
-                                                         const int32_t* rows,
-                                                         int len, size_t nn,
-                                                         uint64_t* out) {
-  uint8_t vbuf[64] = {0};
-  for (int i = 0; i < len; ++i) vbuf[i] = table[rows[i]];
-  const __m256i lo =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(vbuf));
-  const __m256i hi =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(vbuf + 32));
-  for (size_t k = 0; k < nn; ++k) {
-    // Move bit k of every byte into the byte's sign position and let
-    // vpmovmskb transpose 32 rows per instruction. The 16-bit shift cannot
-    // pollute the sampled bits: bit 7 (resp. 15) of a lane shifted left by
-    // s = 7-k comes from bit 7-s of the low (resp. high) byte — bit k.
-    const int s = 7 - static_cast<int>(k);
-    const uint32_t mlo = static_cast<uint32_t>(
-        _mm256_movemask_epi8(_mm256_slli_epi16(lo, s)));
-    const uint32_t mhi = static_cast<uint32_t>(
-        _mm256_movemask_epi8(_mm256_slli_epi16(hi, s)));
-    out[k] = static_cast<uint64_t>(mlo) | (static_cast<uint64_t>(mhi) << 32);
-  }
-}
-
 }  // namespace avx2
 
 const EngineKernels* Avx2KernelsOrNull() {
   if (!HostCpu().avx2) return nullptr;
   static const EngineKernels kernels = {
-      "avx2",        avx2::RangeBitmapAnd, avx2::PassMask,
-      avx2::SumSpan, avx2::ByteGatherTranspose,
+      "avx2", avx2::RangeBitmapAnd, avx2::PassMask, avx2::SumSpan,
   };
   return &kernels;
 }

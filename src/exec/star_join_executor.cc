@@ -138,7 +138,8 @@ Result<QueryResult> StarJoinExecutor::Execute(
 Result<QueryResult> StarJoinExecutor::Execute(const query::BoundQuery& q,
                                               const PredicateOverrides& overrides,
                                               const ScanPlan& plan,
-                                              obs::Trace* trace) const {
+                                              obs::Trace* trace,
+                                              WorkloadExecStats* stats) const {
   if (!overrides.empty() && overrides.size() != q.dims.size()) {
     return Status::InvalidArgument(
         Format("override arity %zu != dimension count %zu", overrides.size(),
@@ -164,6 +165,11 @@ Result<QueryResult> StarJoinExecutor::Execute(const query::BoundQuery& q,
           BuildPassBitmap(cells ? plan.cells->classes[i] : plan.dims[i],
                           *q.dims[i].dim, EffectivePreds(q, overrides, i)));
     }
+  }
+  if (stats != nullptr) {
+    stats->queries += 1;
+    (cells ? stats->cell_sweeps : stats->scans) += 1;
+    stats->predicate_nodes += static_cast<int64_t>(num_dims);
   }
   // Everything below is the sweep + merge.
   obs::ScopedStage scan_span(trace, obs::Stage::kScan);

@@ -16,10 +16,10 @@
 //
 // Either way the sweep is gathers into the bitmaps (kernels pass_mask) in
 // ≤ 64-unit chunks, and each chunk's pass mask goes to one SweepAccumulator
-// (below), which WorkloadPlan's shared row sweep uses too (see
-// exec/group_code.h, exec/parallel.h). Repeated callers share compiled plans
-// through exec/plan_cache.h; batches share one fact sweep through
-// exec/workload_plan.h. exec/naive_executor.h is the independent test oracle.
+// (below; see exec/group_code.h, exec/parallel.h). Repeated callers share
+// compiled plans through exec/plan_cache.h, and a batch answers each of its
+// entries with its own Execute (core/predicate_mechanism.h AnswerBatch).
+// exec/naive_executor.h is the independent test oracle.
 //
 // Association contract. A row-layout sweep adds each chunk's terms
 // (kernels::SumChunk) in chunk order per worker, then merges the workers in
@@ -28,8 +28,7 @@
 // SUMs are exact either way, while a double SUM or AVG answered from cells
 // differs from the row-layout answer in its low bits only. A cell answer
 // depends on the plan and the predicates alone — not on the thread count or
-// morsel size — and a batch answers every item with the same sweep as
-// Execute, bit for bit. Fact rows whose foreign key misses its dimension are
+// morsel size. Fact rows whose foreign key misses its dimension are
 // dropped, as in a SQL inner join; Catalog::ValidateIntegrity is the
 // referential-integrity check.
 //
@@ -72,6 +71,17 @@ struct ExecutorOptions {
   int64_t morsel_size = DefaultMorselSize();
 };
 
+/// \brief What a run of plan executions swept — the `/v1/workload`
+/// receipts (core/predicate_mechanism.h AnswerBatch). Execute adds to it.
+struct WorkloadExecStats {
+  int64_t queries = 0;  ///< executions, one sweep each
+  /// Fact-row sweeps: one per query whose plan's cells do not serve it.
+  int64_t scans = 0;
+  int64_t cell_sweeps = 0;  ///< sweeps of a plan's cells
+  /// Predicate bitmaps built: one per dimension of every query.
+  int64_t predicate_nodes = 0;
+};
+
 /// \brief Star-join evaluation over compiled ScanPlans.
 class StarJoinExecutor {
  public:
@@ -101,11 +111,12 @@ class StarJoinExecutor {
   /// (exec/kernels/kernels.h).
   ///
   /// A non-null `trace` records the bitmap-rebuild and fact-sweep spans
-  /// (obs::Stage::kBitmapRebuild / kScan); execution is unchanged otherwise.
+  /// (obs::Stage::kBitmapRebuild / kScan), and a non-null `stats` counts
+  /// the sweep and its bitmaps; execution is unchanged otherwise.
   Result<QueryResult> Execute(const query::BoundQuery& q,
                               const PredicateOverrides& overrides,
-                              const ScanPlan& plan,
-                              obs::Trace* trace = nullptr) const;
+                              const ScanPlan& plan, obs::Trace* trace = nullptr,
+                              WorkloadExecStats* stats = nullptr) const;
 
   const ExecutorOptions& options() const { return options_; }
 
@@ -114,7 +125,8 @@ class StarJoinExecutor {
 };
 
 /// \brief The accumulate step of a sweep — everything after a chunk's pass
-/// mask is known — shared by StarJoinExecutor and WorkloadPlan.
+/// mask is known — shared by StarJoinExecutor and the SweepPlanRows test
+/// helper (tests/test_catalog.h).
 ///
 /// One accumulator per query and sweep, over one layout of its plan: the fact
 /// rows, or the plan's cells. Workers hand it their morsels' chunks: ≤ 64

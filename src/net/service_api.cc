@@ -731,10 +731,10 @@ Router MakeServiceRouter(service::QueryService* service, ApiOptions options) {
       return Status::OK();
     }();
     if (!decoded.ok()) return fail(decoded, tenant);
-    // One admission + one ledger decision for the whole batch, one pool job,
-    // one shared fact sweep. Batch-level refusals (tenant-limited, budget,
-    // overload) answer like /v1/query's; per-query failures land in the
-    // 200 body's per-query entries instead.
+    // One admission + one ledger decision for the whole batch, one pool job.
+    // Batch-level refusals (tenant-limited, budget, overload) answer like
+    // /v1/query's; per-query failures land in the 200 body's per-query
+    // entries instead.
     auto outcome = service->SubmitWorkload(specs, tenant, trace.get()).get();
     if (!outcome.ok()) {
       HttpResponse resp = ErrorResponse(outcome.status());
@@ -765,12 +765,8 @@ Router MakeServiceRouter(service::QueryService* service, ApiOptions options) {
       ex.Set("scans", Json::Number(static_cast<double>(outcome->exec.scans)));
       ex.Set("cell_sweeps",
              Json::Number(static_cast<double>(outcome->exec.cell_sweeps)));
-      ex.Set("predicate_refs",
-             Json::Number(static_cast<double>(outcome->exec.predicate_refs)));
       ex.Set("predicate_nodes",
              Json::Number(static_cast<double>(outcome->exec.predicate_nodes)));
-      ex.Set("shared_dim_slots", Json::Number(static_cast<double>(
-                                     outcome->exec.shared_dim_slots)));
       out.Set("exec", std::move(ex));
       // The batch's accumulated stage spans so far (the encode stage is
       // still open and reports its pre-encode value).

@@ -12,12 +12,12 @@
 //                           marked X-DPStarJ-Tenant-Limited: 1 (see below)
 //   POST /v1/workload       {"tenant", "queries": [{"sql","epsilon"},…]} —
 //                           one admission + ledger decision for the whole
-//                           batch (tokens = query count, ε = total), answered
-//                           with ONE shared fact sweep (cross-query predicate
-//                           CSE). 200 carries per-query outcomes (partial
-//                           failure stays in the body), the shared-scan CSE
-//                           receipts and the batch's stage timings; batch-
-//                           level refusals use /v1/query's status mapping
+//                           batch (tokens = query count, ε = total), each
+//                           query answered by its own sweep. 200 carries
+//                           per-query outcomes (partial failure stays in the
+//                           body), the sweep receipts (`exec`) and the
+//                           batch's stage timings; batch-level refusals use
+//                           /v1/query's status mapping
 //   POST /v1/ingest         {"table", "rows": [[cell,…],…]} — appends fact
 //                           rows as one atomic batch; cells are numbers or
 //                           strings matched against the table schema. 200

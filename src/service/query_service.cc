@@ -115,7 +115,7 @@ QueryService::QueryService(const storage::Catalog* catalog, ServiceOptions optio
           "Workload queries by outcome", {{"outcome", "failed"}})),
       workload_cache_skips_(metrics_->GetCounter(
           "dpstarj_workload_cache_skips_total",
-          "Cache-hit queries excluded from a workload's shared scan")),
+          "Cache-hit workload queries replayed before the engine runs")),
       ingest_batches_(metrics_->GetCounter(
           "dpstarj_ingest_batches_total",
           "Ingest batches accepted (one table-epoch bump each)")),
@@ -483,10 +483,10 @@ Result<WorkloadOutcome> QueryService::ExecuteWorkload(
   }
 
   // Reader-side locks over the union of the batch's tables, held from key
-  // construction through the shared scan and the cache inserts: the epochs
-  // folded into the keys cannot move mid-batch, so every stored answer
+  // construction through the batch's sweeps and the cache inserts: the
+  // epochs folded into the keys cannot move mid-batch, so every stored answer
   // matches the epoch it is keyed by (an ingest batch lands entirely before
-  // or entirely after this workload's scan).
+  // or entirely after this workload's sweeps).
   std::vector<std::string> batch_tables;
   for (const auto& b : bound) {
     if (!b.has_value()) continue;
@@ -494,9 +494,9 @@ Result<WorkloadOutcome> QueryService::ExecuteWorkload(
   }
   auto table_locks = LockTablesShared(std::move(batch_tables));
 
-  // Answer-cache pre-pass: cache-hit queries are excluded from the shared
-  // scan and replayed at zero ε (their share of the spend flows back) — the
-  // scan only carries queries that genuinely need a fresh draw.
+  // Answer-cache pre-pass: cache-hit queries are replayed at zero ε (their
+  // share of the spend flows back) — the engine only answers queries that
+  // genuinely need a fresh draw.
   std::vector<std::string> keys(queries.size());
   std::vector<size_t> miss;  // indices that still need a fresh draw
   miss.reserve(queries.size());

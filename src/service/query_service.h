@@ -111,12 +111,12 @@ struct ServiceStats {
   /// Workload batches that reached a pool worker (one per SubmitWorkload
   /// that dispatched; its queries also count into `submitted`).
   uint64_t workload_batches = 0;
-  uint64_t workload_queries_fresh = 0;   ///< answered by the shared scan
+  uint64_t workload_queries_fresh = 0;   ///< answered by the engine
   uint64_t workload_queries_cached = 0;  ///< replayed from the answer cache
   uint64_t workload_queries_failed = 0;  ///< per-query failures (ε refunded)
-  /// Cache-hit queries excluded from the shared scan before batch formation
+  /// Cache-hit queries peeled off before the engine answers the batch
   /// (same value as workload_queries_cached; kept as its own series so the
-  /// pre-pass satellite is directly observable).
+  /// pre-pass is directly observable).
   uint64_t workload_cache_skips = 0;
   /// Ingest batches accepted (one table-epoch bump each).
   uint64_t ingest_batches = 0;
@@ -146,9 +146,9 @@ struct WorkloadQueryOutcome {
 };
 
 /// \brief Result of one SubmitWorkload batch: per-query outcomes in
-/// submission order, plus the shared-scan CSE receipts (exec.scans is the
-/// number of fact sweeps the whole batch cost; exec.queries how many rode
-/// them).
+/// submission order, plus the engine's sweep receipts (exec.queries fresh
+/// queries executed, exec.scans of them over the fact rows and
+/// exec.cell_sweeps over their plan's cells; exec/star_join_executor.h).
 struct WorkloadOutcome {
   std::vector<WorkloadQueryOutcome> queries;
   exec::WorkloadExecStats exec;
@@ -222,11 +222,11 @@ class QueryService {
 
   /// \brief Submits a whole workload batch for one tenant: one fair-admission
   /// decision debiting `queries.size()` tokens/slots, one ledger spend sized
-  /// to the batch's total ε, one pool job that answers every query with a
-  /// single shared fact sweep (cross-query predicate CSE, see
-  /// exec/workload_plan.h). Cache-hit queries are peeled off before the scan
-  /// and replayed at zero ε; per-query failures refund that query's ε and
-  /// surface in its WorkloadQueryOutcome without failing the batch.
+  /// to the batch's total ε, one pool job that answers every query through
+  /// PredicateMechanism::AnswerBatch, which sweeps each query as Submit does.
+  /// Cache-hit queries are peeled off first and replayed at zero ε;
+  /// per-query failures refund that query's ε and surface in its
+  /// WorkloadQueryOutcome without failing the batch.
   ///
   /// The whole batch is refused (batch-level error in the future) only
   /// before any query runs: invalid arguments, tenant rate limit /
@@ -304,8 +304,8 @@ class QueryService {
                                     obs::Trace* trace);
 
   /// Runs on a pool worker: bind every query, peel cache hits, answer the
-  /// rest through the engine's shared-scan batch path, refunding each failed
-  /// or replayed query's ε individually.
+  /// rest through the engine's batch path, refunding each failed or
+  /// replayed query's ε individually.
   Result<WorkloadOutcome> ExecuteWorkload(
       core::DpStarJoin& engine, const std::vector<WorkloadQuerySpec>& queries,
       const std::string& tenant, obs::Trace* trace);

@@ -328,47 +328,6 @@ TEST(KernelsTest, SumSpanScalarVsAvx2BitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// byte_gather_transpose
-// ---------------------------------------------------------------------------
-
-TEST(KernelsTest, ByteGatherTransposeMatchesReferenceAndCrossIsa) {
-  const EngineKernels* avx2 = Avx2KernelsOrNull();
-  Rng rng(41);
-  std::vector<uint8_t> table(1000);
-  for (auto& b : table) b = static_cast<uint8_t>(rng.UniformInt(0, 255));
-  for (const int len : {0, 1, 7, 31, 32, 33, 63, 64}) {
-    for (const size_t nn : {size_t{1}, size_t{3}, size_t{8}}) {
-      std::vector<int32_t> rows(static_cast<size_t>(len));
-      for (auto& r : rows) {
-        r = static_cast<int32_t>(rng.UniformInt(0, 999));
-      }
-      uint64_t want[8] = {0};
-      for (int i = 0; i < len; ++i) {
-        const uint8_t v = table[static_cast<size_t>(rows[static_cast<size_t>(i)])];
-        for (size_t k = 0; k < nn; ++k) {
-          if ((v >> k) & 1) want[k] |= uint64_t{1} << i;
-        }
-      }
-      uint64_t scalar[8];
-      std::memset(scalar, 0xAB, sizeof(scalar));  // bits >= len must be 0
-      ScalarKernels().byte_gather_transpose(table.data(), rows.data(), len, nn,
-                                            scalar);
-      for (size_t k = 0; k < nn; ++k) {
-        ASSERT_EQ(scalar[k], want[k]) << "len=" << len << " k=" << k;
-      }
-      if (avx2 != nullptr) {
-        uint64_t vec[8];
-        std::memset(vec, 0xCD, sizeof(vec));
-        avx2->byte_gather_transpose(table.data(), rows.data(), len, nn, vec);
-        for (size_t k = 0; k < nn; ++k) {
-          ASSERT_EQ(vec[k], want[k]) << "avx2 len=" << len << " k=" << k;
-        }
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // dispatch plumbing + end-to-end bit identity
 // ---------------------------------------------------------------------------
 

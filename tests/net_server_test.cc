@@ -26,6 +26,7 @@
 #include "net/client.h"
 #include "net/http_server.h"
 #include "net/service_api.h"
+#include "query/binder.h"
 #include "service/query_service.h"
 #include "storage/catalog.h"
 #include "test_catalog.h"
@@ -386,8 +387,8 @@ TEST_F(NetServerTest, ProtocolErrorsOverTheWire) {
 
 // POST /v1/workload end to end: a mixed batch (fresh, cache-replayed and
 // failing queries) is answered in one round trip with per-query outcomes,
-// the shared-scan CSE receipts and stage timings — and an underfunded batch
-// is refused whole with /v1/query's status mapping.
+// the sweep receipts and stage timings — and an underfunded batch is refused
+// whole with /v1/query's status mapping.
 TEST_F(NetServerTest, WorkloadBatchOverTheWire) {
   service::ServiceOptions service_options;
   service_options.num_engines = 1;
@@ -443,14 +444,20 @@ TEST_F(NetServerTest, WorkloadBatchOverTheWire) {
   EXPECT_FALSE(failed.Find("ok")->AsBool());
   ASSERT_NE(failed.Find("error"), nullptr);
 
-  // The CSE receipts: one shared sweep answered the one fresh query.
+  // The receipts: the one fresh query's plan was compiled in this batch, so
+  // it swept its fact rows, building one bitmap per dimension.
   const Json* exec = body->Find("exec");
   ASSERT_NE(exec, nullptr);
   EXPECT_DOUBLE_EQ(*exec->GetNumber("queries"), 1.0);
   EXPECT_DOUBLE_EQ(*exec->GetNumber("scans"), 1.0);
+  EXPECT_DOUBLE_EQ(*exec->GetNumber("cell_sweeps"), 0.0);
+  auto fresh_bound = query::Binder(&catalog_).BindSql(DistinctToyQuery(1));
+  ASSERT_TRUE(fresh_bound.ok()) << fresh_bound.status().ToString();
+  EXPECT_DOUBLE_EQ(*exec->GetNumber("predicate_nodes"),
+                   static_cast<double>(fresh_bound->dims.size()));
   const Json* stages = body->Find("stage_us");
   ASSERT_NE(stages, nullptr);
-  EXPECT_NE(stages->Find("scan"), nullptr);    // the one shared sweep
+  EXPECT_NE(stages->Find("scan"), nullptr);    // the fresh query's sweep
   EXPECT_NE(stages->Find("decode"), nullptr);  // the request body's parse
 
   // ε accounting: warm 0.1 + fresh 0.2; the replay and the failure flowed

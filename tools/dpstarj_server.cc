@@ -256,8 +256,8 @@ int RunSelfcheck(const std::string& host, uint16_t port,
     }
   }
   // One /v1/workload batch: a cache replay of the query above plus two
-  // fresh queries riding a single shared scan. Populates the workload
-  // counters and batch-size/duration histograms before the scrape.
+  // fresh queries. Populates the workload counters and batch-size/duration
+  // histograms before the scrape.
   net::Json batch = net::Json::Object();
   batch.Set("tenant", net::Json::Str("smoke"));
   net::Json batch_queries = net::Json::Array();
