@@ -1,4 +1,4 @@
-// Ablation — the PMA range-perturbation reading (DESIGN.md §4): shared shift
+// Ablation — the PMA range-perturbation reading (docs/design.md): shared shift
 // (width-preserving, the default for star joins) vs independent endpoints
 // (the verbatim Algorithm 2). Run on the range-bearing SSB queries Qc3/Qc4
 // and on k-star sub-range queries, across ε.
@@ -20,16 +20,18 @@ using namespace dpstarj;
 
 namespace {
 
-bench_util::RunStats SsbError(const query::BoundQuery& bound,
-                              const exec::DataCube& cube, double truth,
-                              core::PmaRangeMode mode, double eps, int runs,
-                              Rng* rng) {
+core::PredicateMechanism MechanismFor(core::PmaRangeMode mode) {
   core::PmaOptions pma;
   pma.range_mode = mode;
-  core::PredicateMechanism pm(pma);
+  return core::PredicateMechanism(pma);
+}
+
+bench_util::RunStats SsbError(const core::PredicateMechanism& pm,
+                              const query::BoundQuery& bound, double truth,
+                              double eps, int runs, Rng* rng) {
   return bench_util::Repeat(runs, [&]() -> Result<double> {
-    DPSTARJ_ASSIGN_OR_RETURN(double est, pm.AnswerWithCube(bound, cube, eps, rng));
-    return RelativeErrorPercent(est, truth);
+    DPSTARJ_ASSIGN_OR_RETURN(exec::QueryResult est, pm.Answer(bound, eps, rng));
+    return RelativeErrorPercent(est.scalar, truth);
   });
 }
 
@@ -55,6 +57,10 @@ int main() {
 
   Rng rng(1212);
   query::Binder binder(&*catalog);
+  const core::PredicateMechanism shift_pm =
+      MechanismFor(core::PmaRangeMode::kSharedShift);
+  const core::PredicateMechanism indep_pm =
+      MechanismFor(core::PmaRangeMode::kIndependentEndpoints);
   for (const auto& name : {std::string("Qc3"), std::string("Qc4")}) {
     auto q = ssb::GetQuery(name);
     auto bound = binder.Bind(*q);
@@ -62,26 +68,21 @@ int main() {
       std::fprintf(stderr, "bind: %s\n", bound.status().ToString().c_str());
       return 1;
     }
-    auto cube = exec::DataCube::BuildFromQueryPredicates(*bound);
-    if (!cube.ok()) {
-      std::fprintf(stderr, "cube: %s\n", cube.status().ToString().c_str());
+    auto truth = exec::StarJoinExecutor().Execute(*bound);
+    if (!truth.ok()) {
+      std::fprintf(stderr, "truth: %s\n", truth.status().ToString().c_str());
       return 1;
     }
-    auto truth = cube->Evaluate(bound->Predicates());
 
     bench_util::TablePrinter table({name + " range mode", "eps=0.1 err %",
                                     "eps=0.5 err %", "eps=1 err %"});
     std::vector<std::string> shift_row = {"shared shift"};
     std::vector<std::string> indep_row = {"independent endpoints"};
     for (double eps : kEps) {
-      shift_row.push_back(SsbError(*bound, *cube, *truth,
-                                   core::PmaRangeMode::kSharedShift, eps, runs,
-                                   &rng)
-                              .Cell());
-      indep_row.push_back(SsbError(*bound, *cube, *truth,
-                                   core::PmaRangeMode::kIndependentEndpoints, eps,
-                                   runs, &rng)
-                              .Cell());
+      shift_row.push_back(
+          SsbError(shift_pm, *bound, truth->scalar, eps, runs, &rng).Cell());
+      indep_row.push_back(
+          SsbError(indep_pm, *bound, truth->scalar, eps, runs, &rng).Cell());
     }
     table.AddRow(shift_row);
     table.AddRow(indep_row);

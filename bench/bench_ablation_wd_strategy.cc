@@ -1,4 +1,4 @@
-// Ablation — Workload Decomposition strategy choice (DESIGN.md §4): identity
+// Ablation — Workload Decomposition strategy choice (docs/design.md): identity
 // vs hierarchical vs auto on the paper's W1 (point-heavy) and W2 (cumulative)
 // workloads.
 
@@ -29,21 +29,23 @@ int main() {
     return 1;
   }
   auto attributes = ssb::WorkloadAttributes();
-  query::StarJoinQuery base;
-  base.fact_table = ssb::kLineorder;
-  for (const auto& a : attributes) base.joined_tables.push_back(a.table);
   query::Binder binder(&*catalog);
-  auto bound = binder.Bind(base);
-  auto cube = exec::DataCube::Build(*bound, attributes);
-  if (!cube.ok()) {
-    std::fprintf(stderr, "cube: %s\n", cube.status().ToString().c_str());
-    return 1;
-  }
+  exec::PlanCache plans;  // W: the cells of the workloads' base plan
 
   Rng rng(1313);
   for (const char* which : {"W1", "W2"}) {
     auto workload = std::string(which) == "W1" ? ssb::WorkloadW1() : ssb::WorkloadW2();
-    auto truth = core::TrueWorkloadAnswers(*cube, *workload, attributes);
+    auto base = core::BindWorkloadBase(binder, *workload, attributes);
+    if (!base.ok()) {
+      std::fprintf(stderr, "base: %s\n", base.status().ToString().c_str());
+      return 1;
+    }
+    auto plan = core::PlanWorkloadBase(*base, plans);
+    if (!plan.ok()) {
+      std::fprintf(stderr, "plan: %s\n", plan.status().ToString().c_str());
+      return 1;
+    }
+    auto truth = core::TrueWorkloadAnswers(*base, **plan, *workload, attributes);
     if (!truth.ok()) {
       std::fprintf(stderr, "truth: %s\n", truth.status().ToString().c_str());
       return 1;
@@ -64,8 +66,9 @@ int main() {
           core::WorkloadMechanismOptions opts;
           opts.strategy = mode.kind;
           DPSTARJ_ASSIGN_OR_RETURN(
-              auto answers, core::AnswerWorkloadWithDecomposition(
-                                *cube, *workload, attributes, eps, &rng, opts));
+              auto answers,
+              core::AnswerWorkloadWithDecomposition(
+                  *base, **plan, *workload, attributes, eps, &rng, opts));
           double acc = 0.0;
           for (size_t i = 0; i < truth->size(); ++i) {
             acc += RelativeErrorPercent(answers[i], (*truth)[i]);

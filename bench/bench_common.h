@@ -24,7 +24,6 @@
 #include "obs/prof/counters.h"
 #include "core/predicate_mechanism.h"
 #include "exec/contribution_index.h"
-#include "exec/data_cube.h"
 #include "exec/star_join_executor.h"
 #include "query/binder.h"
 
@@ -37,7 +36,9 @@ namespace dpstarj::bench {
 /// with a predicate (the paper's motivating example — Example 1.3), otherwise
 /// the first predicate-bearing dimension; `private_spec` overrides it (it may
 /// be a "Table.column" entity spec, see exec::BuildContributionIndex).
-/// Contributions and the data cube are built once; noise runs are cheap.
+/// Contributions are built once, and PM draws reuse one mechanism, so its
+/// cached plan (and, from the second draw, the plan's cells) serves every
+/// draw at every ε: noise runs are cheap.
 class QueryBench {
  public:
   static Result<QueryBench> Prepare(const storage::Catalog* catalog,
@@ -49,12 +50,6 @@ class QueryBench {
     // Ground truth via the executor (works for GROUP BY too).
     exec::StarJoinExecutor executor;
     DPSTARJ_ASSIGN_OR_RETURN(b.truth_, executor.Execute(b.bound_));
-    // Cube fast path for scalar PM runs.
-    if (b.bound_.group_key_layout.empty()) {
-      DPSTARJ_ASSIGN_OR_RETURN(auto cube,
-                               exec::DataCube::BuildFromQueryPredicates(b.bound_));
-      b.cube_ = std::make_shared<exec::DataCube>(std::move(cube));
-    }
     // Private relation for the baselines.
     b.private_table_ = std::move(private_spec);
     if (b.private_table_.empty()) {
@@ -78,17 +73,13 @@ class QueryBench {
   const exec::QueryResult& truth() const { return truth_; }
   double truth_total() const { return truth_.Total(); }
 
-  /// Mean relative error (%) of PM over `runs` draws. GROUP BY queries use
-  /// the executor path and the total-aggregate metric.
+  /// Mean relative error (%) of PM over `runs` draws, each answered like
+  /// the server answers: PredicateMechanism::Answer on the cached plan.
+  /// GROUP BY queries use the total-aggregate metric.
   bench_util::RunStats PmError(double epsilon, int runs, Rng* rng) const {
-    core::PredicateMechanism pm;
     return bench_util::Repeat(runs, [&]() -> Result<double> {
-      if (cube_ != nullptr) {
-        DPSTARJ_ASSIGN_OR_RETURN(double est,
-                                 pm.AnswerWithCube(bound_, *cube_, epsilon, rng));
-        return RelativeErrorPercent(est, truth_.scalar);
-      }
-      DPSTARJ_ASSIGN_OR_RETURN(exec::QueryResult est, pm.Answer(bound_, epsilon, rng));
+      DPSTARJ_ASSIGN_OR_RETURN(exec::QueryResult est,
+                               pm_.Answer(bound_, epsilon, rng));
       return est.TotalRelativeErrorPercent(truth_);
     });
   }
@@ -157,7 +148,7 @@ class QueryBench {
 
   query::BoundQuery bound_;
   exec::QueryResult truth_;
-  std::shared_ptr<exec::DataCube> cube_;
+  core::PredicateMechanism pm_;
   std::shared_ptr<exec::ContributionIndex> contributions_;
   std::string private_table_;
 };
@@ -178,8 +169,8 @@ class QueryBench {
 class JsonBenchWriter {
  public:
   /// \brief Extracts `--json <path>` or `--json=<path>` from argv, removing
-  /// the flag so later parsers (e.g. google-benchmark) never see it. Returns
-  /// "" when absent.
+  /// the flag so later argument parsing never sees it. Returns "" when
+  /// absent.
   static std::string ConsumeJsonFlag(int* argc, char** argv) {
     std::string path;
     int out = 1;

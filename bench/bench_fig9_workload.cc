@@ -42,21 +42,8 @@ int main() {
   }
 
   auto attributes = ssb::WorkloadAttributes();
-  // Build the cube once through a predicate-free base query.
-  query::StarJoinQuery base;
-  base.fact_table = ssb::kLineorder;
-  for (const auto& a : attributes) base.joined_tables.push_back(a.table);
   query::Binder binder(&*catalog);
-  auto bound = binder.Bind(base);
-  if (!bound.ok()) {
-    std::fprintf(stderr, "bind: %s\n", bound.status().ToString().c_str());
-    return 1;
-  }
-  auto cube = exec::DataCube::Build(*bound, attributes);
-  if (!cube.ok()) {
-    std::fprintf(stderr, "cube: %s\n", cube.status().ToString().c_str());
-    return 1;
-  }
+  exec::PlanCache plans;  // W: the cells of the workloads' base plan
 
   Rng rng(909);
   for (const char* which : {"W1", "W2"}) {
@@ -65,7 +52,17 @@ int main() {
       std::fprintf(stderr, "%s: %s\n", which, workload.status().ToString().c_str());
       return 1;
     }
-    auto truth = core::TrueWorkloadAnswers(*cube, *workload, attributes);
+    auto base = core::BindWorkloadBase(binder, *workload, attributes);
+    if (!base.ok()) {
+      std::fprintf(stderr, "base: %s\n", base.status().ToString().c_str());
+      return 1;
+    }
+    auto plan = core::PlanWorkloadBase(*base, plans);
+    if (!plan.ok()) {
+      std::fprintf(stderr, "plan: %s\n", plan.status().ToString().c_str());
+      return 1;
+    }
+    auto truth = core::TrueWorkloadAnswers(*base, **plan, *workload, attributes);
     if (!truth.ok()) {
       std::fprintf(stderr, "truth: %s\n", truth.status().ToString().c_str());
       return 1;
@@ -76,13 +73,15 @@ int main() {
       auto pm_stats = bench_util::Repeat(runs, [&]() -> Result<double> {
         DPSTARJ_ASSIGN_OR_RETURN(
             auto answers,
-            core::AnswerWorkloadPerQuery(*cube, *workload, attributes, eps, &rng));
+            core::AnswerWorkloadPerQuery(*base, **plan, *workload, attributes,
+                                         eps, &rng));
         return MeanWorkloadError(answers, *truth);
       });
       auto wd_stats = bench_util::Repeat(runs, [&]() -> Result<double> {
         DPSTARJ_ASSIGN_OR_RETURN(auto answers,
                                  core::AnswerWorkloadWithDecomposition(
-                                     *cube, *workload, attributes, eps, &rng));
+                                     *base, **plan, *workload, attributes, eps,
+                                     &rng));
         return MeanWorkloadError(answers, *truth);
       });
       pm_cells.push_back(pm_stats.Cell());

@@ -6,8 +6,6 @@
 //     (bitmaps only) paths,
 //   * a 16-query shared-predicate SSB workload — one AnswerBatch call vs
 //     sequential warm Answer calls,
-//   * DataCube build (fused-LUT morsel scan on one thread) and the
-//     box-sweep Evaluate,
 //   * ingest plan maintenance — ScanPlan::Compile plus the cell build on a
 //     grown fact table vs a sequence of small ingests, each followed by
 //     ScanPlan::ExtendFrom of the same plan with cells over just the tail.
@@ -31,7 +29,6 @@
 #include "common/timer.h"
 #include "core/predicate_mechanism.h"
 #include "obs/trace.h"
-#include "exec/data_cube.h"
 #include "exec/scan_plan.h"
 #include "exec/star_join_executor.h"
 #include "query/binder.h"
@@ -295,81 +292,6 @@ void RunWorkloadComparison(bench::JsonBenchWriter* json) {
 }
 
 // ---------------------------------------------------------------------------
-// DataCube comparison: the other full fact scan. Build: the fused dense-LUT
-// morsel scan on one thread (the baseline is recorded pinned to one core,
-// where more threads time the same core). Evaluate: the box sweep over the
-// predicate hyper-rectangle.
-// ---------------------------------------------------------------------------
-
-void RunCubeComparison(bench::JsonBenchWriter* json) {
-  const double sf = bench_util::EnvDouble("DPSTARJ_MICRO_SF", 0.05);
-  const double min_sec = SharedMinSec();
-  const storage::Catalog& catalog = ComparisonCatalog();
-  query::Binder binder(&catalog);
-
-  auto q = ssb::GetQuery("Qc3");
-  DPSTARJ_CHECK(q.ok(), "query");
-  auto bound = binder.Bind(*q);
-  DPSTARJ_CHECK(bound.ok(), "bind");
-  const double fact_rows = static_cast<double>(bound->fact->num_rows());
-
-  std::printf("== DataCube build: Qc3 (sf=%.3g, %.0f fact rows) ==\n", sf,
-              fact_rows);
-  bench_util::TablePrinter table({"pipeline", "iters", "ms/build", "rows/sec"});
-  exec::CubeOptions options;
-  options.threads = 1;
-  DPSTARJ_CHECK(exec::DataCube::BuildFromQueryPredicates(*bound, options).ok(),
-                "cube build");  // warm-up
-  {
-    Timer timer;
-    std::optional<bench::CounterSpan> span;
-    if (json != nullptr) span.emplace(*json);
-    int iters = 0;
-    do {
-      auto cube = exec::DataCube::BuildFromQueryPredicates(*bound, options);
-      DPSTARJ_CHECK(cube.ok(), "cube build");
-      ++iters;
-    } while (timer.ElapsedSeconds() < min_sec || iters < 3);
-    const double wall_ms = timer.ElapsedMillis() / iters;
-    const double rows_per_sec = fact_rows / (wall_ms / 1e3);
-    table.AddRow({"vectorized t=1", Format("%d", iters),
-                  Format("%.3f", wall_ms), Format("%.3g", rows_per_sec)});
-    if (json != nullptr) {
-      const double rows = fact_rows * iters;
-      json->Add("micro_engine/cube_build/Qc3", "vectorized t=1", rows_per_sec,
-                wall_ms, span->CyclesPerRow(rows),
-                span->InstructionsPerRow(rows));
-    }
-  }
-  table.Print();
-
-  // Evaluate: repeated predicate evaluation against the prebuilt cube.
-  auto cube = exec::DataCube::BuildFromQueryPredicates(*bound);
-  DPSTARJ_CHECK(cube.ok(), "cube build");
-  auto preds = bound->Predicates();
-  Timer timer;
-  std::optional<bench::CounterSpan> span;
-  if (json != nullptr) span.emplace(*json);
-  int iters = 0;
-  do {
-    auto r = cube->Evaluate(preds);
-    DPSTARJ_CHECK(r.ok(), "evaluate");
-    ++iters;
-  } while (timer.ElapsedSeconds() < min_sec || iters < 1000);
-  const double wall_ms = timer.ElapsedMillis() / iters;
-  const double cells_per_sec =
-      static_cast<double>(cube->num_cells()) / (wall_ms / 1e3);
-  std::printf("cube evaluate (box sweep): %.4f ms/eval over %lld cells\n\n",
-              wall_ms, static_cast<long long>(cube->num_cells()));
-  if (json != nullptr) {
-    // "rows" for the eval loop are swept cube cells, matching cells_per_sec.
-    const double cells = static_cast<double>(cube->num_cells()) * iters;
-    json->Add("micro_engine/cube_eval/Qc3", "box-sweep", cells_per_sec, wall_ms,
-              span->CyclesPerRow(cells), span->InstructionsPerRow(cells));
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Ingest comparison: after an append batch lands on a live fact table, a
 // cached grouped ScanPlan with cells is stale. The PlanCache extends it over
 // the tail (ScanPlan::ExtendFrom, which appends the tail to the plan's
@@ -536,7 +458,6 @@ int main(int argc, char** argv) {
   bench::JsonBenchWriter json(json_path);
   RunPlanCacheComparison(&json);
   RunWorkloadComparison(&json);
-  RunCubeComparison(&json);
   RunIngestComparison(&json);  // last: appends to the comparison catalog
   json.Flush();
   return 0;

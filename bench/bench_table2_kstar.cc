@@ -57,7 +57,7 @@ Cell RunMechanism(const std::string& which, const graph::Graph& g,
   }
   Cell c;
   // Median across runs: the baselines' Cauchy/Laplace tails make the sample
-  // mean of the relative error diverge (see EXPERIMENTS.md).
+  // mean of the relative error diverge (see docs/design.md).
   c.error = Format("%.2f", Median(errs));
   c.time = Format("%.3f", seconds / runs);
   return c;

@@ -81,13 +81,6 @@ double Rng::GaussianMixture(const std::vector<double>& weights,
   return Gaussian(means[i], stddevs[i]);
 }
 
-int64_t Rng::TwoSidedGeometric(double alpha) {
-  DPSTARJ_CHECK(alpha > 0.0 && alpha < 1.0, "TwoSidedGeometric alpha in (0,1)");
-  // Difference of two one-sided geometrics is symmetric geometric.
-  std::geometric_distribution<int64_t> g(1.0 - alpha);
-  return g(engine_) - g(engine_);
-}
-
 bool Rng::Bernoulli(double p) {
   DPSTARJ_CHECK(p >= 0.0 && p <= 1.0, "Bernoulli p in [0,1]");
   return Uniform01() < p;

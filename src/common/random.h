@@ -68,10 +68,6 @@ class Rng {
                          const std::vector<double>& means,
                          const std::vector<double>& stddevs);
 
-  /// Geometric (two-sided symmetric geometric a.k.a. discrete Laplace) with
-  /// parameter alpha in (0,1): P(k) ∝ alpha^{|k|}.
-  int64_t TwoSidedGeometric(double alpha);
-
   /// Bernoulli with probability p.
   bool Bernoulli(double p);
 

@@ -60,50 +60,21 @@ Result<exec::QueryResult> DpStarJoin::TrueAnswerSql(const std::string& sql) cons
   return executor.Execute(bound);
 }
 
-Result<exec::DataCube> DpStarJoin::BuildWorkloadCube(
-    const query::Workload& workload,
-    const std::vector<query::DimensionAttribute>& attributes) const {
-  if (workload.size() == 0) {
-    return Status::InvalidArgument("empty workload");
-  }
-  // Assemble a predicate-free base query joining the attribute dimensions;
-  // the cube over `attributes` is the W vector all answers contract against.
-  query::StarJoinQuery base;
-  base.fact_table = workload.queries[0].fact_table;
-  base.aggregate = workload.queries[0].aggregate;
-  base.measure_terms = workload.queries[0].measure_terms;
-  for (const auto& q : workload.queries) {
-    if (q.fact_table != base.fact_table) {
-      return Status::InvalidArgument("workload queries must share a fact table");
-    }
-  }
-  for (const auto& attr : attributes) {
-    bool present = false;
-    for (const auto& t : base.joined_tables) {
-      if (t == attr.table) {
-        present = true;
-        break;
-      }
-    }
-    if (!present) base.joined_tables.push_back(attr.table);
-  }
-  DPSTARJ_ASSIGN_OR_RETURN(query::BoundQuery bound, binder_.Bind(base));
-  return exec::DataCube::Build(bound, attributes);
-}
-
 Result<std::vector<double>> DpStarJoin::AnswerWorkload(
     const query::Workload& workload,
     const std::vector<query::DimensionAttribute>& attributes, double epsilon,
     bool decompose) {
   if (decompose) {
-    DPSTARJ_ASSIGN_OR_RETURN(exec::DataCube cube,
-                             BuildWorkloadCube(workload, attributes));
+    DPSTARJ_ASSIGN_OR_RETURN(query::BoundQuery base,
+                             BindWorkloadBase(binder_, workload, attributes));
+    DPSTARJ_ASSIGN_OR_RETURN(std::shared_ptr<const exec::ScanPlan> plan,
+                             PlanWorkloadBase(base, *mechanism_.plan_cache()));
     DPSTARJ_RETURN_NOT_OK(SpendBudget(epsilon));
     WorkloadMechanismOptions opts;
     opts.strategy = options_.workload_strategy;
     opts.pma = options_.pma;
-    return AnswerWorkloadWithDecomposition(cube, workload, attributes, epsilon,
-                                           &rng_, opts);
+    return AnswerWorkloadWithDecomposition(base, *plan, workload, attributes,
+                                           epsilon, &rng_, opts);
   }
   // Independent per-query PM (§5.3's baseline), through the batch path:
   // bind every workload query, spend once, then perturb each query
@@ -134,9 +105,11 @@ Result<std::vector<double>> DpStarJoin::AnswerWorkload(
 Result<std::vector<double>> DpStarJoin::TrueWorkload(
     const query::Workload& workload,
     const std::vector<query::DimensionAttribute>& attributes) const {
-  DPSTARJ_ASSIGN_OR_RETURN(exec::DataCube cube,
-                           BuildWorkloadCube(workload, attributes));
-  return TrueWorkloadAnswers(cube, workload, attributes);
+  DPSTARJ_ASSIGN_OR_RETURN(query::BoundQuery base,
+                           BindWorkloadBase(binder_, workload, attributes));
+  DPSTARJ_ASSIGN_OR_RETURN(std::shared_ptr<const exec::ScanPlan> plan,
+                           PlanWorkloadBase(base, *mechanism_.plan_cache()));
+  return TrueWorkloadAnswers(base, *plan, workload, attributes);
 }
 
 std::optional<double> DpStarJoin::RemainingBudget() const {

@@ -101,7 +101,10 @@ class DpStarJoin {
 
   /// \brief Answers a workload of counting queries over the given dimension
   /// attributes under ε-DP. `decompose` selects Workload Decomposition
-  /// (Algorithm 4) vs independent per-query PM (§5.3's baseline).
+  /// (Algorithm 4) vs independent per-query PM (§5.3's baseline). WD
+  /// contracts against W, a plan of the workload's base query kept in the
+  /// mechanism's plan cache (core::PlanWorkloadBase), so W persists across calls
+  /// and extends after an ingest.
   Result<std::vector<double>> AnswerWorkload(
       const query::Workload& workload,
       const std::vector<query::DimensionAttribute>& attributes, double epsilon,
@@ -123,9 +126,6 @@ class DpStarJoin {
 
  private:
   Status SpendBudget(double epsilon);
-  Result<exec::DataCube> BuildWorkloadCube(
-      const query::Workload& workload,
-      const std::vector<query::DimensionAttribute>& attributes) const;
 
   const storage::Catalog* catalog_;
   DpStarJoinOptions options_;

@@ -11,7 +11,7 @@
 //     reported utility: Table 1's Qc4 keeps ~8% error at ε = 0.1 although the
 //     per-endpoint noise scale (2·7/0.025 = 560) dwarfs the year domain — a
 //     mechanism that can change the range *width* at that scale answers with
-//     the wrong selectivity almost surely (DESIGN.md §4).
+//     the wrong selectivity almost surely (docs/design.md).
 //   * kIndependentEndpoints — the verbatim text: each endpoint gets ε/2 of
 //     the budget (noise Lap(2·|dom|/ε)), clamped into the domain, resampled
 //     until the interval is proper (l̂ < r̂), with a bounded retry count and

@@ -1,7 +1,5 @@
 #include "core/predicate_mechanism.h"
 
-#include "common/string_util.h"
-
 namespace dpstarj::core {
 
 Result<exec::PredicateOverrides> PredicateMechanism::PerturbPredicates(
@@ -85,29 +83,6 @@ Result<exec::QueryResult> PredicateMechanism::Execute(
   DPSTARJ_ASSIGN_OR_RETURN(std::shared_ptr<const exec::ScanPlan> plan,
                            plan_cache_->GetOrCompile(q, trace));
   return executor_.Execute(q, overrides, *plan, trace, stats);
-}
-
-Result<double> PredicateMechanism::AnswerWithCube(const query::BoundQuery& q,
-                                                  const exec::DataCube& cube,
-                                                  double epsilon, Rng* rng) const {
-  if (!q.group_key_layout.empty()) {
-    return Status::NotSupported("cube path does not support GROUP BY");
-  }
-  DPSTARJ_ASSIGN_OR_RETURN(exec::PredicateOverrides overrides,
-                           PerturbPredicates(q, epsilon, rng));
-  // Collect the noisy predicates in dims-then-predicate order — the cube axis
-  // order of BuildFromQueryPredicates.
-  std::vector<const query::BoundPredicate*> preds;
-  for (size_t i = 0; i < q.dims.size(); ++i) {
-    if (!overrides[i].has_value()) continue;
-    for (const auto& p : *overrides[i]) preds.push_back(&p);
-  }
-  if (preds.size() != cube.axes().size()) {
-    return Status::InvalidArgument(
-        Format("cube has %zu axes but the query has %zu predicates",
-               cube.axes().size(), preds.size()));
-  }
-  return cube.Evaluate(preds);
 }
 
 }  // namespace dpstarj::core

@@ -17,7 +17,6 @@
 #include "common/random.h"
 #include "common/result.h"
 #include "core/pma.h"
-#include "exec/data_cube.h"
 #include "exec/plan_cache.h"
 #include "exec/query_result.h"
 #include "exec/star_join_executor.h"
@@ -88,14 +87,6 @@ class PredicateMechanism {
       const std::vector<BatchQueryRef>& batch, Rng* rng,
       obs::Trace* trace = nullptr,
       exec::WorkloadExecStats* stats = nullptr) const;
-
-  /// \brief Fast path for repeated-run experiments: evaluates the noisy
-  /// predicates against a pre-built cube (must be built with
-  /// DataCube::BuildFromQueryPredicates over the same query). Scalar
-  /// aggregates only.
-  Result<double> AnswerWithCube(const query::BoundQuery& q,
-                                const exec::DataCube& cube, double epsilon,
-                                Rng* rng) const;
 
   /// The plan cache answering executions (for stats and admin Clear()).
   const std::shared_ptr<exec::PlanCache>& plan_cache() const { return plan_cache_; }

@@ -44,15 +44,6 @@ class KeyIndex {
   static Result<KeyIndex> Build(const std::vector<int64_t>& keys,
                                 const std::vector<int32_t>& payload);
 
-  /// \brief The dense-vs-hash decision shared by every int64 key-space
-  /// lookup in the engine (this index and the cube's axis LUTs): a dense
-  /// offset table pays off while the key range is at most kDensityFactor ×
-  /// the key count, plus slack so tiny tables always go dense.
-  static bool DenseRangeWorthwhile(size_t num_keys, uint64_t range) {
-    return range <
-           static_cast<uint64_t>(num_keys) * kDensityFactor + kDensitySlack;
-  }
-
   /// Payload of `key`, or kAbsent.
   int32_t Lookup(int64_t key) const {
     if (dense_) {
@@ -68,6 +59,14 @@ class KeyIndex {
  private:
   static constexpr int64_t kDensityFactor = 4;
   static constexpr int64_t kDensitySlack = 1024;
+
+  /// The dense-vs-hash decision: a dense offset table pays off while the
+  /// key range is at most kDensityFactor × the key count, plus slack so tiny
+  /// tables always go dense.
+  static bool DenseRangeWorthwhile(size_t num_keys, uint64_t range) {
+    return range <
+           static_cast<uint64_t>(num_keys) * kDensityFactor + kDensitySlack;
+  }
 
   bool dense_ = false;
   int64_t min_key_ = 0;

@@ -30,21 +30,6 @@
 
 namespace dpstarj::exec {
 
-/// \brief Pads and aligns a per-worker slot to its own coherence granule.
-///
-/// Worker partials live in contiguous vectors (one slot per role) and are
-/// written on every morsel; unpadded, slots of adjacent workers land on the
-/// same cache line and each accumulate turns into cross-core ownership
-/// ping-pong (false sharing) — measurable as scan throughput that *drops*
-/// when workers are added. 64 bytes covers the destructive-interference
-/// granule of every x86-64 and AArch64 server part we target (HostCpu()
-/// reports the actual line size for diagnostics, but alignment must be a
-/// compile-time constant).
-template <typename T>
-struct alignas(64) CacheAligned {
-  T value;
-};
-
 /// \brief Topology-derived default morsel granularity in fact rows: sized so
 /// one morsel's streaming working set (~32 bytes per row: resolved dimension
 /// rows, packed group code, weight) stays within the detected per-core L2
@@ -76,8 +61,8 @@ class MorselPool {
   /// \brief Resolves a worker count for a morsel scan of `total` items:
   /// `threads` ≤ 0 means one worker per hardware thread, and the result
   /// never exceeds the number of morsels, so tiny scans stay on the calling
-  /// thread. Shared by every MorselPool caller (executor, plan sweep, cube
-  /// build) so the 0-means-auto rule lives in one place.
+  /// thread. Shared by every MorselPool caller so the 0-means-auto rule lives
+  /// in one place.
   static int ResolveWorkers(int threads, int64_t morsel_size, int64_t total);
 
   /// Number of worker threads currently in the pool.

@@ -40,7 +40,7 @@ struct QueryResult {
   /// For GROUP BY queries this is the error of the grand aggregate — the
   /// metric the paper's Table 1 Qg rows are consistent with (per-group label
   /// matching degenerates to ~100% whenever a perturbed predicate moves the
-  /// group universe; see EXPERIMENTS.md).
+  /// group universe; see docs/design.md).
   double TotalRelativeErrorPercent(const QueryResult& truth) const;
 
   /// Debug rendering.

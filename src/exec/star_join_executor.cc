@@ -220,4 +220,70 @@ Result<QueryResult> StarJoinExecutor::Execute(const query::BoundQuery& q,
   return acc.Finalize(q);
 }
 
+Result<double> ContractPlan(const ScanPlan& plan,
+                            const std::vector<ContractionAxis>& axes,
+                            const std::vector<std::vector<double>>& weights) {
+  if (weights.size() != axes.size()) {
+    return Status::InvalidArgument(
+        Format("%zu weight vectors for %zu axes", weights.size(), axes.size()));
+  }
+  // The layout, as in Execute: per axis, unit → class (a fact row's class is
+  // its dimension row) and class → domain ordinal.
+  const bool cells = plan.cells != nullptr;
+  std::vector<const int32_t*> unit_class(axes.size());
+  std::vector<const int64_t*> ordinals(axes.size());
+  for (size_t a = 0; a < axes.size(); ++a) {
+    const ContractionAxis& axis = axes[a];
+    if (axis.dim >= plan.dims.size() ||
+        axis.table >= plan.dims[axis.dim].ordinal_tables.size()) {
+      return Status::InvalidArgument(
+          Format("axis %zu names no ordinal table of the plan", a));
+    }
+    const PlanDim::OrdinalTable& t =
+        (cells ? plan.cells->classes[axis.dim] : plan.dims[axis.dim])
+            .ordinal_tables[axis.table];
+    if (static_cast<int64_t>(weights[a].size()) != t.domain.size()) {
+      return Status::InvalidArgument(
+          Format("axis %zu has %zu weights for a domain of %lld", a,
+                 weights[a].size(), static_cast<long long>(t.domain.size())));
+    }
+    unit_class[a] = cells ? plan.cells->cell_class[axis.dim].data()
+                          : plan.fact_dim_row[axis.dim]->rows.data();
+    ordinals[a] = t.ordinals.data();
+  }
+  // Fact rows whose foreign key misses a dimension belong to no cell; on the
+  // row layout they must be skipped before any ordinal lookup.
+  std::vector<const JoinColumn*> may_miss;
+  if (!cells) {
+    for (const auto& column : plan.fact_dim_row) {
+      if (column->has_absent_fk) may_miss.push_back(column.get());
+    }
+  }
+  const int64_t units = cells ? plan.cells->num_cells() : plan.fact_rows();
+  const double* unit_weight =
+      plan.weights == nullptr ? nullptr
+      : cells                 ? plan.cells->weights.data()
+                              : plan.weights->values.data();
+  double sum = 0.0;
+  for (int64_t u = 0; u < units; ++u) {
+    if (std::any_of(may_miss.begin(), may_miss.end(), [u](const JoinColumn* c) {
+          return c->rows[static_cast<size_t>(u)] == c->dim_rows;
+        })) {
+      continue;
+    }
+    double w = 1.0;  // a fact row of a COUNT
+    if (unit_weight != nullptr) {
+      w = unit_weight[u];
+    } else if (cells) {
+      w = static_cast<double>(plan.cells->counts[static_cast<size_t>(u)]);
+    }
+    for (size_t a = 0; a < axes.size() && w != 0.0; ++a) {
+      const int64_t ordinal = ordinals[a][unit_class[a][u]];
+      w = ordinal < 0 ? 0.0 : w * weights[a][static_cast<size_t>(ordinal)];
+    }
+    sum += w;
+  }
+  return sum;
+}
+
 }  // namespace dpstarj::exec

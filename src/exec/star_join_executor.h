@@ -19,7 +19,8 @@
 // (below; see exec/group_code.h, exec/parallel.h). Repeated callers share
 // compiled plans through exec/plan_cache.h, and a batch answers each of its
 // entries with its own Execute (core/predicate_mechanism.h AnswerBatch).
-// exec/naive_executor.h is the independent test oracle.
+// ContractPlan, below, reads the same two layouts for Workload
+// Decomposition. exec/naive_executor.h is the independent test oracle.
 //
 // Association contract. A row-layout sweep adds each chunk's terms
 // (kernels::SumChunk) in chunk order per worker, then merges the workers in
@@ -123,6 +124,26 @@ class StarJoinExecutor {
  private:
   ExecutorOptions options_;
 };
+
+/// \brief One axis of ContractPlan: dimension `dim` of a plan and its
+/// memoized ordinal table `table` (PlanDim::ordinal_tables).
+struct ContractionAxis {
+  size_t dim = 0;
+  size_t table = 0;
+};
+
+/// \brief The weighted contraction of Workload Decomposition against W
+/// (paper Eq. 11): Σ over the plan's units — its cells when it has them,
+/// else its fact rows — of the unit's weight (COUNT: its row count; SUM: its
+/// weight sum) × Π_a weights[a][the unit's ordinal on axes[a]]. A unit whose
+/// value lies outside an axis's domain contributes nothing, and neither does
+/// a fact row whose foreign key misses its dimension. Runs on the calling
+/// thread. Fails when `weights` and `axes` differ in arity, when an axis
+/// names no memoized table of the plan, or when a weight vector's size is
+/// not its axis's domain size.
+Result<double> ContractPlan(const ScanPlan& plan,
+                            const std::vector<ContractionAxis>& axes,
+                            const std::vector<std::vector<double>>& weights);
 
 /// \brief The accumulate step of a sweep — everything after a chunk's pass
 /// mask is known — shared by StarJoinExecutor and the SweepPlanRows test

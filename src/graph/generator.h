@@ -4,7 +4,7 @@
 // (144k nodes / 847k edges, social) and Amazon (335k / 926k, co-purchase)
 // networks, which are not redistributable inside this repository; we
 // synthesize Chung–Lu power-law graphs with matching node/edge counts and
-// heavy-tailed degree sequences (DESIGN.md §3 documents the substitution —
+// heavy-tailed degree sequences (docs/design.md documents the substitution —
 // k-star counts and their sensitivities depend only on the degree sequence).
 
 #pragma once

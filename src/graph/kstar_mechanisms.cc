@@ -37,7 +37,7 @@ Result<KStarAnswer> AnswerKStarWithPm(const Graph& g, const KStarIndex& index,
   // the width-preserving (shared-shift) reading a full-width interval has a
   // single feasible placement — the release would be deterministic and hence
   // not differentially private — so the k-star mechanisms use the verbatim
-  // independent-endpoint perturbation of Algorithm 2 (DESIGN.md §4).
+  // independent-endpoint perturbation of Algorithm 2 (docs/design.md).
   pma.range_mode = core::PmaRangeMode::kIndependentEndpoints;
   DPSTARJ_ASSIGN_OR_RETURN(query::BoundPredicate noisy,
                            core::PerturbPredicate(pred, epsilon, rng, pma));

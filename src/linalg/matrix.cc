@@ -50,16 +50,6 @@ std::vector<double> Matrix::Row(int r) const {
                              data_.begin() + static_cast<long>(r + 1) * cols_);
 }
 
-Status Matrix::SetRow(int r, const std::vector<double>& values) {
-  if (r < 0 || r >= rows_) return Status::OutOfRange("row index OOB");
-  if (static_cast<int>(values.size()) != cols_) {
-    return Status::InvalidArgument("SetRow: wrong arity");
-  }
-  std::copy(values.begin(), values.end(),
-            data_.begin() + static_cast<long>(r) * cols_);
-  return Status::OK();
-}
-
 Matrix Matrix::Transposed() const {
   Matrix t(cols_, rows_);
   for (int r = 0; r < rows_; ++r) {
@@ -84,34 +74,6 @@ Result<Matrix> Matrix::Multiply(const Matrix& other) const {
       }
     }
   }
-  return out;
-}
-
-Result<std::vector<double>> Matrix::MultiplyVector(const std::vector<double>& v) const {
-  if (static_cast<int>(v.size()) != cols_) {
-    return Status::InvalidArgument("matvec shape mismatch");
-  }
-  std::vector<double> out(static_cast<size_t>(rows_), 0.0);
-  for (int i = 0; i < rows_; ++i) {
-    double s = 0.0;
-    for (int j = 0; j < cols_; ++j) s += At(i, j) * v[static_cast<size_t>(j)];
-    out[static_cast<size_t>(i)] = s;
-  }
-  return out;
-}
-
-Result<Matrix> Matrix::Add(const Matrix& other) const {
-  if (rows_ != other.rows_ || cols_ != other.cols_) {
-    return Status::InvalidArgument("add shape mismatch");
-  }
-  Matrix out = *this;
-  for (size_t i = 0; i < data_.size(); ++i) out.data_[i] += other.data_[i];
-  return out;
-}
-
-Matrix Matrix::Scaled(double s) const {
-  Matrix out = *this;
-  for (double& x : out.data_) x *= s;
   return out;
 }
 
@@ -182,39 +144,6 @@ Result<Matrix> Matrix::PseudoInverse() const {
   DPSTARJ_ASSIGN_OR_RETURN(Matrix gram, Multiply(t));
   DPSTARJ_ASSIGN_OR_RETURN(Matrix gram_inv, RidgeInverse(gram));
   return t.Multiply(gram_inv);
-}
-
-double Matrix::MaxAbs() const {
-  double m = 0.0;
-  for (double x : data_) m = std::max(m, std::abs(x));
-  return m;
-}
-
-double Matrix::FrobeniusNorm() const {
-  double s = 0.0;
-  for (double x : data_) s += x * x;
-  return std::sqrt(s);
-}
-
-double Matrix::MaxColumnAbsSum() const {
-  double best = 0.0;
-  for (int c = 0; c < cols_; ++c) {
-    double s = 0.0;
-    for (int r = 0; r < rows_; ++r) s += std::abs(At(r, c));
-    best = std::max(best, s);
-  }
-  return best;
-}
-
-std::string Matrix::ToString() const {
-  std::string out = Format("Matrix %dx%d\n", rows_, cols_);
-  for (int r = 0; r < rows_; ++r) {
-    for (int c = 0; c < cols_; ++c) {
-      out += Format("%8.3f ", At(r, c));
-    }
-    out += "\n";
-  }
-  return out;
 }
 
 }  // namespace dpstarj::linalg

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -34,22 +33,12 @@ class Matrix {
 
   /// One row as a vector.
   std::vector<double> Row(int r) const;
-  /// Overwrites one row.
-  Status SetRow(int r, const std::vector<double>& values);
 
   /// Transpose.
   Matrix Transposed() const;
 
   /// Matrix product; shape mismatch returns InvalidArgument.
   Result<Matrix> Multiply(const Matrix& other) const;
-
-  /// Matrix–vector product; size mismatch returns InvalidArgument.
-  Result<std::vector<double>> MultiplyVector(const std::vector<double>& v) const;
-
-  /// Element-wise sum; shape mismatch returns InvalidArgument.
-  Result<Matrix> Add(const Matrix& other) const;
-  /// Scalar multiple.
-  Matrix Scaled(double s) const;
 
   /// \brief Inverse via Gauss–Jordan with partial pivoting. Requires square;
   /// singular matrices return InvalidArgument.
@@ -61,17 +50,6 @@ class Matrix {
   /// matrix is singular, a small ridge (λI, λ = 1e-10·trace) is applied —
   /// adequate for the well-conditioned 0/1 strategy matrices WD uses.
   Result<Matrix> PseudoInverse() const;
-
-  /// max_ij |a_ij|.
-  double MaxAbs() const;
-  /// Frobenius norm.
-  double FrobeniusNorm() const;
-  /// Maximum column absolute sum (the L1→L1 operator norm); this is the
-  /// Laplace sensitivity of answering the rows of a linear query matrix.
-  double MaxColumnAbsSum() const;
-
-  /// Debug rendering (small matrices only).
-  std::string ToString() const;
 
   bool operator==(const Matrix& o) const {
     return rows_ == o.rows_ && cols_ == o.cols_ && data_ == o.data_;

@@ -25,7 +25,7 @@ struct IntervalStrategy {
   /// The 0/1 indicator matrix (|intervals| × domain_size).
   Matrix AsMatrix() const;
 
-  /// Human-readable strategy name, for logs and EXPERIMENTS.md.
+  /// Human-readable strategy name, for logs and bench diagnostics.
   std::string description;
 };
 

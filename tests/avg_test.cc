@@ -5,9 +5,10 @@
 #include <gtest/gtest.h>
 
 #include "core/dp_star_join.h"
+#include "core/workload_mechanism.h"
 #include "exec/contribution_index.h"
-#include "exec/data_cube.h"
 #include "exec/naive_executor.h"
+#include "exec/scan_plan.h"
 #include "exec/star_join_executor.h"
 #include "query/binder.h"
 #include "query/parser.h"
@@ -110,12 +111,24 @@ TEST_F(AvgTest, BinderRequiresMeasure) {
   EXPECT_FALSE(binder_.Bind(q).ok());
 }
 
-TEST_F(AvgTest, CubeAndContributionsRefuseAvg) {
+TEST_F(AvgTest, WorkloadBaseAndContributionsRefuseAvg) {
   auto bound = binder_.Bind(AvgQtyByRegion("E"));
   ASSERT_TRUE(bound.ok());
-  auto cube = exec::DataCube::BuildFromQueryPredicates(*bound);
-  ASSERT_FALSE(cube.ok());
-  EXPECT_EQ(cube.status().code(), StatusCode::kNotSupported);
+  query::Workload workload;
+  workload.queries = {AvgQtyByRegion("E")};
+  const std::vector<query::DimensionAttribute> attributes = {
+      {"Cust", "region", testing_fixture::RegionDomain()}};
+  auto base = core::BindWorkloadBase(binder_, workload, attributes);
+  ASSERT_FALSE(base.ok());
+  EXPECT_EQ(base.status().code(), StatusCode::kNotSupported);
+  // Bound directly, the AVG query has the attribute's predicate and its plan
+  // the ordinal table, so only the aggregate keeps W's readers from it.
+  exec::PlanColumnStore columns;
+  auto plan = exec::ScanPlan::Compile(*bound, columns);
+  ASSERT_TRUE(plan.ok());
+  auto truth = core::TrueWorkloadAnswers(*bound, *plan, workload, attributes);
+  ASSERT_FALSE(truth.ok());
+  EXPECT_EQ(truth.status().code(), StatusCode::kNotSupported);
   auto idx = exec::BuildContributionIndex(*bound, {"Cust"});
   ASSERT_FALSE(idx.ok());
   EXPECT_EQ(idx.status().code(), StatusCode::kNotSupported);

@@ -1,12 +1,13 @@
-// Tests for the contribution index (baseline sensitivities) and the data
-// cube, cross-checked against the executor and the naive oracle.
+// Tests for the contribution index (baseline sensitivities) and the
+// contraction of W over a plan's rows and cells, cross-checked against the
+// executor and the naive oracle.
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
 #include "exec/contribution_index.h"
-#include "exec/data_cube.h"
 #include "exec/naive_executor.h"
+#include "exec/scan_plan.h"
 #include "exec/star_join_executor.h"
 #include "query/binder.h"
 #include "test_catalog.h"
@@ -111,186 +112,131 @@ TEST_F(ContributionTest, Errors) {
   EXPECT_FALSE(BuildContributionIndex(*bound, {"Nope"}).ok());
 }
 
-class CubeTest : public ::testing::Test {
+// The contraction of W (ContractPlan), over both layouts of one plan: its
+// fact rows, and its cells. The toy query's plan has one ordinal table per
+// dimension: region (3 values) and cat (4 values).
+class ContractionTest : public ::testing::TestWithParam<bool> {
  protected:
-  CubeTest() : catalog_(MakeToyCatalog()), binder_(&catalog_) {}
-  storage::Catalog catalog_;
-  Binder binder_;
-};
+  ContractionTest() : catalog_(MakeToyCatalog()), binder_(&catalog_) {}
 
-TEST_F(CubeTest, TotalsMatchExecutor) {
-  auto bound = binder_.Bind(ToyCountQuery());
-  ASSERT_TRUE(bound.ok());
-  auto cube = DataCube::BuildFromQueryPredicates(*bound);
-  ASSERT_TRUE(cube.ok()) << cube.status().ToString();
-  EXPECT_EQ(cube->axes().size(), 2u);
-  EXPECT_EQ(cube->num_cells(), 12);  // 3 regions × 4 cats
-  EXPECT_EQ(cube->dropped_rows(), 0);
-  EXPECT_DOUBLE_EQ(cube->total(), 12.0);
-
-  // Evaluating the query's own predicates must equal the executor.
-  auto preds = bound->Predicates();
-  auto cube_answer = cube->Evaluate(preds);
-  ASSERT_TRUE(cube_answer.ok());
-  StarJoinExecutor executor;
-  auto exec_answer = executor.Execute(*bound);
-  ASSERT_TRUE(exec_answer.ok());
-  EXPECT_DOUBLE_EQ(*cube_answer, exec_answer->scalar);
-}
-
-TEST_F(CubeTest, CellValues) {
-  auto bound = binder_.Bind(ToyCountQuery());
-  ASSERT_TRUE(bound.ok());
-  auto cube = DataCube::BuildFromQueryPredicates(*bound);
-  ASSERT_TRUE(cube.ok());
-  // Region N (idx 0) × cat a (idx 0): rows (1,1),(2,1) → 2.
-  EXPECT_DOUBLE_EQ(cube->CellAt({0, 0}), 2.0);
-  // Region E (idx 2) × cat b (idx 1): rows (5,2),(6,2) → 2.
-  EXPECT_DOUBLE_EQ(cube->CellAt({2, 1}), 2.0);
-}
-
-TEST_F(CubeTest, EvaluateWeightedMatchesIndicator) {
-  auto bound = binder_.Bind(ToyCountQuery());
-  ASSERT_TRUE(bound.ok());
-  auto cube = DataCube::BuildFromQueryPredicates(*bound);
-  ASSERT_TRUE(cube.ok());
-  // Indicator weights equal to the predicates → same answer as Evaluate.
-  std::vector<std::vector<double>> weights = {{1, 0, 0}, {1, 0, 0, 0}};
-  auto w = cube->EvaluateWeighted(weights);
-  ASSERT_TRUE(w.ok());
-  EXPECT_DOUBLE_EQ(*w, 2.0);
-  // Fractional weights scale linearly.
-  weights[0] = {0.5, 0, 0};
-  EXPECT_DOUBLE_EQ(*cube->EvaluateWeighted(weights), 1.0);
-}
-
-TEST_F(CubeTest, Marginals) {
-  auto bound = binder_.Bind(ToyCountQuery());
-  ASSERT_TRUE(bound.ok());
-  auto cube = DataCube::BuildFromQueryPredicates(*bound);
-  ASSERT_TRUE(cube.ok());
-  auto region_marginal = cube->Marginal(0);
-  ASSERT_TRUE(region_marginal.ok());
-  EXPECT_EQ(region_marginal->size(), 3u);
-  EXPECT_DOUBLE_EQ((*region_marginal)[0], 4.0);  // region N rows
-  EXPECT_DOUBLE_EQ((*region_marginal)[1], 4.0);
-  EXPECT_DOUBLE_EQ((*region_marginal)[2], 4.0);
-  EXPECT_FALSE(cube->Marginal(5).ok());
-}
-
-TEST_F(CubeTest, SumCube) {
-  StarJoinQuery q = ToyCountQuery();
-  q.aggregate = query::AggregateKind::kSum;
-  q.measure_terms = {{"qty", 1.0}};
-  auto bound = binder_.Bind(q);
-  ASSERT_TRUE(bound.ok());
-  auto cube = DataCube::BuildFromQueryPredicates(*bound);
-  ASSERT_TRUE(cube.ok());
-  EXPECT_DOUBLE_EQ(cube->total(), 27.0);
-  // N × a: qty 2 (row 1,1) + 3 (row 2,1) = 5.
-  EXPECT_DOUBLE_EQ(cube->CellAt({0, 0}), 5.0);
-}
-
-TEST_F(CubeTest, ErrorsAndGuards) {
-  auto bound = binder_.Bind(ToyCountQuery());
-  ASSERT_TRUE(bound.ok());
-  EXPECT_FALSE(DataCube::Build(*bound, {}).ok());
-  auto cube = DataCube::BuildFromQueryPredicates(*bound);
-  ASSERT_TRUE(cube.ok());
-  EXPECT_FALSE(cube->Evaluate({}).ok());  // arity
-  EXPECT_FALSE(cube->EvaluateWeighted({{1, 0, 0}}).ok());
-  EXPECT_FALSE(cube->EvaluateWeighted({{1, 0}, {1, 0, 0, 0}}).ok());
-}
-
-// Property: cube evaluation ≡ executor for random predicates.
-class CubeEquivalence : public ::testing::TestWithParam<int> {};
-
-TEST_P(CubeEquivalence, MatchesExecutor) {
-  storage::Catalog catalog = MakeToyCatalog();
-  Binder binder(&catalog);
-  Rng rng(static_cast<uint64_t>(GetParam()) * 131 + 3);
-
-  int64_t rlo = rng.UniformInt(0, 2), rhi = rng.UniformInt(rlo, 2);
-  int64_t clo = rng.UniformInt(0, 3), chi = rng.UniformInt(clo, 3);
-  StarJoinQuery q;
-  q.fact_table = "Orders";
-  q.joined_tables = {"Cust", "Prod"};
-  q.predicates.push_back(Predicate::RangeIndex("Cust", "region", rlo, rhi));
-  q.predicates.push_back(Predicate::RangeIndex("Prod", "cat", clo, chi));
-  auto bound = binder.Bind(q);
-  ASSERT_TRUE(bound.ok());
-  auto cube = DataCube::BuildFromQueryPredicates(*bound);
-  ASSERT_TRUE(cube.ok());
-  StarJoinExecutor executor;
-  auto exec_r = executor.Execute(*bound);
-  auto cube_r = cube->Evaluate(bound->Predicates());
-  ASSERT_TRUE(exec_r.ok());
-  ASSERT_TRUE(cube_r.ok());
-  EXPECT_DOUBLE_EQ(exec_r->scalar, *cube_r);
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomRanges, CubeEquivalence, ::testing::Range(0, 20));
-
-// Every cell of `cube` against the oracle: one point query per cell, each
-// axis predicate pinned to the cell's ordinal through overrides
-// (BuildFromQueryPredicates lays one axis per predicate, in dims-then-
-// predicate order), and the total as the sum of the cells.
-void ExpectCubeMatchesNaive(const DataCube& cube, const query::BoundQuery& q) {
-  std::vector<int64_t> sizes;
-  for (const auto& axis : cube.axes()) sizes.push_back(axis.domain.size());
-  std::vector<int64_t> idx(sizes.size(), 0);
-  double cell_sum = 0.0;
-  for (int64_t cell = 0; cell < cube.num_cells(); ++cell) {
-    PredicateOverrides overrides(q.dims.size());
-    size_t axis = 0;
-    for (size_t i = 0; i < q.dims.size(); ++i) {
-      if (q.dims[i].predicates.empty()) continue;
-      std::vector<query::BoundPredicate> point = q.dims[i].predicates;
-      for (auto& p : point) {
-        p.kind = query::PredicateKind::kPoint;
-        p.lo_index = p.hi_index = idx[axis++];
-      }
-      overrides[i] = std::move(point);
-    }
-    auto naive = ExecuteNaive(q, overrides);
-    ASSERT_TRUE(naive.ok()) << naive.status().ToString();
-    EXPECT_EQ(naive->scalar, cube.CellAt(idx)) << "cell " << cell;
-    cell_sum += cube.CellAt(idx);
-    for (int a = static_cast<int>(sizes.size()) - 1; a >= 0; --a) {
-      if (++idx[static_cast<size_t>(a)] < sizes[static_cast<size_t>(a)]) break;
-      idx[static_cast<size_t>(a)] = 0;
-    }
-  }
-  EXPECT_EQ(cube.total(), cell_sum);
-}
-
-TEST_F(CubeTest, BuildMatchesNaivePointQueriesAtEveryThreadCount) {
-  for (bool as_sum : {false, true}) {
+  // The toy query, COUNT or SUM(qty), bound.
+  query::BoundQuery Toy(bool as_sum) {
     StarJoinQuery q = ToyCountQuery();
     if (as_sum) {
       q.aggregate = query::AggregateKind::kSum;
       q.measure_terms = {{"qty", 1.0}};
     }
     auto bound = binder_.Bind(q);
-    ASSERT_TRUE(bound.ok());
+    DPSTARJ_CHECK(bound.ok(), "toy bind");
+    return std::move(*bound);
+  }
 
-    for (int threads : {1, 2, 4}) {
-      CubeOptions options;
-      options.threads = threads;
-      options.morsel_size = 5;  // force several morsels on the 12-row fact
-      auto got = DataCube::BuildFromQueryPredicates(*bound, options);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      ExpectCubeMatchesNaive(*got, *bound);
-      // Every fixture row joins with in-domain values: 12 orders, Σqty = 27.
-      EXPECT_EQ(got->dropped_rows(), 0);
-      EXPECT_EQ(got->total(), as_sum ? 27.0 : 12.0);
+  storage::Catalog catalog_;
+  Binder binder_;
+};
+
+// A plan of `q` in the layout under test: its fact rows, or its cells.
+ScanPlan LayoutOf(const query::BoundQuery& q, bool cells) {
+  PlanColumnStore columns;
+  auto plan = ScanPlan::Compile(q, columns);
+  DPSTARJ_CHECK(plan.ok(), "compile");
+  if (!cells) return std::move(*plan);
+  auto with = ScanPlan::WithCells(*plan, q, 1 << 20);
+  DPSTARJ_CHECK(with.ok() && with->cells != nullptr, "cells");
+  return std::move(*with);
+}
+
+const std::vector<ContractionAxis> kToyAxes = {{0, 0}, {1, 0}};
+
+// The toy query with its region and cat predicates replaced by intervals.
+PredicateOverrides Intervals(const query::BoundQuery& q, int64_t rlo,
+                             int64_t rhi, int64_t clo, int64_t chi) {
+  PredicateOverrides overrides(q.dims.size());
+  const int64_t bounds[2][2] = {{rlo, rhi}, {clo, chi}};
+  for (size_t i = 0; i < 2; ++i) {
+    query::BoundPredicate p = q.dims[i].predicates[0];
+    p.kind = query::PredicateKind::kRange;
+    p.lo_index = bounds[i][0];
+    p.hi_index = bounds[i][1];
+    overrides[i] = std::vector<query::BoundPredicate>{p};
+  }
+  return overrides;
+}
+
+std::vector<double> Indicator(size_t size, int64_t lo, int64_t hi) {
+  std::vector<double> w(size, 0.0);
+  for (int64_t k = lo; k <= hi; ++k) w[static_cast<size_t>(k)] = 1.0;
+  return w;
+}
+
+TEST_P(ContractionTest, OneHotWeightsMatchNaivePointQueries) {
+  for (bool as_sum : {false, true}) {
+    const query::BoundQuery q = Toy(as_sum);
+    const ScanPlan plan = LayoutOf(q, GetParam());
+    double total = 0.0;
+    for (int64_t r = 0; r < 3; ++r) {
+      for (int64_t c = 0; c < 4; ++c) {
+        auto got = ContractPlan(plan, kToyAxes,
+                                {Indicator(3, r, r), Indicator(4, c, c)});
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        auto naive = ExecuteNaive(q, Intervals(q, r, r, c, c));
+        ASSERT_TRUE(naive.ok());
+        EXPECT_EQ(*got, naive->scalar) << "region " << r << " cat " << c;
+        total += *got;
+      }
     }
+    EXPECT_EQ(total, as_sum ? 27.0 : 12.0);
   }
 }
 
-TEST_F(CubeTest, DroppedRowAccountingMatchesHandCounts) {
+TEST_P(ContractionTest, AllOnesWeightsMatchExecutor) {
+  for (bool as_sum : {false, true}) {
+    const query::BoundQuery q = Toy(as_sum);
+    auto got = ContractPlan(LayoutOf(q, GetParam()), kToyAxes,
+                            {std::vector<double>(3, 1.0),
+                             std::vector<double>(4, 1.0)});
+    ASSERT_TRUE(got.ok());
+    auto executed = StarJoinExecutor().Execute(q, Intervals(q, 0, 2, 0, 3));
+    ASSERT_TRUE(executed.ok());
+    EXPECT_EQ(*got, executed->scalar);
+    EXPECT_EQ(*got, as_sum ? 27.0 : 12.0);  // 12 orders, Σqty = 27
+  }
+}
+
+TEST_P(ContractionTest, FractionalWeightsScaleLinearly) {
+  const ScanPlan plan = LayoutOf(Toy(false), GetParam());
+  // Region N × cat a holds 2 rows.
+  EXPECT_EQ(*ContractPlan(plan, kToyAxes, {{1, 0, 0}, {1, 0, 0, 0}}), 2.0);
+  EXPECT_EQ(*ContractPlan(plan, kToyAxes, {{0.5, 0, 0}, {1, 0, 0, 0}}), 1.0);
+  EXPECT_EQ(*ContractPlan(plan, kToyAxes, {{0.5, 0, 0}, {0.25, 0, 0, 0}}), 0.25);
+  // Linear in each axis's weights: doubling one vector doubles the answer.
+  const std::vector<double> region = {0.3, -1.5, 2.0};
+  const std::vector<double> cat = {0.7, 0.1, -0.4, 1.0};
+  std::vector<double> doubled = region;
+  for (double& w : doubled) w *= 2.0;
+  EXPECT_DOUBLE_EQ(*ContractPlan(plan, kToyAxes, {doubled, cat}),
+                   2.0 * *ContractPlan(plan, kToyAxes, {region, cat}));
+}
+
+TEST_P(ContractionTest, IntervalIndicatorsMatchNaive) {
+  const query::BoundQuery q = Toy(false);
+  const ScanPlan plan = LayoutOf(q, GetParam());
+  Rng rng(131);
+  for (int trial = 0; trial < 20; ++trial) {
+    int64_t rlo = rng.UniformInt(0, 2), rhi = rng.UniformInt(rlo, 2);
+    int64_t clo = rng.UniformInt(0, 3), chi = rng.UniformInt(clo, 3);
+    auto got = ContractPlan(plan, kToyAxes,
+                            {Indicator(3, rlo, rhi), Indicator(4, clo, chi)});
+    ASSERT_TRUE(got.ok());
+    auto naive = ExecuteNaive(q, Intervals(q, rlo, rhi, clo, chi));
+    ASSERT_TRUE(naive.ok());
+    EXPECT_EQ(*got, naive->scalar) << "trial " << trial;
+  }
+}
+
+TEST_P(ContractionTest, OutOfDomainAndDanglingRowsCountForNothing) {
   // D(k pk, v ∈ [0,2]) with one out-of-domain value; F references a missing
-  // key too — both kinds of rows must be dropped at every thread count.
+  // key too. Neither row may count.
   storage::Catalog catalog;
   storage::Schema dim_schema(
       {storage::Field("k", storage::ValueType::kInt64),
@@ -318,45 +264,24 @@ TEST_F(CubeTest, DroppedRowAccountingMatchesHandCounts) {
   Binder binder(&catalog);
   auto bound = binder.Bind(q);
   ASSERT_TRUE(bound.ok()) << bound.status().ToString();
-
-  for (int threads : {1, 2, 4}) {
-    CubeOptions options;
-    options.threads = threads;
-    options.morsel_size = 2;
-    auto got = DataCube::BuildFromQueryPredicates(*bound, options);
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(got->dropped_rows(), 2);  // fk=2 (bad value) and fk=99
-    EXPECT_EQ(got->total(), 2.0);
-    ExpectCubeMatchesNaive(*got, *bound);
-  }
+  auto got = ContractPlan(LayoutOf(*bound, GetParam()), {{0, 0}},
+                          {std::vector<double>(3, 1.0)});
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, 2.0);  // fk=2 (bad value) and fk=99 count for nothing
 }
 
-TEST_F(CubeTest, EvaluateBoxSweepMatchesMaskReference) {
-  auto bound = binder_.Bind(ToyCountQuery());
-  ASSERT_TRUE(bound.ok());
-  auto cube = DataCube::BuildFromQueryPredicates(*bound);
-  ASSERT_TRUE(cube.ok());
-  Rng rng(77);
-  for (int trial = 0; trial < 50; ++trial) {
-    query::BoundPredicate p0 = bound->dims[0].predicates[0];
-    query::BoundPredicate p1 = bound->dims[1].predicates[0];
-    p0.lo_index = rng.UniformInt(0, 2);
-    p0.hi_index = rng.UniformInt(p0.lo_index, 2);
-    p1.lo_index = rng.UniformInt(0, 3);
-    p1.hi_index = rng.UniformInt(p1.lo_index, 3);
-    std::vector<const query::BoundPredicate*> preds = {&p0, &p1};
-    // Mask reference: walk every cell, apply Matches per axis.
-    double expected = 0.0;
-    for (int64_t i = 0; i < 3; ++i) {
-      for (int64_t j = 0; j < 4; ++j) {
-        if (p0.Matches(i) && p1.Matches(j)) expected += cube->CellAt({i, j});
-      }
-    }
-    auto got = cube->Evaluate(preds);
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(expected, *got) << "trial " << trial;
-  }
+TEST_P(ContractionTest, ReportsArityAxisAndSizeErrors) {
+  const ScanPlan plan = LayoutOf(Toy(false), GetParam());
+  EXPECT_FALSE(ContractPlan(plan, kToyAxes, {{1, 0, 0}}).ok());  // arity
+  EXPECT_FALSE(ContractPlan(plan, {{2, 0}}, {{1, 0, 0}}).ok());  // no dim 2
+  EXPECT_FALSE(ContractPlan(plan, {{0, 1}}, {{1, 0, 0}}).ok());  // no table 1
+  EXPECT_FALSE(ContractPlan(plan, kToyAxes, {{1, 0}, {1, 0, 0, 0}}).ok());
 }
+
+INSTANTIATE_TEST_SUITE_P(Layouts, ContractionTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Cells" : "Rows";
+                         });
 
 }  // namespace
 }  // namespace dpstarj::exec

@@ -9,7 +9,7 @@
 #include "baselines/r2t.h"
 #include "common/math_util.h"
 #include "core/dp_star_join.h"
-#include "exec/data_cube.h"
+#include "exec/star_join_executor.h"
 #include "query/binder.h"
 #include "ssb/ssb_generator.h"
 #include "ssb/ssb_queries.h"
@@ -57,9 +57,9 @@ TEST_F(IntegrationTest, PmErrorDecreasesWithEpsilonOnQc3) {
   query::Binder binder(catalog_);
   auto bound = binder.Bind(*q);
   ASSERT_TRUE(bound.ok());
-  auto cube = exec::DataCube::BuildFromQueryPredicates(*bound);
-  ASSERT_TRUE(cube.ok());
-  double truth = *cube->Evaluate(bound->Predicates());
+  auto executed = exec::StarJoinExecutor().Execute(*bound);
+  ASSERT_TRUE(executed.ok());
+  double truth = executed->scalar;
   ASSERT_GT(truth, 0.0);
 
   core::PredicateMechanism pm;
@@ -67,9 +67,9 @@ TEST_F(IntegrationTest, PmErrorDecreasesWithEpsilonOnQc3) {
     Rng rng(99);
     std::vector<double> errs;
     for (int i = 0; i < 120; ++i) {
-      auto est = pm.AnswerWithCube(*bound, *cube, eps, &rng);
+      auto est = pm.Answer(*bound, eps, &rng);
       EXPECT_TRUE(est.ok());
-      errs.push_back(RelativeErrorPercent(*est, truth));
+      errs.push_back(RelativeErrorPercent(est->scalar, truth));
     }
     return Mean(errs);
   };
@@ -91,9 +91,9 @@ TEST_F(IntegrationTest, PmBeatsLsOnDimensionPrivateCount) {
   query::Binder binder(catalog_);
   auto bound = binder.Bind(*q);
   ASSERT_TRUE(bound.ok());
-  auto cube = exec::DataCube::BuildFromQueryPredicates(*bound);
-  ASSERT_TRUE(cube.ok());
-  double truth = *cube->Evaluate(bound->Predicates());
+  auto executed = exec::StarJoinExecutor().Execute(*bound);
+  ASSERT_TRUE(executed.ok());
+  double truth = executed->scalar;
 
   double eps = 0.2;
   Rng rng(7);
@@ -101,9 +101,9 @@ TEST_F(IntegrationTest, PmBeatsLsOnDimensionPrivateCount) {
   std::vector<double> pm_errs, ls_errs;
   dp::PrivacyScenario scenario = dp::PrivacyScenario::Dimensions({"Customer"});
   for (int i = 0; i < 60; ++i) {
-    auto p = pm.AnswerWithCube(*bound, *cube, eps, &rng);
+    auto p = pm.Answer(*bound, eps, &rng);
     ASSERT_TRUE(p.ok());
-    pm_errs.push_back(RelativeErrorPercent(*p, truth));
+    pm_errs.push_back(RelativeErrorPercent(p->scalar, truth));
     auto l = baselines::AnswerWithLocalSensitivity(*bound, scenario, eps, &rng);
     ASSERT_TRUE(l.ok()) << l.status().ToString();
     ls_errs.push_back(RelativeErrorPercent(*l, truth));

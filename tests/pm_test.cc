@@ -1,5 +1,5 @@
 // Tests for the Predicate Mechanism (Algorithms 1 & 3) and the DpStarJoin
-// facade: budget splitting, executor/cube path agreement, GROUP BY support,
+// facade: budget splitting, GROUP BY support,
 // convergence with growing ε, and budget accounting.
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include "common/math_util.h"
 #include "core/dp_star_join.h"
 #include "core/predicate_mechanism.h"
-#include "exec/data_cube.h"
 #include "query/binder.h"
 #include "test_catalog.h"
 
@@ -95,22 +94,6 @@ TEST_F(PmTest, AnswerIsExactUnderHugeBudget) {
   EXPECT_DOUBLE_EQ(r->scalar, 2.0);  // the true answer
 }
 
-TEST_F(PmTest, CubePathAgreesWithExecutorPath) {
-  auto bound = binder_.Bind(ToyCountQuery());
-  ASSERT_TRUE(bound.ok());
-  auto cube = exec::DataCube::BuildFromQueryPredicates(*bound);
-  ASSERT_TRUE(cube.ok());
-  // Same seed → same noisy predicates → identical answers on both paths.
-  for (uint64_t seed = 0; seed < 20; ++seed) {
-    Rng ra(seed), rb(seed);
-    auto via_exec = pm_.Answer(*bound, 0.4, &ra);
-    auto via_cube = pm_.AnswerWithCube(*bound, *cube, 0.4, &rb);
-    ASSERT_TRUE(via_exec.ok());
-    ASSERT_TRUE(via_cube.ok());
-    EXPECT_DOUBLE_EQ(via_exec->scalar, *via_cube) << "seed=" << seed;
-  }
-}
-
 TEST_F(PmTest, GroupByPerturbsOnlyPredicates) {
   StarJoinQuery q = ToyCountQuery();
   q.aggregate = query::AggregateKind::kSum;
@@ -129,16 +112,14 @@ TEST_F(PmTest, GroupByPerturbsOnlyPredicates) {
 TEST_F(PmTest, ErrorShrinksWithEpsilon) {
   auto bound = binder_.Bind(ToyCountQuery());
   ASSERT_TRUE(bound.ok());
-  auto cube = exec::DataCube::BuildFromQueryPredicates(*bound);
-  ASSERT_TRUE(cube.ok());
   double truth = 2.0;
   auto mean_error = [&](double eps, uint64_t seed) {
     Rng rng(seed);
     std::vector<double> errs;
     for (int i = 0; i < 400; ++i) {
-      auto est = pm_.AnswerWithCube(*bound, *cube, eps, &rng);
+      auto est = pm_.Answer(*bound, eps, &rng);
       EXPECT_TRUE(est.ok());
-      errs.push_back(RelativeErrorPercent(*est, truth));
+      errs.push_back(RelativeErrorPercent(est->scalar, truth));
     }
     return Mean(errs);
   };

@@ -143,13 +143,6 @@ TEST(RngTest, GaussianMixtureBimodal) {
   EXPECT_LT(near_zero, kSamples / 100);
 }
 
-TEST(RngTest, TwoSidedGeometricSymmetry) {
-  Rng rng(41);
-  std::vector<double> xs(kSamples);
-  for (auto& x : xs) x = static_cast<double>(rng.TwoSidedGeometric(0.5));
-  EXPECT_NEAR(Mean(xs), 0.0, 0.05);
-}
-
 TEST(RngTest, BernoulliFrequency) {
   Rng rng(43);
   int heads = 0;

@@ -6,7 +6,7 @@
 #include "common/math_util.h"
 #include "core/dp_star_join.h"
 #include "core/workload_mechanism.h"
-#include "exec/data_cube.h"
+#include "exec/scan_plan.h"
 #include "query/binder.h"
 #include "query/workload.h"
 #include "ssb/workloads.h"
@@ -122,25 +122,29 @@ TEST(PaperWorkloadsTest, ConvertToQueries) {
   }
 }
 
-class WdTest : public ::testing::Test {
+// WD against both layouts of W: the base plan's fact rows, and its cells.
+class WdTest : public ::testing::TestWithParam<bool> {
  protected:
   WdTest() : catalog_(MakeToyCatalog()), binder_(&catalog_) {
-    StarJoinQuery base;
-    base.fact_table = "Orders";
-    base.joined_tables = {"Cust", "Prod"};
-    auto bound = binder_.Bind(base);
-    DPSTARJ_CHECK(bound.ok(), "fixture bind");
-    auto cube = exec::DataCube::Build(*bound, ToyAttributes());
-    DPSTARJ_CHECK(cube.ok(), "fixture cube");
-    cube_ = std::make_unique<exec::DataCube>(std::move(*cube));
+    auto base = BindWorkloadBase(binder_, ToyWorkload(), ToyAttributes());
+    DPSTARJ_CHECK(base.ok(), "fixture base");
+    base_ = std::move(*base);
+    exec::PlanColumnStore columns;
+    auto plan = exec::ScanPlan::Compile(base_, columns);
+    DPSTARJ_CHECK(plan.ok(), "fixture plan");
+    if (GetParam()) plan = exec::ScanPlan::WithCells(*plan, base_, 1 << 20);
+    DPSTARJ_CHECK(plan.ok() && (plan->cells != nullptr) == GetParam(),
+                  "fixture layout");
+    plan_ = std::make_unique<exec::ScanPlan>(std::move(*plan));
   }
   storage::Catalog catalog_;
   Binder binder_;
-  std::unique_ptr<exec::DataCube> cube_;
+  query::BoundQuery base_;
+  std::unique_ptr<exec::ScanPlan> plan_;
 };
 
-TEST_F(WdTest, TrueAnswers) {
-  auto truth = TrueWorkloadAnswers(*cube_, ToyWorkload(), ToyAttributes());
+TEST_P(WdTest, TrueAnswers) {
+  auto truth = TrueWorkloadAnswers(base_, *plan_, ToyWorkload(), ToyAttributes());
   ASSERT_TRUE(truth.ok());
   ASSERT_EQ(truth->size(), 3u);
   // Query 0: region N (=idx 0) × cat {a,b}: rows (1,1),(1,2),(2,1) → 3.
@@ -150,32 +154,32 @@ TEST_F(WdTest, TrueAnswers) {
   EXPECT_DOUBLE_EQ((*truth)[2], 4.0);
 }
 
-TEST_F(WdTest, HugeBudgetRecoversTruth) {
+TEST_P(WdTest, HugeBudgetRecoversTruth) {
   Rng rng(3);
-  auto answers = AnswerWorkloadWithDecomposition(*cube_, ToyWorkload(),
+  auto answers = AnswerWorkloadWithDecomposition(base_, *plan_, ToyWorkload(),
                                                  ToyAttributes(), 1e9, &rng);
   ASSERT_TRUE(answers.ok()) << answers.status().ToString();
-  auto truth = TrueWorkloadAnswers(*cube_, ToyWorkload(), ToyAttributes());
+  auto truth = TrueWorkloadAnswers(base_, *plan_, ToyWorkload(), ToyAttributes());
   ASSERT_TRUE(truth.ok());
   for (size_t i = 0; i < truth->size(); ++i) {
     EXPECT_NEAR((*answers)[i], (*truth)[i], 1e-6) << "query " << i;
   }
 }
 
-TEST_F(WdTest, PerQueryPathRecoversTruthUnderHugeBudget) {
+TEST_P(WdTest, PerQueryPathRecoversTruthUnderHugeBudget) {
   Rng rng(4);
   auto answers =
-      AnswerWorkloadPerQuery(*cube_, ToyWorkload(), ToyAttributes(), 1e9, &rng);
+      AnswerWorkloadPerQuery(base_, *plan_, ToyWorkload(), ToyAttributes(), 1e9, &rng);
   ASSERT_TRUE(answers.ok()) << answers.status().ToString();
   EXPECT_DOUBLE_EQ((*answers)[0], 3.0);
   EXPECT_DOUBLE_EQ((*answers)[1], 4.0);
 }
 
-TEST_F(WdTest, StrategyDiagnostics) {
+TEST_P(WdTest, StrategyDiagnostics) {
   Rng rng(5);
   WorkloadDecompositionInfo info;
   WorkloadMechanismOptions opts;
-  auto answers = AnswerWorkloadWithDecomposition(*cube_, ToyWorkload(),
+  auto answers = AnswerWorkloadWithDecomposition(base_, *plan_, ToyWorkload(),
                                                  ToyAttributes(), 1.0, &rng, opts,
                                                  &info);
   ASSERT_TRUE(answers.ok());
@@ -188,42 +192,42 @@ TEST_F(WdTest, StrategyDiagnostics) {
   }
 }
 
-TEST_F(WdTest, ForcedStrategies) {
+TEST_P(WdTest, ForcedStrategies) {
   Rng rng(6);
   WorkloadMechanismOptions identity;
   identity.strategy = WorkloadStrategyKind::kIdentity;
   WorkloadDecompositionInfo info;
-  ASSERT_TRUE(AnswerWorkloadWithDecomposition(*cube_, ToyWorkload(),
+  ASSERT_TRUE(AnswerWorkloadWithDecomposition(base_, *plan_, ToyWorkload(),
                                               ToyAttributes(), 1e9, &rng, identity,
                                               &info)
                   .ok());
   EXPECT_EQ(info.strategies[0], "identity(3)");
   WorkloadMechanismOptions hier;
   hier.strategy = WorkloadStrategyKind::kHierarchical;
-  ASSERT_TRUE(AnswerWorkloadWithDecomposition(*cube_, ToyWorkload(),
+  ASSERT_TRUE(AnswerWorkloadWithDecomposition(base_, *plan_, ToyWorkload(),
                                               ToyAttributes(), 1e9, &rng, hier,
                                               &info)
                   .ok());
   EXPECT_EQ(info.strategies[0], "hierarchical(3)");
 }
 
-TEST_F(WdTest, Validation) {
+TEST_P(WdTest, Validation) {
   Rng rng(7);
-  EXPECT_FALSE(AnswerWorkloadWithDecomposition(*cube_, ToyWorkload(),
+  EXPECT_FALSE(AnswerWorkloadWithDecomposition(base_, *plan_, ToyWorkload(),
                                                ToyAttributes(), 0.0, &rng)
                    .ok());
-  EXPECT_FALSE(AnswerWorkloadWithDecomposition(*cube_, ToyWorkload(),
+  EXPECT_FALSE(AnswerWorkloadWithDecomposition(base_, *plan_, ToyWorkload(),
                                                ToyAttributes(), 1.0, nullptr)
                    .ok());
   // Axis mismatch.
   EXPECT_FALSE(
-      AnswerWorkloadWithDecomposition(*cube_, ToyWorkload(),
+      AnswerWorkloadWithDecomposition(base_, *plan_, ToyWorkload(),
                                       {{"Cust", "region", RegionDomain()}}, 1.0,
                                       &rng)
           .ok());
 }
 
-TEST_F(WdTest, FacadeWorkloadPath) {
+TEST_P(WdTest, FacadeWorkloadPath) {
   DpStarJoinOptions opts;
   opts.seed = 11;
   DpStarJoin engine(&catalog_, opts);
@@ -237,6 +241,49 @@ TEST_F(WdTest, FacadeWorkloadPath) {
   auto pm = engine.AnswerWorkload(ToyWorkload(), ToyAttributes(), 1e9, false);
   ASSERT_TRUE(pm.ok());
 }
+
+// W stays in the engine's plan cache across calls and is extended after an
+// ingest. Each round's truths must equal a fresh engine's on the grown
+// catalog. 12 toy rows decline the 12-cell index; 24 rows build cells at
+// the second lookup; the third round extends the plan with its cells.
+TEST(WdFacadeTest, TrueWorkloadFollowsIngest) {
+  storage::Catalog catalog = MakeToyCatalog();
+  DpStarJoinOptions opts;
+  opts.plan_cache = std::make_shared<exec::PlanCache>();
+  DpStarJoin engine(&catalog, opts);
+  auto orders = catalog.GetTable("Orders");
+  ASSERT_TRUE(orders.ok());
+  std::vector<double> previous;
+  for (int round = 0; round < 3; ++round) {
+    auto truth = engine.TrueWorkload(ToyWorkload(), ToyAttributes());
+    ASSERT_TRUE(truth.ok()) << truth.status().ToString();
+    auto expected =
+        DpStarJoin(&catalog).TrueWorkload(ToyWorkload(), ToyAttributes());
+    ASSERT_TRUE(expected.ok());
+    EXPECT_EQ(*truth, *expected) << "round " << round;
+    EXPECT_NE(*truth, previous) << "round " << round;
+    previous = *truth;
+    // 12 rows over every customer and every product: each query grows.
+    for (int64_t i = 0; i < 12; ++i) {
+      ASSERT_TRUE((*orders)
+                      ->AppendRow({storage::Value(1 + i % 6),
+                                   storage::Value(1 + i % 4),
+                                   storage::Value(int64_t{1}),
+                                   storage::Value(10.0)})
+                      .ok());
+    }
+  }
+  const exec::PlanCache::Stats stats = opts.plan_cache->GetStats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.extends, 2u);
+  EXPECT_EQ(stats.cell_declines, 1u);
+  EXPECT_EQ(stats.cell_builds, 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Layouts, WdTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Cells" : "Rows";
+                         });
 
 }  // namespace
 }  // namespace dpstarj::core

@@ -8,8 +8,12 @@ Verifies every inline link/image target in the given markdown files:
   * http(s)/mailto targets are skipped — CI has no business hitting the
     network, and external rot is a different problem from tree rot.
 
-Usage: check_md_links.py FILE.md [FILE.md ...]
-Exits non-zero listing every broken link.
+Every run also checks code: every markdown path that a file under src/,
+bench/, tests/ or tools/ cites (e.g. a "see docs/design.md" comment) must
+exist, relative to the repository root or to the citing file.
+
+Usage: check_md_links.py DOC [DOC ...]
+Exits non-zero listing every broken link or citation.
 """
 
 import re
@@ -59,11 +63,37 @@ def check_file(md_path: Path) -> list:
     return errors
 
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
+SOURCE_DIRS = ("src", "bench", "tests", "tools")
+SOURCE_SUFFIXES = {".h", ".cc", ".cpp", ".py"}
+# A cited markdown path: not the tail of a URL or of a longer path.
+CITED_MD_RE = re.compile(r"(?<![\w:/.-])([\w-][\w./-]*\.md)\b")
+
+
+def check_sources() -> tuple:
+    errors = []
+    checked = 0
+    for top in SOURCE_DIRS:
+        for path in sorted((REPO_ROOT / top).rglob("*")):
+            if path.suffix not in SOURCE_SUFFIXES or not path.is_file():
+                continue
+            checked += 1
+            text = path.read_text(encoding="utf-8", errors="replace")
+            for lineno, line in enumerate(text.splitlines(), 1):
+                for match in CITED_MD_RE.finditer(line):
+                    cited = match.group(1)
+                    if not ((REPO_ROOT / cited).exists() or
+                            (path.parent / cited).exists()):
+                        errors.append(f"{path.relative_to(REPO_ROOT)}:{lineno}: "
+                                      f"cites missing '{cited}'")
+    return errors, checked
+
+
 def main(argv):
     if len(argv) < 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    errors = []
+    errors, sources = check_sources()
     checked = 0
     for name in argv[1:]:
         path = Path(name)
@@ -75,7 +105,7 @@ def main(argv):
     for error in errors:
         print(error, file=sys.stderr)
     if not errors:
-        print(f"{checked} files ok")
+        print(f"{checked} files and {sources} source files ok")
     return 1 if errors else 0
 
 
