@@ -410,7 +410,7 @@ void RunIngestComparison(bench::JsonBenchWriter* json) {
     int iters = 0;
     while ((elapsed.ElapsedSeconds() < min_sec || iters < 3) &&
            static_cast<size_t>((*fact)->num_rows() + kTail) <=
-               plan.codes.capacity()) {
+               plan.fact_dim_row[0]->rows.capacity()) {
       ingest();
       Timer timer;
       extend();
@@ -435,11 +435,12 @@ void RunIngestComparison(bench::JsonBenchWriter* json) {
   }
   const exec::CellLayout& ext_cells = *plan.cells;
   const exec::CellLayout& fresh_cells = *fresh.cells;
-  DPSTARJ_CHECK(same_join_columns && plan.codes == fresh.codes &&
+  DPSTARJ_CHECK(same_join_columns &&
                     plan.weights->values == fresh.weights->values &&
                     ext_cells.cell_class == fresh_cells.cell_class &&
                     ext_cells.counts == fresh_cells.counts &&
                     ext_cells.weights == fresh_cells.weights &&
+                    ext_cells.codes == fresh_cells.codes &&
                     ext_cells.labels == fresh_cells.labels &&
                     ext_cells.slots == fresh_cells.slots,
                 "extended plan diverges from fresh compile");

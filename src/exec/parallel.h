@@ -31,8 +31,9 @@
 namespace dpstarj::exec {
 
 /// \brief Topology-derived default morsel granularity in fact rows: sized so
-/// one morsel's streaming working set (~32 bytes per row: resolved dimension
-/// rows, packed group code, weight) stays within the detected per-core L2
+/// one morsel's streaming working set (budgeted at ~32 bytes per row:
+/// resolved dimension rows, weight, and the fact-side group keys a grouped
+/// sweep reads) stays within the detected per-core L2
 /// (common/cpu.h), clamped to [2^14, 2^18] rows. Falls back to 2^16 when the
 /// OS reports no L2 size. Smaller morsels would thrash the job queue; larger
 /// ones evict their own lines before the next pass over the range.

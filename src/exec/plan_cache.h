@@ -66,16 +66,17 @@ namespace dpstarj::exec {
 class PlanCache {
  public:
   /// Default entry capacity. Plans hold per-fact-row scaffolds — up to
-  /// ≈ 18 + 4·dims bytes per fact row for grouped SUM queries with cells:
-  /// 8 for the group codes, at most 2 for the dense cell index (≤ half a
-  /// 4-byte slot per row), and 8 + 4·dims for the join and weight columns
-  /// shared with other plans; the cells themselves number at most half the
-  /// fact rows and are usually far fewer — so eviction is governed by a
-  /// byte budget as well as this entry cap; popular queries dominate hits
-  /// long before either matters. The budget counts the fact rows a plan
-  /// covers, not the spare capacity an extended plan's arrays reserve, and
-  /// it counts shared columns in full in every plan that references them,
-  /// so it bounds the resident bytes from above.
+  /// ≈ 10 + 4·dims bytes per fact row for grouped SUM queries with cells:
+  /// at most 2 for the dense cell index (≤ half a 4-byte slot per row), and
+  /// 8 + 4·dims for the join and weight columns shared with other plans (a
+  /// packed plan stores no group code per row; a plan whose key tuples are
+  /// numbered stores 8 per row instead of cells); the cells themselves
+  /// number at most half the fact rows and are usually far fewer — so
+  /// eviction is governed by a byte budget as well as this entry cap;
+  /// popular queries dominate hits long before either matters. The budget
+  /// counts the fact rows a plan covers, not the spare capacity an extended
+  /// plan's arrays reserve, and it counts shared columns in full in every
+  /// plan that references them, so it bounds the resident bytes from above.
   static constexpr size_t kDefaultCapacity = 32;
   /// Default scaffold-byte budget across all cached plans (LRU entries are
   /// evicted past it; the most recent plan is always kept).
@@ -103,9 +104,9 @@ class PlanCache {
     /// plan holds. Reuses over builds is the column store's hit ratio.
     uint64_t column_builds = 0;
     uint64_t column_reuses = 0;
-    /// Extensions of a join, weight or code array that copied it instead
-    /// of appending in place: once per capacity doubling of each array
-    /// while extensions keep up with ingest, not once per ingest.
+    /// Extensions of a join or weight column that copied it instead of
+    /// appending in place: once per capacity doubling of each column while
+    /// extensions keep up with ingest, not once per ingest.
     uint64_t column_copies = 0;
     /// First validated hits that built the plan's cells vs those the size
     /// rule (dense cell index > fact rows / 2) kept on the fact rows.

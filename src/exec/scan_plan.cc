@@ -82,44 +82,6 @@ void ResolveFactRows(const query::BoundQuery& q, size_t i,
   }
 }
 
-// Packs the group codes of rows [begin, fact_rows) into plan.codes (zeroed
-// there): dimension ordinal fields (via the resolved row, 0 for absent FKs —
-// such rows never pass) plus fact-side key fields.
-void PackGroupCodes(ScanPlan& plan, const query::BoundQuery& q, int64_t begin) {
-  const int64_t end = plan.fact_rows();
-  uint64_t* codes = plan.codes.mutable_data();
-  for (size_t i = 0; i < plan.dims.size(); ++i) {
-    const PlanDim& pd = plan.dims[i];
-    if (pd.field < 0) continue;
-    const int32_t* rows = plan.fact_dim_row[i]->rows.data();
-    const int32_t* ordinals = pd.group_ordinal.data();
-    const int32_t sentinel = pd.num_rows;
-    for (int64_t r = begin; r < end; ++r) {
-      int32_t dr = rows[r];
-      if (dr == sentinel) continue;
-      codes[r] |=
-          plan.layout.Pack(pd.field, static_cast<uint64_t>(ordinals[dr]));
-    }
-  }
-  for (const auto& part : plan.parts) {
-    if (part.dim_idx >= 0) continue;
-    const storage::Column& c = q.fact->column(part.col);
-    if (part.is_string) {
-      const int32_t* code = c.code_data().data();
-      for (int64_t r = begin; r < end; ++r) {
-        codes[r] |=
-            plan.layout.Pack(part.field, static_cast<uint64_t>(code[r]));
-      }
-    } else {
-      const int64_t* i64 = c.int64_data().data();
-      for (int64_t r = begin; r < end; ++r) {
-        codes[r] |= plan.layout.Pack(part.field,
-                                     static_cast<uint64_t>(i64[r] - part.base));
-      }
-    }
-  }
-}
-
 // Adds rows [begin, end) of the measure terms' weighted sum into `values`
 // (zeroed there). Measure columns outer, rows inner, so every row's sum
 // associates the same way whether its column was built from scratch or over
@@ -140,8 +102,8 @@ void AddWeights(const query::BoundQuery& q, int64_t begin, int64_t end,
 void NumberKeyTuples(ScanPlan& plan, const query::BoundQuery& q) {
   plan.numbered_codes = true;
   const int64_t rows = plan.fact_rows();
-  plan.codes = AppendArray<uint64_t>(static_cast<size_t>(rows));
-  uint64_t* codes = plan.codes.mutable_data();
+  plan.codes.resize(static_cast<size_t>(rows));
+  uint64_t* codes = plan.codes.data();
   std::map<std::vector<int64_t>, uint64_t> code_of;
   std::vector<int64_t> tuple(plan.parts.size());
   for (int64_t r = 0; r < rows; ++r) {
@@ -213,19 +175,28 @@ Status NumberClasses(const PlanDim& pd, std::vector<int32_t>& class_of_row,
   return Status::OK();
 }
 
-// Adds fact rows [begin, plan.fact_rows()) to `cells`. A row whose foreign
-// keys all resolve joins the cell of its (classes, fact-side group fields)
-// combination, opened at the combination's first row, adding 1 to the
-// cell's count and its weight to the cell's sum in row order. Rows go in
+// Adds fact rows [begin, plan.fact_rows()) of `q` to `cells`. A row whose
+// foreign keys all resolve joins the cell of its (classes, fact-side group
+// fields) combination, opened at the combination's first row, adding 1 to
+// the cell's count and its weight to the cell's sum in row order. Rows go in
 // cache-resident blocks: first every row's dense index, one dimension at a
-// time, then the cells.
-void AddRowsToCells(const ScanPlan& plan, int64_t begin, CellLayout& cells) {
+// time, then the cells. Group codes are packed only where they are read:
+// for every resolving row when fact-side fields join the index, and for
+// each row that opens a cell.
+void AddRowsToCells(const ScanPlan& plan, const query::BoundQuery& q,
+                    int64_t begin, CellLayout& cells) {
   constexpr int64_t kBlock = 1024;
   constexpr uint64_t kMissing = ~uint64_t{0};
   const int64_t end = plan.fact_rows();
   const double* w =
       plan.weights == nullptr ? nullptr : plan.weights->values.data();
+  const bool fact_fields =
+      std::any_of(plan.parts.begin(), plan.parts.end(),
+                  [](const PlanLabelPart& part) { return part.dim_idx < 0; });
   uint64_t index[kBlock];
+  int64_t resolved[kBlock];
+  uint64_t codes[kBlock];
+  int64_t opening[kBlock];
   for (int64_t b0 = begin; b0 < end; b0 += kBlock) {
     const int64_t n = std::min(kBlock, end - b0);
     std::fill(index, index + n, 0);
@@ -242,16 +213,24 @@ void AddRowsToCells(const ScanPlan& plan, int64_t begin, CellLayout& cells) {
         }
       }
     }
-    for (size_t p = 0; p < plan.parts.size(); ++p) {
-      const PlanLabelPart& part = plan.parts[p];
-      if (part.dim_idx >= 0) continue;
-      const uint64_t* codes = plan.codes.data() + b0;
-      const uint64_t stride = cells.part_strides[p];
+    if (fact_fields) {
+      size_t m = 0;
       for (int64_t k = 0; k < n; ++k) {
-        if (index[k] == kMissing) continue;
-        index[k] += plan.layout.Extract(codes[k], part.field) * stride;
+        if (index[k] != kMissing) resolved[m++] = b0 + k;
+      }
+      plan.GroupCodes(q, resolved, m, codes);
+      for (size_t p = 0; p < plan.parts.size(); ++p) {
+        const PlanLabelPart& part = plan.parts[p];
+        if (part.dim_idx >= 0) continue;
+        const uint64_t stride = cells.part_strides[p];
+        for (size_t j = 0; j < m; ++j) {
+          index[resolved[j] - b0] +=
+              plan.layout.Extract(codes[j], part.field) * stride;
+        }
       }
     }
+    const size_t first_cell = cells.counts.size();
+    size_t opened = 0;
     for (int64_t k = 0; k < n; ++k) {
       if (index[k] == kMissing) continue;
       const size_t r = static_cast<size_t>(b0 + k);
@@ -264,10 +243,14 @@ void AddRowsToCells(const ScanPlan& plan, int64_t begin, CellLayout& cells) {
         }
         cells.counts.push_back(0);
         if (w != nullptr) cells.weights.push_back(0.0);
-        if (plan.grouped) cells.codes.push_back(plan.codes[r]);
+        opening[opened++] = b0 + k;
       }
       ++cells.counts[static_cast<size_t>(cell)];
       if (w != nullptr) cells.weights[static_cast<size_t>(cell)] += w[r];
+    }
+    if (plan.grouped) {
+      cells.codes.resize(first_cell + opened);
+      plan.GroupCodes(q, opening, opened, cells.codes.data() + first_cell);
     }
   }
 }
@@ -583,8 +566,6 @@ Result<ScanPlan> ScanPlan::Compile(const query::BoundQuery& q,
       NumberKeyTuples(plan, q);
     } else {
       plan.code_space = plan.layout.CodeSpace();
-      plan.codes = AppendArray<uint64_t>(static_cast<size_t>(plan.fact_rows_));
-      PackGroupCodes(plan, q, 0);
     }
   }
   if (!q.measure_cols.empty()) {
@@ -637,7 +618,7 @@ Result<ScanPlan> ScanPlan::WithCells(const ScanPlan& plan,
                static_cast<unsigned long long>(max_cells)));
   }
   cells->cell_of_index.assign(static_cast<size_t>(size), -1);
-  AddRowsToCells(plan, 0, *cells);
+  AddRowsToCells(plan, q, 0, *cells);
   if (plan.grouped) MergeCellLabels(plan, q, 0, *cells);
   ScanPlan out = plan;
   out.cells = std::move(cells);
@@ -691,11 +672,11 @@ Result<ScanPlan> ScanPlan::ExtendFrom(const ScanPlan& old,
   const int64_t new_rows = q.fact->num_rows();
 
   // Validate the tail's fact-side group keys against the compiled layout
-  // BEFORE copying anything: Pack() does not mask, so an ordinal outgrowing
-  // its field would corrupt neighbouring fields. A violation (a value below
-  // the compiled base, or a value/dictionary code past the field's bit
-  // width) means a fresh compile would lay the code out differently — the
-  // caller recompiles instead.
+  // BEFORE extending anything: Pack() does not mask, so an ordinal outgrowing
+  // its field would corrupt neighbouring fields of the codes GroupCodes packs
+  // for the tail. A violation (a value below the compiled base, or a
+  // value/dictionary code past the field's bit width) means a fresh compile
+  // would lay the code out differently — the caller recompiles instead.
   for (const auto& part : old.parts) {
     if (part.dim_idx >= 0) continue;
     const storage::Column& c = q.fact->column(part.col);
@@ -744,7 +725,7 @@ Result<ScanPlan> ScanPlan::ExtendFrom(const ScanPlan& old,
   // every other plan on the same edge reuses the result. The dimensions are
   // unchanged, so the rebuilt per-dimension index answers exactly as it did
   // at compile time (dimension indexes are small; the saved work is the fact
-  // scan). Then the group codes (validated above) for the tail.
+  // scan).
   plan.fact_dim_row.resize(q.dims.size());
   for (size_t i = 0; i < q.dims.size(); ++i) {
     DPSTARJ_ASSIGN_OR_RETURN(
@@ -754,17 +735,13 @@ Result<ScanPlan> ScanPlan::ExtendFrom(const ScanPlan& old,
   if (old.weights != nullptr) {
     plan.weights = columns.GetWeightColumn(q, new_rows, old.weights.get());
   }
-  if (plan.grouped) {
-    plan.codes = columns.Extend(old.codes, new_rows);
-    PackGroupCodes(plan, q, old_rows);
-  }
 
   // The tail's rows join existing or new cells. The classes depend on the
   // unchanged dimensions alone, and every tail field ordinal fits its packed
   // field (validated above), so the dense index covers every tail row.
   if (old.cells != nullptr) {
     auto cells = std::make_shared<CellLayout>(*old.cells);
-    AddRowsToCells(plan, old_rows, *cells);
+    AddRowsToCells(plan, q, old_rows, *cells);
     if (plan.grouped) {
       MergeCellLabels(plan, q, static_cast<size_t>(old.cells->num_cells()),
                       *cells);
@@ -808,6 +785,44 @@ size_t ScanPlan::ApproxBytes() const {
     for (const auto& s : cells->labels) bytes += sizeof(s) + s.capacity();
   }
   return bytes;
+}
+
+void ScanPlan::GroupCodes(const query::BoundQuery& q, const int64_t* rows,
+                          size_t n, uint64_t* out) const {
+  if (numbered_codes) {
+    for (size_t k = 0; k < n; ++k) out[k] = codes[static_cast<size_t>(rows[k])];
+    return;
+  }
+  // One field at a time: a dimension's field covers all its key columns.
+  std::fill_n(out, n, 0);
+  for (size_t i = 0; i < dims.size(); ++i) {
+    const PlanDim& pd = dims[i];
+    if (pd.field < 0) continue;
+    const int32_t* dim_row = fact_dim_row[i]->rows.data();
+    const int32_t* ordinal = pd.group_ordinal.data();
+    for (size_t k = 0; k < n; ++k) {
+      out[k] |= layout.Pack(pd.field,
+                            static_cast<uint64_t>(ordinal[dim_row[rows[k]]]));
+    }
+  }
+  // Fact-side ordinals fit their fields: Compile sized the fields over every
+  // row, and ExtendFrom checks the tail's before extending.
+  for (const auto& part : parts) {
+    if (part.dim_idx >= 0) continue;
+    const storage::Column& c = q.fact->column(part.col);
+    if (part.is_string) {
+      const int32_t* code = c.code_data().data();
+      for (size_t k = 0; k < n; ++k) {
+        out[k] |= layout.Pack(part.field, static_cast<uint64_t>(code[rows[k]]));
+      }
+    } else {
+      const int64_t* i64 = c.int64_data().data();
+      for (size_t k = 0; k < n; ++k) {
+        out[k] |= layout.Pack(part.field,
+                              static_cast<uint64_t>(i64[rows[k]] - part.base));
+      }
+    }
+  }
 }
 
 void ScanPlan::RenderLabel(const query::BoundQuery& q, uint64_t code,

@@ -10,11 +10,14 @@
 //     predicate bit is permanently 0 — no hash/offset-table probe is left
 //     in the per-execution scan. These *join columns* depend on the tables
 //     alone, so plans share them through a PlanColumnStore (below);
-//   * the GROUP BY code layout, the per-dimension group ordinals (assigned
-//     over *all* dimension rows, so they never shift when predicates move),
-//     and the uint64 group code of every fact row: the key ordinals packed
-//     into bit fields, or — when they cannot pack into 64 bits — the
-//     first-occurrence number of the row's key tuple;
+//   * the GROUP BY code layout and the per-dimension group ordinals
+//     (assigned over *all* dimension rows, so they never shift when
+//     predicates move). A fact row's uint64 group code packs its key
+//     ordinals into bit fields; it is a function of the row's join-column
+//     entries and fact-side key values, so the plan stores none and
+//     GroupCodes packs it where it is read. Only when the ordinals cannot
+//     pack into 64 bits does the plan store a code per row: the first-
+//     occurrence number of the row's key tuple;
 //   * the per-row aggregate weight (measure terms are fact columns), a
 //     *weight column* shared the same way;
 //   * memoized domain-ordinal tables for the query's predicate columns, the
@@ -37,12 +40,13 @@
 // dimension — bit r = "dimension row (or class) r passes every effective
 // predicate" — built from the ordinal tables with branchless,
 // autovectorizable compares and packed into uint64 words, then a sweep that
-// is just gathers into those bitmaps plus the pre-packed code/weight arrays.
+// is just gathers into those bitmaps plus the weights (and, grouped, the
+// passing rows' packed codes, or the cells' label slots).
 //
-// Ingest. The fact-row-sized arrays (join rows, weights, group codes) are
-// AppendArrays: a plan extended over an appended fact tail writes the tail
-// into its parent's buffer and shares the prefix, and its cells render only
-// the labels the tail brings, so ExtendFrom costs O(tail + cells), not
+// Ingest. The fact-row-sized arrays (join rows, weights) are AppendArrays:
+// a plan extended over an appended fact tail writes the tail into its
+// parent's buffer and shares the prefix, and its cells render only the
+// labels the tail brings, so ExtendFrom costs O(tail + cells), not
 // O(fact rows). A published prefix never changes, so older plans keep
 // sweeping theirs without a lock.
 //
@@ -159,7 +163,7 @@ struct PlanLabelPart {
 };
 
 /// \brief An append-only array of per-fact-row values: the storage of
-/// JoinColumn::rows, WeightColumn::values and ScanPlan::codes. Arrays share
+/// JoinColumn::rows and WeightColumn::values. Arrays share
 /// buffers: each covers rows [0, size()) of its buffer, and that prefix never
 /// changes once the array is published, so older plans read theirs without a
 /// lock while newer ones grow past it. Writers touch only the rows they add.
@@ -280,9 +284,9 @@ class PlanColumnStore {
     /// race to insert counts too: its work was done).
     uint64_t builds = 0;
     uint64_t reuses = 0;  ///< requests served by a live column
-    /// Extensions of a join, weight or code array that copied the prefix
-    /// instead of appending in place. Once per capacity doubling of an
-    /// array when extensions keep up with the table.
+    /// Extensions of a join or weight array that copied the prefix instead
+    /// of appending in place. Once per capacity doubling of an array when
+    /// extensions keep up with the table.
     uint64_t copies = 0;
   };
 
@@ -335,11 +339,11 @@ class PlanColumnStore {
 /// \brief Compiled scaffold of one bound star-join query.
 class ScanPlan {
  public:
-  /// \brief Compiles `q`: the per-dimension tables, the join and weight
-  /// columns (taken from `columns` when live there, else built and shared
-  /// through it), and for grouped queries the group codes. Amortized by every
-  /// later run. A one-shot caller passes a store of its own. The plan has no
-  /// cells yet.
+  /// \brief Compiles `q`: the per-dimension tables (group ordinals
+  /// included), the join and weight columns (taken from `columns` when live
+  /// there, else built and shared through it), and the group-code layout.
+  /// Amortized by every later run. A one-shot caller passes a store of its
+  /// own. The plan has no cells yet.
   static Result<ScanPlan> Compile(const query::BoundQuery& q,
                                   PlanColumnStore& columns);
 
@@ -378,8 +382,8 @@ class ScanPlan {
   static bool IsAppendExtension(const ScanPlan& old, const query::BoundQuery& q);
 
   /// \brief Compiles a plan for `q` by extending `old` over the fact table's
-  /// appended tail only: FK resolution, group-code packing, and weights run
-  /// over rows [old.fact_rows(), q.fact->num_rows()), and when `old` has
+  /// appended tail only: FK resolution and weights run over rows
+  /// [old.fact_rows(), q.fact->num_rows()), and when `old` has
   /// cells the tail rows are added to existing or new cells, and only the
   /// group codes first seen in the tail are rendered and merged into the
   /// sorted label table. The join and weight columns come from `columns`
@@ -397,6 +401,16 @@ class ScanPlan {
   static Result<ScanPlan> ExtendFrom(const ScanPlan& old,
                                      const query::BoundQuery& q,
                                      PlanColumnStore& columns);
+
+  /// \brief Writes the group codes of fact rows rows[0, n) to codes[0, n):
+  /// the row's ordinal in each group-bearing dimension and its fact-side key
+  /// ordinals, read from `q` (bound like the plan, over a fact table holding
+  /// at least its rows), packed into `layout`'s fields — or, for numbered
+  /// plans, the stored numbers. Every row must be below fact_rows() and
+  /// resolve in every dimension: the sweep passes only rows whose foreign
+  /// keys all hit, the cell build only rows that join a cell.
+  void GroupCodes(const query::BoundQuery& q, const int64_t* rows, size_t n,
+                  uint64_t* codes) const;
 
   /// \brief Renders the GROUP BY label of group `code` into `label`
   /// (overwritten): declared key order, kGroupKeyDelimiter-joined.
@@ -426,12 +440,13 @@ class ScanPlan {
   bool numbered_codes = false;
   /// numbered_codes only: code → first fact row carrying its key tuple.
   std::vector<int64_t> code_rows;
+  /// numbered_codes only: fact row → its key tuple's number. Packed plans
+  /// store no per-row code (GroupCodes packs it), so this stays empty.
+  std::vector<uint64_t> codes;
 
   /// Per dimension: the shared join column (fact row → dimension row,
   /// absent FKs → dims[i].num_rows).
   std::vector<std::shared_ptr<const JoinColumn>> fact_dim_row;
-  /// Pre-packed group code per fact row (empty when !grouped).
-  AppendArray<uint64_t> codes;
   /// The shared per-row aggregate weights (null = COUNT, weight 1.0).
   std::shared_ptr<const WeightColumn> weights;
 

@@ -56,15 +56,16 @@ QueryResult RenderPlanGroups(const query::BoundQuery& q, const ScanPlan& plan,
 
 }  // namespace
 
-SweepAccumulator::SweepAccumulator(const ScanPlan& plan, bool cells,
+SweepAccumulator::SweepAccumulator(const ScanPlan& plan,
+                                   const query::BoundQuery& q, bool cells,
                                    int num_workers)
     : plan_(plan),
+      q_(q),
       kern_(kernels::ActiveKernels()),
       grouped_(plan.grouped),
       cells_(cells),
       weights_(nullptr),
       counts_(cells ? plan.cells->counts.data() : nullptr),
-      codes_(plan.grouped && !cells ? plan.codes.data() : nullptr),
       slots_(plan.grouped && cells ? plan.cells->slots.data() : nullptr),
       partials_(static_cast<size_t>(num_workers)) {
   if (plan.weights != nullptr) {
@@ -84,14 +85,14 @@ SweepAccumulator::SweepAccumulator(const ScanPlan& plan, bool cells,
   }
 }
 
-QueryResult SweepAccumulator::Finalize(const query::BoundQuery& q) {
-  const bool is_avg = q.query.aggregate == query::AggregateKind::kAvg;
+QueryResult SweepAccumulator::Finalize() {
+  const bool is_avg = q_.query.aggregate == query::AggregateKind::kAvg;
   if (grouped_ && !cells_) {
     GroupAccumulator& merged = *partials_[0].groups;
     for (size_t i = 1; i < partials_.size(); ++i) {
       merged.MergeFrom(*partials_[i].groups);
     }
-    return RenderPlanGroups(q, plan_, merged, is_avg);
+    return RenderPlanGroups(q_, plan_, merged, is_avg);
   }
   QueryResult result;
   if (grouped_) {
@@ -205,7 +206,7 @@ Result<QueryResult> StarJoinExecutor::Execute(const query::BoundQuery& q,
   // ---- the sweep: ≤ 64-unit chunks of pure gathers — unit classes index
   // into the pass bitmaps, and an absent FK hits the sentinel bit, which is
   // always 0 — then SweepAccumulator does the rest.
-  SweepAccumulator acc(plan, cells, num_workers);
+  SweepAccumulator acc(plan, q, cells, num_workers);
   auto scan = [&](int worker, int64_t begin, int64_t end) {
     for (int64_t unit = begin; unit < end; unit += 64) {
       const int nbits = static_cast<int>(std::min<int64_t>(64, end - unit));
@@ -217,7 +218,7 @@ Result<QueryResult> StarJoinExecutor::Execute(const query::BoundQuery& q,
     }
   };
   MorselPool::Shared().Run(num_workers, units, morsel_size, scan);
-  return acc.Finalize(q);
+  return acc.Finalize();
 }
 
 Result<double> ContractPlan(const ScanPlan& plan,

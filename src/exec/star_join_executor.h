@@ -2,13 +2,15 @@
 //
 // The star-join executor. Every query runs through one path: compile the
 // query's predicate-independent ScanPlan (exec/scan_plan.h: FK→row
-// resolution, pre-packed group codes and weights, and once the plan is
-// reused its cells), rebuild one predicate bitmap per dimension, and run one
-// sweep over one of the plan's two *layouts*:
+// resolution, weights, group ordinals, and once the plan is reused its
+// cells), rebuild one predicate bitmap per dimension, and run one sweep over
+// one of the plan's two *layouts*:
 //
 //   * the fact rows — the trivial layout: a row's class in a dimension is
-//     its dimension row, and each row counts once. Swept in morsels,
-//     optionally in parallel;
+//     its dimension row, and each row counts once; a grouped sweep packs
+//     each passing row's group code from its join-column entries and
+//     fact-side keys (ScanPlan::GroupCodes). Swept in morsels, optionally in
+//     parallel;
 //   * the plan's cells (ScanPlan::CellsServe says when they serve) — one
 //     bit per class in each dimension's bitmap, and each cell carries its
 //     row count, weight sum and pre-rendered label slot. Cells are few, so
@@ -99,7 +101,7 @@ class StarJoinExecutor {
 
   /// \brief Evaluates against a pre-compiled ScanPlan (see exec/scan_plan.h):
   /// only the per-dimension predicate bitmaps are rebuilt, and the sweep is
-  /// gathers into them plus the layout's pre-packed codes and weights — the
+  /// gathers into them plus the layout's weights and group keys — the
   /// repeated-noisy-execution fast path of the Predicate Mechanism. The
   /// plan's cells are swept when they serve `q` under `overrides`, its fact
   /// rows otherwise. The plan must have been compiled for `q`'s tables
@@ -155,15 +157,19 @@ Result<double> ContractPlan(const ScanPlan& plan,
 /// worker adds to its own cache-line-aligned partial: the chunk's row count
 /// (popcount, or the passing cells' counts), for SUM/AVG the chunk's weight
 /// sum (kernels::SumChunk), and for grouped plans each passing unit in
-/// ascending order — a row to the worker's GroupAccumulator by group code, a
-/// cell to its pre-rendered label slot. Finalize merges the partials in
+/// ascending order — a row to the worker's GroupAccumulator by the group
+/// code ScanPlan::GroupCodes packs for the chunk's passing rows, a cell to
+/// its pre-rendered label slot. Finalize merges the partials in
 /// worker order. Two sweeps of one layout with the same morsel size and
 /// worker count therefore add the same terms in the same order.
 class SweepAccumulator {
  public:
-  /// Accumulates a sweep over `plan`'s fact rows, or over its cells when
-  /// `cells` (the plan must have them).
-  SweepAccumulator(const ScanPlan& plan, bool cells, int num_workers);
+  /// Accumulates a sweep of `q` over `plan`'s fact rows, or over its cells
+  /// when `cells` (the plan must have them). `q` must be bound like the plan
+  /// and outlive the accumulator: a grouped row sweep reads its fact-side
+  /// keys, of the plan's rows only.
+  SweepAccumulator(const ScanPlan& plan, const query::BoundQuery& q, bool cells,
+                   int num_workers);
 
   /// Adds the units of `mask` — bit i set = unit `base + i` passes, bits
   /// ≥ `nbits` clear — to `worker`'s partial.
@@ -183,13 +189,22 @@ class SweepAccumulator {
       }
       return;
     }
+    if (!cells_) {
+      int64_t rows[64];
+      size_t n = 0;
+      for (uint64_t m = mask; m != 0; m &= m - 1) {
+        rows[n++] = base + __builtin_ctzll(m);
+      }
+      uint64_t codes[64];
+      plan_.GroupCodes(q_, rows, n, codes);
+      for (size_t k = 0; k < n; ++k) {
+        p.groups->Add(codes[k], weights_ != nullptr ? weights_[rows[k]] : 1.0);
+      }
+      return;
+    }
     while (mask != 0) {
       const int64_t unit = base + __builtin_ctzll(mask);
       mask &= mask - 1;
-      if (!cells_) {
-        p.groups->Add(codes_[unit], weights_ != nullptr ? weights_[unit] : 1.0);
-        continue;
-      }
       GroupAgg& agg = p.slot_aggs[static_cast<size_t>(slots_[unit])];
       agg.rows += counts_[unit];
       agg.sum += weights_ != nullptr ? weights_[unit]
@@ -197,8 +212,8 @@ class SweepAccumulator {
     }
   }
 
-  /// Merges the partials in worker order and renders `q`'s answer.
-  QueryResult Finalize(const query::BoundQuery& q);
+  /// Merges the partials in worker order and renders the answer.
+  QueryResult Finalize();
 
  private:
   struct alignas(64) Partial {
@@ -209,12 +224,12 @@ class SweepAccumulator {
   };
 
   const ScanPlan& plan_;
+  const query::BoundQuery& q_;
   const kernels::EngineKernels& kern_;
   const bool grouped_;
   const bool cells_;
   const double* weights_;   ///< null = COUNT
   const int64_t* counts_;   ///< null = one row per unit (fact rows)
-  const uint64_t* codes_;   ///< grouped rows: unit → group code
   const int32_t* slots_;    ///< grouped cells: unit → label slot
   std::vector<Partial> partials_;
 };

@@ -402,8 +402,8 @@ Router MakeServiceRouter(service::QueryService* service, ApiOptions options) {
                   "another plan already holds")
         ->Set(static_cast<double>(stats.plan_cache.column_reuses));
     reg->GetGauge("dpstarj_plan_column_copies",
-                  "Join, weight and code array extensions that copied the "
-                  "array instead of appending in place (once per capacity "
+                  "Join and weight column extensions that copied the "
+                  "column instead of appending in place (once per capacity "
                   "doubling while extensions keep up with ingest)")
         ->Set(static_cast<double>(stats.plan_cache.column_copies));
     reg->GetGauge("dpstarj_plan_cell_builds",

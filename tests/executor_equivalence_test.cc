@@ -12,8 +12,10 @@
 // The generator also produces the three GROUP BY key sets whose ordinals
 // cannot pack into a 64-bit code — a double fact key, an int64 fact key
 // spanning ≥ 2^62, and fields wider than 64 bits in total — whose plans
-// number the distinct key tuples instead (ScanPlan::numbered_codes); the
-// tests assert that each of them actually occurred.
+// number the distinct key tuples instead (ScanPlan::numbered_codes), and
+// packed plans keyed on the fact string g and the fact int64 h, whose sweep
+// reads those keys from the fact table; the tests assert that each of them
+// actually occurred.
 //
 // Every generated measure is an integer-valued double, so aggregate sums are
 // exact regardless of association order — results must match *bit-for-bit*
@@ -288,16 +290,17 @@ query::StarJoinQuery MakeShapedQuery(std::mt19937& rng, const Instance& inst,
   return q;
 }
 
+bool GroupsByFact(const query::StarJoinQuery& q, const char* column) {
+  return std::find(q.group_by.begin(), q.group_by.end(),
+                   query::ColumnRef{"F", column}) != q.group_by.end();
+}
+
 // The unpackable shape a compiled plan has, or kNumShapes when it packs.
 Shape ShapeOf(const exec::ScanPlan& plan, const query::StarJoinQuery& q,
               HSpan h_span) {
   if (!plan.numbered_codes) return kNumShapes;
-  auto groups_by = [&](const char* column) {
-    return std::find(q.group_by.begin(), q.group_by.end(),
-                     query::ColumnRef{"F", column}) != q.group_by.end();
-  };
-  if (groups_by("price")) return kDoubleKey;
-  if (groups_by("h") && h_span == HSpan::kHuge) return kHugeRange;
+  if (GroupsByFact(q, "price")) return kDoubleKey;
+  if (GroupsByFact(q, "h") && h_span == HSpan::kHuge) return kHugeRange;
   return kWideLayout;
 }
 
@@ -447,6 +450,8 @@ exec::ScanPlan CheckAgainstNaive(std::mt19937& rng,
 TEST(ExecutorEquivalence, RandomizedMatrixMatchesNaiveBitForBit) {
   std::array<int, kNumShapes + 1> shape_count{};
   int cell_plans = 0;
+  int packed_g = 0;  // packed plans keyed on the fact string g
+  int packed_h = 0;  // ... and on the fact int64 h
   for (uint32_t seed = 1; seed <= 40; ++seed) {
     std::mt19937 rng(seed);
     Instance inst =
@@ -461,12 +466,18 @@ TEST(ExecutorEquivalence, RandomizedMatrixMatchesNaiveBitForBit) {
           "seed " + std::to_string(seed) + " query " + std::to_string(qi),
           &cell_plans);
       ++shape_count[ShapeOf(plan, q, inst.h_span)];
+      if (plan.grouped && !plan.numbered_codes) {
+        packed_g += GroupsByFact(q, "g") ? 1 : 0;
+        packed_h += GroupsByFact(q, "h") ? 1 : 0;
+      }
     }
   }
   for (int s = 0; s < kNumShapes; ++s) {
     EXPECT_GT(shape_count[static_cast<size_t>(s)], 0)
         << "the generator never produced a " << kShapeNames[s] << " query";
   }
+  EXPECT_GT(packed_g, 0) << "no packed plan keyed on the fact string g";
+  EXPECT_GT(packed_h, 0) << "no packed plan keyed on the fact int64 h";
   EXPECT_GT(cell_plans, 60);  // most of the 120 plans have cells
 }
 

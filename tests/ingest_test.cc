@@ -4,10 +4,10 @@
 //
 //   * ScanPlan::ExtendFrom vs a fresh Compile — plus ScanPlan::WithCells
 //     when the extended plan has cells — over randomized append schedules ×
-//     query shapes: every scaffold array (FK resolution, packed codes,
-//     weights, and the classes, cells and rendered labels of the cell
-//     layout) bit-identical, and execution of both plans bit-identical to
-//     the naive oracle. Each extension appends into its parent's arrays
+//     query shapes: every scaffold array (FK resolution, weights, and the
+//     classes, packed cell codes and rendered labels of the cell layout)
+//     bit-identical, and execution of both plans bit-identical to the
+//     naive oracle. Each extension appends into its parent's arrays
 //     while their capacity lasts, and the parent's own sweep answers as it
 //     did before. Tails whose labels sort before, between and after the
 //     plan's merge them into its label table. Tails that cannot be added (a
@@ -240,9 +240,6 @@ TEST(IngestEquivalenceTest, ExtendMatchesFreshCompileOnRandomSchedules) {
           if (ext->weights != nullptr) {
             ExpectAppendedWhileCapacityLasts(prev->weights->values,
                                              ext->weights->values, "weights");
-          }
-          if (ext->grouped) {
-            ExpectAppendedWhileCapacityLasts(prev->codes, ext->codes, "codes");
           }
           // The child wrote only past the parent's rows.
           ExpectBitIdentical(prev_answer, SweepPlanRows(*prev, prev_bound));

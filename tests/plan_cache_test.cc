@@ -5,10 +5,10 @@
 // some plan holds it, a plan's first validated hit builds (or declines) its
 // cells exactly once — also when many threads hit it at once — and an
 // extension keeps them, extensions append into their parent's arrays and
-// exactly one of several racing ones does, the cache is safe under
-// concurrent use and appends (run under TSan via the build-tsan / CI TSan
-// configuration), and the plan path never changes Predicate Mechanism noise
-// semantics.
+// exactly one of several racing ones does, a packed grouped plan stores no
+// group code per fact row, the cache is safe under concurrent use and
+// appends (run under TSan via the build-tsan / CI TSan configuration), and
+// the plan path never changes Predicate Mechanism noise semantics.
 
 #include <gtest/gtest.h>
 
@@ -485,6 +485,36 @@ TEST(PlanCacheTest, PlansShareJoinAndWeightColumnsWhileHeld) {
   EXPECT_TRUE(watched.expired());
 }
 
+// A packed grouped plan stores no group code per fact row: the sweep and the
+// cell build pack each code from the join columns when they read it. So its
+// bytes exceed those of the same joins ungrouped by the group ordinals of
+// the dimension rows only, far less than a uint64 per fact row.
+TEST(PlanCacheTest, PackedGroupedPlanHoldsNoPerRowCodes) {
+  storage::Catalog catalog = MakeToyCatalog();
+  auto orders = catalog.GetTable("Orders");
+  ASSERT_TRUE(orders.ok());
+  for (int64_t r = 0; r < 500; ++r) {
+    ASSERT_TRUE((*orders)->AppendRow((*orders)->GetRow(r % 12)).ok());
+  }
+  query::Binder binder(&catalog);
+  const query::StarJoinQuery grouped = ToyGroupedQuery();
+  query::StarJoinQuery flat = grouped;
+  flat.group_by.clear();
+  auto grouped_q = binder.Bind(grouped);
+  auto flat_q = binder.Bind(flat);
+  ASSERT_TRUE(grouped_q.ok() && flat_q.ok());
+  exec::PlanColumnStore columns;
+  auto grouped_plan = ScanPlan::Compile(*grouped_q, columns);
+  auto flat_plan = ScanPlan::Compile(*flat_q, columns);
+  ASSERT_TRUE(grouped_plan.ok() && flat_plan.ok());
+  ASSERT_TRUE(grouped_plan->grouped);
+  ASSERT_FALSE(grouped_plan->numbered_codes);
+  EXPECT_EQ(grouped_plan->codes.size(), 0u);
+  const size_t fact_rows = static_cast<size_t>(grouped_plan->fact_rows());
+  EXPECT_LT(grouped_plan->ApproxBytes(),
+            flat_plan->ApproxBytes() + 8 * fact_rows);
+}
+
 TEST(PlanCacheTest, ConcurrentSharedCacheIsSafe) {
   storage::Catalog catalog = MakeToyCatalog();
   query::Binder binder(&catalog);
@@ -677,10 +707,10 @@ TEST(PlanCacheTest, ConcurrentFirstHitsBuildCellsOnce) {
 
 // Several threads extend one stale plan at once while others sweep it
 // (under TSan, the race check of AppendArray's claim). The plan was
-// extended once, so each of its arrays has room for the tail: exactly one
-// extension appends into its codes, every other array extension copies and
-// is counted, each extension equals a fresh compile, and the old plan's
-// sweep answers exactly as before the ingest throughout.
+// extended once, so each of its columns has room for the tail: the first
+// build of each column appends in place, every other build copies and is
+// counted, each extension equals a fresh compile, and the old plan's sweep
+// answers exactly as before the ingest throughout.
 TEST(PlanCacheTest, RacingExtensionsOfOneStalePlanAppendOnce) {
   constexpr int kExtenders = 4;
   constexpr int kReaders = 2;
@@ -689,7 +719,7 @@ TEST(PlanCacheTest, RacingExtensionsOfOneStalePlanAppendOnce) {
   StarJoinExecutor executor;
   auto orders = catalog.GetTable("Orders");
   ASSERT_TRUE(orders.ok());
-  // Two join columns, a weight column and codes.
+  // Two join columns and a weight column.
   const query::StarJoinQuery shape = ToyGroupedQuery();
   exec::PlanColumnStore columns;
   auto first = binder.Bind(shape);
@@ -741,23 +771,18 @@ TEST(PlanCacheTest, RacingExtensionsOfOneStalePlanAppendOnce) {
   exec::PlanColumnStore fresh_columns;
   auto fresh = ScanPlan::Compile(*grown, fresh_columns);
   ASSERT_TRUE(fresh.ok());
-  int appended_codes = 0;
   for (const Result<ScanPlan>& ext : extended) {
     ASSERT_TRUE(ext.ok()) << ext.status().ToString();
     for (size_t i = 0; i < fresh->fact_dim_row.size(); ++i) {
       EXPECT_EQ(ext->fact_dim_row[i]->rows, fresh->fact_dim_row[i]->rows);
     }
     EXPECT_EQ(ext->weights->values, fresh->weights->values);
-    EXPECT_EQ(ext->codes, fresh->codes);
-    appended_codes += ext->codes.data() == old->codes.data() ? 1 : 0;
   }
-  EXPECT_EQ(appended_codes, 1);
-  // Each array has one appending extension: of the codes' kExtenders, and
-  // of the column builds (two join columns and the weights; a thread that
-  // finds a racing twin's column live reuses it instead of building).
+  // Each column has one appending build (two join columns and the weights;
+  // a thread that finds a racing twin's column live reuses it instead of
+  // building).
   const exec::PlanColumnStore::Stats after = columns.GetStats();
-  EXPECT_EQ(after.copies - before.copies,
-            (kExtenders - 1) + (after.builds - before.builds - 3));
+  EXPECT_EQ(after.copies - before.copies, after.builds - before.builds - 3);
 }
 
 // Extending a plan with cells is an extend like any other — a hit, not a

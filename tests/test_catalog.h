@@ -123,7 +123,7 @@ inline exec::QueryResult SweepPlanRows(const exec::ScanPlan& plan,
     words.push_back(bitmaps[i].data());
   }
   const auto& kern = exec::kernels::ActiveKernels();
-  exec::SweepAccumulator acc(plan, /*cells=*/false, /*num_workers=*/1);
+  exec::SweepAccumulator acc(plan, q, /*cells=*/false, /*num_workers=*/1);
   for (int64_t unit = 0; unit < plan.fact_rows(); unit += 64) {
     const int nbits =
         static_cast<int>(std::min<int64_t>(64, plan.fact_rows() - unit));
@@ -131,7 +131,7 @@ inline exec::QueryResult SweepPlanRows(const exec::ScanPlan& plan,
                  kern.pass_mask(rows.data(), words.data(), rows.size(), unit,
                                 nbits));
   }
-  return acc.Finalize(q);
+  return acc.Finalize();
 }
 
 }  // namespace dpstarj::testing_fixture
