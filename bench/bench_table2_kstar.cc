@@ -8,7 +8,9 @@
 // degree index in microseconds. Scale via DPSTARJ_GRAPH_SCALE,
 // limit via DPSTARJ_TIME_LIMIT_S.
 
+#include <cstdint>
 #include <cstdio>
+#include <iterator>
 
 #include "bench_common.h"
 #include "graph/generator.h"
@@ -63,6 +65,14 @@ Cell RunMechanism(const std::string& which, const graph::Graph& g,
   return c;
 }
 
+/// Seeds one cell's generator from its dataset, k, mechanism and ε, so a
+/// baseline that stops at the time limit after however many draws leaves the
+/// noise of every other cell as it was.
+uint64_t CellSeed(size_t dataset, int k, size_t mechanism, size_t eps) {
+  return 77 + 1000 * dataset + 100 * static_cast<uint64_t>(k) + 10 * mechanism +
+         eps;
+}
+
 }  // namespace
 
 int main() {
@@ -74,7 +84,6 @@ int main() {
       " (graph scale %.3f, limit %.1fs, %d runs) ==\n\n",
       scale, limit, runs);
 
-  Rng rng(77);
   struct Dataset {
     const char* name;
     Result<graph::Graph> graph;
@@ -84,7 +93,8 @@ int main() {
       {"Amazon-like", graph::GenerateAmazonLike(scale, 202)},
   };
 
-  for (auto& ds : datasets) {
+  for (size_t d = 0; d < std::size(datasets); ++d) {
+    Dataset& ds = datasets[d];
     if (!ds.graph.ok()) {
       std::fprintf(stderr, "%s: %s\n", ds.name, ds.graph.status().ToString().c_str());
       return 1;
@@ -100,10 +110,14 @@ int main() {
       bench_util::TablePrinter table({Format("Q%d* mechanism", k), "eps=0.1 err",
                                       "eps=0.1 time", "eps=0.5 err", "eps=0.5 time",
                                       "eps=1 err", "eps=1 time"});
-      for (const char* mech : {"PM", "R2T", "TM"}) {
-        std::vector<std::string> row = {mech};
-        for (double eps : {0.1, 0.5, 1.0}) {
-          Cell c = RunMechanism(mech, g, index, q, eps, runs, limit, &rng);
+      const char* const mechs[] = {"PM", "R2T", "TM"};
+      const double epsilons[] = {0.1, 0.5, 1.0};
+      for (size_t m = 0; m < std::size(mechs); ++m) {
+        std::vector<std::string> row = {mechs[m]};
+        for (size_t e = 0; e < std::size(epsilons); ++e) {
+          Rng rng(CellSeed(d, k, m, e));
+          Cell c = RunMechanism(mechs[m], g, index, q, epsilons[e], runs, limit,
+                                &rng);
           row.push_back(c.error);
           row.push_back(c.time);
         }

@@ -1,8 +1,9 @@
 #include "net/json.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 #include "common/string_util.h"
 
@@ -15,6 +16,8 @@ constexpr int kMaxDepth = 64;
 bool IsJsonWhitespace(char c) {
   return c == ' ' || c == '\t' || c == '\n' || c == '\r';
 }
+
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
 
 }  // namespace
 
@@ -195,209 +198,274 @@ std::string Json::Dump() const {
   return "null";
 }
 
+Json::Type JsonReader::Peek() {
+  if (!ok()) return Json::Type::kNull;
+  // Checked before whitespace, so the offset is where the value's slot
+  // begins.
+  if (depth_ > kMaxDepth) {
+    Fail("nesting too deep");
+    return Json::Type::kNull;
+  }
+  SkipWhitespace();
+  if (pos_ >= text_.size()) {
+    Fail("unexpected end of input");
+    return Json::Type::kNull;
+  }
+  const char c = text_[pos_];
+  switch (c) {
+    case '{': return Json::Type::kObject;
+    case '[': return Json::Type::kArray;
+    case '"': return Json::Type::kString;
+    case 't':
+      if (text_.compare(pos_, 4, "true") == 0) return Json::Type::kBool;
+      break;
+    case 'f':
+      if (text_.compare(pos_, 5, "false") == 0) return Json::Type::kBool;
+      break;
+    case 'n':
+      if (text_.compare(pos_, 4, "null") == 0) return Json::Type::kNull;
+      break;
+    default:
+      if (c == '-' || IsDigit(c)) return Json::Type::kNumber;
+  }
+  Fail(Format("unexpected character '%c'", c));
+  return Json::Type::kNull;
+}
+
+void JsonReader::BeginObject() { Enter(Json::Type::kObject); }
+
+bool JsonReader::NextKey(std::string* key) {
+  if (!Step('}', "expected ',' or '}' in object")) return false;
+  SkipWhitespace();
+  if (pos_ >= text_.size() || text_[pos_] != '"') {
+    Fail("expected object key");
+    return false;
+  }
+  ReadString(key);
+  SkipWhitespace();
+  if (ok() && !Consume(':')) Fail("expected ':' after object key");
+  return ok();
+}
+
+void JsonReader::BeginArray() { Enter(Json::Type::kArray); }
+
+bool JsonReader::NextItem() { return Step(']', "expected ',' or ']' in array"); }
+
+void JsonReader::String(std::string* out) {
+  if (Expect(Json::Type::kString)) ReadString(out);
+}
+
+double JsonReader::Number() {
+  if (!Expect(Json::Type::kNumber)) return 0.0;
+  const size_t start = pos_;
+  auto skip_digits = [&] {
+    while (pos_ < text_.size() && IsDigit(text_[pos_])) ++pos_;
+  };
+  Consume('-');
+  skip_digits();
+  if (Consume('.')) skip_digits();
+  if (Consume('e') || Consume('E')) {
+    if (!Consume('+')) Consume('-');
+    skip_digits();
+  }
+  const char* first = text_.data() + start;
+  const char* last = text_.data() + pos_;
+  double value = 0.0;
+  auto [end, ec] = std::from_chars(first, last, value);
+  if (ec == std::errc::result_out_of_range) {
+    // from_chars leaves `value` unset past the double range; strtod returns
+    // the ±inf, 0 or denormal that this dialect has always read there.
+    const std::string token(first, last);
+    char* token_end = nullptr;
+    value = std::strtod(token.c_str(), &token_end);
+    end = first + (token_end - token.c_str());
+    ec = std::errc();
+  }
+  if (ec != std::errc() || end != last) {
+    Fail(Format("invalid number '%s'", std::string(first, last).c_str()));
+    return 0.0;
+  }
+  return value;
+}
+
+bool JsonReader::Bool() {
+  if (!Expect(Json::Type::kBool)) return false;
+  const bool value = text_[pos_] == 't';
+  pos_ += value ? 4 : 5;
+  return value;
+}
+
+void JsonReader::Null() {
+  if (Expect(Json::Type::kNull)) pos_ += 4;
+}
+
+void JsonReader::Skip() {
+  switch (Peek()) {
+    case Json::Type::kObject:
+      BeginObject();
+      while (NextKey(nullptr)) Skip();
+      return;
+    case Json::Type::kArray:
+      BeginArray();
+      while (NextItem()) Skip();
+      return;
+    case Json::Type::kString:
+      String(nullptr);
+      return;
+    case Json::Type::kNumber:
+      Number();
+      return;
+    case Json::Type::kBool:
+      Bool();
+      return;
+    case Json::Type::kNull:
+      Null();
+      return;
+  }
+}
+
+bool JsonReader::End() {
+  if (ok()) {
+    SkipWhitespace();
+    if (pos_ != text_.size()) Fail("trailing characters after JSON document");
+  }
+  return ok();
+}
+
+bool JsonReader::Expect(Json::Type type) {
+  if (Peek() != type) Fail("value of another type");
+  return ok();
+}
+
+void JsonReader::Enter(Json::Type type) {
+  if (!Expect(type)) return;
+  ++pos_;
+  ++depth_;
+  first_ = true;
+}
+
+bool JsonReader::Step(char close, const char* expected) {
+  if (!ok()) return false;
+  SkipWhitespace();
+  if (Consume(close)) {
+    --depth_;
+    first_ = false;
+    return false;
+  }
+  if (!std::exchange(first_, false) && !Consume(',')) {
+    Fail(expected);
+    return false;
+  }
+  return true;
+}
+
+bool JsonReader::Consume(char c) {
+  if (pos_ >= text_.size() || text_[pos_] != c) return false;
+  ++pos_;
+  return true;
+}
+
+void JsonReader::Fail(const std::string& what) {
+  if (!ok()) return;
+  status_ = Status::ParseError(Format("json: %s at offset %zu", what.c_str(), pos_));
+}
+
+void JsonReader::SkipWhitespace() {
+  while (pos_ < text_.size() && IsJsonWhitespace(text_[pos_])) ++pos_;
+}
+
+void JsonReader::ReadString(std::string* out) {
+  static constexpr std::string_view kEscapes = "\"\\/bfnrt";
+  static constexpr std::string_view kEscaped = "\"\\/\b\f\n\r\t";
+  ++pos_;  // '"'
+  if (out != nullptr) out->clear();
+  while (pos_ < text_.size()) {
+    // Copy each run of plain characters with one append.
+    size_t run = pos_;
+    while (run < text_.size() && text_[run] != '"' && text_[run] != '\\' &&
+           static_cast<unsigned char>(text_[run]) >= 0x20) {
+      ++run;
+    }
+    if (out != nullptr) out->append(text_, pos_, run - pos_);
+    pos_ = run;
+    if (pos_ >= text_.size()) break;
+    const char c = text_[pos_++];
+    if (c == '"') return;
+    if (c != '\\') return Fail("unescaped control character in string");
+    if (pos_ >= text_.size()) break;
+    const char esc = text_[pos_++];
+    if (const size_t e = kEscapes.find(esc); e != std::string_view::npos) {
+      if (out != nullptr) *out += kEscaped[e];
+      continue;
+    }
+    if (esc != 'u') return Fail(Format("invalid escape '\\%c'", esc));
+    if (pos_ + 4 > text_.size()) return Fail("truncated \\u escape");
+    unsigned code = 0;
+    const char* hex = text_.data() + pos_;
+    const auto [hex_end, ec] = std::from_chars(hex, hex + 4, code, 16);
+    pos_ += static_cast<size_t>(hex_end - hex);
+    if (hex_end != hex + 4) {
+      ++pos_;  // the offset is just past the bad digit
+      return Fail("invalid hex digit in \\u escape");
+    }
+    if (out == nullptr) continue;
+    // UTF-8-encode the code point (surrogate pairs are passed through as two
+    // 3-byte sequences — group labels are plain ASCII anyway).
+    if (code < 0x80) {
+      *out += static_cast<char>(code);
+    } else if (code < 0x800) {
+      *out += static_cast<char>(0xC0 | (code >> 6));
+      *out += static_cast<char>(0x80 | (code & 0x3F));
+    } else {
+      *out += static_cast<char>(0xE0 | (code >> 12));
+      *out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+      *out += static_cast<char>(0x80 | (code & 0x3F));
+    }
+  }
+  Fail("unterminated string");
+}
+
 namespace {
 
-/// Recursive-descent parser over a string_view with a cursor.
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  Result<Json> ParseDocument() {
-    DPSTARJ_ASSIGN_OR_RETURN(Json value, ParseValue(0));
-    SkipWhitespace();
-    if (pos_ != text_.size()) {
-      return Error("trailing characters after JSON document");
+/// Builds the DOM of the value at `r`'s cursor.
+Json ReadValue(JsonReader* r) {
+  switch (r->Peek()) {
+    case Json::Type::kObject: {
+      Json obj = Json::Object();
+      r->BeginObject();
+      std::string key;
+      while (r->NextKey(&key)) obj.Set(key, ReadValue(r));
+      return obj;
     }
-    return value;
-  }
-
- private:
-  Status Error(const std::string& what) const {
-    return Status::ParseError(Format("json: %s at offset %zu", what.c_str(), pos_));
-  }
-
-  void SkipWhitespace() {
-    while (pos_ < text_.size() && IsJsonWhitespace(text_[pos_])) ++pos_;
-  }
-
-  bool Consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
+    case Json::Type::kArray: {
+      Json arr = Json::Array();
+      r->BeginArray();
+      while (r->NextItem()) arr.Append(ReadValue(r));
+      return arr;
     }
-    return false;
-  }
-
-  bool ConsumeLiteral(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) == lit) {
-      pos_ += lit.size();
-      return true;
-    }
-    return false;
-  }
-
-  Result<Json> ParseValue(int depth) {
-    if (depth > kMaxDepth) return Error("nesting too deep");
-    SkipWhitespace();
-    if (pos_ >= text_.size()) return Error("unexpected end of input");
-    char c = text_[pos_];
-    if (c == '{') return ParseObject(depth);
-    if (c == '[') return ParseArray(depth);
-    if (c == '"') {
-      DPSTARJ_ASSIGN_OR_RETURN(std::string s, ParseString());
+    case Json::Type::kString: {
+      std::string s;
+      r->String(&s);
       return Json::Str(std::move(s));
     }
-    if (ConsumeLiteral("true")) return Json::Bool(true);
-    if (ConsumeLiteral("false")) return Json::Bool(false);
-    if (ConsumeLiteral("null")) return Json::Null();
-    if (c == '-' || (c >= '0' && c <= '9')) return ParseNumber();
-    return Error(Format("unexpected character '%c'", c));
+    case Json::Type::kNumber:
+      return Json::Number(r->Number());
+    case Json::Type::kBool:
+      return Json::Bool(r->Bool());
+    case Json::Type::kNull:
+      break;
   }
-
-  Result<Json> ParseObject(int depth) {
-    ++pos_;  // '{'
-    Json obj = Json::Object();
-    SkipWhitespace();
-    if (Consume('}')) return obj;
-    for (;;) {
-      SkipWhitespace();
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return Error("expected object key");
-      }
-      DPSTARJ_ASSIGN_OR_RETURN(std::string key, ParseString());
-      SkipWhitespace();
-      if (!Consume(':')) return Error("expected ':' after object key");
-      DPSTARJ_ASSIGN_OR_RETURN(Json value, ParseValue(depth + 1));
-      obj.Set(key, std::move(value));
-      SkipWhitespace();
-      if (Consume(',')) continue;
-      if (Consume('}')) return obj;
-      return Error("expected ',' or '}' in object");
-    }
-  }
-
-  Result<Json> ParseArray(int depth) {
-    ++pos_;  // '['
-    Json arr = Json::Array();
-    SkipWhitespace();
-    if (Consume(']')) return arr;
-    for (;;) {
-      DPSTARJ_ASSIGN_OR_RETURN(Json value, ParseValue(depth + 1));
-      arr.Append(std::move(value));
-      SkipWhitespace();
-      if (Consume(',')) continue;
-      if (Consume(']')) return arr;
-      return Error("expected ',' or ']' in array");
-    }
-  }
-
-  Result<std::string> ParseString() {
-    ++pos_;  // '"'
-    std::string out;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return Error("unescaped control character in string");
-      }
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      char esc = text_[pos_++];
-      switch (esc) {
-        case '"':
-          out += '"';
-          break;
-        case '\\':
-          out += '\\';
-          break;
-        case '/':
-          out += '/';
-          break;
-        case 'b':
-          out += '\b';
-          break;
-        case 'f':
-          out += '\f';
-          break;
-        case 'n':
-          out += '\n';
-          break;
-        case 'r':
-          out += '\r';
-          break;
-        case 't':
-          out += '\t';
-          break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return Error("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              return Error("invalid hex digit in \\u escape");
-            }
-          }
-          // UTF-8-encode the code point (surrogate pairs are passed through
-          // as two 3-byte sequences — group labels are plain ASCII anyway).
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xC0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          } else {
-            out += static_cast<char>(0xE0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          }
-          break;
-        }
-        default:
-          return Error(Format("invalid escape '\\%c'", esc));
-      }
-    }
-    return Error("unterminated string");
-  }
-
-  Result<Json> ParseNumber() {
-    size_t start = pos_;
-    if (Consume('-')) {
-    }
-    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') ++pos_;
-    if (Consume('.')) {
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') ++pos_;
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) ++pos_;
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') ++pos_;
-    }
-    std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    double value = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0') {
-      return Error(Format("invalid number '%s'", token.c_str()));
-    }
-    return Json::Number(value);
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-};
+  r->Null();
+  return Json::Null();
+}
 
 }  // namespace
 
 Result<Json> Json::Parse(std::string_view text) {
-  return Parser(text).ParseDocument();
+  JsonReader r(text);
+  Json value = ReadValue(&r);
+  if (!r.End()) return r.status();
+  return value;
 }
 
 }  // namespace dpstarj::net

@@ -1,10 +1,12 @@
 // Copyright (c) dpstarj authors. Licensed under the MIT license.
 //
-// A minimal, dependency-free JSON value type with a strict parser and a
+// A minimal, dependency-free JSON value type with a strict pull reader and a
 // deterministic serializer — just enough for the wire protocol of the HTTP
 // front door (src/net/service_api.h). Objects preserve insertion order so
 // responses serialize the way the handlers built them; numbers are doubles
-// (all the protocol carries is ε, counters and noisy aggregates).
+// (all the protocol carries is ε, counters and noisy aggregates). JsonReader
+// is the only JSON grammar: Json::Parse builds its DOM with it, and the
+// /v1/ingest decoder reads rows with it straight into cells.
 
 #pragma once
 
@@ -78,8 +80,7 @@ class Json {
   /// (JSON has no NaN/Inf).
   std::string Dump() const;
 
-  /// \brief Strict parse of one JSON document (rejects trailing garbage,
-  /// unescaped control characters, and nesting deeper than 64 levels).
+  /// \brief Strict parse of one JSON document in JsonReader's dialect.
   static Result<Json> Parse(std::string_view text);
 
  private:
@@ -89,6 +90,79 @@ class Json {
   std::string string_;
   std::vector<Json> items_;
   std::vector<std::pair<std::string, Json>> members_;
+};
+
+/// \brief A strict pull reader over one JSON document: a cursor with a sticky
+/// first error, so a decoder walks the document and checks status() once.
+///
+/// Read each value with one Peek() and then the read it announced (or
+/// Skip()); after an error every read is a no-op that returns a neutral
+/// value. Errors read "json: <what> at offset N". The dialect: at most 64
+/// containers around a value, no raw control characters in strings, and a
+/// number is the longest `-?digits(.digits)?([eE][+-]?digits)?` token that
+/// strtod accepts whole ("01", "1." and "-.5" pass, ".5" does not), read as
+/// the nearest double (±inf or 0 past the double range).
+///
+///   JsonReader r(text);
+///   if (r.Peek() == Json::Type::kArray) {
+///     r.BeginArray();
+///     while (r.NextItem()) r.Skip();
+///   }
+///   if (!r.End()) return r.status();
+class JsonReader {
+ public:
+  /// `text` must outlive the reader.
+  explicit JsonReader(std::string_view text) : text_(text) {}
+
+  /// Type of the next value; kNull also after an error. Checks the nesting
+  /// depth, skips whitespace and validates the literals true/false/null.
+  Json::Type Peek();
+
+  /// \name Container steps. After BeginObject, each NextKey reads a key and
+  /// its ':' (then read the member's value); after BeginArray, each NextItem
+  /// moves to the next element. Both return false at the closing bracket,
+  /// which they consume, and on an error. A null `key` skips the key.
+  /// @{
+  void BeginObject();
+  bool NextKey(std::string* key);
+  void BeginArray();
+  bool NextItem();
+  /// @}
+
+  /// \name Scalar reads. A null `out` validates the string without copying.
+  /// @{
+  void String(std::string* out);
+  double Number();
+  bool Bool();
+  void Null();
+  /// @}
+
+  /// Validates and skips one value.
+  void Skip();
+  /// Requires that only whitespace remains; returns ok().
+  bool End();
+
+  bool ok() const { return status_.ok(); }
+  const Status& status() const { return status_; }
+
+ private:
+  bool Expect(Json::Type type);
+  /// Opens the container Peek() announced.
+  void Enter(Json::Type type);
+  /// Moves past the ',' between elements; false at `close` (consumed).
+  bool Step(char close, const char* expected);
+  bool Consume(char c);
+  void Fail(const std::string& what);
+  void SkipWhitespace();
+  void ReadString(std::string* out);
+
+  std::string_view text_;
+  size_t pos_ = 0;
+  int depth_ = 0;
+  // Set by Begin*, cleared by the first NextKey/NextItem that follows it:
+  // nothing else can run in between, so one flag serves every level.
+  bool first_ = false;
+  Status status_;
 };
 
 /// Escapes `s` for inclusion in a JSON string literal (no surrounding quotes).

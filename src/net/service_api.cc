@@ -142,23 +142,53 @@ bool ParseFullDouble(const std::string& text, double* out) {
   return true;
 }
 
-/// Decodes one /v1/ingest cell. JSON strings map to string values; numbers
-/// map to int64 when integral and exactly representable (key and int64
-/// columns must not arrive as lossy doubles — 2^53 is the last double whose
-/// neighbours are all representable), otherwise double. The storage layer
-/// then coerces int64 ↔ double per column, so "42" works for a measure
-/// column and "42.0" does not silently truncate for a key column. Booleans,
-/// nulls, and nested containers have no column type and are rejected.
-Result<storage::Value> DecodeIngestCell(const Json& cell) {
-  if (cell.is_string()) return storage::Value(cell.AsString());
-  if (cell.is_number()) {
-    const double v = cell.AsNumber();
-    if (v == std::floor(v) && std::abs(v) <= 9007199254740992.0) {
-      return storage::Value(static_cast<int64_t>(v));
-    }
-    return storage::Value(v);
+/// Reads the value of one `rows` member into `rows`. The Status is the first
+/// shape error in document order; syntax errors stay with the reader, which
+/// reads on to the end of the value either way.
+Status ReadIngestRows(JsonReader* r,
+                      std::vector<std::vector<storage::Value>>* rows) {
+  rows->clear();
+  Status error;
+  auto refuse = [&](const char* what) {
+    r->Skip();
+    if (error.ok()) error = Status::InvalidArgument(what);
+  };
+  if (r->Peek() != Json::Type::kArray) {
+    refuse("'rows' must be a non-empty array of rows");
+    return error;
   }
-  return Status::InvalidArgument("ingest cells must be numbers or strings");
+  size_t width = 0;
+  r->BeginArray();
+  while (r->NextItem()) {
+    if (r->Peek() != Json::Type::kArray) {
+      refuse("each ingest row must be an array of cells");
+      continue;
+    }
+    std::vector<storage::Value>& row = rows->emplace_back();
+    row.reserve(width);
+    r->BeginArray();
+    while (r->NextItem()) {
+      const Json::Type type = r->Peek();
+      if (type == Json::Type::kNumber) {
+        // 2^53 is the last double whose neighbours are all representable.
+        const double v = r->Number();
+        if (v == std::floor(v) && std::abs(v) <= 9007199254740992.0) {
+          row.emplace_back(static_cast<int64_t>(v));
+        } else {
+          row.emplace_back(v);
+        }
+      } else if (type == Json::Type::kString) {
+        std::string s;
+        r->String(&s);
+        row.emplace_back(std::move(s));
+      } else {
+        // Booleans, nulls and containers have no column type.
+        refuse("ingest cells must be numbers or strings");
+      }
+    }
+    width = row.size();
+  }
+  return error;
 }
 
 /// Exports the busy/idle accounting of one worker pool as scrape-time gauges.
@@ -177,6 +207,40 @@ void ExportWorkerGauges(obs::MetricsRegistry* reg, const char* pool,
 }
 
 }  // namespace
+
+Status DecodeIngestBody(std::string_view body, std::string* table,
+                        std::vector<std::vector<storage::Value>>* rows) {
+  JsonReader r(body);
+  Status table_error = Status::InvalidArgument("missing field 'table'");
+  Status rows_error =
+      Status::InvalidArgument("'rows' must be a non-empty array of rows");
+  const bool is_object = r.Peek() == Json::Type::kObject;
+  if (is_object) {
+    r.BeginObject();
+    std::string key;
+    while (r.NextKey(&key)) {
+      if (key == "table") {
+        if (r.Peek() == Json::Type::kString) {
+          r.String(table);
+          table_error = Status::OK();
+        } else {
+          r.Skip();
+          table_error = Status::InvalidArgument("field 'table' must be a string");
+        }
+      } else if (key == "rows") {
+        rows_error = ReadIngestRows(&r, rows);
+      } else {
+        r.Skip();
+      }
+    }
+  } else {
+    r.Skip();
+  }
+  if (!r.End()) return r.status();
+  if (!is_object) return Status::InvalidArgument("body must be a JSON object");
+  if (!table_error.ok()) return table_error;
+  return rows_error;
+}
 
 int HttpStatusForError(const Status& status) {
   switch (status.code()) {
@@ -795,33 +859,9 @@ Router MakeServiceRouter(service::QueryService* service, ApiOptions options) {
     };
     std::string table;
     std::vector<std::vector<storage::Value>> rows;
-    const Status decoded = [&]() -> Status {
+    const Status decoded = [&] {
       obs::ScopedStage decode(trace.get(), obs::Stage::kDecode);
-      DPSTARJ_ASSIGN_OR_RETURN(Json body, Json::Parse(req.body));
-      if (!body.is_object()) {
-        return Status::InvalidArgument("body must be a JSON object");
-      }
-      DPSTARJ_ASSIGN_OR_RETURN(table, body.GetString("table"));
-      const Json* rows_json = body.Find("rows");
-      if (rows_json == nullptr || !rows_json->is_array()) {
-        return Status::InvalidArgument(
-            "'rows' must be a non-empty array of rows");
-      }
-      rows.reserve(rows_json->items().size());
-      for (const Json& row_json : rows_json->items()) {
-        if (!row_json.is_array()) {
-          return Status::InvalidArgument(
-              "each ingest row must be an array of cells");
-        }
-        std::vector<storage::Value>& row = rows.emplace_back();
-        row.reserve(row_json.items().size());
-        for (const Json& cell : row_json.items()) {
-          DPSTARJ_ASSIGN_OR_RETURN(storage::Value value,
-                                   DecodeIngestCell(cell));
-          row.push_back(std::move(value));
-        }
-      }
-      return Status::OK();
+      return DecodeIngestBody(req.body, &table, &rows);
     }();
     if (!decoded.ok()) return fail(decoded);
     auto outcome = service->Ingest(table, rows, trace.get());

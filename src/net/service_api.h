@@ -69,10 +69,15 @@
 
 #pragma once
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "common/result.h"
 #include "net/http.h"
 #include "net/json.h"
 #include "service/query_service.h"
+#include "storage/value.h"
 
 namespace dpstarj::net {
 
@@ -98,6 +103,19 @@ Json QueryResultToJson(const exec::QueryResult& result);
 
 /// Renders the service counters (incl. answer/plan-cache) for /v1/stats.
 Json ServiceStatsToJson(const service::ServiceStats& stats);
+
+/// \brief Decodes a /v1/ingest body into the table name and the rows that
+/// QueryService::Ingest takes, reading it with JsonReader and building no
+/// DOM. A number cell becomes an int64 when it is integral and |v| <= 2^53
+/// (key and int64 columns must not arrive as lossy doubles), otherwise a
+/// double; a string cell becomes a string. The last `table` and the last
+/// `rows` member win; other members are validated and ignored. The first
+/// error, in this order: a syntax error anywhere in the body, a body that is
+/// not an object, a missing or non-string `table`, a `rows` that is not an
+/// array, then the first row that is not an array or cell that is neither a
+/// number nor a string, in document order.
+Status DecodeIngestBody(std::string_view body, std::string* table,
+                        std::vector<std::vector<storage::Value>>* rows);
 
 /// \brief Builds the routing table over `service` (which must outlive the
 /// returned Router and any server running it). The telemetry endpoints and

@@ -57,6 +57,14 @@ Status Table::ValidateRow(const std::vector<Value>& values) const {
           Format("column %zu of '%s' expects %s, got %s", i, name_.c_str(),
                  ValueTypeToString(ct), ValueTypeToString(vt)));
     }
+    // One ±inf or NaN measure would turn every SUM over its rows into a
+    // non-finite answer for good: rows are never deleted.
+    if (vt == ValueType::kDouble && !std::isfinite(values[i].AsDouble())) {
+      return Status::InvalidArgument(
+          Format("column %zu ('%s') of '%s' must be finite, got %g", i,
+                 schema_.field(static_cast<int>(i)).name.c_str(), name_.c_str(),
+                 values[i].AsDouble()));
+    }
   }
   return Status::OK();
 }

@@ -51,10 +51,10 @@ class Table {
   void BumpVersion() { version_.fetch_add(1, std::memory_order_acq_rel); }
 
   /// \brief Checks `values` against the schema (arity; types, with int64 ↔
-  /// double coercion allowed) without mutating anything — the validation
-  /// half of AppendRow, exposed so batch writers (streaming ingest) can
-  /// pre-validate a whole batch outside the write lock and then apply it
-  /// all-or-nothing.
+  /// double coercion allowed; finite doubles) without mutating anything —
+  /// the validation half of AppendRow, exposed so batch writers (streaming
+  /// ingest) can pre-validate a whole batch outside the write lock and then
+  /// apply it all-or-nothing.
   Status ValidateRow(const std::vector<Value>& values) const;
 
   /// \brief Appends one row; `values` must match the schema arity and types.

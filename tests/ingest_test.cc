@@ -28,7 +28,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -595,6 +597,51 @@ TEST(IngestServiceTest, BatchesAreAllOrNothing) {
   EXPECT_EQ((*orders)->num_rows(), before);
   EXPECT_EQ((*orders)->version(), 0u);
   EXPECT_EQ(svc.Stats().ingest_batches, 0u);
+}
+
+TEST(IngestServiceTest, NonFiniteCellsAreRefused) {
+  storage::Catalog catalog = MakeToyCatalog();
+  service::QueryService svc(&catalog, {});
+  ASSERT_TRUE(svc.RegisterTenant("t", 10.0).ok());
+  auto orders = catalog.GetTable("Orders");
+  ASSERT_TRUE(orders.ok());
+  const int64_t before = (*orders)->num_rows();
+
+  // Every non-finite double refuses its batch, and the error names the
+  // column.
+  for (double bad : {std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN()}) {
+    auto out = svc.Ingest(
+        "Orders", {{Value(int64_t{1}), Value(int64_t{1}), Value(int64_t{2}),
+                    Value(10.0)},
+                   {Value(int64_t{1}), Value(int64_t{1}), Value(int64_t{2}),
+                    Value(bad)}});
+    ASSERT_FALSE(out.ok());
+    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(out.status().message().find("'price'"), std::string::npos)
+        << out.status().ToString();
+  }
+
+  // Over the wire, a number past the double range reads as +inf: 400, and
+  // nothing lands, so a SUM over the table still answers a finite value.
+  net::HttpServer server(net::MakeServiceRouter(&svc), {});
+  ASSERT_TRUE(server.Start().ok());
+  net::Client client("127.0.0.1", server.port());
+  auto resp = client.Post("/v1/ingest",
+                          R"({"table": "Orders", "rows": [[1, 1, 2, 1e400]]})");
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  EXPECT_EQ(resp->status, 400);
+  server.Stop();
+  EXPECT_EQ((*orders)->num_rows(), before);
+  EXPECT_EQ((*orders)->version(), 0u);
+  auto sum = svc.Answer(
+      "SELECT sum(Orders.price) FROM Orders, Cust, Prod "
+      "WHERE Orders.ck = Cust.ck AND Orders.pk = Prod.pk "
+      "AND Cust.region = 'N'",
+      0.5, "t");
+  ASSERT_TRUE(sum.ok()) << sum.status().ToString();
+  EXPECT_TRUE(std::isfinite(sum->scalar));
 }
 
 // ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@
 Spawns a dpstarj-server on an ephemeral port, then throws a budget of
 mutated ingest bodies at it: random byte flips, insertions, deletions,
 truncations and duplications of a valid JSON batch, plus a few structural
-edits (wrong types, giant bodies past the 1 MB cap). The server must answer
-every one of them from the 2xx/4xx vocabulary of docs/wire-protocol.md —
+edits (wrong types, cells past the double range, giant bodies past the 1 MB
+cap). The server must answer every one of them from the 2xx/4xx vocabulary of
+docs/wire-protocol.md —
 
   200           the mutation kept the body valid,
   400           malformed JSON / wrong shape / schema-invalid rows,
@@ -14,8 +15,10 @@ every one of them from the 2xx/4xx vocabulary of docs/wire-protocol.md —
 
 never a 5xx, never a dropped connection, and never a crash: after the
 budget the server must still answer /healthz and drain cleanly on SIGINT
-with exit code 0. A fixed default seed keeps CI deterministic; override it
-(and the iteration budget) to widen the search locally.
+with exit code 0. Before the budget, one fixed probe checks that a row whose
+revenue is 1e400 (+inf once parsed) answers 400 and is not appended. A fixed
+default seed keeps CI deterministic; override it (and the iteration budget)
+to widen the search locally.
 
 Usage: fuzz_ingest.py --server PATH [--iterations N] [--seed N] [--sf S]
 """
@@ -34,6 +37,10 @@ LISTEN_RE = re.compile(r"listening on http://([0-9.]+):([0-9]+)")
 
 # Statuses the wire protocol allows for an ingest request, however mangled.
 ACCEPTABLE = {200, 400, 404, 413}
+
+# Cells past the double range, spliced in as raw text: Python's json module
+# writes float("inf") as Infinity, which is not JSON.
+NON_FINITE_CELLS = ("1e400", "-1e400")
 
 
 def valid_body():
@@ -76,10 +83,13 @@ def mutate(body: str, rng: random.Random) -> bytes:
             doc["rows"] = rng.choice([{}, "rows", 3.5, None, [[]], [{}]])
         elif choice == 2:
             doc["rows"][0][rng.randrange(8)] = rng.choice(
-                [None, True, [], {}, "x", 1e308, -1e308])
+                [None, True, [], {}, "x", 1e308, -1e308, *NON_FINITE_CELLS])
         else:
             doc["rows"][0] = doc["rows"][0][:rng.randrange(8)]  # wrong arity
-        data = bytearray(json.dumps(doc).encode())
+        text = json.dumps(doc)
+        for raw in NON_FINITE_CELLS:
+            text = text.replace(json.dumps(raw), raw)
+        data = bytearray(text.encode())
     elif op == 6:  # giant body: must hit the parser's 1 MB cap (413)
         doc = json.loads(body)
         doc["rows"] = [doc["rows"][0]] * 40000
@@ -89,7 +99,8 @@ def mutate(body: str, rng: random.Random) -> bytes:
 
 
 def post(host, port, path, payload):
-    """One request on a fresh connection; returns the status code."""
+    """One request on a fresh connection; returns the status code and the
+    response body."""
     conn = http.client.HTTPConnection(host, port, timeout=30)
     try:
         try:
@@ -102,10 +113,33 @@ def post(host, port, path, payload):
             # below when getresponse() finds the socket empty.
             pass
         resp = conn.getresponse()
-        resp.read()
-        return resp.status
+        return resp.status, resp.read()
     finally:
         conn.close()
+
+
+def probe_non_finite(host, port):
+    """A valid Lineorder row whose revenue (column 6) is 1e400 must answer 400
+    and must not be appended: the valid batches around it count every row
+    but that one. Returns the violations found."""
+    base = valid_body().encode()
+    status, body = post(host, port, "/v1/ingest", base)
+    if status != 200:
+        return [f"baseline ingest answered {status}"]
+    before = json.loads(body)["rows_total"]
+    bad = b'{"table": "Lineorder", "rows": [[900003, 1, 1, 1, 3, 4, 1e400, 10.5]]}'
+    status, _ = post(host, port, "/v1/ingest", bad)
+    problems = []
+    if status != 400:
+        problems.append(f"revenue 1e400 answered {status}, want 400")
+    status, body = post(host, port, "/v1/ingest", base)
+    if status != 200:
+        return problems + [f"ingest after the probe answered {status}"]
+    after = json.loads(body)["rows_total"]
+    if after != before + 2:
+        problems.append(f"rows_total {before} -> {after} across one two-row "
+                        "batch: the refused row was appended")
+    return problems
 
 
 def healthz_ok(host, port):
@@ -148,14 +182,18 @@ def main(argv):
             print("server never announced its port", file=sys.stderr)
             return 1
 
+        failures = 0
+        for problem in probe_non_finite(host, port):
+            print(f"non-finite probe: {problem}", file=sys.stderr)
+            failures += 1
+
         rng = random.Random(args.seed)
         base = valid_body()
         outcomes = {}
-        failures = 0
         for i in range(args.iterations):
             payload = mutate(base, rng)
             try:
-                status = post(host, port, "/v1/ingest", payload)
+                status, _ = post(host, port, "/v1/ingest", payload)
             except (OSError, http.client.HTTPException) as err:
                 print(f"iteration {i}: connection failed ({err}) for "
                       f"{payload[:120]!r}", file=sys.stderr)
