@@ -58,9 +58,10 @@ const storage::Catalog& ComparisonCatalog() {
 // Repeated-answer comparison: the Predicate Mechanism re-executes the same
 // bound query with perturbed predicates every noisy run. "plan cold
 // (compile+run)" pays a whole ScanPlan::Compile every run, join and weight
-// columns included (what a one-shot Execute costs); "plan cold (columns
-// shared)" compiles while another plan holds those columns, as a compile for
-// a new signature against a populated plan cache does; "plan first hit
+// columns, ordinal tables and group ordinals included (what a one-shot
+// Execute costs); "plan cold (columns shared)" compiles while another plan
+// holds those columns and tables, as a compile for a new signature against a
+// populated plan cache does; "plan first hit
 // (cells built)" is that compile followed by the plan's first cache hit,
 // which builds its cells before it answers; "plan warm" is the steady state
 // — predicate bitmaps only, and a sweep over the cells when the plan has
@@ -122,7 +123,8 @@ void RunPlanCacheComparison(bench::JsonBenchWriter* json) {
                        DPSTARJ_CHECK(r.ok(), "answer");
                      }});
     // A plan held across Clear() (taken at the first run, outside the
-    // timing), so every later compile finds its join and weight columns live.
+    // timing), so every later compile finds its join and weight columns,
+    // ordinal tables and group ordinals live.
     std::shared_ptr<const exec::ScanPlan> held;
     paths.push_back({"plan cold (columns shared)", [&]() {
                        if (held == nullptr) {

@@ -56,7 +56,8 @@ Result<std::vector<AttributeAxis>> ResolveAxes(
     }
     const auto& tables = plan.dims[a.axis.dim].ordinal_tables;
     const auto table = std::find_if(tables.begin(), tables.end(), [&](const auto& t) {
-      return t.column_index == a.full->column_index && t.domain == a.full->domain;
+      return t->column_index == a.full->column_index &&
+             t->domain == a.full->domain;
     });
     if (table == tables.end()) {
       return Status::InvalidArgument(

@@ -39,10 +39,13 @@
 // behind a multi-MB free.
 //
 // The cache also owns the PlanColumnStore its plans compile against, so
-// every cached plan over one FK edge points at one join column and every
-// plan over one measure at one weight column: a compile for a new signature
-// resolves no fact row whose column another plan still holds, and after an
-// ingest the first extension of an edge resolves its tail for all of them.
+// every cached plan over one FK edge points at one join column, every plan
+// over one measure at one weight column, every plan filtering one dimension
+// column over one domain at one ordinal table, and every plan grouping one
+// dimension by the same columns at one group-ordinal table: a compile for a
+// new signature resolves no fact row and numbers no dimension column that
+// another plan still holds, and after an ingest the first extension of an
+// edge resolves its tail for all of them.
 
 #pragma once
 
@@ -71,12 +74,14 @@ class PlanCache {
   /// 8 + 4·dims for the join and weight columns shared with other plans (a
   /// packed plan stores no group code per row; a plan whose key tuples are
   /// numbered stores 8 per row instead of cells); the cells themselves
-  /// number at most half the fact rows and are usually far fewer — so
-  /// eviction is governed by a byte budget as well as this entry cap;
-  /// popular queries dominate hits long before either matters. The budget
-  /// counts the fact rows a plan covers, not the spare capacity an extended
-  /// plan's arrays reserve, and it counts shared columns in full in every
-  /// plan that references them, so it bounds the resident bytes from above.
+  /// number at most half the fact rows and are usually far fewer — plus,
+  /// per dimension row, 8 bytes per predicate column's ordinal table and 4
+  /// for group ordinals, also shared — so eviction is governed by a byte
+  /// budget as well as this entry cap; popular queries dominate hits long
+  /// before either matters. The budget counts the fact rows a plan covers,
+  /// not the spare capacity an extended plan's arrays reserve, and it
+  /// counts shared columns and tables in full in every plan that references
+  /// them, so it bounds the resident bytes from above.
   static constexpr size_t kDefaultCapacity = 32;
   /// Default scaffold-byte budget across all cached plans (LRU entries are
   /// evicted past it; the most recent plan is always kept).
@@ -101,7 +106,9 @@ class PlanCache {
     uint64_t evictions = 0;
     /// Join and weight columns built (from scratch, or over an old column
     /// when a plan extends) vs requests served by a live column that another
-    /// plan holds. Reuses over builds is the column store's hit ratio.
+    /// plan holds. Reuses over builds is the column store's hit ratio for
+    /// fact-sized columns; the shared ordinal tables and group ordinals,
+    /// which are dimension-sized, are not counted.
     uint64_t column_builds = 0;
     uint64_t column_reuses = 0;
     /// Extensions of a join or weight column that copied it instead of

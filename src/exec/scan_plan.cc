@@ -39,7 +39,7 @@ int64_t CellKey(const storage::Column& col, int64_t row) {
 // ordinal 0 (such rows never pass, so their code only has to be valid).
 uint64_t GroupOrdinalOf(const PlanDim& pd, int32_t dim_row) {
   if (dim_row == pd.num_rows) return 0;
-  return static_cast<uint64_t>(pd.group_ordinal[static_cast<size_t>(dim_row)]);
+  return static_cast<uint64_t>(pd.groups->ordinal[static_cast<size_t>(dim_row)]);
 }
 
 // The per-fact-row passes below cover rows [begin, end): a column or plan
@@ -65,21 +65,24 @@ Result<KeyIndex> DimRowIndex(const query::BoundQuery& q, size_t i) {
 }
 
 // Resolves dimension i's FK of rows [begin, end) into column.rows, absent
-// keys to the sentinel row column.dim_rows.
+// keys to the sentinel row column.dim_rows. The absent flag is kept in a
+// local and stored after the loop, so the loop stores nothing but rows.
 void ResolveFactRows(const query::BoundQuery& q, size_t i,
                      const KeyIndex& index, int64_t begin, int64_t end,
                      JoinColumn& column) {
   const int64_t* fk = q.fact->column(q.dims[i].fact_fk_col).int64_data().data();
   int32_t* rows = column.rows.mutable_data();
   const int32_t sentinel = column.dim_rows;
+  bool absent = column.has_absent_fk;
   for (int64_t r = begin; r < end; ++r) {
     int32_t dr = index.Lookup(fk[r]);
     if (dr == KeyIndex::kAbsent) {
       dr = sentinel;
-      column.has_absent_fk = true;
+      absent = true;
     }
     rows[r] = dr;
   }
+  column.has_absent_fk = absent;
 }
 
 // Adds rows [begin, end) of the measure terms' weighted sum into `values`
@@ -141,16 +144,17 @@ Status NumberClasses(const PlanDim& pd, std::vector<int32_t>& class_of_row,
     return !__builtin_mul_overflow(scale, radix, &scale);
   };
   for (const auto& t : pd.ordinal_tables) {
-    const int64_t* ordinals = t.ordinals.data();
-    if (!add_digits(static_cast<uint64_t>(t.domain.size()) + 1, [&](size_t r) {
+    const int64_t* ordinals = t->ordinals.data();
+    if (!add_digits(static_cast<uint64_t>(t->domain.size()) + 1, [&](size_t r) {
           return static_cast<uint64_t>(ordinals[r] + 1);
         })) {
       return Status::NotSupported("class tuples do not fit 64 bits");
     }
   }
-  if (!pd.group_ordinal.empty() &&
-      !add_digits(pd.rep_rows.size(), [&](size_t r) {
-        return static_cast<uint64_t>(pd.group_ordinal[r]);
+  const GroupOrdinals* groups = pd.groups.get();
+  if (groups != nullptr && !groups->ordinal.empty() &&
+      !add_digits(groups->rep_rows.size(), [&](size_t r) {
+        return static_cast<uint64_t>(groups->ordinal[r]);
       })) {
     return Status::NotSupported("class tuples do not fit 64 bits");
   }
@@ -166,11 +170,12 @@ Status NumberClasses(const PlanDim& pd, std::vector<int32_t>& class_of_row,
   }
   classes.num_rows = static_cast<int32_t>(reps.size());
   for (const auto& t : pd.ordinal_tables) {
-    PlanDim::OrdinalTable& ct = classes.ordinal_tables.emplace_back();
-    ct.column_index = t.column_index;
-    ct.domain = t.domain;
-    ct.ordinals.reserve(reps.size());
-    for (size_t rep : reps) ct.ordinals.push_back(t.ordinals[rep]);
+    auto ct = std::make_shared<OrdinalTable>();
+    ct->column_index = t->column_index;
+    ct->domain = t->domain;
+    ct->ordinals.reserve(reps.size());
+    for (size_t rep : reps) ct->ordinals.push_back(t->ordinals[rep]);
+    classes.ordinal_tables.push_back(std::move(ct));
   }
   return Status::OK();
 }
@@ -340,31 +345,38 @@ void MergeCellLabels(const ScanPlan& plan, const query::BoundQuery& q,
   }
 }
 
+// Share's `fits` for entries whose key determines them exactly.
+constexpr auto kAnyEntry = [](const auto&) { return true; };
+
 }  // namespace
 
-template <typename Column, typename Build>
-Result<std::shared_ptr<const Column>> PlanColumnStore::Share(
-    Index<Column>& index, const std::string& key, const Build& build) {
+template <typename Entry, typename Build, typename Fits>
+Result<std::shared_ptr<const Entry>> PlanColumnStore::Share(
+    Index<Entry>& index, const std::string& key, bool counted,
+    const Build& build, const Fits& fits) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = index.find(key);
     if (it != index.end()) {
-      if (std::shared_ptr<const Column> live = it->second.lock()) {
-        ++stats_.reuses;
+      std::shared_ptr<const Entry> live = it->second.lock();
+      if (live != nullptr && fits(*live)) {
+        if (counted) ++stats_.reuses;
         return live;
       }
     }
   }
-  // Build outside the lock: it scans fact data, and concurrent compiles over
-  // other edges must not queue behind it.
-  DPSTARJ_ASSIGN_OR_RETURN(std::shared_ptr<const Column> built, build());
+  // Build outside the lock: it scans table data, and concurrent compiles
+  // over other tables must not queue behind it.
+  DPSTARJ_ASSIGN_OR_RETURN(std::shared_ptr<const Entry> built, build());
   std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.builds;
-  std::weak_ptr<const Column>& slot = index[key];
-  if (std::shared_ptr<const Column> live = slot.lock()) return live;
+  if (counted) ++stats_.builds;
+  std::weak_ptr<const Entry>& slot = index[key];
+  if (std::shared_ptr<const Entry> live = slot.lock()) {
+    return fits(*live) ? live : built;
+  }
   slot = built;
-  // Builds are rare and each scans the fact table, so dropping the entries
-  // of dead columns here keeps the index at the live columns for free.
+  // Builds are rare and each scans a table, so dropping the entries of dead
+  // ones here keeps the index at the live entries for free.
   for (auto it = index.begin(); it != index.end();) {
     it = it->second.expired() ? index.erase(it) : std::next(it);
   }
@@ -383,7 +395,7 @@ Result<std::shared_ptr<const JoinColumn>> PlanColumnStore::GetJoinColumn(
              d.fact_fk_col, static_cast<const void*>(d.dim.get()),
              d.dim_pk_col, static_cast<long long>(fact_rows), dim_rows);
   using Shared = std::shared_ptr<const JoinColumn>;
-  return Share(joins_, key, [&]() -> Result<Shared> {
+  return Share(joins_, key, /*counted=*/true, [&]() -> Result<Shared> {
     // The index first: a failed build must not claim the prefix's tail.
     DPSTARJ_ASSIGN_OR_RETURN(const KeyIndex index, DimRowIndex(q, i));
     auto column = std::make_shared<JoinColumn>();
@@ -406,7 +418,7 @@ Result<std::shared_ptr<const JoinColumn>> PlanColumnStore::GetJoinColumn(
     }
     ResolveFactRows(q, i, index, begin, fact_rows, *column);
     return Shared(std::move(column));
-  });
+  }, kAnyEntry);
 }
 
 std::shared_ptr<const WeightColumn> PlanColumnStore::GetWeightColumn(
@@ -419,7 +431,7 @@ std::shared_ptr<const WeightColumn> PlanColumnStore::GetWeightColumn(
     key += Format("|%d*%016llx", col, static_cast<unsigned long long>(bits));
   }
   using Shared = std::shared_ptr<const WeightColumn>;
-  auto shared = Share(weights_, key, [&]() -> Result<Shared> {
+  auto shared = Share(weights_, key, /*counted=*/true, [&]() -> Result<Shared> {
     auto column = std::make_shared<WeightColumn>();
     column->fact = q.fact;
     column->measure_cols = q.measure_cols;
@@ -435,8 +447,65 @@ std::shared_ptr<const WeightColumn> PlanColumnStore::GetWeightColumn(
     }
     AddWeights(q, begin, fact_rows, column->values.mutable_data());
     return Shared(std::move(column));
-  });
+  }, kAnyEntry);
   return std::move(shared).ValueOrDie();  // building weights cannot fail
+}
+
+Result<std::shared_ptr<const OrdinalTable>> PlanColumnStore::GetOrdinalTable(
+    const query::BoundQuery& q, size_t i, const query::BoundPredicate& pred) {
+  const std::shared_ptr<storage::Table>& dim = q.dims[i].dim;
+  // ToString() is exact for integer domains but reads cat{N} for every
+  // categorical one of N values, so a hit must also match the domain.
+  const std::string key =
+      Format("%p#%lld:%d:", static_cast<const void*>(dim.get()),
+             static_cast<long long>(dim->num_rows()), pred.column_index) +
+      pred.domain.ToString();
+  using Shared = std::shared_ptr<const OrdinalTable>;
+  return Share(
+      ordinals_, key, /*counted=*/false,
+      [&]() -> Result<Shared> {
+        auto table = std::make_shared<OrdinalTable>();
+        table->dim = dim;
+        table->column_index = pred.column_index;
+        table->domain = pred.domain;
+        DPSTARJ_ASSIGN_OR_RETURN(
+            table->ordinals,
+            ComputeDomainIndexes(dim->column(pred.column_index), pred.domain));
+        return Shared(std::move(table));
+      },
+      [&](const OrdinalTable& live) { return live.domain == pred.domain; });
+}
+
+std::shared_ptr<const GroupOrdinals> PlanColumnStore::GetGroupOrdinals(
+    const query::BoundQuery& q, size_t i, const std::vector<int>& columns) {
+  const std::shared_ptr<storage::Table>& dim = q.dims[i].dim;
+  const int64_t rows = dim->num_rows();
+  std::string key = Format("%p#%lld", static_cast<const void*>(dim.get()),
+                           static_cast<long long>(rows));
+  for (int col : columns) key += Format(":%d", col);
+  using Shared = std::shared_ptr<const GroupOrdinals>;
+  auto shared = Share(
+      groups_, key, /*counted=*/false,
+      [&]() -> Result<Shared> {
+        auto groups = std::make_shared<GroupOrdinals>();
+        groups->dim = dim;
+        groups->ordinal.resize(static_cast<size_t>(rows));
+        // First-occurrence order over all rows.
+        std::map<std::vector<int64_t>, int32_t> ordinal_of;
+        std::vector<int64_t> combo(columns.size());
+        for (int64_t r = 0; r < rows; ++r) {
+          for (size_t c = 0; c < columns.size(); ++c) {
+            combo[c] = CellKey(dim->column(columns[c]), r);
+          }
+          auto [it, inserted] = ordinal_of.emplace(
+              combo, static_cast<int32_t>(groups->rep_rows.size()));
+          if (inserted) groups->rep_rows.push_back(r);
+          groups->ordinal[static_cast<size_t>(r)] = it->second;
+        }
+        return Shared(std::move(groups));
+      },
+      kAnyEntry);
+  return std::move(shared).ValueOrDie();  // numbering cannot fail
 }
 
 PlanColumnStore::Stats PlanColumnStore::GetStats() const {
@@ -507,47 +576,28 @@ Result<ScanPlan> ScanPlan::Compile(const query::BoundQuery& q,
     const auto& keys = d.dim->column(d.dim_pk_col).int64_data();
     pd.num_rows = static_cast<int32_t>(keys.size());
 
-    // Memoized domain-ordinal tables for the query's own predicate columns.
+    // Domain-ordinal tables for the query's own predicate columns, one per
+    // distinct (column, domain), and the group ordinals over *all* rows:
+    // both live in the store while some plan holds them.
     for (const auto& pred : d.predicates) {
       if (pred.column_index < 0 ||
           pred.column_index >= d.dim->schema().num_fields()) {
         return Status::InvalidArgument("predicate has bad column index");
       }
-      bool have = false;
-      for (const auto& t : pd.ordinal_tables) {
-        if (t.column_index == pred.column_index && t.domain == pred.domain) {
-          have = true;
-          break;
-        }
+      if (std::any_of(pd.ordinal_tables.begin(), pd.ordinal_tables.end(),
+                      [&](const auto& t) {
+                        return t->column_index == pred.column_index &&
+                               t->domain == pred.domain;
+                      })) {
+        continue;
       }
-      if (have) continue;
-      PlanDim::OrdinalTable table;
-      table.column_index = pred.column_index;
-      table.domain = pred.domain;
-      DPSTARJ_ASSIGN_OR_RETURN(
-          table.ordinals,
-          ComputeDomainIndexes(d.dim->column(pred.column_index), pred.domain));
+      DPSTARJ_ASSIGN_OR_RETURN(auto table, columns.GetOrdinalTable(q, i, pred));
       pd.ordinal_tables.push_back(std::move(table));
     }
-
-    // Group ordinals over *all* rows, first-occurrence order.
-    const std::vector<int>& group_cols = dim_group_cols[i];
-    if (!group_cols.empty()) {
-      pd.group_ordinal.resize(keys.size());
-      std::map<std::vector<int64_t>, int32_t> ordinal_of;
-      std::vector<int64_t> combo(group_cols.size());
-      for (size_t r = 0; r < keys.size(); ++r) {
-        for (size_t c = 0; c < group_cols.size(); ++c) {
-          combo[c] =
-              CellKey(d.dim->column(group_cols[c]), static_cast<int64_t>(r));
-        }
-        auto [it, inserted] = ordinal_of.emplace(
-            combo, static_cast<int32_t>(pd.rep_rows.size()));
-        if (inserted) pd.rep_rows.push_back(static_cast<int64_t>(r));
-        pd.group_ordinal[r] = it->second;
-      }
-      pd.field =
-          plan.layout.AddField(std::max<uint64_t>(pd.rep_rows.size(), 1));
+    if (!dim_group_cols[i].empty()) {
+      pd.groups = columns.GetGroupOrdinals(q, i, dim_group_cols[i]);
+      pd.field = plan.layout.AddField(
+          std::max<uint64_t>(pd.groups->rep_rows.size(), 1));
     }
 
     // FK→row resolution for every fact row: the expensive probe, paid once
@@ -633,8 +683,8 @@ bool ScanPlan::CellsServe(const query::BoundQuery& q,
     for (const auto& pred : EffectivePreds(q, overrides, i)) {
       const auto& tables = dims[i].ordinal_tables;
       if (std::none_of(tables.begin(), tables.end(), [&](const auto& t) {
-            return t.column_index == pred.column_index &&
-                   t.domain == pred.domain;
+            return t->column_index == pred.column_index &&
+                   t->domain == pred.domain;
           })) {
         return false;
       }
@@ -705,8 +755,9 @@ Result<ScanPlan> ScanPlan::ExtendFrom(const ScanPlan& old,
     }
   }
 
-  // Copy only what the extension keeps: the identity fields and the small
-  // per-dimension tables; the arrays and cells are extended below.
+  // Copy only what the extension keeps: the identity fields and the
+  // per-dimension scaffolds, whose tables the dimensions alone determine (so
+  // the two plans share them); the arrays and cells are extended below.
   ScanPlan plan;
   plan.fact_ = old.fact_;
   plan.fact_rows_ = new_rows;
@@ -760,10 +811,13 @@ size_t ScanPlan::ApproxBytes() const {
   if (weights != nullptr) bytes += weights->values.size() * sizeof(double);
   bytes += code_rows.capacity() * sizeof(int64_t);
   auto table_bytes = [](const PlanDim& d) {
-    size_t n = d.group_ordinal.capacity() * sizeof(int32_t) +
-               d.rep_rows.capacity() * sizeof(int64_t);
+    size_t n = 0;
+    if (d.groups != nullptr) {
+      n += d.groups->ordinal.capacity() * sizeof(int32_t) +
+           d.groups->rep_rows.capacity() * sizeof(int64_t);
+    }
     for (const auto& t : d.ordinal_tables) {
-      n += t.ordinals.capacity() * sizeof(int64_t);
+      n += t->ordinals.capacity() * sizeof(int64_t);
     }
     return n;
   };
@@ -799,7 +853,7 @@ void ScanPlan::GroupCodes(const query::BoundQuery& q, const int64_t* rows,
     const PlanDim& pd = dims[i];
     if (pd.field < 0) continue;
     const int32_t* dim_row = fact_dim_row[i]->rows.data();
-    const int32_t* ordinal = pd.group_ordinal.data();
+    const int32_t* ordinal = pd.groups->ordinal.data();
     for (size_t k = 0; k < n; ++k) {
       out[k] |= layout.Pack(pd.field,
                             static_cast<uint64_t>(ordinal[dim_row[rows[k]]]));
@@ -838,7 +892,7 @@ void ScanPlan::RenderLabel(const query::BoundQuery& q, uint64_t code,
           numbered_codes ? GroupOrdinalOf(dims[i], fact_dim_row[i]->rows[rep])
                          : layout.Extract(code, part.field);
       *label += q.dims[i].dim->column(part.col)
-                    .GetValue(dims[i].rep_rows[ordinal])
+                    .GetValue(dims[i].groups->rep_rows[ordinal])
                     .ToString();
     } else if (numbered_codes) {
       *label += q.fact->column(part.col)
@@ -909,8 +963,8 @@ Result<std::vector<uint64_t>> BuildPassBitmap(
     }
     const std::vector<int64_t>* ordinals = nullptr;
     for (const auto& t : pd.ordinal_tables) {
-      if (t.column_index == pred.column_index && t.domain == pred.domain) {
-        ordinals = &t.ordinals;
+      if (t->column_index == pred.column_index && t->domain == pred.domain) {
+        ordinals = &t->ordinals;
         break;
       }
     }

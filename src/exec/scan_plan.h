@@ -10,18 +10,22 @@
 //     predicate bit is permanently 0 — no hash/offset-table probe is left
 //     in the per-execution scan. These *join columns* depend on the tables
 //     alone, so plans share them through a PlanColumnStore (below);
-//   * the GROUP BY code layout and the per-dimension group ordinals
+//   * the GROUP BY code layout and the per-dimension *group ordinals*
 //     (assigned over *all* dimension rows, so they never shift when
-//     predicates move). A fact row's uint64 group code packs its key
-//     ordinals into bit fields; it is a function of the row's join-column
-//     entries and fact-side key values, so the plan stores none and
-//     GroupCodes packs it where it is read. Only when the ordinals cannot
-//     pack into 64 bits does the plan store a code per row: the first-
-//     occurrence number of the row's key tuple;
+//     predicates move; they depend on the dimension's GROUP BY columns
+//     alone, so plans share them too). A fact row's uint64 group code packs
+//     its key ordinals into bit fields; it is a function of the row's
+//     join-column entries and fact-side key values, so the plan stores none
+//     and GroupCodes packs it where it is read. Only when the ordinals
+//     cannot pack into 64 bits does the plan store a code per row: the
+//     first-occurrence number of the row's key tuple;
 //   * the per-row aggregate weight (measure terms are fact columns), a
 //     *weight column* shared the same way;
-//   * memoized domain-ordinal tables for the query's predicate columns, the
-//     inputs of per-execution predicate evaluation;
+//   * memoized *ordinal tables* (dimension row → domain ordinal) for the
+//     query's predicate columns, the inputs of per-execution predicate
+//     evaluation. The Predicate Mechanism perturbs constants over fixed
+//     domains only, so a table depends on the column and its domain alone
+//     and is shared the same way;
 //   * once the plan is reused (PlanCache builds it at the plan's first
 //     validated hit), a second *layout* of the same data made of cells —
 //     CellLayout, below — the vector W of the paper's Eq. (11).
@@ -73,31 +77,45 @@
 
 namespace dpstarj::exec {
 
+/// \brief Dimension row → ordinal in `domain` of column `column_index`, for
+/// every dimension row: the input of predicate evaluation. It depends on the
+/// column and the domain alone, so every plan over the dimension whose
+/// predicates use the pair shares one (PlanColumnStore::GetOrdinalTable).
+struct OrdinalTable {
+  /// Held like JoinColumn's tables. Null in a CellLayout's class tables,
+  /// which map class → ordinal and belong to their plan.
+  std::shared_ptr<storage::Table> dim;
+  int column_index = -1;
+  storage::AttributeDomain domain;
+  std::vector<int64_t> ordinals;  ///< -1 = value outside the domain
+};
+
+/// \brief Dimension row → dense group ordinal over one dimension's GROUP BY
+/// columns, for every dimension row. Ordinals are assigned in
+/// first-occurrence row order over all rows, so they are
+/// predicate-independent, and labels and cells may key on them. Shared like
+/// OrdinalTable (PlanColumnStore::GetGroupOrdinals).
+struct GroupOrdinals {
+  std::shared_ptr<storage::Table> dim;  ///< held like JoinColumn's tables
+  std::vector<int32_t> ordinal;   ///< row → ordinal
+  std::vector<int64_t> rep_rows;  ///< ordinal → first row (labels render it)
+};
+
 /// \brief One dimension's predicate-independent scaffold.
 struct PlanDim {
   /// Dimension row count. Row id `num_rows` is the absent-FK sentinel: it has
   /// no ordinal and its bit in every predicate bitmap is 0.
   int32_t num_rows = 0;
 
-  /// row → dense group ordinal over the dimension's GROUP BY columns (empty
-  /// when the dimension contributes no group keys). Ordinals are assigned in
-  /// first-occurrence row order over all rows — predicate-independent.
-  std::vector<int32_t> group_ordinal;
-  /// ordinal → representative dimension row (for label rendering).
-  std::vector<int64_t> rep_rows;
+  /// The dimension's group ordinals; null when it contributes no group keys.
+  std::shared_ptr<const GroupOrdinals> groups;
   /// GroupCodeLayout field of this dimension, -1 when it has no group cols.
   int field = -1;
 
-  /// Memoized row → domain-ordinal table for one predicate column.
-  struct OrdinalTable {
-    int column_index = -1;
-    storage::AttributeDomain domain;
-    std::vector<int64_t> ordinals;  ///< -1 = value outside the domain
-  };
   /// One table per distinct (column, domain) among the query's own
   /// predicates. Overrides that keep column and domain (the Predicate
   /// Mechanism always does) evaluate against these; others compute fresh.
-  std::vector<OrdinalTable> ordinal_tables;
+  std::vector<std::shared_ptr<const OrdinalTable>> ordinal_tables;
 };
 
 /// \brief Per-dimension predicate replacements, aligned with BoundQuery::dims.
@@ -268,17 +286,32 @@ struct WeightColumn {
   AppendArray<double> values;
 };
 
-/// \brief Hands plans the join and weight columns they need, sharing each
-/// live one. The store holds only weak references: a column lives exactly as
-/// long as some plan references it, so the store needs no capacity or
-/// eviction of its own. A column is found again only at exactly the table
+/// \brief Hands plans the join and weight columns, ordinal tables and group
+/// ordinals they need, sharing each live one. The store holds only weak
+/// references: an entry lives exactly as long as some plan references it,
+/// and pins the tables its key names, so the store needs no capacity or
+/// eviction of its own. Keys:
+///   * a join column: (fact table, FK column, dimension table, PK column,
+///     fact rows, dimension rows);
+///   * a weight column: (fact table, fact rows, measure terms);
+///   * an ordinal table: (dimension table, dimension rows, column, domain);
+///   * group ordinals: (dimension table, dimension rows, group columns in
+///     order).
+/// AttributeDomain::ToString renders every categorical domain as cat{N}, so
+/// an ordinal table found under its key is used only when its domain equals
+/// the requested one; otherwise the caller gets a table of its own that the
+/// store does not index. A column is found again only at exactly the table
 /// sizes it covers; a plan extended over an appended fact tail passes its
-/// old column as the prefix, so the first extension of an edge resolves only
-/// the tail (appended into the old column's buffer) and every later one
-/// reuses that column. Two threads building the same column race
-/// harmlessly: the first insert wins and the other adopts it. Thread-safe.
+/// old column as the prefix, so the first extension of an edge resolves
+/// only the tail (appended into the old column's buffer) and every later one
+/// reuses that column. Dimension tables do not change in an extension, so
+/// their ordinal tables and group ordinals carry over as they are. Two
+/// threads building the same entry race harmlessly: the first insert wins
+/// and the other adopts it. Thread-safe.
 class PlanColumnStore {
  public:
+  /// Join and weight columns only: ordinal tables and group ordinals are
+  /// not counted.
   struct Stats {
     /// Columns built, from scratch or over a prefix (a build that loses the
     /// race to insert counts too: its work was done).
@@ -305,6 +338,15 @@ class PlanColumnStore {
       const query::BoundQuery& q, int64_t fact_rows,
       const WeightColumn* prefix = nullptr);
 
+  /// \brief The ordinal table of `pred`'s column and domain over the rows of
+  /// `q.dims[i]`. Fails when the column's type does not fit the domain.
+  Result<std::shared_ptr<const OrdinalTable>> GetOrdinalTable(
+      const query::BoundQuery& q, size_t i, const query::BoundPredicate& pred);
+
+  /// \brief The group ordinals of `q.dims[i]` over `columns` (non-empty).
+  std::shared_ptr<const GroupOrdinals> GetGroupOrdinals(
+      const query::BoundQuery& q, size_t i, const std::vector<int>& columns);
+
   /// \brief AppendArray::Extend, counting a copy in Stats::copies.
   template <typename T>
   AppendArray<T> Extend(const AppendArray<T>& prefix, int64_t rows) {
@@ -320,30 +362,35 @@ class PlanColumnStore {
   Stats GetStats() const;
 
  private:
-  template <typename Column>
-  using Index = std::unordered_map<std::string, std::weak_ptr<const Column>>;
+  template <typename Entry>
+  using Index = std::unordered_map<std::string, std::weak_ptr<const Entry>>;
 
-  /// The live column under `key`, else `build()`'s, inserted unless a racing
-  /// build of the same key landed first — then that one is adopted.
-  template <typename Column, typename Build>
-  Result<std::shared_ptr<const Column>> Share(Index<Column>& index,
-                                              const std::string& key,
-                                              const Build& build);
+  /// The live entry under `key` if `fits` accepts it, else `build()`'s. The
+  /// build is inserted unless a racing build of the same key landed first:
+  /// then that one is adopted if it fits, and the build is returned
+  /// unindexed if not. `counted` entries count in Stats.
+  template <typename Entry, typename Build, typename Fits>
+  Result<std::shared_ptr<const Entry>> Share(Index<Entry>& index,
+                                             const std::string& key,
+                                             bool counted, const Build& build,
+                                             const Fits& fits);
 
   mutable std::mutex mu_;
   Index<JoinColumn> joins_;
   Index<WeightColumn> weights_;
+  Index<OrdinalTable> ordinals_;
+  Index<GroupOrdinals> groups_;
   Stats stats_;
 };
 
 /// \brief Compiled scaffold of one bound star-join query.
 class ScanPlan {
  public:
-  /// \brief Compiles `q`: the per-dimension tables (group ordinals
-  /// included), the join and weight columns (taken from `columns` when live
-  /// there, else built and shared through it), and the group-code layout.
-  /// Amortized by every later run. A one-shot caller passes a store of its
-  /// own. The plan has no cells yet.
+  /// \brief Compiles `q`: the per-dimension ordinal tables and group
+  /// ordinals and the join and weight columns (each taken from `columns` when
+  /// live there, else built and shared through it), and the group-code
+  /// layout. Amortized by every later run. A one-shot caller passes a store
+  /// of its own. The plan has no cells yet.
   static Result<ScanPlan> Compile(const query::BoundQuery& q,
                                   PlanColumnStore& columns);
 
@@ -418,11 +465,11 @@ class ScanPlan {
                    std::string* label) const;
 
   /// Approximate heap footprint of the scaffold arrays (for the cache's
-  /// byte budget; the cell layout and small per-dimension tables included).
+  /// byte budget; the cell layout and per-dimension tables included).
   /// Fact-row arrays count the rows the plan covers, not their buffers'
   /// capacity, which stays unresident until an extension writes it. Shared
-  /// join and weight columns count in full, so across plans this is an
-  /// upper bound.
+  /// columns, ordinal tables and group ordinals count in full, so across
+  /// plans this is an upper bound.
   size_t ApproxBytes() const;
 
   // --- scaffold data, read by the executor's plan path -------------------

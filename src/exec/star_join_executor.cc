@@ -240,9 +240,9 @@ Result<double> ContractPlan(const ScanPlan& plan,
       return Status::InvalidArgument(
           Format("axis %zu names no ordinal table of the plan", a));
     }
-    const PlanDim::OrdinalTable& t =
-        (cells ? plan.cells->classes[axis.dim] : plan.dims[axis.dim])
-            .ordinal_tables[axis.table];
+    const OrdinalTable& t =
+        *(cells ? plan.cells->classes[axis.dim] : plan.dims[axis.dim])
+             .ordinal_tables[axis.table];
     if (static_cast<int64_t>(weights[a].size()) != t.domain.size()) {
       return Status::InvalidArgument(
           Format("axis %zu has %zu weights for a domain of %lld", a,

@@ -3,6 +3,8 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "common/string_util.h"
@@ -425,45 +427,63 @@ void JsonReader::ReadString(std::string* out) {
   Fail("unterminated string");
 }
 
-namespace {
-
-/// Builds the DOM of the value at `r`'s cursor.
-Json ReadValue(JsonReader* r) {
+Json Json::Read(JsonReader* r) {
   switch (r->Peek()) {
-    case Json::Type::kObject: {
-      Json obj = Json::Object();
+    case Type::kObject: {
+      Json obj = Object();
       r->BeginObject();
+      // Set() scans the members for every key, which is quadratic in the
+      // key count. Past kScannedMembers members a key → position index keeps
+      // the build linear; smaller objects scan and allocate nothing. Either
+      // way a repeated key keeps its first position and its last value.
+      constexpr size_t kScannedMembers = 16;
+      std::unordered_map<std::string, size_t> position;
       std::string key;
-      while (r->NextKey(&key)) obj.Set(key, ReadValue(r));
+      while (r->NextKey(&key)) {
+        Json value = Read(r);
+        if (obj.members_.size() < kScannedMembers) {
+          obj.Set(key, std::move(value));
+          continue;
+        }
+        if (position.empty()) {
+          for (size_t i = 0; i < obj.members_.size(); ++i) {
+            position.emplace(obj.members_[i].first, i);
+          }
+        }
+        auto [it, inserted] = position.try_emplace(key, obj.members_.size());
+        if (inserted) {
+          obj.members_.emplace_back(key, std::move(value));
+        } else {
+          obj.members_[it->second].second = std::move(value);
+        }
+      }
       return obj;
     }
-    case Json::Type::kArray: {
-      Json arr = Json::Array();
+    case Type::kArray: {
+      Json arr = Array();
       r->BeginArray();
-      while (r->NextItem()) arr.Append(ReadValue(r));
+      while (r->NextItem()) arr.Append(Read(r));
       return arr;
     }
-    case Json::Type::kString: {
+    case Type::kString: {
       std::string s;
       r->String(&s);
-      return Json::Str(std::move(s));
+      return Str(std::move(s));
     }
-    case Json::Type::kNumber:
-      return Json::Number(r->Number());
-    case Json::Type::kBool:
-      return Json::Bool(r->Bool());
-    case Json::Type::kNull:
+    case Type::kNumber:
+      return Number(r->Number());
+    case Type::kBool:
+      return Bool(r->Bool());
+    case Type::kNull:
       break;
   }
   r->Null();
-  return Json::Null();
+  return Null();
 }
-
-}  // namespace
 
 Result<Json> Json::Parse(std::string_view text) {
   JsonReader r(text);
-  Json value = ReadValue(&r);
+  Json value = Read(&r);
   if (!r.End()) return r.status();
   return value;
 }

@@ -20,6 +20,8 @@
 
 namespace dpstarj::net {
 
+class JsonReader;
+
 /// \brief One JSON value: null, bool, number, string, array or object.
 class Json {
  public:
@@ -84,6 +86,9 @@ class Json {
   static Result<Json> Parse(std::string_view text);
 
  private:
+  /// Builds the DOM of the value at `r`'s cursor.
+  static Json Read(JsonReader* r);
+
   Type type_ = Type::kNull;
   bool bool_ = false;
   double number_ = 0.0;

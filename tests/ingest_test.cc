@@ -118,9 +118,9 @@ void ExpectBitIdentical(const QueryResult& expected, const QueryResult& got) {
 constexpr uint64_t kAnyCells = uint64_t{1} << 20;
 
 // Every public scaffold array of the two plans, field by field — the shared
-// join and weight columns and the cell layouts by content, since the plans
-// hold them by pointer. `where` identifies the (shape, seed, batch)
-// combination on failure.
+// join and weight columns, ordinal tables and group ordinals and the cell
+// layouts by content, since the plans hold them by pointer. `where`
+// identifies the (shape, seed, batch) combination on failure.
 void ExpectSamePlan(const ScanPlan& fresh, const ScanPlan& ext,
                     const std::string& where) {
   SCOPED_TRACE(where);
@@ -154,8 +154,8 @@ void ExpectSamePlan(const ScanPlan& fresh, const ScanPlan& ext,
       ASSERT_EQ(f.classes[i].ordinal_tables.size(),
                 e.classes[i].ordinal_tables.size());
       for (size_t t = 0; t < f.classes[i].ordinal_tables.size(); ++t) {
-        EXPECT_EQ(f.classes[i].ordinal_tables[t].ordinals,
-                  e.classes[i].ordinal_tables[t].ordinals);
+        EXPECT_EQ(f.classes[i].ordinal_tables[t]->ordinals,
+                  e.classes[i].ordinal_tables[t]->ordinals);
       }
     }
     EXPECT_EQ(f.dim_strides, e.dim_strides);
@@ -171,10 +171,19 @@ void ExpectSamePlan(const ScanPlan& fresh, const ScanPlan& ext,
   }
   ASSERT_EQ(fresh.dims.size(), ext.dims.size());
   for (size_t i = 0; i < fresh.dims.size(); ++i) {
-    EXPECT_EQ(fresh.dims[i].num_rows, ext.dims[i].num_rows);
-    EXPECT_EQ(fresh.dims[i].group_ordinal, ext.dims[i].group_ordinal);
-    EXPECT_EQ(fresh.dims[i].rep_rows, ext.dims[i].rep_rows);
-    EXPECT_EQ(fresh.dims[i].field, ext.dims[i].field);
+    const exec::PlanDim& f = fresh.dims[i];
+    const exec::PlanDim& e = ext.dims[i];
+    EXPECT_EQ(f.num_rows, e.num_rows);
+    ASSERT_EQ(f.groups == nullptr, e.groups == nullptr);
+    if (f.groups != nullptr) {
+      EXPECT_EQ(f.groups->ordinal, e.groups->ordinal);
+      EXPECT_EQ(f.groups->rep_rows, e.groups->rep_rows);
+    }
+    EXPECT_EQ(f.field, e.field);
+    ASSERT_EQ(f.ordinal_tables.size(), e.ordinal_tables.size());
+    for (size_t t = 0; t < f.ordinal_tables.size(); ++t) {
+      EXPECT_EQ(f.ordinal_tables[t]->ordinals, e.ordinal_tables[t]->ordinals);
+    }
   }
 }
 

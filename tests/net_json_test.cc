@@ -620,6 +620,37 @@ TEST(JsonDifferentialTest, SeedCorpusAgreesUnmutated) {
   }
 }
 
+// Objects past a few members are built through a key index instead of
+// Json::Set's scan. They must still give the scanning oracle's DOM: each
+// key at its first position with its last value, whether it repeats while
+// the object is small, once it is indexed, or in a nested object.
+TEST(JsonDifferentialTest, LargeObjectsAgreeWithTheOracle) {
+  constexpr int kKeys = 3000;
+  std::string body = "{\"k0\":-1,";
+  for (int k = 0; k < kKeys; ++k) body += Format("\"k%d\":%d,", k, k);
+  for (int k = 0; k < kKeys; k += 7) body += Format("\"k%d\":[%d],", k, -k);
+  body += "\"nested\":{";
+  for (int k = 0; k < 100; ++k) {
+    body += Format("%s\"n%d\":%d", k == 0 ? "" : ",", k % 40, k);
+  }
+  body += "}}";
+
+  const Result<Json> got = Json::Parse(body);
+  EXPECT_EQ(DescribeParse(oracle::Parse(body)), DescribeParse(got));
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(got->members().size(), static_cast<size_t>(kKeys) + 1);
+  EXPECT_EQ(got->members()[0].first, "k0");
+  EXPECT_EQ(got->members()[0].second.Dump(), "[0]");
+  EXPECT_EQ(got->members()[8].second.Dump(), "8");
+  EXPECT_EQ(got->Find("k2996")->Dump(), "[-2996]");
+  EXPECT_EQ(got->members()[kKeys].first, "nested");
+  const Json& nested = got->members()[kKeys].second;
+  ASSERT_EQ(nested.members().size(), 40u);
+  EXPECT_EQ(nested.members()[0].first, "n0");
+  EXPECT_EQ(nested.members()[0].second.Dump(), "80");
+  EXPECT_EQ(nested.members()[39].second.Dump(), "79");
+}
+
 TEST(JsonDifferentialTest, MutatedBodiesAgreeWithTheOracles) {
   // gtest's random seed is 0 unless --gtest_shuffle asks for one.
   const uint64_t seed =

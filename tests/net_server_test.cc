@@ -745,6 +745,17 @@ TEST(NetServerFairnessTest, HotTenantCannotStarveQuietTenant) {
     });
   }
 
+  // The storm must be raging before the quiet tenant starts: until the hot
+  // threads have queries in flight the cap has nothing to refuse, and a
+  // quiet loop that finished first would leave it untested. Wait until the
+  // hot tenant has been capped at least once.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (hot_limited.load() == 0 && failures.load() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
   // The quiet tenant, sequential, must get every answer while the storm
   // rages — fair dispatch bounds its wait to the hot tenant's in-flight cap.
   {

@@ -1,14 +1,17 @@
 // PlanCache + ScanPlan behavior: cached-plan execution equals the naive
 // oracle (exec/naive_executor.h) bit-for-bit, invalidation fires when a
 // table grows, equivalent query spellings share one plan, plans over one FK
-// edge or measure share one join or weight column for exactly as long as
-// some plan holds it, a plan's first validated hit builds (or declines) its
-// cells exactly once — also when many threads hit it at once — and an
-// extension keeps them, extensions append into their parent's arrays and
-// exactly one of several racing ones does, a packed grouped plan stores no
-// group code per fact row, the cache is safe under concurrent use and
-// appends (run under TSan via the build-tsan / CI TSan configuration), and
-// the plan path never changes Predicate Mechanism noise semantics.
+// edge or measure share one join or weight column, and plans over one
+// dimension column and domain, or one dimension's group columns, one
+// ordinal table or group-ordinal table, for exactly as long as some plan
+// holds it, an ordinal table is shared only for an equal domain, a plan's
+// first validated hit builds (or declines) its cells exactly once — also
+// when many threads hit it at once — and an extension keeps them,
+// extensions append into their parent's arrays and exactly one of several
+// racing ones does, a packed grouped plan stores no group code per fact
+// row, the cache is safe under concurrent use and appends (run under TSan
+// via the build-tsan / CI TSan configuration), and the plan path never
+// changes Predicate Mechanism noise semantics.
 
 #include <gtest/gtest.h>
 
@@ -81,6 +84,40 @@ query::StarJoinQuery CustTierSumQuery() {
   q.predicates.push_back(query::Predicate::Range(
       "Cust", "tier", Value(int64_t{1}), Value(int64_t{2})));
   return q;
+}
+
+// The same SUM grouped by region: it shares the tier ordinal table of
+// CustTierSumQuery and the Cust group ordinals of ToyGroupedQuery.
+query::StarJoinQuery CustTierSumByRegionQuery() {
+  query::StarJoinQuery q = CustTierSumQuery();
+  q.group_by = {{"Cust", "region"}};
+  return q;
+}
+
+// Position of dimension `table` in `q`.
+size_t DimOf(const query::BoundQuery& q, const std::string& table) {
+  for (size_t i = 0; i < q.dims.size(); ++i) {
+    if (q.dims[i].table == table) return i;
+  }
+  ADD_FAILURE() << "no dimension " << table;
+  return 0;
+}
+
+// The ordinal table `plan` evaluates `q`'s predicate on table.column with;
+// null when it has none.
+std::shared_ptr<const exec::OrdinalTable> OrdinalTableOf(
+    const ScanPlan& plan, const query::BoundQuery& q, const std::string& table,
+    const std::string& column) {
+  const size_t i = DimOf(q, table);
+  for (const auto& pred : q.dims[i].predicates) {
+    if (pred.column != column) continue;
+    for (const auto& t : plan.dims[i].ordinal_tables) {
+      if (t->column_index == pred.column_index && t->domain == pred.domain) {
+        return t;
+      }
+    }
+  }
+  return nullptr;
 }
 
 TEST(PlanCacheTest, CachedPlanMatchesNaiveAndCountsHits) {
@@ -485,6 +522,163 @@ TEST(PlanCacheTest, PlansShareJoinAndWeightColumnsWhileHeld) {
   EXPECT_TRUE(watched.expired());
 }
 
+// Plans over one dimension hold one ordinal table per predicate (column,
+// domain) and one group-ordinal table per list of group columns; a
+// dimension append gives the recompiled plans new tables over the new rows;
+// and a table lives exactly as long as some plan holds it. The column
+// counters still count join and weight columns only.
+TEST(PlanCacheTest, PlansShareOrdinalTablesAndGroupOrdinalsWhileHeld) {
+  storage::Catalog catalog = MakeToyCatalog();
+  query::Binder binder(&catalog);
+  PlanCache cache(8);
+  StarJoinExecutor executor;
+
+  std::vector<query::BoundQuery> bound;
+  for (const auto& q : {CustRegionCountQuery(), ToyCountQuery(),
+                        ToyGroupedQuery(), CustTierSumByRegionQuery()}) {
+    auto b = binder.Bind(q);
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    bound.push_back(std::move(*b));
+  }
+  const query::BoundQuery& region_q = bound[0];
+  const query::BoundQuery& toy_q = bound[1];
+  const query::BoundQuery& grouped_q = bound[2];
+  const query::BoundQuery& by_region_q = bound[3];
+  auto compile_all = [&]() {
+    std::vector<std::shared_ptr<const ScanPlan>> plans;
+    for (const auto& q : bound) {
+      plans.push_back(cache.GetOrCompile(q).ValueOr(nullptr));
+      EXPECT_NE(plans.back(), nullptr);
+    }
+    return plans;
+  };
+  auto expect_naive_answers = [&](
+      const std::vector<std::shared_ptr<const ScanPlan>>& plans) {
+    for (size_t k = 0; k < bound.size(); ++k) {
+      const query::BoundQuery& q = bound[k];
+      auto naive = exec::ExecuteNaive(q);
+      auto got =
+          executor.Execute(q, PredicateOverrides(q.dims.size()), *plans[k]);
+      ASSERT_TRUE(naive.ok() && got.ok());
+      ExpectBitIdentical(*naive, *got);
+    }
+  };
+
+  std::vector<std::shared_ptr<const ScanPlan>> plans = compile_all();
+  ASSERT_EQ(plans.size(), 4u);
+  // Both filters on Cust.region read one table; both groupings by region
+  // one group-ordinal table.
+  const auto region = OrdinalTableOf(*plans[0], region_q, "Cust", "region");
+  ASSERT_NE(region, nullptr);
+  EXPECT_EQ(OrdinalTableOf(*plans[1], toy_q, "Cust", "region"), region);
+  EXPECT_EQ(OrdinalTableOf(*plans[2], grouped_q, "Cust", "region"), region);
+  EXPECT_EQ(region->ordinals, (std::vector<int64_t>{0, 0, 1, 1, 2, 2}));
+  const auto groups = plans[2]->dims[DimOf(grouped_q, "Cust")].groups;
+  ASSERT_NE(groups, nullptr);
+  EXPECT_EQ(plans[3]->dims[DimOf(by_region_q, "Cust")].groups, groups);
+  EXPECT_EQ(groups->rep_rows, (std::vector<int64_t>{0, 2, 4}));
+  EXPECT_EQ(plans[0]->dims[0].groups, nullptr);  // not grouped
+  expect_naive_answers(plans);
+  // Join columns: Cust built once, Prod once; weights once. The tables
+  // above are not counted.
+  PlanCache::Stats stats = cache.GetStats();
+  EXPECT_EQ(stats.column_builds, 3u);
+  EXPECT_EQ(stats.column_reuses, 5u);
+
+  // A dimension append: the recompiled plans get new tables covering the
+  // new rows, shared again.
+  auto cust = catalog.GetTable("Cust");
+  ASSERT_TRUE(cust.ok());
+  ASSERT_TRUE(
+      (*cust)->AppendRow({Value(int64_t{7}), Value("W"), Value(int64_t{3})}).ok());
+  ASSERT_TRUE(
+      (*cust)->AppendRow({Value(int64_t{8}), Value("S"), Value(int64_t{2})}).ok());
+  auto orders = catalog.GetTable("Orders");
+  ASSERT_TRUE(orders.ok());
+  ASSERT_TRUE(
+      (*orders)
+          ->AppendRow({Value(int64_t{8}), Value(int64_t{1}), Value(int64_t{6}),
+                       Value(60.0)})
+          .ok());
+  plans = compile_all();
+  auto grown = OrdinalTableOf(*plans[0], region_q, "Cust", "region");
+  ASSERT_NE(grown, nullptr);
+  EXPECT_NE(grown, region);
+  EXPECT_EQ(OrdinalTableOf(*plans[1], toy_q, "Cust", "region"), grown);
+  // "W" is outside the region domain.
+  EXPECT_EQ(grown->ordinals, (std::vector<int64_t>{0, 0, 1, 1, 2, 2, -1, 1}));
+  auto grown_groups = plans[2]->dims[DimOf(grouped_q, "Cust")].groups;
+  ASSERT_NE(grown_groups, nullptr);
+  EXPECT_NE(grown_groups, groups);
+  EXPECT_EQ(plans[3]->dims[DimOf(by_region_q, "Cust")].groups, grown_groups);
+  EXPECT_EQ(grown_groups->ordinal, (std::vector<int32_t>{0, 0, 1, 1, 2, 2, 3, 1}));
+  expect_naive_answers(plans);
+
+  // A table lives exactly as long as some plan holds it: once the cached
+  // plans are its only holders, Clear() frees it with them.
+  const std::weak_ptr<const exec::OrdinalTable> watched_table = grown;
+  const std::weak_ptr<const exec::GroupOrdinals> watched_groups = grown_groups;
+  grown.reset();
+  grown_groups.reset();
+  plans.clear();
+  EXPECT_FALSE(watched_table.expired());
+  EXPECT_FALSE(watched_groups.expired());
+  cache.Clear();
+  EXPECT_TRUE(watched_table.expired());
+  EXPECT_TRUE(watched_groups.expired());
+}
+
+// Two categorical domains of one size render alike (AttributeDomain's
+// ToString() reads cat{3} for both), so the store must compare domains: a
+// predicate over the reordered domain gets a table of its own, and its
+// answers, from rows and from cells, match the oracle.
+TEST(PlanCacheTest, OrdinalTablesAreSharedOnlyForAnEqualDomain) {
+  storage::Catalog catalog = MakeToyCatalog();
+  query::Binder binder(&catalog);
+  auto bound = binder.Bind(CustRegionCountQuery());  // region = 'N'
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  query::BoundQuery reordered = *bound;
+  query::BoundPredicate& pred = reordered.dims[0].predicates[0];
+  pred.domain = storage::AttributeDomain::Categorical({"E", "N", "S"});
+  ASSERT_EQ(pred.domain.ToString(),
+            bound->dims[0].predicates[0].domain.ToString());
+  pred.lo_index = pred.hi_index = *pred.domain.IndexOf(Value("S"));
+  ASSERT_NE(pred.lo_index, bound->dims[0].predicates[0].lo_index);
+
+  exec::PlanColumnStore columns;
+  auto plan = ScanPlan::Compile(*bound, columns);
+  auto other = ScanPlan::Compile(reordered, columns);
+  auto again = ScanPlan::Compile(reordered, columns);
+  ASSERT_TRUE(plan.ok() && other.ok() && again.ok());
+  const auto& mine = other->dims[0].ordinal_tables;
+  ASSERT_EQ(mine.size(), 1u);
+  EXPECT_NE(mine[0], plan->dims[0].ordinal_tables[0]);
+  EXPECT_EQ(mine[0]->domain, pred.domain);
+  EXPECT_EQ(mine[0]->ordinals, (std::vector<int64_t>{1, 1, 2, 2, 0, 0}));
+  // The table under the shared key stays the first domain's: a table for a
+  // colliding domain is the compile's own.
+  EXPECT_NE(again->dims[0].ordinal_tables[0], mine[0]);
+  EXPECT_EQ(again->dims[0].ordinal_tables[0]->ordinals, mine[0]->ordinals);
+
+  StarJoinExecutor executor;
+  for (const auto& [q, p] :
+       {std::make_pair(&*bound, &*plan), std::make_pair(&reordered, &*other)}) {
+    auto naive = exec::ExecuteNaive(*q);
+    ASSERT_TRUE(naive.ok());
+    auto rows = executor.Execute(*q, PredicateOverrides(q->dims.size()), *p);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    ExpectBitIdentical(*naive, *rows);
+    auto with_cells = ScanPlan::WithCells(*p, *q, uint64_t{1} << 20);
+    ASSERT_TRUE(with_cells.ok()) << with_cells.status().ToString();
+    ASSERT_TRUE(with_cells->CellsServe(*q, PredicateOverrides()));
+    auto cells =
+        executor.Execute(*q, PredicateOverrides(q->dims.size()), *with_cells);
+    ASSERT_TRUE(cells.ok()) << cells.status().ToString();
+    ExpectBitIdentical(*naive, *cells);
+  }
+  EXPECT_EQ(exec::ExecuteNaive(reordered)->scalar, 4.0);  // the S rows
+}
+
 // A packed grouped plan stores no group code per fact row: the sweep and the
 // cell build pack each code from the join columns when they read it. So its
 // bytes exceed those of the same joins ungrouped by the group ordinals of
@@ -520,12 +714,15 @@ TEST(PlanCacheTest, ConcurrentSharedCacheIsSafe) {
   query::Binder binder(&catalog);
   auto cache = std::make_shared<PlanCache>(4);
 
-  // Four signatures sharing FK edges (all join Orders→Cust, two also
-  // Orders→Prod; two SUM the same measure), so concurrent compiles and
-  // extends race on the same join and weight columns.
+  // Five signatures sharing FK edges (all join Orders→Cust, two also
+  // Orders→Prod; three SUM the same measure), predicate columns (three
+  // filter Cust.region, two Cust.tier) and group columns (two group by
+  // Cust.region), so concurrent compiles and extends race on the same join
+  // and weight columns, ordinal tables and group ordinals.
   std::vector<query::BoundQuery> bound;
   for (const auto& q : {ToyCountQuery(), ToyGroupedQuery(),
-                        CustRegionCountQuery(), CustTierSumQuery()}) {
+                        CustRegionCountQuery(), CustTierSumQuery(),
+                        CustTierSumByRegionQuery()}) {
     auto b = binder.Bind(q);
     ASSERT_TRUE(b.ok()) << b.status().ToString();
     bound.push_back(std::move(*b));
@@ -543,7 +740,8 @@ TEST(PlanCacheTest, ConcurrentSharedCacheIsSafe) {
       StarJoinExecutor local;
       for (int i = 0; i < 50; ++i) {
         if (t == 0 && i % 16 == 7) cache->Clear();  // exercise the clear race
-        const query::BoundQuery& q = bound[static_cast<size_t>(t + i) % 4];
+        const query::BoundQuery& q =
+            bound[static_cast<size_t>(t + i) % bound.size()];
         std::shared_lock<std::shared_mutex> lock(table_mu);
         auto plan = cache->GetOrCompile(q);
         ++lookups;
@@ -579,18 +777,30 @@ TEST(PlanCacheTest, ConcurrentSharedCacheIsSafe) {
   EXPECT_EQ(failures.load(), 0);
 
   // However the races went, the plans now cached sit on one join column per
-  // edge: every signature's Orders→Cust column is the same object.
+  // edge, one ordinal table per predicate column and one group-ordinal
+  // table per grouping: every signature's Orders→Cust column, Cust.region
+  // table and Cust groups are the same objects.
   std::shared_ptr<const exec::JoinColumn> cust_column;
+  std::shared_ptr<const exec::OrdinalTable> region_table;
+  std::shared_ptr<const exec::GroupOrdinals> cust_groups;
   for (const auto& q : bound) {
     auto plan = cache->GetOrCompile(q);
     ASSERT_TRUE(plan.ok());
     EXPECT_EQ((*plan)->fact_rows(), 17);
-    for (size_t i = 0; i < q.dims.size(); ++i) {
-      if (q.dims[i].table != "Cust") continue;
-      if (cust_column == nullptr) cust_column = (*plan)->fact_dim_row[i];
-      EXPECT_EQ((*plan)->fact_dim_row[i].get(), cust_column.get());
+    const size_t i = DimOf(q, "Cust");
+    if (cust_column == nullptr) cust_column = (*plan)->fact_dim_row[i];
+    EXPECT_EQ((*plan)->fact_dim_row[i].get(), cust_column.get());
+    if (auto table = OrdinalTableOf(**plan, q, "Cust", "region")) {
+      if (region_table == nullptr) region_table = table;
+      EXPECT_EQ(table, region_table);
+    }
+    if (const auto& groups = (*plan)->dims[i].groups) {
+      if (cust_groups == nullptr) cust_groups = groups;
+      EXPECT_EQ(groups, cust_groups);
     }
   }
+  EXPECT_NE(region_table, nullptr);
+  EXPECT_NE(cust_groups, nullptr);
 }
 
 // Orders→Cust by region has three classes, within half the fixture's twelve
