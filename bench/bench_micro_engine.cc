@@ -57,15 +57,17 @@ const storage::Catalog& ComparisonCatalog() {
 // ---------------------------------------------------------------------------
 // Repeated-answer comparison: the Predicate Mechanism re-executes the same
 // bound query with perturbed predicates every noisy run. "plan cold
-// (compile+run)" pays a whole ScanPlan::Compile every run, join and weight
-// columns, ordinal tables and group ordinals included (what a one-shot
-// Execute costs); "plan cold (columns shared)" compiles while another plan
-// holds those columns and tables, as a compile for a new signature against a
-// populated plan cache does; "plan first hit
-// (cells built)" is that compile followed by the plan's first cache hit,
-// which builds its cells before it answers; "plan warm" is the steady state
-// — predicate bitmaps only, and a sweep over the cells when the plan has
-// them.
+// (compile+run)" pays a whole ScanPlan::Compile every run, join, weight and
+// ordinal columns, ordinal tables and group ordinals included (what a
+// one-shot Execute costs); "plan cold (columns shared)" compiles while
+// another plan holds those columns and tables, as a compile for a new
+// signature against a populated plan cache does — but the held plan has
+// cells, and a plan with cells holds no ordinal columns, so every timed
+// compile builds those; "plan first hit (cells built)" is a compile,
+// ordinal columns included, followed by the plan's first cache hit, which
+// builds its cells (and drops the columns) before it answers; "plan warm"
+// is the steady state — predicate bitmaps only, and a sweep over the cells
+// when the plan has them.
 // ---------------------------------------------------------------------------
 
 void RunPlanCacheComparison(bench::JsonBenchWriter* json) {
@@ -124,7 +126,9 @@ void RunPlanCacheComparison(bench::JsonBenchWriter* json) {
                      }});
     // A plan held across Clear() (taken at the first run, outside the
     // timing), so every later compile finds its join and weight columns,
-    // ordinal tables and group ordinals live.
+    // ordinal tables and group ordinals live. It is the previous path's
+    // plan at its first hit, so it has cells and no ordinal columns: each
+    // timed compile builds its own.
     std::shared_ptr<const exec::ScanPlan> held;
     paths.push_back({"plan cold (columns shared)", [&]() {
                        if (held == nullptr) {

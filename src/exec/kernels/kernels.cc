@@ -56,6 +56,31 @@ uint64_t PassMask(const int32_t* const* dim_rows,
   return mask;
 }
 
+template <typename T>
+uint64_t RangeBits(const T* o, uint32_t lo, uint32_t hi, int nbits) {
+  uint64_t bits = 0;
+  for (int i = 0; i < nbits; ++i) {
+    const uint32_t v = o[i];
+    bits |= static_cast<uint64_t>((v >= lo) & (v <= hi))
+            << static_cast<unsigned>(i);
+  }
+  return bits;
+}
+
+uint64_t OrdinalRangeMask(const OrdinalRange* ranges, size_t num_ranges,
+                          int64_t base, int nbits) {
+  uint64_t mask = nbits == 64 ? ~uint64_t{0} : (uint64_t{1} << nbits) - 1;
+  for (size_t k = 0; k < num_ranges && mask != 0; ++k) {
+    const OrdinalRange& r = ranges[k];
+    mask &= r.width == 1
+                ? RangeBits(static_cast<const uint8_t*>(r.ordinals) + base,
+                            r.lo, r.hi, nbits)
+                : RangeBits(static_cast<const uint16_t*>(r.ordinals) + base,
+                            r.lo, r.hi, nbits);
+  }
+  return mask;
+}
+
 double SumSpan(const double* w, int64_t n) {
   double lanes[4] = {0.0, 0.0, 0.0, 0.0};
   int64_t i = 0;
@@ -73,7 +98,8 @@ double SumSpan(const double* w, int64_t n) {
 
 const EngineKernels& ScalarKernels() {
   static const EngineKernels kernels = {
-      "scalar", scalar::RangeBitmapAnd, scalar::PassMask, scalar::SumSpan,
+      "scalar", scalar::RangeBitmapAnd, scalar::PassMask,
+      scalar::OrdinalRangeMask, scalar::SumSpan,
   };
   return kernels;
 }

@@ -1,14 +1,20 @@
 // Copyright (c) dpstarj authors. Licensed under the MIT license.
 //
-// Runtime-dispatched SIMD kernels for the engine's three hot loops:
+// Runtime-dispatched SIMD kernels for the engine's four hot loops:
 //
 //   range_bitmap_and      predicate compare → 64-bit bitmap pack over a
 //                         memoized domain-ordinal span (scan_plan.cc,
 //                         BuildPassBitmap);
-//   pass_mask             the per-row verdict gather of the warm fact sweep:
-//                         for ≤ 64 rows, gather each dimension's resolved row
-//                         into its predicate bitmap and AND the bits into one
-//                         mask word (star_join_executor.cc sweeps);
+//   ordinal_range_mask    the fact-row sweep's verdict for dimensions whose
+//                         predicates all have a fact-aligned ordinal column
+//                         (exec/scan_plan.h OrdinalColumn): for ≤ 64 rows,
+//                         compare each column's narrow ordinals against its
+//                         [lo, hi] and AND the bits into one mask word;
+//   pass_mask             the verdict gather of every other dimension and of
+//                         cell sweeps: for ≤ 64 units, gather each
+//                         dimension's resolved row (or class) into its
+//                         predicate bitmap and AND the bits into one mask
+//                         word (star_join_executor.cc sweeps);
 //   sum_span              contiguous double accumulation in a FIXED four-lane
 //                         split (see below), used for the all-pass chunks of
 //                         every fact sweep (SumChunk; 32-byte-wide loads over
@@ -36,6 +42,17 @@
 
 namespace dpstarj::exec::kernels {
 
+/// \brief One range test of ordinal_range_mask: row r passes when
+/// lo ≤ ordinals[r] ≤ hi, where `ordinals` is a fact-aligned column of
+/// `width`-byte unsigned entries (1: uint8_t, 2: uint16_t). lo and hi fit
+/// the width; lo > hi passes nothing.
+struct OrdinalRange {
+  const void* ordinals;
+  int width;
+  uint32_t lo;
+  uint32_t hi;
+};
+
 struct EngineKernels {
   /// "scalar" or "avx2" — surfaced in bench host fields and /metrics-adjacent
   /// diagnostics.
@@ -56,6 +73,13 @@ struct EngineKernels {
   uint64_t (*pass_mask)(const int32_t* const* dim_rows,
                         const uint64_t* const* bitmap_words, size_t num_dims,
                         int64_t base, int nbits);
+
+  /// Pass mask of rows [base, base + nbits), nbits ≤ 64: bit i = AND over
+  /// the `num_ranges` ranges of their test on row base + i (all set when
+  /// there are none). Reads no row at or past base + nbits. Bits ≥ nbits
+  /// are 0.
+  uint64_t (*ordinal_range_mask)(const OrdinalRange* ranges,
+                                 size_t num_ranges, int64_t base, int nbits);
 
   /// Sum of w[0..n) in the fixed four-lane association order documented
   /// above. NOT sequential-order addition: both implementations reassociate

@@ -95,6 +95,77 @@ __attribute__((target("avx2"))) uint64_t PassMask(
   return mask;
 }
 
+// Pass bits of 32 rows: v ∈ [lo, hi] ⇔ max(v, lo) == v && min(v, hi) == v,
+// unsigned. Sixteen-bit lanes are packed to bytes (0 or -1 saturate
+// exactly), and the pack's lane interleave is undone before the movemask.
+__attribute__((target("avx2"))) inline uint32_t InRange32(const uint8_t* o,
+                                                          __m256i vlo,
+                                                          __m256i vhi) {
+  const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(o));
+  const __m256i ok =
+      _mm256_and_si256(_mm256_cmpeq_epi8(_mm256_max_epu8(v, vlo), v),
+                       _mm256_cmpeq_epi8(_mm256_min_epu8(v, vhi), v));
+  return static_cast<uint32_t>(_mm256_movemask_epi8(ok));
+}
+
+__attribute__((target("avx2"))) inline uint32_t InRange32(const uint16_t* o,
+                                                          __m256i vlo,
+                                                          __m256i vhi) {
+  const __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(o));
+  const __m256i b =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(o + 16));
+  const __m256i ok_a =
+      _mm256_and_si256(_mm256_cmpeq_epi16(_mm256_max_epu16(a, vlo), a),
+                       _mm256_cmpeq_epi16(_mm256_min_epu16(a, vhi), a));
+  const __m256i ok_b =
+      _mm256_and_si256(_mm256_cmpeq_epi16(_mm256_max_epu16(b, vlo), b),
+                       _mm256_cmpeq_epi16(_mm256_min_epu16(b, vhi), b));
+  // packs gives quarters (a0-7, b0-7, a8-15, b8-15); 0xD8 orders them
+  // (a0-7, a8-15, b0-7, b8-15).
+  const __m256i packed =
+      _mm256_permute4x64_epi64(_mm256_packs_epi16(ok_a, ok_b), 0xD8);
+  return static_cast<uint32_t>(_mm256_movemask_epi8(packed));
+}
+
+template <typename T>
+__attribute__((target("avx2"))) uint64_t RangeBits(const T* o, uint32_t lo,
+                                                   uint32_t hi, int nbits) {
+  __m256i vlo, vhi;
+  if (sizeof(T) == 1) {
+    vlo = _mm256_set1_epi8(static_cast<char>(lo));
+    vhi = _mm256_set1_epi8(static_cast<char>(hi));
+  } else {
+    vlo = _mm256_set1_epi16(static_cast<int16_t>(lo));
+    vhi = _mm256_set1_epi16(static_cast<int16_t>(hi));
+  }
+  uint64_t bits = 0;
+  int i = 0;
+  for (; i + 32 <= nbits; i += 32) {
+    bits |= static_cast<uint64_t>(InRange32(o + i, vlo, vhi))
+            << static_cast<unsigned>(i);
+  }
+  for (; i < nbits; ++i) {
+    const uint32_t v = o[i];
+    bits |= static_cast<uint64_t>((v >= lo) & (v <= hi))
+            << static_cast<unsigned>(i);
+  }
+  return bits;
+}
+
+__attribute__((target("avx2"))) uint64_t OrdinalRangeMask(
+    const OrdinalRange* ranges, size_t num_ranges, int64_t base, int nbits) {
+  uint64_t mask = nbits == 64 ? ~uint64_t{0} : (uint64_t{1} << nbits) - 1;
+  for (size_t k = 0; k < num_ranges && mask != 0; ++k) {
+    const OrdinalRange& r = ranges[k];
+    mask &= r.width == 1
+                ? RangeBits(static_cast<const uint8_t*>(r.ordinals) + base,
+                            r.lo, r.hi, nbits)
+                : RangeBits(static_cast<const uint16_t*>(r.ordinals) + base,
+                            r.lo, r.hi, nbits);
+  }
+  return mask;
+}
+
 __attribute__((target("avx2"))) double SumSpan(const double* w, int64_t n) {
   // Lane j of `acc` sees exactly the elements scalar::SumSpan's lanes[j]
   // sees, in the same order — vaddpd is lane-wise, so the two agree
@@ -115,7 +186,8 @@ __attribute__((target("avx2"))) double SumSpan(const double* w, int64_t n) {
 const EngineKernels* Avx2KernelsOrNull() {
   if (!HostCpu().avx2) return nullptr;
   static const EngineKernels kernels = {
-      "avx2", avx2::RangeBitmapAnd, avx2::PassMask, avx2::SumSpan,
+      "avx2", avx2::RangeBitmapAnd, avx2::PassMask, avx2::OrdinalRangeMask,
+      avx2::SumSpan,
   };
   return &kernels;
 }

@@ -41,11 +41,12 @@
 // The cache also owns the PlanColumnStore its plans compile against, so
 // every cached plan over one FK edge points at one join column, every plan
 // over one measure at one weight column, every plan filtering one dimension
-// column over one domain at one ordinal table, and every plan grouping one
-// dimension by the same columns at one group-ordinal table: a compile for a
-// new signature resolves no fact row and numbers no dimension column that
-// another plan still holds, and after an ingest the first extension of an
-// edge resolves its tail for all of them.
+// column over one domain at one ordinal table (and, while it has no cells,
+// at one ordinal column), and every plan grouping one dimension by the same
+// columns at one group-ordinal table: a compile for a new signature
+// resolves no fact row and numbers no dimension column that another plan
+// still holds, and after an ingest the first extension of an edge resolves
+// its tail for all of them.
 
 #pragma once
 
@@ -74,11 +75,13 @@ class PlanCache {
   /// 8 + 4·dims for the join and weight columns shared with other plans (a
   /// packed plan stores no group code per row; a plan whose key tuples are
   /// numbered stores 8 per row instead of cells); the cells themselves
-  /// number at most half the fact rows and are usually far fewer — plus,
-  /// per dimension row, 8 bytes per predicate column's ordinal table and 4
-  /// for group ordinals, also shared — so eviction is governed by a byte
-  /// budget as well as this entry cap; popular queries dominate hits long
-  /// before either matters. The budget counts the fact rows a plan covers,
+  /// number at most half the fact rows and are usually far fewer. While a
+  /// plan has no cells it holds instead 1 or 2 bytes per fact row per
+  /// predicate column (its ordinal columns, shared too). Add, per dimension
+  /// row, 8 bytes per predicate column's ordinal table and 4 for group
+  /// ordinals, also shared — so eviction is governed by a byte budget as
+  /// well as this entry cap; popular queries dominate hits long before
+  /// either matters. The budget counts the fact rows a plan covers,
   /// not the spare capacity an extended plan's arrays reserve, and it
   /// counts shared columns and tables in full in every plan that references
   /// them, so it bounds the resident bytes from above.

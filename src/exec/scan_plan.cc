@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <unordered_map>
 
@@ -96,6 +97,38 @@ void AddWeights(const query::BoundQuery& q, int64_t begin, int64_t end,
     const double c = coeff;
     for (int64_t r = begin; r < end; ++r) values[r] += c * view[r];
   }
+}
+
+// The entries of an ordinal column of `table` over `join`: `prefix` grown to
+// join's fact rows (a fresh array when null), with the rows it lacks
+// composed. The table is narrowed to T first, with the width's top value for
+// "no ordinal" and one extra entry for the absent-FK sentinel row, so each
+// fact row costs one load from it. Four rows are stored at once, so their
+// loads do not wait behind single-entry stores.
+template <typename T>
+AppendArray<T> ComposeOrdinals(const JoinColumn& join, const OrdinalTable& table,
+                               const AppendArray<T>* prefix) {
+  constexpr T kNone = std::numeric_limits<T>::max();
+  DPSTARJ_CHECK(table.ordinals.size() == static_cast<size_t>(join.dim_rows),
+                "ordinal table and join column cover different dimension rows");
+  std::vector<T> narrowed(table.ordinals.size() + 1, kNone);
+  for (size_t r = 0; r < table.ordinals.size(); ++r) {
+    if (table.ordinals[r] >= 0) narrowed[r] = static_cast<T>(table.ordinals[r]);
+  }
+  const size_t rows = static_cast<size_t>(join.fact_rows);
+  AppendArray<T> out = prefix == nullptr ? AppendArray<T>(rows)
+                                         : AppendArray<T>::Extend(*prefix, rows);
+  const T* ordinal = narrowed.data();
+  const int32_t* dim_row = join.rows.data();
+  T* dst = out.mutable_data();
+  size_t r = prefix == nullptr ? 0 : prefix->size();
+  for (; r + 4 <= rows; r += 4) {
+    const T four[4] = {ordinal[dim_row[r]], ordinal[dim_row[r + 1]],
+                       ordinal[dim_row[r + 2]], ordinal[dim_row[r + 3]]};
+    std::memcpy(dst + r, four, sizeof(four));
+  }
+  for (; r < rows; ++r) dst[r] = ordinal[dim_row[r]];
+  return out;
 }
 
 // Numbers each distinct group-key tuple among the fact rows in first-
@@ -508,6 +541,46 @@ std::shared_ptr<const GroupOrdinals> PlanColumnStore::GetGroupOrdinals(
   return std::move(shared).ValueOrDie();  // numbering cannot fail
 }
 
+std::shared_ptr<const OrdinalColumn> PlanColumnStore::GetOrdinalColumn(
+    const std::shared_ptr<const JoinColumn>& join,
+    const std::shared_ptr<const OrdinalTable>& table,
+    const OrdinalColumn* prefix) {
+  const int width = OrdinalColumn::WidthFor(table->domain.size());
+  if (width == 0) return nullptr;
+  // Both addresses are safe in the key: the column pins both.
+  const std::string key = Format("%p:%p", static_cast<const void*>(join.get()),
+                                 static_cast<const void*>(table.get()));
+  using Shared = std::shared_ptr<const OrdinalColumn>;
+  auto shared = Share(
+      ordinal_columns_, key, /*counted=*/false,
+      [&]() -> Result<Shared> {
+        auto column = std::make_shared<OrdinalColumn>();
+        column->join = join;
+        column->table = table;
+        column->fact_rows = join->fact_rows;
+        column->width = width;
+        const JoinColumn* old = prefix == nullptr ? nullptr : prefix->join.get();
+        if (old != nullptr &&
+            !(prefix->table == table && old->fact == join->fact &&
+              old->dim == join->dim && old->fact_fk_col == join->fact_fk_col &&
+              old->dim_pk_col == join->dim_pk_col &&
+              old->dim_rows == join->dim_rows &&
+              old->fact_rows <= join->fact_rows)) {
+          prefix = nullptr;
+        }
+        if (width == 1) {
+          column->narrow = ComposeOrdinals(
+              *join, *table, prefix == nullptr ? nullptr : &prefix->narrow);
+        } else {
+          column->wide = ComposeOrdinals(
+              *join, *table, prefix == nullptr ? nullptr : &prefix->wide);
+        }
+        return Shared(std::move(column));
+      },
+      kAnyEntry);
+  return std::move(shared).ValueOrDie();  // composing cannot fail
+}
+
 PlanColumnStore::Stats PlanColumnStore::GetStats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
@@ -570,6 +643,7 @@ Result<ScanPlan> ScanPlan::Compile(const query::BoundQuery& q,
   // ---- per-dimension scaffolds.
   plan.dims.resize(q.dims.size());
   plan.fact_dim_row.resize(q.dims.size());
+  plan.ordinal_columns.resize(q.dims.size());
   for (size_t i = 0; i < q.dims.size(); ++i) {
     const query::DimBinding& d = q.dims[i];
     PlanDim& pd = plan.dims[i];
@@ -584,13 +658,7 @@ Result<ScanPlan> ScanPlan::Compile(const query::BoundQuery& q,
           pred.column_index >= d.dim->schema().num_fields()) {
         return Status::InvalidArgument("predicate has bad column index");
       }
-      if (std::any_of(pd.ordinal_tables.begin(), pd.ordinal_tables.end(),
-                      [&](const auto& t) {
-                        return t->column_index == pred.column_index &&
-                               t->domain == pred.domain;
-                      })) {
-        continue;
-      }
+      if (pd.TableOf(pred) >= 0) continue;
       DPSTARJ_ASSIGN_OR_RETURN(auto table, columns.GetOrdinalTable(q, i, pred));
       pd.ordinal_tables.push_back(std::move(table));
     }
@@ -604,6 +672,10 @@ Result<ScanPlan> ScanPlan::Compile(const query::BoundQuery& q,
     // per edge by whichever plan first needs it while no other holds it.
     DPSTARJ_ASSIGN_OR_RETURN(plan.fact_dim_row[i],
                              columns.GetJoinColumn(q, i, plan.fact_rows_));
+    for (const auto& table : pd.ordinal_tables) {
+      plan.ordinal_columns[i].push_back(
+          columns.GetOrdinalColumn(plan.fact_dim_row[i], table));
+    }
   }
 
   if (plan.grouped) {
@@ -672,6 +744,7 @@ Result<ScanPlan> ScanPlan::WithCells(const ScanPlan& plan,
   if (plan.grouped) MergeCellLabels(plan, q, 0, *cells);
   ScanPlan out = plan;
   out.cells = std::move(cells);
+  out.ordinal_columns.clear();
   return out;
 }
 
@@ -681,13 +754,7 @@ bool ScanPlan::CellsServe(const query::BoundQuery& q,
   if (!overrides.empty() && overrides.size() != q.dims.size()) return false;
   for (size_t i = 0; i < dims.size(); ++i) {
     for (const auto& pred : EffectivePreds(q, overrides, i)) {
-      const auto& tables = dims[i].ordinal_tables;
-      if (std::none_of(tables.begin(), tables.end(), [&](const auto& t) {
-            return t->column_index == pred.column_index &&
-                   t->domain == pred.domain;
-          })) {
-        return false;
-      }
+      if (dims[i].TableOf(pred) < 0) return false;
     }
   }
   return true;
@@ -786,6 +853,16 @@ Result<ScanPlan> ScanPlan::ExtendFrom(const ScanPlan& old,
   if (old.weights != nullptr) {
     plan.weights = columns.GetWeightColumn(q, new_rows, old.weights.get());
   }
+  // A plan without cells compares its ordinal columns, which extend over
+  // the extended join columns the same way.
+  plan.ordinal_columns.resize(old.ordinal_columns.size());
+  for (size_t i = 0; i < old.ordinal_columns.size(); ++i) {
+    for (size_t t = 0; t < old.ordinal_columns[i].size(); ++t) {
+      plan.ordinal_columns[i].push_back(columns.GetOrdinalColumn(
+          plan.fact_dim_row[i], plan.dims[i].ordinal_tables[t],
+          old.ordinal_columns[i][t].get()));
+    }
+  }
 
   // The tail's rows join existing or new cells. The classes depend on the
   // unchanged dimensions alone, and every tail field ordinal fits its packed
@@ -806,6 +883,11 @@ size_t ScanPlan::ApproxBytes() const {
   size_t bytes = sizeof(ScanPlan);
   for (const auto& c : fact_dim_row) {
     bytes += c->rows.size() * sizeof(int32_t);
+  }
+  for (const auto& dim_columns : ordinal_columns) {
+    for (const auto& c : dim_columns) {
+      if (c != nullptr) bytes += static_cast<size_t>(c->fact_rows) * c->width;
+    }
   }
   bytes += codes.size() * sizeof(uint64_t);
   if (weights != nullptr) bytes += weights->values.size() * sizeof(double);
@@ -961,13 +1043,9 @@ Result<std::vector<uint64_t>> BuildPassBitmap(
         pred.column_index >= dim.schema().num_fields()) {
       return Status::InvalidArgument("predicate has bad column index");
     }
-    const std::vector<int64_t>* ordinals = nullptr;
-    for (const auto& t : pd.ordinal_tables) {
-      if (t->column_index == pred.column_index && t->domain == pred.domain) {
-        ordinals = &t->ordinals;
-        break;
-      }
-    }
+    const int t = pd.TableOf(pred);
+    const std::vector<int64_t>* ordinals =
+        t < 0 ? nullptr : &pd.ordinal_tables[static_cast<size_t>(t)]->ordinals;
     if (ordinals == nullptr) {
       DPSTARJ_ASSIGN_OR_RETURN(
           fresh,

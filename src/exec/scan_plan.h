@@ -26,6 +26,12 @@
 //     evaluation. The Predicate Mechanism perturbs constants over fixed
 //     domains only, so a table depends on the column and its domain alone
 //     and is shared the same way;
+//   * while the plan has no cells, one *ordinal column* per ordinal table:
+//     the domain ordinal of every fact row's dimension row (the join column
+//     composed with the table), one or two bytes per row. It is predicate-
+//     independent too, so the row sweep tests a dimension by comparing its
+//     columns against each execution's moved [lo, hi] instead of gathering
+//     its bitmap through the join column, and plans share the columns;
 //   * once the plan is reused (PlanCache builds it at the plan's first
 //     validated hit), a second *layout* of the same data made of cells —
 //     CellLayout, below — the vector W of the paper's Eq. (11).
@@ -44,10 +50,12 @@
 // dimension — bit r = "dimension row (or class) r passes every effective
 // predicate" — built from the ordinal tables with branchless,
 // autovectorizable compares and packed into uint64 words, then a sweep that
-// is just gathers into those bitmaps plus the weights (and, grouped, the
-// passing rows' packed codes, or the cells' label slots).
+// is just range compares over the ordinal columns or gathers into those
+// bitmaps, plus the weights (and, grouped, the passing rows' packed codes,
+// or the cells' label slots).
 //
-// Ingest. The fact-row-sized arrays (join rows, weights) are AppendArrays:
+// Ingest. The fact-row-sized arrays (join rows, weights, ordinal columns)
+// are AppendArrays:
 // a plan extended over an appended fact tail writes the tail into its
 // parent's buffer and shares the prefix, and its cells render only the
 // labels the tail brings, so ExtendFrom costs O(tail + cells), not
@@ -116,6 +124,18 @@ struct PlanDim {
   /// predicates. Overrides that keep column and domain (the Predicate
   /// Mechanism always does) evaluate against these; others compute fresh.
   std::vector<std::shared_ptr<const OrdinalTable>> ordinal_tables;
+
+  /// The position in ordinal_tables of the table of `pred`'s column and
+  /// domain, or -1 when the predicate's pair is not memoized.
+  int TableOf(const query::BoundPredicate& pred) const {
+    for (size_t t = 0; t < ordinal_tables.size(); ++t) {
+      if (ordinal_tables[t]->column_index == pred.column_index &&
+          ordinal_tables[t]->domain == pred.domain) {
+        return static_cast<int>(t);
+      }
+    }
+    return -1;
+  }
 };
 
 /// \brief Per-dimension predicate replacements, aligned with BoundQuery::dims.
@@ -286,17 +306,51 @@ struct WeightColumn {
   AppendArray<double> values;
 };
 
-/// \brief Hands plans the join and weight columns, ordinal tables and group
-/// ordinals they need, sharing each live one. The store holds only weak
-/// references: an entry lives exactly as long as some plan references it,
-/// and pins the tables its key names, so the store needs no capacity or
-/// eviction of its own. Keys:
+/// \brief Fact row → domain ordinal of the row's dimension row under one
+/// OrdinalTable: `join` composed with `table`, for fact rows
+/// [0, fact_rows). Entries are uint8_t for a domain of at most 255 values
+/// and uint16_t for one of at most 65,535 (no column for a larger domain);
+/// the width's top value means "no ordinal": the foreign key has no
+/// dimension row, or the value is outside the domain. It depends on the
+/// join column and the table alone, so plans share it
+/// (PlanColumnStore::GetOrdinalColumn).
+struct OrdinalColumn {
+  /// Held so that their addresses, which key the store, stay unique while
+  /// the column lives.
+  std::shared_ptr<const JoinColumn> join;
+  std::shared_ptr<const OrdinalTable> table;
+  int64_t fact_rows = 0;
+  int width = 0;                ///< bytes per entry: 1 or 2
+  AppendArray<uint8_t> narrow;  ///< the entries when width == 1
+  AppendArray<uint16_t> wide;   ///< the entries when width == 2
+
+  /// The entry width for a domain of `size` values: 1, 2, or 0 when no
+  /// column can hold its ordinals.
+  static int WidthFor(int64_t size) {
+    return size <= 0xFF ? 1 : size <= 0xFFFF ? 2 : 0;
+  }
+  const void* data() const {
+    return width == 1 ? static_cast<const void*>(narrow.data())
+                      : static_cast<const void*>(wide.data());
+  }
+};
+
+/// \brief Hands plans the join, weight and ordinal columns, ordinal tables
+/// and group ordinals they need, sharing each live one. The store holds only
+/// weak references: an entry lives exactly as long as some plan references
+/// it, and pins the tables (or columns) its key names, so the store needs no
+/// capacity or eviction of its own. Keys:
 ///   * a join column: (fact table, FK column, dimension table, PK column,
 ///     fact rows, dimension rows);
 ///   * a weight column: (fact table, fact rows, measure terms);
 ///   * an ordinal table: (dimension table, dimension rows, column, domain);
 ///   * group ordinals: (dimension table, dimension rows, group columns in
-///     order).
+///     order);
+///   * an ordinal column: (join column, ordinal table), by identity. Its
+///     entries are one byte for a domain of at most 255 values and two for
+///     one of at most 65,535; a larger domain gets none. Only plans without
+///     cells hold ordinal columns (WithCells drops them), and Stats does not
+///     count them.
 /// AttributeDomain::ToString renders every categorical domain as cat{N}, so
 /// an ordinal table found under its key is used only when its domain equals
 /// the requested one; otherwise the caller gets a table of its own that the
@@ -304,14 +358,15 @@ struct WeightColumn {
 /// sizes it covers; a plan extended over an appended fact tail passes its
 /// old column as the prefix, so the first extension of an edge resolves
 /// only the tail (appended into the old column's buffer) and every later one
-/// reuses that column. Dimension tables do not change in an extension, so
+/// reuses that column. Ordinal columns extend the same way, over the
+/// extended join column. Dimension tables do not change in an extension, so
 /// their ordinal tables and group ordinals carry over as they are. Two
 /// threads building the same entry race harmlessly: the first insert wins
 /// and the other adopts it. Thread-safe.
 class PlanColumnStore {
  public:
-  /// Join and weight columns only: ordinal tables and group ordinals are
-  /// not counted.
+  /// Join and weight columns only: ordinal columns, ordinal tables and
+  /// group ordinals are not counted.
   struct Stats {
     /// Columns built, from scratch or over a prefix (a build that loses the
     /// race to insert counts too: its work was done).
@@ -347,6 +402,16 @@ class PlanColumnStore {
   std::shared_ptr<const GroupOrdinals> GetGroupOrdinals(
       const query::BoundQuery& q, size_t i, const std::vector<int>& columns);
 
+  /// \brief The ordinal column of `table` over `join` (both of one
+  /// dimension at one row count), or null when the table's domain has more
+  /// than 65,535 values. When a build is needed and `prefix` composes the
+  /// same table over a shorter join column of the same edge, the build
+  /// extends it and composes only the tail; any other prefix is ignored.
+  std::shared_ptr<const OrdinalColumn> GetOrdinalColumn(
+      const std::shared_ptr<const JoinColumn>& join,
+      const std::shared_ptr<const OrdinalTable>& table,
+      const OrdinalColumn* prefix = nullptr);
+
   /// \brief AppendArray::Extend, counting a copy in Stats::copies.
   template <typename T>
   AppendArray<T> Extend(const AppendArray<T>& prefix, int64_t rows) {
@@ -380,6 +445,7 @@ class PlanColumnStore {
   Index<WeightColumn> weights_;
   Index<OrdinalTable> ordinals_;
   Index<GroupOrdinals> groups_;
+  Index<OrdinalColumn> ordinal_columns_;
   Stats stats_;
 };
 
@@ -387,14 +453,17 @@ class PlanColumnStore {
 class ScanPlan {
  public:
   /// \brief Compiles `q`: the per-dimension ordinal tables and group
-  /// ordinals and the join and weight columns (each taken from `columns` when
-  /// live there, else built and shared through it), and the group-code
-  /// layout. Amortized by every later run. A one-shot caller passes a store
-  /// of its own. The plan has no cells yet.
+  /// ordinals and the join, weight and ordinal columns (each taken from
+  /// `columns` when live there, else built and shared through it), and the
+  /// group-code layout. Amortized by every later run. A one-shot caller
+  /// passes a store of its own. The plan has no cells yet.
   static Result<ScanPlan> Compile(const query::BoundQuery& q,
                                   PlanColumnStore& columns);
 
-  /// \brief `plan`, which must match `q`, with its cell layout added. Returns
+  /// \brief `plan`, which must match `q`, with its cell layout added and its
+  /// ordinal columns dropped: the cells serve every execution whose
+  /// predicates keep the memoized (column, domain) pairs, the only ones the
+  /// columns could compare. Returns
   /// NotSupported when the plan numbers its group-key tuples, or when its
   /// dense cell index — the product of the dimensions' class counts and the
   /// fact-side group fields' widths — exceeds `max_cells`. PlanCache passes
@@ -433,9 +502,10 @@ class ScanPlan {
   /// [old.fact_rows(), q.fact->num_rows()), and when `old` has
   /// cells the tail rows are added to existing or new cells, and only the
   /// group codes first seen in the tail are rendered and merged into the
-  /// sorted label table. The join and weight columns come from `columns`
-  /// with `old`'s as their prefix, so when another plan has already
-  /// extended an edge to this size, its column is reused. Each array is
+  /// sorted label table. The join, weight and (when `old` has no cells)
+  /// ordinal columns come from `columns` with `old`'s as their prefix, so
+  /// when another plan has already extended an edge to this size, its
+  /// column is reused. Each array is
   /// appended in place (AppendArray::Extend), so the cost is O(tail + cells)
   /// plus, once per capacity doubling, a copy of the array. Every tail row
   /// index exceeds every compiled row index, so the result is bit-identical
@@ -466,10 +536,10 @@ class ScanPlan {
 
   /// Approximate heap footprint of the scaffold arrays (for the cache's
   /// byte budget; the cell layout and per-dimension tables included).
-  /// Fact-row arrays count the rows the plan covers, not their buffers'
-  /// capacity, which stays unresident until an extension writes it. Shared
-  /// columns, ordinal tables and group ordinals count in full, so across
-  /// plans this is an upper bound.
+  /// Fact-row arrays count the rows the plan covers (an ordinal column at
+  /// rows × width), not their buffers' capacity, which stays unresident
+  /// until an extension writes it. Shared columns, ordinal tables and group
+  /// ordinals count in full, so across plans this is an upper bound.
   size_t ApproxBytes() const;
 
   // --- scaffold data, read by the executor's plan path -------------------
@@ -494,6 +564,11 @@ class ScanPlan {
   /// Per dimension: the shared join column (fact row → dimension row,
   /// absent FKs → dims[i].num_rows).
   std::vector<std::shared_ptr<const JoinColumn>> fact_dim_row;
+  /// Per dimension, aligned with dims[i].ordinal_tables: the shared ordinal
+  /// column of each table over fact_dim_row[i], null where the domain is too
+  /// large for one. Empty in a plan with cells (see WithCells).
+  std::vector<std::vector<std::shared_ptr<const OrdinalColumn>>>
+      ordinal_columns;
   /// The shared per-row aggregate weights (null = COUNT, weight 1.0).
   std::shared_ptr<const WeightColumn> weights;
 

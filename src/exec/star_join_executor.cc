@@ -32,6 +32,39 @@ bool BitmapPassesAllRows(const std::vector<uint64_t>& words, int32_t rows) {
   return (words[static_cast<size_t>(full)] & need) == need;
 }
 
+// Appends the compares of dimension i's effective predicates over the
+// plan's ordinal columns to `ranges` when every predicate has a column,
+// that is, keeps a memoized (column, domain) pair whose domain fits one; else
+// appends nothing and returns false, and the dimension gathers its bitmap.
+// Each range is clamped to [0, domain size - 1], so a row without an ordinal
+// (the width's top value) fails it, as the sentinel and out-of-domain rows
+// fail the bitmap: the compares pass exactly the rows the gather passes.
+bool AddOrdinalRanges(const ScanPlan& plan, size_t i,
+                      const std::vector<query::BoundPredicate>& preds,
+                      std::vector<kernels::OrdinalRange>& ranges) {
+  if (preds.empty() || i >= plan.ordinal_columns.size()) return false;
+  const size_t first = ranges.size();
+  for (const auto& pred : preds) {
+    const int t = plan.dims[i].TableOf(pred);
+    const OrdinalColumn* column =
+        t < 0 ? nullptr
+              : plan.ordinal_columns[i][static_cast<size_t>(t)].get();
+    if (column == nullptr) {
+      ranges.resize(first);
+      return false;
+    }
+    const int64_t lo = std::max<int64_t>(pred.lo_index, 0);
+    const int64_t hi = std::min<int64_t>(pred.hi_index, pred.domain.size() - 1);
+    if (lo > hi) {
+      ranges.push_back({column->data(), column->width, 1, 0});  // none pass
+    } else {
+      ranges.push_back({column->data(), column->width,
+                        static_cast<uint32_t>(lo), static_cast<uint32_t>(hi)});
+    }
+  }
+  return true;
+}
+
 // Renders a merged group accumulator: labels are rendered once per group
 // (ScanPlan::RenderLabel) and merged by rendered label, since distinct codes
 // can format identically.
@@ -187,7 +220,11 @@ Result<QueryResult> StarJoinExecutor::Execute(const query::BoundQuery& q,
                                          options_.morsel_size, units);
   const auto& kern = kernels::ActiveKernels();
   // Only dimensions that can actually reject a unit take part in the
-  // verdict gather (see BitmapPassesAllRows).
+  // verdict (see BitmapPassesAllRows). On the fact rows, a dimension whose
+  // effective predicates all have ordinal columns compares them; every
+  // other dimension, and every dimension of a cell sweep, gathers its
+  // bitmap.
+  std::vector<kernels::OrdinalRange> ranges;
   std::vector<const int32_t*> classes;
   std::vector<const uint64_t*> words;
   for (size_t i = 0; i < num_dims; ++i) {
@@ -195,25 +232,36 @@ Result<QueryResult> StarJoinExecutor::Execute(const query::BoundQuery& q,
     const int32_t num_classes =
         cells ? plan.cells->classes[i].num_rows : plan.dims[i].num_rows;
     if (!may_miss && BitmapPassesAllRows(bitmaps[i], num_classes)) continue;
+    if (!cells &&
+        AddOrdinalRanges(plan, i, EffectivePreds(q, overrides, i), ranges)) {
+      continue;
+    }
     classes.push_back(cells ? plan.cells->cell_class[i].data()
                             : plan.fact_dim_row[i]->rows.data());
     words.push_back(bitmaps[i].data());
   }
+  const size_t num_ranges = ranges.size();
+  const kernels::OrdinalRange* rptr = ranges.data();
   const size_t active_dims = classes.size();
   const int32_t* const* cptrs = classes.data();
   const uint64_t* const* wptrs = words.data();
 
-  // ---- the sweep: ≤ 64-unit chunks of pure gathers — unit classes index
-  // into the pass bitmaps, and an absent FK hits the sentinel bit, which is
-  // always 0 — then SweepAccumulator does the rest.
+  // ---- the sweep: ≤ 64-unit chunks of range compares over the ordinal
+  // columns, then gathers — unit classes index into the pass bitmaps, and
+  // an absent FK hits the sentinel bit, which is always 0 — for the units
+  // still passing; then SweepAccumulator does the rest.
   SweepAccumulator acc(plan, q, cells, num_workers);
   auto scan = [&](int worker, int64_t begin, int64_t end) {
     for (int64_t unit = begin; unit < end; unit += 64) {
       const int nbits = static_cast<int>(std::min<int64_t>(64, end - unit));
-      const uint64_t mask =
-          nbits == 64 && active_dims == 0
-              ? ~uint64_t{0}
-              : kern.pass_mask(cptrs, wptrs, active_dims, unit, nbits);
+      // Cell sweeps compare nothing: no call per chunk for them.
+      uint64_t mask = nbits == 64 ? ~uint64_t{0} : (uint64_t{1} << nbits) - 1;
+      if (num_ranges > 0) {
+        mask = kern.ordinal_range_mask(rptr, num_ranges, unit, nbits);
+      }
+      if (active_dims > 0 && mask != 0) {
+        mask &= kern.pass_mask(cptrs, wptrs, active_dims, unit, nbits);
+      }
       acc.AddChunk(worker, unit, nbits, mask);
     }
   };

@@ -16,9 +16,18 @@
 //     row count, weight sum and pre-rendered label slot. Cells are few, so
 //     they are swept as one morsel on the calling thread.
 //
-// Either way the sweep is gathers into the bitmaps (kernels pass_mask) in
-// ≤ 64-unit chunks, and each chunk's pass mask goes to one SweepAccumulator
-// (below; see exec/group_code.h, exec/parallel.h). Repeated callers share
+// The sweep tests units in ≤ 64-unit chunks. On the fact rows, a dimension
+// whose effective predicates all have an ordinal column (a fact-aligned
+// byte or two per row, exec/scan_plan.h OrdinalColumn) is a *compare*
+// dimension: its columns are compared against the predicates' [lo, hi]
+// (kernels ordinal_range_mask). Every other dimension — a predicate the
+// plan has no column for, such as an override on another column, or a
+// domain over 65,535 values — and every dimension of a cell sweep is a
+// *gather* dimension: each unit's class is looked up in its bitmap (kernels
+// pass_mask), for the units the compares left passing. Both pass exactly the
+// same units, and a dimension whose bitmap passes everything, when no unit
+// can miss it, takes no part. Each chunk's pass mask goes to one
+// SweepAccumulator (below; see exec/group_code.h, exec/parallel.h). Repeated callers share
 // compiled plans through exec/plan_cache.h, and a batch answers each of its
 // entries with its own Execute (core/predicate_mechanism.h AnswerBatch).
 // ContractPlan, below, reads the same two layouts for Workload
@@ -101,7 +110,8 @@ class StarJoinExecutor {
 
   /// \brief Evaluates against a pre-compiled ScanPlan (see exec/scan_plan.h):
   /// only the per-dimension predicate bitmaps are rebuilt, and the sweep is
-  /// gathers into them plus the layout's weights and group keys — the
+  /// range compares over the plan's ordinal columns or gathers into the
+  /// bitmaps, plus the layout's weights and group keys — the
   /// repeated-noisy-execution fast path of the Predicate Mechanism. The
   /// plan's cells are swept when they serve `q` under `overrides`, its fact
   /// rows otherwise. The plan must have been compiled for `q`'s tables

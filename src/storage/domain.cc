@@ -23,12 +23,18 @@ AttributeDomain AttributeDomain::Categorical(std::vector<std::string> values) {
   }
   AttributeDomain d;
   d.categorical_ = true;
-  d.categories_ = std::move(values);
+  d.categories_ =
+      std::make_shared<const std::vector<std::string>>(std::move(values));
   return d;
 }
 
+const std::vector<std::string>& AttributeDomain::categories() const {
+  static const std::vector<std::string> kNone;
+  return categories_ != nullptr ? *categories_ : kNone;
+}
+
 int64_t AttributeDomain::size() const {
-  if (categorical_) return static_cast<int64_t>(categories_.size());
+  if (categorical_) return static_cast<int64_t>(categories_->size());
   return hi_ - lo_ + 1;
 }
 
@@ -37,8 +43,9 @@ Result<int64_t> AttributeDomain::IndexOf(const Value& v) const {
     if (!v.is_string()) {
       return Status::InvalidArgument("categorical domain expects a string value");
     }
-    for (size_t i = 0; i < categories_.size(); ++i) {
-      if (categories_[i] == v.AsString()) return static_cast<int64_t>(i);
+    const std::vector<std::string>& cats = *categories_;
+    for (size_t i = 0; i < cats.size(); ++i) {
+      if (cats[i] == v.AsString()) return static_cast<int64_t>(i);
     }
     return Status::NotFound(Format("value '%s' not in domain", v.AsString().c_str()));
   }
@@ -57,7 +64,7 @@ Result<int64_t> AttributeDomain::IndexOf(const Value& v) const {
 
 Value AttributeDomain::ValueAt(int64_t index) const {
   DPSTARJ_CHECK(index >= 0 && index < size(), "domain index out of range");
-  if (categorical_) return Value(categories_[static_cast<size_t>(index)]);
+  if (categorical_) return Value((*categories_)[static_cast<size_t>(index)]);
   return Value(lo_ + index);
 }
 

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,10 @@ namespace dpstarj::storage {
 ///  * categorical — an explicit ordered list of strings, e.g. the five SSB
 ///    regions. Order is the declaration order; PMA's Laplace shifts move
 ///    along this order.
+///
+/// Copies share a categorical domain's values (immutable once built), so
+/// binding a predicate, perturbing it and memoizing its ordinal table copy
+/// no strings, and comparing two copies is a pointer test.
 class AttributeDomain {
  public:
   AttributeDomain() = default;
@@ -43,8 +48,8 @@ class AttributeDomain {
   int64_t int_lo() const { return lo_; }
   int64_t int_hi() const { return hi_; }
 
-  /// Values of a categorical domain, in order.
-  const std::vector<std::string>& categories() const { return categories_; }
+  /// Values of a categorical domain, in order (empty for an integer one).
+  const std::vector<std::string>& categories() const;
 
   /// \brief Maps a value to its ordinal position in [0, size()).
   /// Fails with NotFound when the value is outside the domain.
@@ -57,16 +62,21 @@ class AttributeDomain {
   /// Debug rendering, e.g. "int[1992,1998]" or "cat{5}".
   std::string ToString() const;
 
+  /// Equal kind, bounds and values; copies of one domain compare by their
+  /// shared storage without reading the values.
   bool operator==(const AttributeDomain& o) const {
     return categorical_ == o.categorical_ && lo_ == o.lo_ && hi_ == o.hi_ &&
-           categories_ == o.categories_;
+           (categories_ == o.categories_ ||
+            (categories_ != nullptr && o.categories_ != nullptr &&
+             *categories_ == *o.categories_));
   }
 
  private:
   bool categorical_ = false;
   int64_t lo_ = 0;
   int64_t hi_ = -1;  // empty by default
-  std::vector<std::string> categories_;
+  /// Null for an integer domain.
+  std::shared_ptr<const std::vector<std::string>> categories_;
 };
 
 }  // namespace dpstarj::storage

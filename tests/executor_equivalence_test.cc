@@ -17,6 +17,17 @@
 // reads those keys from the fact table; the tests assert that each of them
 // actually occurred.
 //
+// The row sweep compares a dimension's fact-aligned ordinal columns when
+// every effective predicate has one, and gathers its bitmap otherwise
+// (exec/scan_plan.h OrdinalColumn). So each dimension also has a column u
+// over a domain of 255, 256 or 70,000 values (one-byte, two-byte and no
+// ordinal column), dimension values fall outside their domains, overrides
+// move bounds past the domain edges or empty them, one override set per
+// plan mixes memoized and non-memoized predicates, and dangling foreign
+// keys land on a dimension with predicates. The tests assert that compare
+// dimensions, gather dimensions, both widths and an absent key on a compare
+// dimension all occurred.
+//
 // Every generated measure is an integer-valued double, so aggregate sums are
 // exact regardless of association order — results must match *bit-for-bit*
 // across thread counts (a tiny morsel size forces real multi-morsel merging
@@ -63,13 +74,19 @@ enum Shape { kDoubleKey, kHugeRange, kWideLayout, kNumShapes };
 constexpr const char* kShapeNames[] = {"double fact key", "int64 range >= 2^62",
                                        "layout over 64 bits"};
 
+// Sizes of column u's domain: the widest one-byte column, the narrowest
+// two-byte one, and one too wide for any ordinal column.
+constexpr int64_t kUSizes[] = {255, 256, 70000};
+
 struct DimSpec {
   std::string name;
-  int cats = 2;        // values of column "s" drawn from kCats[0..cats)
+  int cats = 2;        // column "s" domain kCats[0..cats)
   int64_t tlo = 0;     // column "t" domain [tlo, thi]
   int64_t thi = 3;
+  int64_t usize = 255;  // column "u" domain [0, usize)
   std::vector<int64_t> keys;
 };
+
 
 struct Instance {
   storage::Catalog catalog;
@@ -79,6 +96,21 @@ struct Instance {
 
 int64_t RandInt(std::mt19937& rng, int64_t lo, int64_t hi) {
   return std::uniform_int_distribution<int64_t>(lo, hi)(rng);
+}
+
+// A value of a domain [lo, hi], at an edge one time in four and outside the
+// domain one time in eight.
+int64_t RandomDomainValue(std::mt19937& rng, int64_t lo, int64_t hi) {
+  switch (RandInt(rng, 0, 7)) {
+    case 0:
+      return RandInt(rng, 0, 1) == 0 ? lo - 1 : hi + 1;
+    case 1:
+      return lo;
+    case 2:
+      return hi;
+    default:
+      return RandInt(rng, lo, hi);
+  }
 }
 
 HSpan RandomHSpan(std::mt19937& rng) {
@@ -126,6 +158,7 @@ Instance MakeRandomInstance(std::mt19937& rng, bool with_bad_fk, HSpan h_span,
     spec.cats = static_cast<int>(RandInt(rng, 2, 5));
     spec.tlo = RandInt(rng, -3, 3);
     spec.thi = spec.tlo + RandInt(rng, 1, 6);
+    spec.usize = kUSizes[RandInt(rng, 0, 2)];
     int64_t rows = RandInt(rng, 1, 40);
 
     // Key space: dense 1..n, or sparse (large random strides, possibly
@@ -144,14 +177,21 @@ Instance MakeRandomInstance(std::mt19937& rng, bool with_bad_fk, HSpan h_span,
                AttributeDomain::Categorical(std::vector<std::string>(
                    kCats, kCats + spec.cats))),
          Field("t", ValueType::kInt64,
-               AttributeDomain::IntRange(spec.tlo, spec.thi))});
+               AttributeDomain::IntRange(spec.tlo, spec.thi)),
+         Field("u", ValueType::kInt64,
+               AttributeDomain::IntRange(0, spec.usize - 1))});
     auto table = *storage::Table::Create(spec.name, schema, "k");
     for (int64_t k : spec.keys) {
+      // s reads "z", outside its domain, one time in eight.
+      const int64_t cat = RandInt(rng, 0, 7) == 0
+                              ? -1
+                              : RandInt(rng, 0, spec.cats - 1);
       DPSTARJ_CHECK(
           table
-              ->AppendRow({Value(k),
-                           Value(kCats[RandInt(rng, 0, spec.cats - 1)]),
-                           Value(RandInt(rng, spec.tlo, spec.thi))})
+              ->AppendRow(
+                  {Value(k), Value(cat < 0 ? "z" : kCats[cat]),
+                   Value(RandomDomainValue(rng, spec.tlo, spec.thi)),
+                   Value(RandomDomainValue(rng, 0, spec.usize - 1))})
               .ok(),
           "dim append");
     }
@@ -205,6 +245,14 @@ Instance MakeRandomInstance(std::mt19937& rng, bool with_bad_fk, HSpan h_span,
   return inst;
 }
 
+// A range on column u whose ends sit at the domain's edges half the time.
+query::Predicate RangeOnU(std::mt19937& rng, const DimSpec& d) {
+  const int64_t top = d.usize - 1;
+  const int64_t lo = RandInt(rng, 0, 1) == 0 ? 0 : RandInt(rng, 0, top);
+  const int64_t hi = RandInt(rng, 0, 1) == 0 ? top : RandInt(rng, lo, top);
+  return query::Predicate::Range(d.name, "u", Value(lo), Value(hi));
+}
+
 // Random aggregate and predicates over the instance, no GROUP BY yet.
 query::StarJoinQuery MakeUngroupedQuery(std::mt19937& rng,
                                         const std::vector<DimSpec>& dims) {
@@ -232,20 +280,23 @@ query::StarJoinQuery MakeUngroupedQuery(std::mt19937& rng,
   }
 
   for (const auto& d : dims) {
-    switch (RandInt(rng, 0, 2)) {
+    switch (RandInt(rng, 0, 3)) {
       case 0:
         break;  // unfiltered dimension
       case 1:
         q.predicates.push_back(query::Predicate::Point(
             d.name, "s", Value(kCats[RandInt(rng, 0, d.cats - 1)])));
         break;
-      default: {
+      case 2: {
         int64_t lo = RandInt(rng, d.tlo, d.thi);
         int64_t hi = RandInt(rng, lo, d.thi);
         q.predicates.push_back(
             query::Predicate::Range(d.name, "t", Value(lo), Value(hi)));
         break;
       }
+      default:
+        q.predicates.push_back(RangeOnU(rng, d));
+        break;
     }
   }
   return q;
@@ -332,7 +383,9 @@ std::vector<std::pair<std::string, ExecutorOptions>> ThreadConfigs() {
 }
 
 // Random per-dimension predicate replacements in domain-index space — the
-// shape the Predicate Mechanism feeds the executor every noisy run.
+// shape the Predicate Mechanism feeds the executor every noisy run. One
+// bound in eight lies past its domain edge, and one range in eight has its
+// bounds swapped, which empties it unless they are equal.
 exec::PredicateOverrides MakeRandomOverrides(std::mt19937& rng,
                                              const query::BoundQuery& bound) {
   exec::PredicateOverrides overrides(bound.dims.size());
@@ -344,6 +397,9 @@ exec::PredicateOverrides MakeRandomOverrides(std::mt19937& rng,
       int64_t m = p.domain.size();
       p.lo_index = RandInt(rng, 0, m - 1);
       p.hi_index = RandInt(rng, p.lo_index, m - 1);
+      if (RandInt(rng, 0, 7) == 0) p.lo_index = -RandInt(rng, 1, 3);
+      if (RandInt(rng, 0, 7) == 0) p.hi_index = m + RandInt(rng, 0, 3);
+      if (RandInt(rng, 0, 7) == 0) std::swap(p.lo_index, p.hi_index);
       p.kind = p.lo_index == p.hi_index ? query::PredicateKind::kPoint
                                         : query::PredicateKind::kRange;
     }
@@ -378,10 +434,72 @@ exec::PredicateOverrides NonMemoizedOverride(const query::BoundQuery& bound,
   return overrides;
 }
 
+// How the row sweeps of the tests tested their dimensions.
+struct SweepCounts {
+  int compare_dims = 0;  // every effective predicate had an ordinal column
+  int gather_dims = 0;   // some predicate had none
+  int narrow = 0;        // predicates compared over one-byte columns
+  int wide = 0;          // ... over two-byte columns
+  int too_wide = 0;      // memoized predicates whose domain has no column
+  int absent_compares = 0;  // compare dimensions with dangling foreign keys
+};
+
+SweepCounts g_sweeps;
+
+// Counts how a row sweep of `plan` under `overrides` tests each dimension,
+// by the executor's rule: a dimension it cannot skip (BitmapPassesAllRows)
+// compares its ordinal columns when every effective predicate has one, and
+// gathers its bitmap otherwise. A plan with cells sweeps no rows when they
+// serve, and holds no ordinal columns.
+void CountSweep(const exec::ScanPlan& plan, const query::BoundQuery& bound,
+                const exec::PredicateOverrides& overrides) {
+  if (plan.cells != nullptr) return;
+  for (size_t i = 0; i < bound.dims.size(); ++i) {
+    const auto& preds = exec::EffectivePreds(bound, overrides, i);
+    const exec::PlanDim& pd = plan.dims[i];
+    const bool may_miss = plan.fact_dim_row[i]->has_absent_fk;
+    auto bitmap = exec::BuildPassBitmap(pd, *bound.dims[i].dim, preds);
+    ASSERT_TRUE(bitmap.ok()) << bitmap.status().ToString();
+    bool all_pass = true;
+    for (int32_t r = 0; r < pd.num_rows; ++r) {
+      all_pass = all_pass && (((*bitmap)[static_cast<size_t>(r >> 6)] >>
+                               (r & 63)) & 1) != 0;
+    }
+    if (preds.empty() || (!may_miss && all_pass)) continue;
+    bool compare = true;
+    for (const auto& pred : preds) {
+      const int t = pd.TableOf(pred);
+      const exec::OrdinalColumn* column =
+          t < 0 ? nullptr
+                : plan.ordinal_columns[i][static_cast<size_t>(t)].get();
+      if (column == nullptr) {
+        compare = false;
+        if (t >= 0) ++g_sweeps.too_wide;
+      } else {
+        ++(column->width == 1 ? g_sweeps.narrow : g_sweeps.wide);
+      }
+    }
+    ++(compare ? g_sweeps.compare_dims : g_sweeps.gather_dims);
+    if (compare && may_miss) ++g_sweeps.absent_compares;
+  }
+}
+
+// Overrides that keep every dimension's (column, domain) pairs but one,
+// whose predicates move to a column they do not filter: one sweep whose
+// dimensions compare and gather at once.
+exec::PredicateOverrides MixedOverrides(std::mt19937& rng,
+                                        const query::BoundQuery& bound) {
+  exec::PredicateOverrides overrides = MakeRandomOverrides(rng, bound);
+  const size_t i = static_cast<size_t>(
+      RandInt(rng, 0, static_cast<int64_t>(bound.dims.size()) - 1));
+  overrides[i] = *NonMemoizedOverride(bound, i)[i];
+  return overrides;
+}
+
 // Checks `plan` against the oracle at every thread count: two runs without
-// overrides, and three random override sets — which keep every predicate's
-// (column, domain), so a plan with cells sweeps them — plus, for a plan with
-// cells, an override its cells cannot serve.
+// overrides, three random override sets — which keep every predicate's
+// (column, domain), so a plan with cells sweeps them — and a mixed set, and,
+// for a plan with cells, an override its cells cannot serve.
 void CheckPlan(std::mt19937& rng, const query::BoundQuery& bound,
                const exec::ScanPlan& plan, const std::string& where) {
   std::vector<std::pair<std::string, exec::PredicateOverrides>> cases;
@@ -394,6 +512,9 @@ void CheckPlan(std::mt19937& rng, const query::BoundQuery& bound,
       EXPECT_TRUE(plan.CellsServe(bound, cases.back().second)) << where;
     }
   }
+  if (!bound.dims.empty()) {
+    cases.emplace_back(" mixed", MixedOverrides(rng, bound));
+  }
   if (plan.cells != nullptr && !bound.dims.empty()) {
     const size_t i = static_cast<size_t>(
         RandInt(rng, 0, static_cast<int64_t>(bound.dims.size()) - 1));
@@ -401,6 +522,7 @@ void CheckPlan(std::mt19937& rng, const query::BoundQuery& bound,
     EXPECT_FALSE(plan.CellsServe(bound, cases.back().second)) << where;
   }
   for (const auto& [what, overrides] : cases) {
+    CountSweep(plan, bound, overrides);
     auto expected = exec::ExecuteNaive(bound, overrides);
     EXPECT_TRUE(expected.ok()) << expected.status().ToString();
     if (!expected.ok()) continue;
@@ -448,6 +570,7 @@ exec::ScanPlan CheckAgainstNaive(std::mt19937& rng,
 }
 
 TEST(ExecutorEquivalence, RandomizedMatrixMatchesNaiveBitForBit) {
+  g_sweeps = SweepCounts();
   std::array<int, kNumShapes + 1> shape_count{};
   int cell_plans = 0;
   int packed_g = 0;  // packed plans keyed on the fact string g
@@ -479,6 +602,11 @@ TEST(ExecutorEquivalence, RandomizedMatrixMatchesNaiveBitForBit) {
   EXPECT_GT(packed_g, 0) << "no packed plan keyed on the fact string g";
   EXPECT_GT(packed_h, 0) << "no packed plan keyed on the fact int64 h";
   EXPECT_GT(cell_plans, 60);  // most of the 120 plans have cells
+  EXPECT_GT(g_sweeps.compare_dims, 0) << "no row sweep compared a dimension";
+  EXPECT_GT(g_sweeps.gather_dims, 0) << "no row sweep gathered a dimension";
+  EXPECT_GT(g_sweeps.narrow, 0) << "no one-byte ordinal column compared";
+  EXPECT_GT(g_sweeps.wide, 0) << "no two-byte ordinal column compared";
+  EXPECT_GT(g_sweeps.too_wide, 0) << "no domain too wide for a column";
 }
 
 // Each unpackable shape on purpose, on plain instances, on instances with a
@@ -514,7 +642,10 @@ TEST(ExecutorEquivalence, UnpackableGroupKeysMatchNaiveBitForBit) {
 // A fact row whose foreign key misses its dimension is dropped, as in a SQL
 // inner join, at every thread count, through a one-shot Execute and through
 // a compiled plan alike; Catalog::ValidateIntegrity reports the instance.
+// The dangling dimension always has a predicate, so the rows also meet the
+// compare of its ordinal columns.
 TEST(ExecutorEquivalence, DanglingForeignKeysDropAcrossThreadCounts) {
+  g_sweeps = SweepCounts();
   for (uint32_t seed = 100; seed < 110; ++seed) {
     std::mt19937 rng(seed);
     Instance inst =
@@ -522,6 +653,15 @@ TEST(ExecutorEquivalence, DanglingForeignKeysDropAcrossThreadCounts) {
     EXPECT_FALSE(inst.catalog.ValidateIntegrity().ok()) << "seed " << seed;
     query::Binder binder(&inst.catalog);
     query::StarJoinQuery q = MakeRandomQuery(rng, inst);
+    const DimSpec& d0 = inst.dims[0];
+    if (std::none_of(q.predicates.begin(), q.predicates.end(),
+                     [&](const query::Predicate& p) {
+                       return p.table() == d0.name;
+                     })) {
+      const int64_t lo = RandInt(rng, d0.tlo, d0.thi);
+      q.predicates.push_back(query::Predicate::Range(
+          d0.name, "t", Value(lo), Value(RandInt(rng, lo, d0.thi))));
+    }
     auto bound = binder.Bind(q);
     ASSERT_TRUE(bound.ok()) << bound.status().ToString();
 
@@ -536,6 +676,7 @@ TEST(ExecutorEquivalence, DanglingForeignKeysDropAcrossThreadCounts) {
       EXPECT_LT(cell_rows, bound->fact->num_rows()) << "seed " << seed;
     }
     const exec::PredicateOverrides none(bound->dims.size());
+    CheckPlan(rng, *bound, *plan, "dangling seed " + std::to_string(seed));
     auto naive = exec::ExecuteNaive(*bound);
     ASSERT_TRUE(naive.ok());
     for (const auto& [name, options] : ThreadConfigs()) {
@@ -554,6 +695,8 @@ TEST(ExecutorEquivalence, DanglingForeignKeysDropAcrossThreadCounts) {
                          name + " cells seed " + std::to_string(seed));
     }
   }
+  EXPECT_GT(g_sweeps.absent_compares, 0)
+      << "no compare dimension had a dangling foreign key";
 }
 
 TEST(ExecutorEquivalence, ThreadCountsAgreeOnEmptyFact) {

@@ -118,9 +118,9 @@ void ExpectBitIdentical(const QueryResult& expected, const QueryResult& got) {
 constexpr uint64_t kAnyCells = uint64_t{1} << 20;
 
 // Every public scaffold array of the two plans, field by field — the shared
-// join and weight columns, ordinal tables and group ordinals and the cell
-// layouts by content, since the plans hold them by pointer. `where`
-// identifies the (shape, seed, batch) combination on failure.
+// join, weight and ordinal columns, ordinal tables and group ordinals and
+// the cell layouts by content, since the plans hold them by pointer.
+// `where` identifies the (shape, seed, batch) combination on failure.
 void ExpectSamePlan(const ScanPlan& fresh, const ScanPlan& ext,
                     const std::string& where) {
   SCOPED_TRACE(where);
@@ -136,6 +136,22 @@ void ExpectSamePlan(const ScanPlan& fresh, const ScanPlan& ext,
     EXPECT_EQ(f.dim_rows, e.dim_rows);
     EXPECT_EQ(f.has_absent_fk, e.has_absent_fk);
     EXPECT_EQ(f.rows, e.rows);
+  }
+  ASSERT_EQ(fresh.ordinal_columns.size(), ext.ordinal_columns.size());
+  for (size_t i = 0; i < fresh.ordinal_columns.size(); ++i) {
+    ASSERT_EQ(fresh.ordinal_columns[i].size(), ext.ordinal_columns[i].size());
+    for (size_t t = 0; t < fresh.ordinal_columns[i].size(); ++t) {
+      const exec::OrdinalColumn* f = fresh.ordinal_columns[i][t].get();
+      const exec::OrdinalColumn* e = ext.ordinal_columns[i][t].get();
+      ASSERT_EQ(f == nullptr, e == nullptr);
+      if (f == nullptr) continue;
+      EXPECT_EQ(f->fact_rows, e->fact_rows);
+      EXPECT_EQ(f->width, e->width);
+      EXPECT_EQ(f->narrow, e->narrow);
+      EXPECT_EQ(f->wide, e->wide);
+      EXPECT_EQ(e->join, ext.fact_dim_row[i]);
+      EXPECT_EQ(e->table, ext.dims[i].ordinal_tables[t]);
+    }
   }
   EXPECT_EQ(fresh.codes, ext.codes);
   ASSERT_EQ(fresh.weights == nullptr, ext.weights == nullptr);
@@ -251,6 +267,19 @@ TEST(IngestEquivalenceTest, ExtendMatchesFreshCompileOnRandomSchedules) {
           if (ext->weights != nullptr) {
             ExpectAppendedWhileCapacityLasts(prev->weights->values,
                                              ext->weights->values, "weights");
+          }
+          // A plan without cells extends its ordinal columns the same way;
+          // one with cells holds none.
+          ASSERT_EQ(ext->ordinal_columns.empty(), with_cells);
+          ASSERT_EQ(ext->ordinal_columns.size(), prev->ordinal_columns.size());
+          for (size_t i = 0; i < ext->ordinal_columns.size(); ++i) {
+            for (size_t t = 0; t < ext->ordinal_columns[i].size(); ++t) {
+              const exec::OrdinalColumn& parent = *prev->ordinal_columns[i][t];
+              const exec::OrdinalColumn& child = *ext->ordinal_columns[i][t];
+              ASSERT_EQ(child.width, 1);  // the toy domains are narrow
+              ExpectAppendedWhileCapacityLasts(parent.narrow, child.narrow,
+                                               "ordinal column");
+            }
           }
           // The child wrote only past the parent's rows.
           ExpectBitIdentical(prev_answer, SweepPlanRows(*prev, prev_bound));

@@ -2,8 +2,10 @@
 // inputs, the scalar and AVX2 implementations of every engine kernel return
 // BYTE-IDENTICAL results. These tests fuzz each kernel over randomized
 // inputs — ragged tails shorter than a word, sentinel/absent-FK bits, empty
-// spans, all-pass and all-fail bitmaps — and then pin the whole executor to
-// each table via ScopedKernelOverride and compare full QueryResults.
+// spans, all-pass and all-fail bitmaps, ordinal columns of both widths with
+// "no ordinal" rows, domain-edge and empty ranges at every chunk length and
+// unaligned bases — and then pin the whole executor to each table via
+// ScopedKernelOverride and compare full QueryResults.
 //
 // On hosts without AVX2 the cross-ISA comparisons GTEST_SKIP (the scalar
 // kernels are still exercised against a naive reference), so the suite is
@@ -15,7 +17,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cpu.h"
@@ -280,6 +284,162 @@ TEST(KernelsTest, PassMaskMatchesReferenceAndCrossIsa) {
         }
       }
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// ordinal_range_mask
+// ---------------------------------------------------------------------------
+
+// Naive reference: bit i = every range passes row base + i.
+template <typename T>
+uint64_t ReferenceRangeMask(const std::vector<std::vector<T>>& columns,
+                            const std::vector<std::pair<uint32_t, uint32_t>>&
+                                bounds,
+                            int64_t base, int nbits) {
+  uint64_t mask = 0;
+  for (int i = 0; i < nbits; ++i) {
+    bool ok = true;
+    for (size_t k = 0; k < columns.size(); ++k) {
+      const uint32_t v = columns[k][static_cast<size_t>(base + i)];
+      ok = ok && v >= bounds[k].first && v <= bounds[k].second;
+    }
+    if (ok) mask |= uint64_t{1} << i;
+  }
+  return mask;
+}
+
+// Columns over a domain of `size` values: ordinals spread over the whole
+// domain with its edges over-drawn, and about one row in eight without an
+// ordinal (the width's top value).
+template <typename T>
+std::vector<T> RandomOrdinals(Rng* rng, int64_t rows, int64_t size) {
+  constexpr T kNone = std::numeric_limits<T>::max();
+  std::vector<T> out(static_cast<size_t>(rows));
+  for (auto& v : out) {
+    switch (rng->UniformInt(0, 7)) {
+      case 0:
+        v = kNone;
+        break;
+      case 1:
+        v = 0;
+        break;
+      case 2:
+        v = static_cast<T>(size - 1);
+        break;
+      default:
+        v = static_cast<T>(rng->UniformInt(0, size - 1));
+    }
+  }
+  return out;
+}
+
+// Every nbits from 1 to 64 at unaligned bases, over one to three columns of
+// one width, against the reference and, when the host has AVX2, the scalar
+// kernel. Each case's columns are copied to arrays that end exactly at row
+// base + nbits, so a read past it is a heap overflow under ASan.
+template <typename T>
+void CheckOrdinalRangeMask(const EngineKernels& kern, Rng* rng) {
+  const int64_t size = sizeof(T) == 1 ? 255 : 65535;  // the widest domains
+  for (int nbits = 1; nbits <= 64; ++nbits) {
+    for (const int64_t base : {int64_t{0}, int64_t{1}, int64_t{7}, int64_t{33},
+                               int64_t{64}, int64_t{131}}) {
+      const int64_t rows = base + nbits;
+      const size_t num_columns = static_cast<size_t>(rng->UniformInt(1, 3));
+      std::vector<std::vector<T>> columns;
+      std::vector<std::pair<uint32_t, uint32_t>> bounds;
+      for (size_t k = 0; k < num_columns; ++k) {
+        columns.push_back(RandomOrdinals<T>(rng, rows, size));
+        const uint32_t top = static_cast<uint32_t>(size - 1);
+        switch (rng->UniformInt(0, 4)) {
+          case 0:  // the whole domain: only rows without an ordinal fail
+            bounds.emplace_back(0, top);
+            break;
+          case 1:  // one domain edge
+            bounds.emplace_back(rng->UniformInt(0, 1) == 0
+                                    ? std::make_pair(0u, 0u)
+                                    : std::make_pair(top, top));
+            break;
+          case 2:  // empty
+            bounds.emplace_back(1, 0);
+            break;
+          default: {
+            const uint32_t lo = static_cast<uint32_t>(rng->UniformInt(0, top));
+            bounds.emplace_back(
+                lo, static_cast<uint32_t>(rng->UniformInt(lo, top)));
+          }
+        }
+      }
+      std::vector<exec::kernels::OrdinalRange> ranges;
+      for (size_t k = 0; k < num_columns; ++k) {
+        ranges.push_back({columns[k].data(), static_cast<int>(sizeof(T)),
+                          bounds[k].first, bounds[k].second});
+      }
+      const uint64_t want = ReferenceRangeMask(columns, bounds, base, nbits);
+      const uint64_t got =
+          kern.ordinal_range_mask(ranges.data(), ranges.size(), base, nbits);
+      ASSERT_EQ(got, want) << kern.name << " width=" << sizeof(T)
+                           << " base=" << base << " nbits=" << nbits;
+      if (nbits < 64) {
+        ASSERT_EQ(got >> nbits, 0u) << kern.name;
+      }
+    }
+  }
+}
+
+TEST(KernelsTest, OrdinalRangeMaskMatchesReference) {
+  Rng rng(29);
+  for (const EngineKernels* kern : {&ScalarKernels(), Avx2KernelsOrNull()}) {
+    if (kern == nullptr) continue;
+    CheckOrdinalRangeMask<uint8_t>(*kern, &rng);
+    CheckOrdinalRangeMask<uint16_t>(*kern, &rng);
+    // No ranges: every row of the chunk passes.
+    EXPECT_EQ(kern->ordinal_range_mask(nullptr, 0, 5, 64), ~uint64_t{0});
+    EXPECT_EQ(kern->ordinal_range_mask(nullptr, 0, 5, 3), uint64_t{7});
+  }
+}
+
+TEST(KernelsTest, OrdinalRangeMaskScalarVsAvx2BitIdentical) {
+  const EngineKernels* avx2 = Avx2KernelsOrNull();
+  if (avx2 == nullptr) GTEST_SKIP() << "host has no AVX2";
+  Rng rng(41);
+  for (int trial = 0; trial < 400; ++trial) {
+    const int64_t rows = rng.UniformInt(64, 300);
+    // Mixed widths in one call, as a sweep over dimensions of both kinds.
+    // The vectors are reserved, so the ranges' pointers stay valid.
+    std::vector<std::vector<uint8_t>> narrow;
+    std::vector<std::vector<uint16_t>> wide;
+    narrow.reserve(4);
+    wide.reserve(4);
+    std::vector<exec::kernels::OrdinalRange> ranges;
+    const int num_ranges = static_cast<int>(rng.UniformInt(1, 4));
+    for (int k = 0; k < num_ranges; ++k) {
+      const bool is_wide = rng.UniformInt(0, 1) == 1;
+      const int64_t size =
+          is_wide ? rng.UniformInt(256, 65535) : rng.UniformInt(1, 255);
+      const void* data;
+      if (is_wide) {
+        wide.push_back(RandomOrdinals<uint16_t>(&rng, rows, size));
+        data = wide.back().data();
+      } else {
+        narrow.push_back(RandomOrdinals<uint8_t>(&rng, rows, size));
+        data = narrow.back().data();
+      }
+      uint32_t lo = 1, hi = 0;  // empty one time in ten
+      if (rng.UniformInt(0, 9) != 0) {
+        lo = static_cast<uint32_t>(rng.UniformInt(0, size - 1));
+        hi = static_cast<uint32_t>(rng.UniformInt(lo, size - 1));
+      }
+      ranges.push_back({data, is_wide ? 2 : 1, lo, hi});
+    }
+    const int nbits = static_cast<int>(rng.UniformInt(1, 64));
+    const int64_t base = rng.UniformInt(0, rows - nbits);
+    const uint64_t a = ScalarKernels().ordinal_range_mask(
+        ranges.data(), ranges.size(), base, nbits);
+    const uint64_t b =
+        avx2->ordinal_range_mask(ranges.data(), ranges.size(), base, nbits);
+    ASSERT_EQ(a, b) << "trial " << trial << " base=" << base
+                    << " nbits=" << nbits;
   }
 }
 

@@ -9,9 +9,11 @@
 // when many threads hit it at once — and an extension keeps them,
 // extensions append into their parent's arrays and exactly one of several
 // racing ones does, a packed grouped plan stores no group code per fact
-// row, the cache is safe under concurrent use and appends (run under TSan
-// via the build-tsan / CI TSan configuration), and the plan path never
-// changes Predicate Mechanism noise semantics.
+// row, plans filtering one dimension column share one fact-aligned ordinal
+// column until their cells are built, the cache is safe under concurrent
+// use and appends (run under TSan via the build-tsan / CI TSan
+// configuration), and the plan path never changes Predicate Mechanism noise
+// semantics.
 
 #include <gtest/gtest.h>
 
@@ -103,6 +105,19 @@ size_t DimOf(const query::BoundQuery& q, const std::string& table) {
   return 0;
 }
 
+// A COUNT over both dimensions filtered on Cust.tier and Prod.cat: its
+// 4 × 4 class combinations exceed half the fixture's fact rows, so it keeps
+// its ordinal columns, and it shares the tier column with CustTierSumQuery
+// until that plan's cells are built.
+query::StarJoinQuery TierCatCountQuery() {
+  query::StarJoinQuery q = ToyCountQuery();
+  q.name = "tier_cat_count";
+  q.predicates = {query::Predicate::Range("Cust", "tier", Value(int64_t{1}),
+                                          Value(int64_t{2})),
+                  query::Predicate::Point("Prod", "cat", Value("b"))};
+  return q;
+}
+
 // The ordinal table `plan` evaluates `q`'s predicate on table.column with;
 // null when it has none.
 std::shared_ptr<const exec::OrdinalTable> OrdinalTableOf(
@@ -115,6 +130,22 @@ std::shared_ptr<const exec::OrdinalTable> OrdinalTableOf(
       if (t->column_index == pred.column_index && t->domain == pred.domain) {
         return t;
       }
+    }
+  }
+  return nullptr;
+}
+
+// The ordinal column `plan`'s row sweep compares `q`'s predicate on
+// table.column over; null when it has none.
+std::shared_ptr<const exec::OrdinalColumn> OrdinalColumnOf(
+    const ScanPlan& plan, const query::BoundQuery& q, const std::string& table,
+    const std::string& column) {
+  const size_t i = DimOf(q, table);
+  if (i >= plan.ordinal_columns.size()) return nullptr;
+  for (const auto& pred : q.dims[i].predicates) {
+    const int t = plan.dims[i].TableOf(pred);
+    if (pred.column == column && t >= 0) {
+      return plan.ordinal_columns[i][static_cast<size_t>(t)];
     }
   }
   return nullptr;
@@ -628,6 +659,87 @@ TEST(PlanCacheTest, PlansShareOrdinalTablesAndGroupOrdinalsWhileHeld) {
   EXPECT_TRUE(watched_groups.expired());
 }
 
+// Two signatures filtering Cust.region hold one ordinal column: the region
+// ordinal of every fact row's customer, one byte per row. The first hit
+// that builds a plan's cells drops its columns, a plan whose cells are
+// declined keeps them, and a column lives exactly as long as some plan
+// holds it. The column counters count join and weight columns only.
+TEST(PlanCacheTest, PlansShareOrdinalColumnsUntilTheirCellsAreBuilt) {
+  storage::Catalog catalog = MakeToyCatalog();
+  query::Binder binder(&catalog);
+  PlanCache cache(8);
+  StarJoinExecutor executor;
+
+  auto region_q = binder.Bind(CustRegionCountQuery());  // gets cells
+  auto toy_q = binder.Bind(ToyCountQuery());            // keeps its rows
+  ASSERT_TRUE(region_q.ok() && toy_q.ok());
+  std::shared_ptr<const ScanPlan> region_plan =
+      cache.GetOrCompile(*region_q).ValueOr(nullptr);
+  std::shared_ptr<const ScanPlan> toy_plan =
+      cache.GetOrCompile(*toy_q).ValueOr(nullptr);
+  ASSERT_TRUE(region_plan != nullptr && toy_plan != nullptr);
+  ASSERT_NE(region_plan, toy_plan);
+  std::shared_ptr<const exec::OrdinalColumn> column =
+      OrdinalColumnOf(*region_plan, *region_q, "Cust", "region");
+  ASSERT_NE(column, nullptr);
+  EXPECT_EQ(OrdinalColumnOf(*toy_plan, *toy_q, "Cust", "region"), column);
+  EXPECT_EQ(column->join, region_plan->fact_dim_row[0]);
+  EXPECT_EQ(column->table,
+            OrdinalTableOf(*region_plan, *region_q, "Cust", "region"));
+  ASSERT_EQ(column->width, 1);
+  // Orders' customers 1..6 two rows each; regions N, N, S, S, E, E.
+  EXPECT_EQ(std::vector<uint8_t>(column->narrow.begin(), column->narrow.end()),
+            (std::vector<uint8_t>{0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2}));
+  ScanPlan without = *region_plan;  // a byte per fact row
+  without.ordinal_columns.clear();
+  EXPECT_EQ(region_plan->ApproxBytes() - without.ApproxBytes(), 12u);
+  // The join columns count as before: Cust built once and reused, Prod
+  // built once, and no copies.
+  PlanCache::Stats stats = cache.GetStats();
+  EXPECT_EQ(stats.column_builds, 2u);
+  EXPECT_EQ(stats.column_reuses, 1u);
+  EXPECT_EQ(stats.column_copies, 0u);
+
+  // First hits: the region plan builds cells and holds no columns; the
+  // two-dimension count declines and keeps its own.
+  std::shared_ptr<const ScanPlan> region_cells =
+      cache.GetOrCompile(*region_q).ValueOr(nullptr);
+  std::shared_ptr<const ScanPlan> toy_hit =
+      cache.GetOrCompile(*toy_q).ValueOr(nullptr);
+  ASSERT_TRUE(region_cells != nullptr && toy_hit != nullptr);
+  ASSERT_NE(region_cells->cells, nullptr);
+  EXPECT_TRUE(region_cells->ordinal_columns.empty());
+  EXPECT_EQ(toy_hit->cells, nullptr);
+  EXPECT_EQ(OrdinalColumnOf(*toy_hit, *toy_q, "Cust", "region"), column);
+  stats = cache.GetStats();
+  EXPECT_EQ(stats.cell_builds, 1u);
+  EXPECT_EQ(stats.cell_declines, 1u);
+  EXPECT_EQ(stats.column_builds, 2u);
+  EXPECT_EQ(stats.column_reuses, 1u);
+  for (const auto& [q, plan] :
+       {std::make_pair(&*region_q, region_plan),
+        std::make_pair(&*region_q, region_cells),
+        std::make_pair(&*toy_q, toy_hit)}) {
+    auto naive = exec::ExecuteNaive(*q);
+    auto got =
+        executor.Execute(*q, PredicateOverrides(q->dims.size()), *plan);
+    ASSERT_TRUE(naive.ok() && got.ok());
+    ExpectBitIdentical(*naive, *got);
+  }
+
+  // Once the cached declined plan is the column's last holder, Clear()
+  // frees it.
+  const std::weak_ptr<const exec::OrdinalColumn> watched = column;
+  column.reset();
+  region_plan.reset();
+  toy_plan.reset();
+  region_cells.reset();
+  toy_hit.reset();
+  EXPECT_FALSE(watched.expired());
+  cache.Clear();
+  EXPECT_TRUE(watched.expired());
+}
+
 // Two categorical domains of one size render alike (AttributeDomain's
 // ToString() reads cat{3} for both), so the store must compare domains: a
 // predicate over the reordered domain gets a table of its own, and its
@@ -714,15 +826,18 @@ TEST(PlanCacheTest, ConcurrentSharedCacheIsSafe) {
   query::Binder binder(&catalog);
   auto cache = std::make_shared<PlanCache>(4);
 
-  // Five signatures sharing FK edges (all join Orders→Cust, two also
+  // Six signatures sharing FK edges (all join Orders→Cust, three also
   // Orders→Prod; three SUM the same measure), predicate columns (three
-  // filter Cust.region, two Cust.tier) and group columns (two group by
+  // filter Cust.region, three Cust.tier) and group columns (two group by
   // Cust.region), so concurrent compiles and extends race on the same join
-  // and weight columns, ordinal tables and group ordinals.
+  // and weight columns, ordinal tables and group ordinals, and on the
+  // ordinal columns that the plans without cells keep (the tier-and-cat
+  // count and the toy count share Prod.cat's, and the tier-and-cat count
+  // builds Cust.tier's while the tier sums' compiles do).
   std::vector<query::BoundQuery> bound;
   for (const auto& q : {ToyCountQuery(), ToyGroupedQuery(),
                         CustRegionCountQuery(), CustTierSumQuery(),
-                        CustTierSumByRegionQuery()}) {
+                        CustTierSumByRegionQuery(), TierCatCountQuery()}) {
     auto b = binder.Bind(q);
     ASSERT_TRUE(b.ok()) << b.status().ToString();
     bound.push_back(std::move(*b));
@@ -777,12 +892,14 @@ TEST(PlanCacheTest, ConcurrentSharedCacheIsSafe) {
   EXPECT_EQ(failures.load(), 0);
 
   // However the races went, the plans now cached sit on one join column per
-  // edge, one ordinal table per predicate column and one group-ordinal
-  // table per grouping: every signature's Orders→Cust column, Cust.region
-  // table and Cust groups are the same objects.
+  // edge, one ordinal table per predicate column, one group-ordinal table
+  // per grouping and one ordinal column per (edge, table): every
+  // signature's Orders→Cust column, Cust.region table, Cust groups and,
+  // among the plans without cells, Prod.cat column are the same objects.
   std::shared_ptr<const exec::JoinColumn> cust_column;
   std::shared_ptr<const exec::OrdinalTable> region_table;
   std::shared_ptr<const exec::GroupOrdinals> cust_groups;
+  std::shared_ptr<const exec::OrdinalColumn> cat_column;
   for (const auto& q : bound) {
     auto plan = cache->GetOrCompile(q);
     ASSERT_TRUE(plan.ok());
@@ -798,9 +915,18 @@ TEST(PlanCacheTest, ConcurrentSharedCacheIsSafe) {
       if (cust_groups == nullptr) cust_groups = groups;
       EXPECT_EQ(groups, cust_groups);
     }
+    if (q.dims.size() > 1) {
+      auto column = OrdinalColumnOf(**plan, q, "Prod", "cat");
+      if (column != nullptr) {
+        EXPECT_EQ(column->fact_rows, 17);
+        if (cat_column == nullptr) cat_column = column;
+        EXPECT_EQ(column, cat_column);
+      }
+    }
   }
   EXPECT_NE(region_table, nullptr);
   EXPECT_NE(cust_groups, nullptr);
+  EXPECT_NE(cat_column, nullptr);
 }
 
 // Orders→Cust by region has three classes, within half the fixture's twelve

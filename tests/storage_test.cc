@@ -113,6 +113,26 @@ TEST(DomainTest, Categorical) {
   EXPECT_EQ(d.ValueAt(2).AsString(), "C");
 }
 
+// Copies share a categorical domain's values, and equality compares values,
+// not storage: two domains built alike are equal, a reordering is not.
+TEST(DomainTest, CategoricalCopiesShareTheirValues) {
+  const AttributeDomain d = AttributeDomain::Categorical({"A", "B", "C"});
+  const AttributeDomain copy = d;
+  EXPECT_EQ(copy.categories().data(), d.categories().data());
+  EXPECT_EQ(copy, d);
+
+  const AttributeDomain twin = AttributeDomain::Categorical({"A", "B", "C"});
+  EXPECT_NE(twin.categories().data(), d.categories().data());
+  EXPECT_EQ(twin, d);
+
+  const AttributeDomain reordered =
+      AttributeDomain::Categorical({"B", "A", "C"});
+  EXPECT_EQ(reordered.ToString(), d.ToString());  // both read cat{3}
+  EXPECT_FALSE(reordered == d);
+  EXPECT_FALSE(AttributeDomain::IntRange(0, 2) == d);
+  EXPECT_TRUE(AttributeDomain::IntRange(0, 2).categories().empty());
+}
+
 TEST(TableTest, CreateAndAppend) {
   Schema schema({Field("k", ValueType::kInt64), Field("name", ValueType::kString)});
   auto t = Table::Create("T", schema, "k");
